@@ -9,9 +9,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check tier1 vet lint race chaos fuzzseed bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint
+.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint
 
-check: vet lint tier1 fuzzseed race chaos
+check: vet lint tier1 bench-build fuzzseed race chaos
 
 # Tier-1 gate (see ROADMAP.md).
 tier1:
@@ -19,6 +19,13 @@ tier1:
 
 vet:
 	$(GO) vet ./...
+
+# The serving benchmark (bench/, BENCHMARK.json) is a module of its own
+# that imports internal/ packages, so the tier-1 gate does not compile
+# it: vet it and run its short tests here, so that a change to an API
+# the harness uses fails this check instead of the benchmark run.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — atomiccommit, crcgate, ctxflow,

@@ -3,6 +3,7 @@ package cn
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/tss"
@@ -28,11 +29,19 @@ func (o TSSOcc) label() string {
 	if o.Free() {
 		return o.Segment
 	}
-	parts := make([]string, len(o.Keywords))
+	var sb strings.Builder
+	sb.WriteString(o.Segment)
+	sb.WriteByte('{')
 	for i, k := range o.Keywords {
-		parts[i] = k.Keyword + "@" + k.SchemaNode
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(k.Keyword)
+		sb.WriteByte('@')
+		sb.WriteString(k.SchemaNode)
 	}
-	return o.Segment + "{" + strings.Join(parts, ",") + "}"
+	sb.WriteByte('}')
+	return sb.String()
 }
 
 // TSSEdgeRef connects two TSS occurrences through a TSS graph edge.
@@ -64,12 +73,18 @@ func (t *TSSNetwork) Score() int {
 	return t.CN.Size()
 }
 
-// Canon returns a canonical string for isomorphism grouping.
+// Canon returns a canonical string for isomorphism grouping: the
+// smallest, over every choice of root, of the rooted rendering
+// label(>|<edgeID child ...) with children sorted.
 func (t *TSSNetwork) Canon() string {
 	adj := make([][]TSSEdgeRef, len(t.Occs))
 	for _, e := range t.Edges {
 		adj[e.From] = append(adj[e.From], e)
 		adj[e.To] = append(adj[e.To], e)
+	}
+	labels := make([]string, len(t.Occs))
+	for i, o := range t.Occs {
+		labels[i] = o.label()
 	}
 	var canonFrom func(v, parent int) string
 	canonFrom = func(v, parent int) string {
@@ -82,10 +97,20 @@ func (t *TSSNetwork) Canon() string {
 			if other == parent {
 				continue
 			}
-			subs = append(subs, fmt.Sprintf("%s%d%s", dir, e.EdgeID, canonFrom(other, v)))
+			subs = append(subs, dir+strconv.Itoa(e.EdgeID)+canonFrom(other, v))
 		}
 		sort.Strings(subs)
-		return t.Occs[v].label() + "(" + strings.Join(subs, "|") + ")"
+		var sb strings.Builder
+		sb.WriteString(labels[v])
+		sb.WriteByte('(')
+		for i, s := range subs {
+			if i > 0 {
+				sb.WriteByte('|')
+			}
+			sb.WriteString(s)
+		}
+		sb.WriteByte(')')
+		return sb.String()
 	}
 	best := ""
 	for r := range t.Occs {

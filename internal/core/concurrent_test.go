@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 )
 
 // A loaded system serves concurrent queries (the demo server's usage
@@ -45,4 +47,55 @@ func TestConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent query mismatch: %v", err)
 	}
+}
+
+// TestConcurrentColdShape races many goroutines onto one cold keyword
+// shape: all of them miss the shape memo together, compile and publish
+// its template, and from then on share one template and its lazily
+// filled per-seed step orders. Every plan must equal the one a fresh
+// system derives alone; run under -race in CI. Templates are immutable
+// once published and a plan's Net and Filters are the query's own, so
+// there is nothing for the goroutines to race on but the memo's lock
+// and the shapes' step cache.
+func TestConcurrentColdShape(t *testing.T) {
+	// Same shape (a person name, a product word), different keywords,
+	// so containing-list sizes and with them the seeds differ.
+	queries := [][]string{{"john", "vcr"}, {"mike", "dvd"}, {"john", "tv"}, {"mike", "vcr"}, {"john", "dvd"}}
+	ref := loadFig1(t, core.Options{Z: 8})
+	want := make([][]exec.Planned, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = ref.Plans(q); err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) == 0 {
+			t.Fatalf("%v derives no plan", q)
+		}
+	}
+
+	s := loadFig1(t, core.Options{Z: 8})
+	const goroutines = 16
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 3*len(queries); i++ {
+				qi := (w + i) % len(queries)
+				got, err := s.Plans(queries[qi])
+				if err != nil {
+					t.Errorf("%v: %v", queries[qi], err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[qi]) {
+					t.Errorf("%v: concurrent plans differ from a fresh system's", queries[qi])
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
 }

@@ -108,8 +108,9 @@ type System struct {
 	M    int
 	Opts Options
 
-	// netMemo caches generated candidate networks per keyword-shape
-	// signature. It lives on the System (not in a package global) so the
+	// netMemo caches the compiled derivation (generic candidate networks
+	// and their shape template) per keyword-shape signature. It lives on
+	// the System (not in a package global) so the
 	// memo is released with the System and cannot grow for the life of
 	// the process when many systems are loaded. Lazily initialized by
 	// memo(): Systems are also built by struct literal outside this
@@ -192,7 +193,7 @@ func (s *System) PipelineSnapshot() pipeline.Snapshot {
 	return s.PipelineMetrics().Snapshot()
 }
 
-// memo returns the System's CN memo, creating it on first use.
+// memo returns the System's shape memo, creating it on first use.
 func (s *System) memo() *netMemo {
 	s.memoOnce.Do(func() {
 		if s.netMemo == nil {

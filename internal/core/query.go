@@ -13,59 +13,81 @@ import (
 	"repro/internal/rank"
 )
 
-// netMemo caches generated candidate networks per (keyword-to-schema-node
-// signature, Z): the CN generator's output depends only on which schema
-// nodes hold each keyword, not on the keyword strings, so queries with
-// the same "shape" (e.g. any two author names) share one generation.
-// Cached networks carry positional placeholder keywords that the
-// pipeline's generate stage substitutes per query. The memo is a bounded
-// LRU owned by one System: it used to be a package-global sync.Map keyed
-// by *schema.Graph, which leaked every loaded system's networks for the
-// life of the process.
+// netMemo is the per-System shape memo: what the query stage derives
+// from a keyword query depends, up to the point containing-list sizes
+// pick each plan's seed, only on the query's shape — which schema nodes
+// hold each keyword, under which Z, and which keywords are equal — not
+// on the keyword strings, so queries with the same shape (e.g. any two
+// author names) share one derivation. An entry holds the shape's generic
+// candidate networks (positional placeholder keywords) and the
+// pipeline.Template compiled from them: reduced, deduped, score-sorted
+// CTSSNs with their fragment covers and step orders. The memo is a
+// bounded LRU owned by one System: it used to be a package-global
+// sync.Map keyed by *schema.Graph, which leaked every loaded system's
+// networks for the life of the process.
 type netMemo struct {
 	mu  sync.Mutex
 	cap int
-	ll  *list.List // front = most recent
-	m   map[string]*list.Element
+	ll  *list.List               // guarded by mu — front = most recent
+	m   map[string]*list.Element // guarded by mu
 }
 
 // netMemoCap bounds the distinct keyword shapes memoized per System.
 const netMemoCap = 256
 
+// netMemoEntry is one memoized shape. Entries are replaced, never
+// modified, once published: readers use nets and tmpl after the lock is
+// released.
 type netMemoEntry struct {
 	sig  string
 	nets []*cn.Network
+	tmpl *pipeline.Template // nil until a query of this shape compiled it
 }
 
 func newNetMemo(capacity int) *netMemo {
 	return &netMemo{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-func (mm *netMemo) get(sig string) ([]*cn.Network, bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
+// lookupLocked returns the entry of a signature, refreshing its recency.
+func (mm *netMemo) lookupLocked(sig string) (*netMemoEntry, bool) {
 	el, ok := mm.m[sig]
 	if !ok {
 		return nil, false
 	}
 	mm.ll.MoveToFront(el)
-	return el.Value.(*netMemoEntry).nets, true
+	return el.Value.(*netMemoEntry), true
 }
 
-func (mm *netMemo) put(sig string, nets []*cn.Network) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	if el, ok := mm.m[sig]; ok {
-		el.Value.(*netMemoEntry).nets = nets
+// storeLocked publishes an entry, replacing the signature's previous
+// one and evicting the least recently used beyond the cap.
+func (mm *netMemo) storeLocked(e *netMemoEntry) {
+	if el, ok := mm.m[e.sig]; ok {
+		el.Value = e
 		mm.ll.MoveToFront(el)
 		return
 	}
-	mm.m[sig] = mm.ll.PushFront(&netMemoEntry{sig: sig, nets: nets})
+	mm.m[e.sig] = mm.ll.PushFront(e)
 	for mm.cap > 0 && mm.ll.Len() > mm.cap {
 		oldest := mm.ll.Back()
 		mm.ll.Remove(oldest)
 		delete(mm.m, oldest.Value.(*netMemoEntry).sig)
 	}
+}
+
+func (mm *netMemo) get(sig string) ([]*cn.Network, bool) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e, ok := mm.lookupLocked(sig)
+	if !ok {
+		return nil, false
+	}
+	return e.nets, true
+}
+
+func (mm *netMemo) put(sig string, nets []*cn.Network) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	mm.storeLocked(&netMemoEntry{sig: sig, nets: nets})
 }
 
 func (mm *netMemo) len() int {
@@ -79,6 +101,28 @@ func (mm *netMemo) Get(sig string) ([]*cn.Network, bool) { return mm.get(sig) }
 
 // Put stores the generated networks for a shape signature.
 func (mm *netMemo) Put(sig string, nets []*cn.Network) { mm.put(sig, nets) }
+
+// Template and PutTemplate implement pipeline.TemplateCache.
+func (mm *netMemo) Template(sig string) (*pipeline.Template, bool) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e, ok := mm.lookupLocked(sig)
+	if !ok || e.tmpl == nil {
+		return nil, false
+	}
+	return e.tmpl, true
+}
+
+// PutTemplate attaches a shape's compiled template to its entry.
+func (mm *netMemo) PutTemplate(sig string, t *pipeline.Template) {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	e := &netMemoEntry{sig: sig, tmpl: t}
+	if old, ok := mm.lookupLocked(sig); ok {
+		e.nets = old.nets
+	}
+	mm.storeLocked(e)
+}
 
 // newPipeline assembles the staged query path over the System's current
 // backends. Built per call so swapping System.Index (e.g. to a
@@ -133,8 +177,9 @@ func (s *System) run(ctx context.Context, q *pipeline.Query) error {
 // master-index source. The scatter-gather serving path uses it to run
 // discovery, CN generation and planning against a query-scoped source
 // carrying globally merged postings, so every shard derives the exact
-// plan list a single node would. The CN memo is shared with the normal
-// path: it is keyed by keyword shape, which the source fully determines.
+// plan list a single node would. The shape memo is shared with the
+// normal path: it is keyed by keyword shape, which the source fully
+// determines, and templates hold nothing read from an index.
 func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 	return pipeline.New(pipeline.Config{
 		Schema:        s.Schema,

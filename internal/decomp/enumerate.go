@@ -57,21 +57,27 @@ func EnumerateFragments(tg *tss.Graph, n int, includeMVD bool) []Fragment {
 // — coverage under a join budget depends only on the shape. The returned
 // networks are deduplicated under isomorphism.
 func EnumerateShapes(tg *tss.Graph, maxSize int) []*cn.TSSNetwork {
+	// Each shape's canonical string is computed once, when the shape is
+	// first seen, and reused as the final sort key.
+	type keyed struct {
+		t   *cn.TSSNetwork
+		key string
+	}
 	seen := make(map[string]bool)
-	var out []*cn.TSSNetwork
-	var queue []*cn.TSSNetwork
+	var out, queue []keyed
 	for _, seg := range tg.Segments() {
 		t := &cn.TSSNetwork{Occs: []cn.TSSOcc{{Segment: seg}}}
 		if k := t.Canon(); !seen[k] {
 			seen[k] = true
-			queue = append(queue, t)
+			queue = append(queue, keyed{t, k})
 		}
 	}
 	for len(queue) > 0 {
-		t := queue[0]
+		cur := queue[0]
 		queue = queue[1:]
+		t := cur.t
 		if t.Size() >= 1 {
-			out = append(out, t)
+			out = append(out, cur)
 		}
 		if t.Size() >= maxSize {
 			continue
@@ -99,7 +105,7 @@ func EnumerateShapes(tg *tss.Graph, maxSize int) []*cn.TSSNetwork {
 				}
 				if k := nt.Canon(); !seen[k] {
 					seen[k] = true
-					queue = append(queue, nt)
+					queue = append(queue, keyed{nt, k})
 				}
 			}
 			for _, id := range tg.Out(seg) {
@@ -111,12 +117,16 @@ func EnumerateShapes(tg *tss.Graph, maxSize int) []*cn.TSSNetwork {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size() != out[j].Size() {
-			return out[i].Size() < out[j].Size()
+		if si, sj := out[i].t.Size(), out[j].t.Size(); si != sj {
+			return si < sj
 		}
-		return out[i].Canon() < out[j].Canon()
+		return out[i].key < out[j].key
 	})
-	return out
+	shapes := make([]*cn.TSSNetwork, len(out))
+	for i, k := range out {
+		shapes[i] = k.t
+	}
+	return shapes
 }
 
 // shapeAdmissible checks the instance-impossibility rules around

@@ -10,6 +10,7 @@ package optimizer
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cn"
 	"repro/internal/decomp"
@@ -111,8 +112,129 @@ func (o *Optimizer) estimateCost(p *Plan) float64 {
 	return cost
 }
 
-// Plan builds the execution plan for one CTSSN, seeding the nested loop
-// at the keyword occurrence with the smallest containing list (§6).
+// Shape is the keyword-independent half of a CTSSN's plan — everything
+// the optimizer decides before it looks at a containing list: the
+// fragment cover and, per seed occurrence, the nested-loop step order
+// (buildSteps only asks whether an occurrence is keyword-constrained,
+// never how large its filter is). The seed itself depends on the filter
+// sizes (§6), so it is chosen per query by Bind; a Shape compiled from
+// one network serves every network of the same structure, whatever its
+// keywords. Safe for concurrent use; the step slices it hands out are
+// shared between plans and must not be modified.
+type Shape struct {
+	pieces []decomp.Piece
+	keyed  []bool // per occurrence: carries a keyword constraint
+	profit []bool // per occurrence: cacheProfitable
+
+	mu    sync.Mutex
+	steps [][]Step // guarded by mu — per seed occurrence, nil until first bound
+}
+
+// Compile derives the structural half of t's plan: the minimum-piece
+// fragment cover within the join budget (unbounded when the
+// decomposition cannot meet it).
+func (o *Optimizer) Compile(t *cn.TSSNetwork) (*Shape, error) {
+	sh := &Shape{
+		keyed:  make([]bool, len(t.Occs)),
+		profit: make([]bool, len(t.Occs)),
+		steps:  make([][]Step, len(t.Occs)),
+	}
+	for i, occ := range t.Occs {
+		sh.keyed[i] = !occ.Free()
+		sh.profit[i] = o.cacheProfitable(t, i)
+	}
+	if t.Size() == 0 {
+		return sh, nil // single occurrence: one seed step, nothing to cover
+	}
+	pieces, ok := decomp.Cover(o.TSS, t, o.Fragments, o.MaxJoins)
+	if !ok {
+		if pieces, ok = decomp.Cover(o.TSS, t, o.Fragments, -1); !ok {
+			return nil, fmt.Errorf("optimizer: network %s not coverable by the decomposition", t)
+		}
+	}
+	sh.pieces = pieces
+	return sh, nil
+}
+
+// TOSets memoizes the (keyword, schema node) TO sets of one keyword
+// query, so each is read from the index once however many networks
+// constrain on it. The sets end up shared between the plans' Filters
+// and are read-only from then on.
+type TOSets map[cn.KeywordAt]map[int64]bool
+
+// Bind instantiates a compiled shape for network t of one query: it
+// computes t's filters through sets, seeds the nested loop at the
+// keyword occurrence with the smallest containing list (§6) and attaches
+// the shape's step order for that seed. t must have the structure the
+// shape was compiled from.
+func (o *Optimizer) Bind(sh *Shape, t *cn.TSSNetwork, sets TOSets) (*Plan, error) {
+	return o.bind(sh, t, o.filters(t, sets), -1)
+}
+
+func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters []map[int64]bool, seed int) (*Plan, error) {
+	if seed < 0 {
+		if t.Size() == 0 && t.Occs[0].Free() {
+			return nil, fmt.Errorf("optimizer: single free occurrence")
+		}
+		if seed = sh.pickSeed(filters); seed < 0 {
+			return nil, fmt.Errorf("optimizer: network %s has no keyword occurrence", t)
+		}
+	}
+	plan := &Plan{Net: t, Filters: filters}
+	if len(sh.pieces) > 0 {
+		plan.Joins = len(sh.pieces) - 1
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.steps[seed] == nil {
+		steps, err := o.buildSteps(t, sh.keyed, seed, sh.pieces)
+		if err != nil {
+			return nil, err
+		}
+		sh.steps[seed] = steps
+	}
+	plan.Steps = sh.steps[seed]
+	return plan, nil
+}
+
+// pickSeed is the seed choice of §6: primarily the keyword occurrence
+// with the smallest containing list; between comparable lists (within
+// 2x), prefer a cache-profitable occurrence — one whose step away leads
+// to a shared neighbor (to-one traversal), so the inner queries repeat
+// and the lookup cache absorbs them. This is why the paper's example
+// iterates the VCR part outermost: many sub-parts share one parent
+// part, while the reverse direction fans out. Returns -1 when no
+// occurrence is keyword-constrained.
+func (sh *Shape) pickSeed(filters []map[int64]bool) int {
+	seed, seedSize, seedProfit := -1, -1, false
+	for i, f := range filters {
+		if f == nil {
+			continue
+		}
+		profit := sh.profit[i]
+		better := false
+		switch {
+		case seed < 0:
+			better = true
+		case len(f)*2 < seedSize || seedSize*2 < len(f):
+			better = len(f) < seedSize // lists differ a lot: size rules
+		case profit != seedProfit:
+			better = profit // comparable lists: cacheability rules
+		default:
+			better = len(f) < seedSize
+		}
+		if better {
+			seed, seedSize, seedProfit = i, len(f), profit
+		}
+	}
+	return seed
+}
+
+// Plan builds the execution plan for one CTSSN from scratch — compile,
+// then bind — seeding the nested loop at the keyword occurrence with
+// the smallest containing list (§6). The query pipeline compiles once
+// per keyword shape and only binds per query; Plan is what a shape
+// template is checked against, and the presentation module's entry.
 func (o *Optimizer) Plan(t *cn.TSSNetwork) (*Plan, error) {
 	return o.plan(t, -1)
 }
@@ -141,6 +263,15 @@ func (o *Optimizer) PlanSeededVariants(t *cn.TSSNetwork, seed int) ([]*Plan, err
 		return nil, err
 	}
 	out := []*Plan{base}
+	if alt := o.singleEdgePlan(t, base.Filters, seed); alt != nil && alt.Joins != base.Joins {
+		out = append(out, alt)
+	}
+	return out, nil
+}
+
+// singleEdgePlan builds the edge-by-edge alternative of a seeded plan,
+// or nil when the single-edge fragments cannot cover the network.
+func (o *Optimizer) singleEdgePlan(t *cn.TSSNetwork, filters []map[int64]bool, seed int) *Plan {
 	var singles []decomp.Fragment
 	for _, f := range o.Fragments {
 		if f.Size() == 1 {
@@ -148,115 +279,47 @@ func (o *Optimizer) PlanSeededVariants(t *cn.TSSNetwork, seed int) ([]*Plan, err
 		}
 	}
 	if len(singles) == 0 || t.Size() == 0 {
-		return out, nil
+		return nil
 	}
-	altPieces, ok := decomp.Cover(o.TSS, t, singles, -1)
+	pieces, ok := decomp.Cover(o.TSS, t, singles, -1)
 	if !ok {
-		return out, nil
+		return nil
 	}
-	alt, err := o.buildPlan(t, base.Filters, seed, altPieces)
+	keyed := make([]bool, len(filters))
+	for i, f := range filters {
+		keyed[i] = f != nil
+	}
+	steps, err := o.buildSteps(t, keyed, seed, pieces)
 	if err != nil {
-		return out, nil
+		return nil
 	}
-	if alt.Joins != base.Joins {
-		out = append(out, alt)
-	}
-	return out, nil
+	return &Plan{Net: t, Steps: steps, Joins: len(pieces) - 1, Filters: filters}
 }
 
 func (o *Optimizer) plan(t *cn.TSSNetwork, seed int) (*Plan, error) {
-	filters, err := o.filters(t)
+	sh, err := o.Compile(t)
 	if err != nil {
 		return nil, err
 	}
-	if t.Size() == 0 {
-		// Single-occurrence network: one seed step.
-		if seed < 0 && t.Occs[0].Free() {
-			return nil, fmt.Errorf("optimizer: single free occurrence")
-		}
-		return &Plan{Net: t, Steps: []Step{{Seed: true, Occ: 0}}, Filters: filters}, nil
-	}
-	pieces, ok := decomp.Cover(o.TSS, t, o.Fragments, o.MaxJoins)
-	if !ok {
-		if pieces, ok = decomp.Cover(o.TSS, t, o.Fragments, -1); !ok {
-			return nil, fmt.Errorf("optimizer: network %s not coverable by the decomposition", t)
-		}
-	}
-
-	if seed < 0 {
-		// Seed choice (§6): primarily the keyword occurrence with the
-		// smallest containing list; between comparable lists (within 2x),
-		// prefer a cache-profitable occurrence — one whose step away
-		// leads to a shared neighbor (to-one traversal), so the inner
-		// queries repeat and the lookup cache absorbs them. This is why
-		// the paper's example iterates the VCR part outermost: many
-		// sub-parts share one parent part, while the reverse direction
-		// fans out.
-		seedSize := -1
-		seedProfit := false
-		for i, f := range filters {
-			if f == nil {
-				continue
-			}
-			profit := o.cacheProfitable(t, i)
-			better := false
-			switch {
-			case seed < 0:
-				better = true
-			case len(f)*2 < seedSize || seedSize*2 < len(f):
-				better = len(f) < seedSize // lists differ a lot: size rules
-			case profit != seedProfit:
-				better = profit // comparable lists: cacheability rules
-			default:
-				better = len(f) < seedSize
-			}
-			if better {
-				seed, seedSize, seedProfit = i, len(f), profit
-			}
-		}
-		if seed < 0 {
-			return nil, fmt.Errorf("optimizer: network %s has no keyword occurrence", t)
-		}
-	}
-
-	plan, err := o.buildPlan(t, filters, seed, pieces)
-	if err != nil {
-		return nil, err
-	}
-	if !o.CostBased {
-		return plan, nil
+	plan, err := o.bind(sh, t, o.filters(t, TOSets{}), seed)
+	if err != nil || !o.CostBased || t.Size() == 0 {
+		return plan, err
 	}
 	// Cost-based choice (§4, challenge (a)): also consider the
 	// single-edge cover — under heavy run-time restrictions (the
 	// presentation module's focused queries) probing small relations
 	// edge-by-edge often beats fewer probes on wide relations.
-	var singles []decomp.Fragment
-	for _, f := range o.Fragments {
-		if f.Size() == 1 {
-			singles = append(singles, f)
-		}
-	}
-	if len(singles) == 0 {
-		return plan, nil
-	}
-	altPieces, ok := decomp.Cover(o.TSS, t, singles, -1)
-	if !ok {
-		return plan, nil
-	}
-	alt, err := o.buildPlan(t, filters, seed, altPieces)
-	if err != nil {
-		return plan, nil
-	}
-	if o.estimateCost(alt) < o.estimateCost(plan) {
+	if alt := o.singleEdgePlan(t, plan.Filters, plan.Steps[0].Occ); alt != nil && o.estimateCost(alt) < o.estimateCost(plan) {
 		return alt, nil
 	}
 	return plan, nil
 }
 
-// buildPlan orders the cover's pieces into a nested-loop pipeline.
-func (o *Optimizer) buildPlan(t *cn.TSSNetwork, filters []map[int64]bool, seed int, pieces []decomp.Piece) (*Plan, error) {
-	plan := &Plan{Net: t, Filters: filters, Joins: len(pieces) - 1}
-	plan.Steps = append(plan.Steps, Step{Seed: true, Occ: seed})
+// buildSteps orders the cover's pieces into a nested-loop pipeline
+// seeded at occurrence seed. keyed marks the keyword-constrained
+// occurrences — all the ordering needs to know about the filters.
+func (o *Optimizer) buildSteps(t *cn.TSSNetwork, keyed []bool, seed int, pieces []decomp.Piece) ([]Step, error) {
+	steps := []Step{{Seed: true, Occ: seed}}
 	bound := map[int]bool{seed: true}
 	remaining := append([]decomp.Piece(nil), pieces...)
 	for len(remaining) > 0 {
@@ -275,7 +338,7 @@ func (o *Optimizer) buildPlan(t *cn.TSSNetwork, filters []map[int64]bool, seed i
 			if probe < 0 {
 				continue
 			}
-			cost := o.pieceCost(p, probe, bound, filters)
+			cost := o.pieceCost(p, probe, bound, keyed)
 			if bestIdx < 0 || cost < bestCost {
 				bestIdx, bestCost = i, cost
 			}
@@ -306,9 +369,9 @@ func (o *Optimizer) buildPlan(t *cn.TSSNetwork, filters []map[int64]bool, seed i
 				step.CheckPos = append(step.CheckPos, pos)
 			}
 		}
-		plan.Steps = append(plan.Steps, step)
+		steps = append(steps, step)
 	}
-	return plan, nil
+	return steps, nil
 }
 
 // cacheProfitable reports whether stepping away from occurrence occ
@@ -365,17 +428,17 @@ func (o *Optimizer) bestProbe(p decomp.Piece, boundPos []int) int {
 // pieceCost estimates the fanout of extending the binding through p from
 // probe position probe: the product of per-step fanouts, discounted when
 // a newly bound occurrence is keyword-constrained.
-func (o *Optimizer) pieceCost(p decomp.Piece, probe int, bound map[int]bool, filters []map[int64]bool) float64 {
+func (o *Optimizer) pieceCost(p decomp.Piece, probe int, bound map[int]bool, keyed []bool) float64 {
 	steps := p.Frag.Steps()
 	cost := 1.0
 	// Walk outward from the probe position in both directions.
 	for pos := probe; pos+1 < len(p.Occs); pos++ {
 		cost *= o.stepFanout(steps[pos], true)
-		cost *= selectivity(p.Occs[pos+1], bound, filters)
+		cost *= selectivity(p.Occs[pos+1], bound, keyed)
 	}
 	for pos := probe; pos-1 >= 0; pos-- {
 		cost *= o.stepFanout(steps[pos-1], false)
-		cost *= selectivity(p.Occs[pos-1], bound, filters)
+		cost *= selectivity(p.Occs[pos-1], bound, keyed)
 	}
 	return cost
 }
@@ -392,44 +455,53 @@ func (o *Optimizer) stepFanout(s decomp.Step, along bool) float64 {
 	return f
 }
 
-func selectivity(occ int, bound map[int]bool, filters []map[int64]bool) float64 {
+func selectivity(occ int, bound map[int]bool, keyed []bool) float64 {
 	if bound[occ] {
 		return 1 // equality check, not an expansion
 	}
-	if filters[occ] != nil {
+	if keyed[occ] {
 		return 0.05 // keyword filters are selective
 	}
 	return 1
 }
 
 // filters computes, per occurrence, the intersection of the TO sets of
-// its keyword constraints (nil for free occurrences). An empty
-// intersection means the network has no results.
-func (o *Optimizer) filters(t *cn.TSSNetwork) ([]map[int64]bool, error) {
+// its keyword constraints (nil for free occurrences), reading each
+// (keyword, schema node) set from the index once per sets. A
+// single-keyword occurrence shares the memoized set; an occurrence
+// carrying several keywords gets a fresh intersection, so memoized sets
+// are never modified. An empty intersection means the network has no
+// results.
+func (o *Optimizer) filters(t *cn.TSSNetwork, sets TOSets) []map[int64]bool {
 	out := make([]map[int64]bool, len(t.Occs))
 	for i, occ := range t.Occs {
 		if occ.Free() {
 			continue
 		}
 		var set map[int64]bool
-		for _, ka := range occ.Keywords {
-			s := o.Index.TOSet(ka.Keyword, ka.SchemaNode)
-			if set == nil {
+		for ki, ka := range occ.Keywords {
+			s, ok := sets[ka]
+			if !ok {
+				if s = o.Index.TOSet(ka.Keyword, ka.SchemaNode); s == nil {
+					s = map[int64]bool{} // keyword-constrained, matches nothing
+				}
+				sets[ka] = s
+			}
+			if ki == 0 {
 				set = s
 				continue
 			}
+			both := make(map[int64]bool)
 			for to := range set {
-				if !s[to] {
-					delete(set, to)
+				if s[to] {
+					both[to] = true
 				}
 			}
-		}
-		if set == nil {
-			set = map[int64]bool{}
+			set = both
 		}
 		out[i] = set
 	}
-	return out, nil
+	return out
 }
 
 // SortedFilter returns the filter set of occurrence occ as a sorted

@@ -90,6 +90,13 @@ type Query struct {
 	// Scorer, when non-nil, overrides the pipeline's configured result
 	// scorer for this query (see Config.Scorer).
 	Scorer rank.Scorer
+	// Own, when non-nil, restricts the optimize stage to the plans whose
+	// index it accepts: Plans stays index-aligned with Nets and holds a
+	// nil Plan at every other index. For ModePlans callers that execute
+	// a share of the plan list themselves (a scatter-gather shard plans
+	// only the residue classes it was assigned); the executing modes
+	// need every plan.
+	Own func(plan int) bool
 
 	// Norm holds the normalized keywords (set by discover). When the
 	// query was relaxed, Keywords/Norm/NodeLists hold the effective
@@ -120,6 +127,9 @@ type Query struct {
 	// nil means the query ran exactly as asked.
 	Relaxation *Relaxation
 
+	// tmpl is the query shape's compiled template (set by generate);
+	// reduce and optimize instantiate from it.
+	tmpl *Template
 	// halt is set by a stage that has fully answered the query (e.g.
 	// discover relaxing away every keyword); Run stops after it.
 	halt bool

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cn"
@@ -16,12 +17,20 @@ import (
 )
 
 // NetCache memoizes generated candidate networks per keyword-shape
-// signature (core's per-System bounded LRU implements it). The cached
-// networks carry positional placeholder keywords; the generate stage
-// substitutes each query's keywords into a clone.
+// signature. The cached networks carry positional placeholder keywords.
 type NetCache interface {
 	Get(sig string) ([]*cn.Network, bool)
 	Put(sig string, nets []*cn.Network)
+}
+
+// TemplateCache is a NetCache whose entries also hold the Template
+// compiled from their networks — core's per-System bounded LRU, the
+// shape memo. Behind a plain NetCache the pipeline still goes through a
+// template, compiled per query from the cached networks.
+type TemplateCache interface {
+	NetCache
+	Template(sig string) (*Template, bool)
+	PutTemplate(sig string, t *Template)
 }
 
 // Config assembles the default stages over a loaded system's parts.
@@ -45,7 +54,9 @@ type Config struct {
 	// (substitute or drop, recorded in Query.Relaxation) instead of
 	// letting the query return zero results.
 	Relax bool
-	// NetCache, when non-nil, memoizes CN generation per keyword shape.
+	// NetCache, when non-nil, memoizes the derivation per keyword shape:
+	// the generic CNs, and — when it is a TemplateCache — the template
+	// compiled from them.
 	NetCache NetCache
 	// NewOptimizer builds the plan optimizer (per query).
 	NewOptimizer func() *optimizer.Optimizer
@@ -79,10 +90,6 @@ func (c *Config) scorerFor(q *Query) rank.Scorer {
 	return c.Scorer
 }
 
-// placeholder returns the positional keyword stand-in cached networks
-// carry; \x01 cannot appear in tokenized keywords.
-func placeholder(i int) string { return fmt.Sprintf("\x01k%d\x01", i) }
-
 // ShapeSignature encodes a keyword query's shape — which schema nodes
 // hold each keyword, under which Z — as the CN memo key. Every node
 // name is length-prefixed, so names containing separator characters
@@ -90,12 +97,32 @@ func placeholder(i int) string { return fmt.Sprintf("\x01k%d\x01", i) }
 // encoding could).
 func ShapeSignature(z int, nodeLists [][]string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "z=%d", z)
+	sb.WriteString("z=")
+	sb.WriteString(strconv.Itoa(z))
 	for _, nodes := range nodeLists {
-		fmt.Fprintf(&sb, "|%d", len(nodes))
+		sb.WriteByte('|')
+		sb.WriteString(strconv.Itoa(len(nodes)))
 		for _, n := range nodes {
-			fmt.Fprintf(&sb, ":%d:%s", len(n), n)
+			sb.WriteByte(':')
+			sb.WriteString(strconv.Itoa(len(n)))
+			sb.WriteByte(':')
+			sb.WriteString(n)
 		}
+	}
+	return sb.String()
+}
+
+// equalitySignature encodes which keywords of a query are the same
+// keyword ("chen chen"): per keyword, the first position holding it. It
+// is part of the memo key because isomorphism dedup depends on it — two
+// networks that differ only by swapping two equal keywords are one
+// network.
+func equalitySignature(norm []string) string {
+	var sb strings.Builder
+	sb.WriteString("|=")
+	for _, first := range equalityClasses(norm) {
+		sb.WriteByte('.')
+		sb.WriteString(strconv.Itoa(first))
 	}
 	return sb.String()
 }
@@ -180,30 +207,51 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 	q.Keywords = keywords
 	q.Norm = norm
 	q.NodeLists = nodeLists
-	q.Sig = ShapeSignature(s.cfg.Z, q.NodeLists)
+	q.Sig = ShapeSignature(s.cfg.Z, q.NodeLists) + equalitySignature(q.Norm)
 	return nil
 }
 
-// generateStage runs the CN generator (§4) — through the shape memo
-// when one is configured — and substitutes the query's keywords for the
-// cached networks' positional placeholders. Out is the number of
-// candidate networks.
+// generateStage fetches the query shape's compiled Template — from the
+// shape memo when one is configured; a miss runs the CN generator (§4)
+// and compiles the template, then publishes it — and substitutes the
+// query's keywords for the generic networks' positional placeholders.
+// Out is the number of candidate networks.
 type generateStage struct{ cfg *Config }
 
 func (s generateStage) Name() string { return StageGenerate }
 
 func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Keywords))
+	var err error
+	if q.tmpl, rep.Cached, err = s.template(q); err != nil {
+		return err
+	}
+	if rep.Cached {
+		rep.CacheHits = 1
+	} else {
+		rep.CacheMisses = 1
+	}
+	q.CNs = q.tmpl.candidates(q.Norm)
+	rep.Out = int64(len(q.CNs))
+	return nil
+}
+
+// template returns the compiled template of the query's shape and
+// whether the memo already held the shape (its template or at least its
+// generic networks).
+func (s generateStage) template(q *Query) (*Template, bool, error) {
+	memo, _ := s.cfg.NetCache.(TemplateCache)
+	if memo != nil {
+		if t, ok := memo.Template(q.Sig); ok {
+			return t, true, nil
+		}
+	}
 	var generic []*cn.Network
 	cached := false
 	if s.cfg.NetCache != nil {
 		generic, cached = s.cfg.NetCache.Get(q.Sig)
 	}
-	if cached {
-		rep.CacheHits = 1
-		rep.Cached = true
-	} else {
-		rep.CacheMisses = 1
+	if !cached {
 		phKeywords := make([]string, len(q.Keywords))
 		phNodes := make(map[string][]string, len(q.Keywords))
 		for i := range q.Keywords {
@@ -218,71 +266,50 @@ func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 			MaxSize:       s.cfg.Z,
 		})
 		if err != nil {
-			return err
+			return nil, false, err
 		}
 		if s.cfg.NetCache != nil {
 			s.cfg.NetCache.Put(q.Sig, generic)
 		}
 	}
-	// Substitute the query's keywords for the placeholders through a
-	// direct placeholder→index map. A keyword that is not a known
-	// placeholder means the cached network cannot belong to this shape:
-	// fail loudly instead of silently skipping the substitution.
-	phIndex := make(map[string]int, len(q.Keywords))
-	for i := range q.Keywords {
-		phIndex[placeholder(i)] = i
+	t, err := s.cfg.compile(generic, q.Norm)
+	if err != nil {
+		return nil, false, err
 	}
-	nets := make([]*cn.Network, len(generic))
-	for i, g := range generic {
-		n := g.Clone()
-		for oi := range n.Occs {
-			for ki, kw := range n.Occs[oi].Keywords {
-				idx, ok := phIndex[kw]
-				if !ok {
-					return fmt.Errorf("pipeline: network %s carries unknown placeholder %q", g, kw)
-				}
-				n.Occs[oi].Keywords[ki] = q.Norm[idx]
-			}
-			sort.Strings(n.Occs[oi].Keywords)
-		}
-		nets[i] = n
+	if memo != nil {
+		memo.PutTemplate(q.Sig, t)
 	}
-	q.CNs = nets
-	rep.Out = int64(len(nets))
-	return nil
+	return t, cached, nil
 }
 
-// reduceStage reduces each candidate network to its CTSSN, keeps the
-// lowest-score CN per distinct shape, and sorts ascending by score —
-// the order the execute stage's smallest-first scheduling relies on.
+// reduceStage instantiates the template's CTSSNs — each candidate
+// network reduced, the lowest-score CN kept per distinct shape, sorted
+// ascending by score, the order the execute stage's smallest-first
+// scheduling relies on — with the query's keywords.
 type reduceStage struct{ cfg *Config }
 
 func (s reduceStage) Name() string { return StageReduce }
 
 func (s reduceStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.CNs))
-	var out []*cn.TSSNetwork
-	seen := make(map[string]bool)
-	for _, n := range q.CNs {
-		tn, err := cn.Reduce(s.cfg.TSS, n)
-		if err != nil {
-			return fmt.Errorf("pipeline: reducing %s: %w", n, err)
-		}
-		// Distinct CTSSNs only; keep the lowest-score CN per shape.
-		key := tn.Canon()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, tn)
+	if q.tmpl == nil {
+		return fmt.Errorf("pipeline: reduce needs the template the generate stage sets")
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score() < out[j].Score() })
-	q.Nets = out
-	rep.Out = int64(len(out))
+	if n := len(q.tmpl.nets); n > 0 {
+		q.Nets = make([]*cn.TSSNetwork, n)
+	}
+	for i := range q.Nets {
+		q.Nets[i] = q.tmpl.network(i, q.Norm, q.CNs)
+	}
+	rep.Out = int64(len(q.Nets))
 	return nil
 }
 
-// optimizeStage turns each CTSSN into an execution plan (§5).
+// optimizeStage turns each CTSSN into an execution plan (§5): the
+// fragment cover and step orders come compiled with the template; what
+// is left per query is reading each distinct (keyword, schema node) TO
+// set once, choosing every plan's seed from its filter sizes and
+// binding that seed's steps.
 type optimizeStage struct{ cfg *Config }
 
 func (s optimizeStage) Name() string { return StageOptimize }
@@ -290,16 +317,26 @@ func (s optimizeStage) Name() string { return StageOptimize }
 func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Nets))
 	opt := s.cfg.NewOptimizer()
+	sets := make(optimizer.TOSets)
 	var plans []exec.Planned
-	for _, tn := range q.Nets {
-		p, err := opt.Plan(tn)
+	for i, tn := range q.Nets {
+		if q.Own != nil && !q.Own(i) {
+			plans = append(plans, exec.Planned{})
+			continue
+		}
+		nt := &q.tmpl.nets[i]
+		err := nt.err
+		var p *optimizer.Plan
+		if err == nil {
+			p, err = opt.Bind(nt.shape, tn, sets)
+		}
 		if err != nil {
 			return fmt.Errorf("pipeline: planning %s: %w", tn, err)
 		}
 		plans = append(plans, exec.Planned{Plan: p})
+		rep.Out++
 	}
 	q.Plans = plans
-	rep.Out = int64(len(plans))
 	return nil
 }
 

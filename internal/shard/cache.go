@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"hash/crc64"
 	"sort"
@@ -9,12 +9,15 @@ import (
 )
 
 // execMeta is what a cached /shard/execute response carries besides the
-// owned results: the derived-network checksum and plan count the
+// cover's results: the derived-network checksum and plan count the
 // coordinator cross-checks.
 type execMeta struct {
 	NetsCRC uint32
 	Plans   int
 }
+
+// crc64Table is the posting-payload hash's polynomial table.
+var crc64Table = crc64.MakeTable(crc64.ECMA)
 
 // execCacheKey is the deterministic identity of an execute request. The
 // response is a pure function of the request — it carries the full
@@ -24,26 +27,59 @@ type execMeta struct {
 // across index swaps, and the failover degrade hook invalidates
 // eagerly. Keywords keep their request order (they feed plan derivation
 // positionally); Parts are sorted (a cover is a set); Lists — the bulk
-// of the request — are folded to a CRC64 of their canonical JSON
-// (encoding/json emits map keys sorted).
-func execCacheKey(req *ExecRequest) (string, error) {
-	lists, err := json.Marshal(req.Lists)
-	if err != nil {
-		return "", fmt.Errorf("shard: hashing posting lists: %w", err)
+// of the request — are folded to a CRC-64 over the wire lists in
+// keyword order, every string and list length-prefixed so neighbouring
+// fields cannot trade bytes.
+func execCacheKey(req *ExecRequest) string {
+	kws := make([]string, 0, len(req.Lists))
+	for kw := range req.Lists {
+		kws = append(kws, kw)
 	}
+	sort.Strings(kws)
+	// The payload streams through a fixed scratch block, so hashing
+	// allocates nothing however long the lists are.
+	var crc uint64
+	var scratch [4096]byte
+	buf := scratch[:0]
+	word := func(v uint64) {
+		if len(buf)+8 > cap(buf) {
+			crc = crc64.Update(crc, crc64Table, buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	str := func(s string) {
+		word(uint64(len(s)))
+		crc = crc64.Update(crc, crc64Table, buf)
+		buf = append(buf[:0], s...) // may outgrow scratch for one long name
+	}
+	for _, kw := range kws {
+		wl := req.Lists[kw]
+		str(kw)
+		word(uint64(len(wl.Schemas)))
+		for _, sn := range wl.Schemas {
+			str(sn)
+		}
+		word(uint64(len(wl.Posts)))
+		for _, t := range wl.Posts {
+			word(uint64(t[0]))
+			word(uint64(t[1]))
+			word(uint64(t[2]))
+		}
+	}
+	crc = crc64.Update(crc, crc64Table, buf)
 	parts := append([]int(nil), req.Parts...)
 	sort.Ints(parts)
 	var b strings.Builder
 	fmt.Fprintf(&b, "k=%d|s=%d|n=%d|p=%v|gp=%d|gk=%d|l=%016x|",
-		req.K, req.Strategy, req.N, parts, req.GlobalPostings, req.GlobalKeywords,
-		crc64.Checksum(lists, crc64.MakeTable(crc64.ECMA)))
+		req.K, req.Strategy, req.N, parts, req.GlobalPostings, req.GlobalKeywords, crc)
 	for i, kw := range req.Keywords {
 		if i > 0 {
 			b.WriteByte(0)
 		}
 		b.WriteString(kw)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // InvalidateCache drops every cached execute response. The serving

@@ -398,20 +398,25 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 		})
 	}
 
-	// Merge the partition slices into the query-scoped global source.
+	// Merge the partition slices into the query-scoped global source,
+	// decoding each shard's response once.
+	decoded := make([]map[string][]kwindex.Posting, n)
+	for i := range c.groups {
+		if !alive[i] {
+			continue
+		}
+		lists, ok := DecodeLists(lookups[i].Lists)
+		if !ok {
+			return nil, nil, fmt.Errorf("shard: shard %d returned malformed postings", i)
+		}
+		decoded[i] = lists
+	}
 	merged := make(map[string][]kwindex.Posting, len(norms))
 	for _, nk := range norms {
 		var parts [][]kwindex.Posting
 		for i := range c.groups {
-			if !alive[i] {
-				continue
-			}
-			if wl, ok := lookups[i].Lists[nk]; ok {
-				ps, ok := DecodeLists(map[string]WireList{nk: wl})
-				if !ok {
-					return nil, nil, fmt.Errorf("shard: shard %d returned malformed postings for %q", i, nk)
-				}
-				parts = append(parts, ps[nk])
+			if ps, ok := decoded[i][nk]; ok {
+				parts = append(parts, ps)
 			}
 		}
 		merged[nk] = MergePostings(parts)
@@ -439,7 +444,7 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 		// the same empty list (CRC of nothing), so skip the scatter.
 		return nil, q.Relaxation, nil
 	}
-	wantCRC := CanonCRC(q.Nets)
+	wantCRC := q.NetsCRC()
 
 	// A non-default scorer needs the complete result set: per-shard
 	// top-k caps and the merge cutoff are only sound for the canonical
@@ -449,15 +454,18 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 		fetchK = 0
 	}
 
-	// Phase 2: scatter execution. Every live shard owns its own
-	// partition; dead partitions are covered by survivors — execution
+	// Phase 2: scatter execution, partitioned by plan: class p is the
+	// plans whose index is ≡ p (mod n), and every class that holds a
+	// plan is executed by exactly one shard — its own while that shard
+	// lives. Dead shards' classes are covered by survivors: execution
 	// needs only this request (it carries the full merged postings) and
 	// the replicated structural data, so reassignment keeps the answer
-	// exact.
+	// exact. A shard whose cover stays empty — more shards than plans —
+	// is not called.
 	startExec := time.Now()
 	covers := make([][]int, n)
-	var pending []int // partitions needing a (re)assignment
-	for p := 0; p < n; p++ {
+	var pending []int // classes needing a (re)assignment
+	for p := 0; p < n && p < len(q.Nets); p++ {
 		if alive[p] {
 			covers[p] = append(covers[p], p)
 		} else {
@@ -469,9 +477,9 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 	// Bounded reassignment rounds: each round either succeeds or marks
 	// at least one more shard dead, so n rounds always suffice.
 	for round := 0; round < n; round++ {
-		// Distribute pending partitions round-robin over live shards.
+		// Distribute pending classes round-robin over live shards.
 		if len(pending) > 0 {
-			sortInts(pending)
+			sort.Ints(pending)
 			var hosts []int
 			for i := range c.groups {
 				if alive[i] {
@@ -479,14 +487,14 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 				}
 			}
 			if len(hosts) == 0 {
-				return nil, nil, fmt.Errorf("%w: no shard left to execute partitions %v", ErrNoQuorum, pending)
+				return nil, nil, fmt.Errorf("%w: no shard left to execute plan classes %v", ErrNoQuorum, pending)
 			}
 			for j, p := range pending {
 				covers[hosts[j%len(hosts)]] = append(covers[hosts[j%len(hosts)]], p)
 			}
 			if round > 0 {
 				c.reassignments.Add(int64(len(pending)))
-				c.opts.Logf("shard: reassigned partitions %v to surviving shards", pending)
+				c.opts.Logf("shard: reassigned plan classes %v to surviving shards", pending)
 			}
 			pending = nil
 		}
@@ -557,7 +565,7 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 		}
 	}
 	if len(pending) > 0 {
-		return nil, nil, fmt.Errorf("%w: partitions %v still unexecuted after reassignment", ErrNoQuorum, pending)
+		return nil, nil, fmt.Errorf("%w: plan classes %v still unexecuted after reassignment", ErrNoQuorum, pending)
 	}
 	c.executeLat.Observe(time.Since(startExec))
 	trace.Add(obs.Span{Stage: "scatter-execute", Start: startExec, Duration: time.Since(startExec), In: int64(n), Out: int64(len(streams))})

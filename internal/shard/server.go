@@ -98,12 +98,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	var key string
 	if s.Cache != nil {
-		k, err := execCacheKey(&req)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		key = k
+		key = execCacheKey(&req)
 		if rs, meta, ok := s.Cache.Get(key); ok {
 			if m, ok := meta.(execMeta); ok {
 				s.cacheHits.Add(1)
@@ -189,45 +184,54 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ExecuteOwned derives the query's plan list from the request-carried
-// global postings and evaluates it, returning the results owned by the
-// request's cover set in canonical (ascending Ord) order, the network
-// checksum, and the plan count.
+// global postings and evaluates the plans of the request's cover — the
+// plans whose index is ≡ one of req.Parts (mod req.N) — returning their
+// results in canonical (ascending Ord) order, the network checksum, and
+// the derived plan count. Only the cover's plans are planned (seed
+// choice, filters) and executed; every other plan of the query belongs
+// to another shard's cover.
 //
-// Top-k equivalence: plans are evaluated ascending exactly like a
-// single node, every enumerated result is counted toward the per-plan
-// cap K whether owned or not (so emission sequences — the Ord low bits
-// — match single-node enumeration exactly), and evaluation stops once K
-// owned results exist (later plans' results order after them). A single
-// node never returns a result with per-plan sequence ≥ K — its own
-// plan's first K results all order before it — so the cap loses
-// nothing, and each shard's first K owned results are a superset of the
-// canonical top-K's members owned by that cover.
+// Top-k equivalence: the cover's plans are evaluated ascending, each
+// capped at K results exactly like a single node's (a single node never
+// returns a result with per-plan sequence ≥ K — its own plan's first K
+// all order before it), and evaluation stops once K results exist
+// (later plans only order after them). A member of the global top-K
+// that comes from plan p is preceded by fewer than K results globally,
+// so by fewer than K among p's cover: it is among the K returned here.
 func ExecuteOwned(ctx context.Context, sys *core.System, src *QuerySource, req *ExecRequest) ([]exec.Result, uint32, int, error) {
 	if req.N <= 0 {
 		return nil, 0, 0, fmt.Errorf("shard: execute with n=%d", req.N)
 	}
-	q := &pipeline.Query{Keywords: req.Keywords, Mode: pipeline.ModePlans, Strategy: exec.Strategy(req.Strategy)}
+	own := make([]bool, req.N)
+	for _, p := range req.Parts {
+		if p < 0 || p >= req.N {
+			return nil, 0, 0, fmt.Errorf("shard: execute cover names class %d of %d", p, req.N)
+		}
+		own[p] = true
+	}
+	q := &pipeline.Query{
+		Keywords: req.Keywords,
+		Mode:     pipeline.ModePlans,
+		Strategy: exec.Strategy(req.Strategy),
+		Own:      func(plan int) bool { return own[plan%req.N] },
+	}
 	if err := sys.PipelineWith(src).Run(ctx, q); err != nil {
 		return nil, 0, 0, err
-	}
-	netsCRC := CanonCRC(q.Nets)
-	own := make(map[int]bool, len(req.Parts))
-	for _, p := range req.Parts {
-		own[p] = true
 	}
 	ex := sys.ExecutorWith(src)
 	var out []exec.Result
 	for pi, pl := range q.Plans {
+		if pl.Plan == nil {
+			continue // another cover's plan
+		}
 		if req.K > 0 && len(out) >= req.K {
-			break // ascending feed: later plans only order after the owned K
+			break // ascending feed: later plans only order after these K
 		}
 		n := 0
 		if err := ex.RunContext(ctx, pl.Plan, exec.Strategy(req.Strategy), func(r exec.Result) bool {
 			r.Ord = exec.MakeOrd(pi, n)
 			n++
-			if len(r.Bind) > 0 && own[Partition(r.Bind[0], req.N)] {
-				out = append(out, r)
-			}
+			out = append(out, r)
 			return req.K <= 0 || n < req.K
 		}); err != nil {
 			return nil, 0, 0, err
@@ -235,10 +239,10 @@ func ExecuteOwned(ctx context.Context, sys *core.System, src *QuerySource, req *
 	}
 	if req.K > 0 && len(out) > req.K {
 		// Sequential ascending evaluation keeps out in canonical order,
-		// so the first K are the shard's canonically-smallest owned.
+		// so the first K are the cover's canonically smallest.
 		out = out[:req.K]
 	}
-	return out, netsCRC, len(q.Plans), nil
+	return out, q.NetsCRC(), len(q.Plans), nil
 }
 
 // readJSON decodes a POST body, answering 400/405 itself on failure.

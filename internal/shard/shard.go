@@ -15,25 +15,32 @@
 //     containing list (multi-token intersection is TO-local, so it
 //     commutes with the union).
 //   - Execute scatter: the coordinator ships the merged global postings
-//     back out as a query-scoped index source. Each shard runs the
-//     identical pipeline (CN generation, planning, join execution) over
-//     its replicated structural data — connection relations are
-//     replicated, only the memory-dominant index is partitioned — and
-//     keeps the results it owns: owner(result) = Partition of the first
-//     binding. Covers are disjoint and exhaustive, so the union of the
-//     per-shard result sets is the exact global result set.
+//     back out as a query-scoped index source. Every node derives the
+//     identical plan list from it over the replicated structural data —
+//     connection relations are replicated, only the memory-dominant
+//     index is partitioned — and the list is partitioned by plan: shard
+//     s plans and executes the plans whose index is ≡ s (mod N), each
+//     to the same per-plan cap K a single node applies. Residue classes
+//     are disjoint and exhaustive over the plan list and a plan's
+//     results do not depend on where it runs, so the union of the
+//     per-shard result sets is the exact global result set, and every
+//     plan is executed exactly once in the cluster.
 //
 // Determinism: every result carries the canonical order key exec.Result
-// .Ord (plan index, emission sequence); plans are derived identically on
-// every shard from the identical query-scoped source, so merging the
-// per-shard streams by (Score, Ord) and truncating to K reproduces
-// single-node execution byte for byte (the equivalence suite asserts
-// this for N ∈ {1,2,3,7}).
+// .Ord (plan index, emission sequence). The plan list is a function of
+// the query-scoped source alone (the pipeline's shape template plus the
+// query's keywords; pipeline.Query.NetsCRC proves per response that
+// shard and coordinator derived the same one), so merging the per-shard
+// streams by (Score, Ord) and truncating to K reproduces single-node
+// execution byte for byte: a member of the global top-K from plan p is
+// preceded by fewer than K results overall, hence by fewer than K among
+// its own shard's plans, and is in that shard's first K (the
+// equivalence suite asserts this for N ∈ {1,2,3,7}).
 //
 // Failure semantics preserve the repo's "fail loudly or answer
 // correctly" invariant: an execute-phase failure is fully recoverable
-// (the request carries everything needed, so the dead shard's cover is
-// reassigned to survivors and the answer stays exact); a lookup-phase
+// (the request carries everything needed, so the dead shard's plan
+// classes are reassigned to survivors and the answer stays exact); a lookup-phase
 // failure loses that shard's posting partition, and the answer — exact
 // over the surviving partitions — is annotated with a loud degradation
 // note via qserve.NoteDegradation and never cached. When fewer than a

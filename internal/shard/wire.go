@@ -1,10 +1,6 @@
 package shard
 
 import (
-	"hash/crc32"
-	"sort"
-
-	"repro/internal/cn"
 	"repro/internal/kwindex"
 	"repro/internal/xmlgraph"
 )
@@ -14,9 +10,10 @@ import (
 //
 //	/shard/lookup  — phase 1: local containing lists for the query's
 //	                 normalized keywords (the shard's partition slice).
-//	/shard/execute — phase 2: run the pipeline over the request-carried
-//	                 merged global postings and return the results whose
-//	                 owner partition is in the request's cover set.
+//	/shard/execute — phase 2: derive the plan list from the
+//	                 request-carried merged global postings and return
+//	                 the results of the plans in the request's cover
+//	                 (plan index mod N ∈ Parts).
 //	/shard/stats   — identity and health: shard id, N, scheme, index
 //	                 state; the coordinator validates these at startup
 //	                 and polls them for /healthz.
@@ -94,21 +91,22 @@ type LookupResponse struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// ExecRequest asks a shard to execute the query over the merged global
-// postings and return the results it owns.
+// ExecRequest asks a shard to execute its share of the query's plan
+// list over the merged global postings.
 type ExecRequest struct {
 	// Keywords are the raw query keywords (the pipeline re-normalizes,
 	// so plans derive identically everywhere).
 	Keywords []string `json:"keywords"`
-	// K bounds the owned results (top-k); 0 means all results.
+	// K bounds the returned results and each plan's (top-k); 0 means all
+	// results.
 	K int `json:"k"`
 	// Strategy is the exec.Strategy value.
 	Strategy uint8 `json:"strategy"`
-	// N is the partition count; Parts is this shard's cover — the
-	// partitions whose results it must return. Normally {shard id};
-	// after an execute-phase failure the coordinator reassigns the dead
-	// shard's partitions to survivors, which keeps the answer exact
-	// because this request carries everything execution needs.
+	// N is the shard count; Parts is this shard's cover — the residue
+	// classes (plan index mod N) of the plans it must plan and execute.
+	// Normally {shard id}; after a failure the coordinator reassigns
+	// the dead shard's classes to survivors, which keeps the answer
+	// exact because this request carries everything execution needs.
 	N     int   `json:"n"`
 	Parts []int `json:"parts"`
 	// Lists are the merged global containing lists, keyed by normalized
@@ -119,23 +117,25 @@ type ExecRequest struct {
 	GlobalKeywords int                 `json:"global_keywords"`
 }
 
-// WireResult is one owned result. The network is identified by the plan
-// index (the high half of Ord): plan lists derive identically on every
-// shard and the coordinator, which NetsCRC proves per response.
+// WireResult is one result of a cover's plan. The network is identified
+// by the plan index (the high half of Ord): plan lists derive
+// identically on every shard and the coordinator, which NetsCRC proves
+// per response.
 type WireResult struct {
 	Ord   int64   `json:"ord"`
 	Score int     `json:"score"`
 	Bind  []int64 `json:"bind"`
 }
 
-// ExecResponse carries a shard's owned results.
+// ExecResponse carries the results of a shard's cover.
 type ExecResponse struct {
 	Shard   int          `json:"shard"`
 	Of      int          `json:"of"`
 	Results []WireResult `json:"results"`
-	// NetsCRC checksums the canonical forms of the derived network list;
-	// the coordinator rejects a response disagreeing with its own
-	// derivation instead of mis-attaching results to networks.
+	// NetsCRC checksums the derived network list (pipeline.Query.NetsCRC:
+	// the shape template's canonical strings plus the normalized
+	// keywords); the coordinator rejects a response disagreeing with its
+	// own derivation instead of mis-attaching results to networks.
 	NetsCRC uint32 `json:"nets_crc"`
 	// Plans is the derived plan count, for traces.
 	Plans int `json:"plans"`
@@ -172,18 +172,3 @@ func NormKeyword(k string) string {
 	}
 	return k
 }
-
-// CanonCRC checksums a network list's canonical forms in order. Shards
-// and coordinator compare it to prove they derived the same plans from
-// the same query-scoped source before results are attached to networks.
-func CanonCRC(nets []*cn.TSSNetwork) uint32 {
-	h := crc32.NewIEEE()
-	for _, n := range nets {
-		h.Write([]byte(n.Canon())) //xk:ignore errdrop hash writes cannot fail
-		h.Write([]byte{0})         //xk:ignore errdrop hash writes cannot fail
-	}
-	return h.Sum32()
-}
-
-// sortInts sorts a cover set for stable request bodies and logs.
-func sortInts(xs []int) { sort.Ints(xs) }
