@@ -37,13 +37,14 @@ bench-build:
 lint:
 	$(GO) run ./cmd/xkvet -dir . -sarif xkvet.sarif
 
-# The serving layer, the executor, the disk-index buffer pool, the
-# query pipeline (shared CN memo + metrics sink under concurrent
-# Query/QueryStream) and the segmented live index (WAL + memtable +
-# background flush/compaction) are the concurrency-heavy packages; run
-# their tests under the race detector.
+# The one cache every hot path shares (internal/lru) and its five call
+# sites, the serving layer, the executor, the query pipeline (shared
+# shape memo + metrics sink under concurrent Query/QueryStream) and the
+# segmented live index (WAL + memtable + background flush/compaction)
+# are the concurrency-heavy packages; run their tests under the race
+# detector.
 race:
-	$(GO) test -race ./internal/qserve/ ./internal/exec/ ./internal/diskindex/ ./internal/core/ ./internal/pipeline/ ./internal/segidx/ ./internal/shard/ ./internal/rank/ ./internal/edgelist/ ./internal/graphsource/
+	$(GO) test -race ./internal/lru/ ./internal/relstore/ ./internal/qserve/ ./internal/exec/ ./internal/diskindex/ ./internal/core/ ./internal/pipeline/ ./internal/segidx/ ./internal/shard/ ./internal/rank/ ./internal/edgelist/ ./internal/graphsource/
 
 # Chaos suite: 200+ deterministic seeded fault scenarios (injected read
 # errors, bit flips, short reads, engine latency/errors/hangs) over the

@@ -108,14 +108,13 @@ type System struct {
 	M    int
 	Opts Options
 
-	// netMemo caches the compiled derivation (generic candidate networks
-	// and their shape template) per keyword-shape signature. It lives on
-	// the System (not in a package global) so the
-	// memo is released with the System and cannot grow for the life of
-	// the process when many systems are loaded. Lazily initialized by
-	// memo(): Systems are also built by struct literal outside this
-	// package (e.g. internal/persist), which cannot set unexported
-	// fields.
+	// netMemo caches the compiled derivation (the shape template) per
+	// keyword-shape signature. It lives on the System (not in a package
+	// global) so the memo is released with the System and cannot grow
+	// for the life of the process when many systems are loaded. Lazily
+	// initialized by memo(): Systems are also built by struct literal
+	// outside this package (e.g. internal/persist), which cannot set
+	// unexported fields.
 	netMemo  *netMemo
 	memoOnce sync.Once
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cn"
 	"repro/internal/datagen"
 )
 
@@ -16,22 +15,22 @@ import (
 func TestNetMemoBounded(t *testing.T) {
 	mm := newNetMemo(4)
 	for i := 0; i < 32; i++ {
-		mm.put(fmt.Sprintf("sig%d", i), []*cn.Network{})
+		mm.PutTemplate(fmt.Sprintf("sig%d", i), nil)
 	}
 	if got := mm.len(); got > 4 {
 		t.Fatalf("memo grew to %d entries, cap 4", got)
 	}
 	// LRU: the most recent signatures survive.
-	if _, ok := mm.get("sig31"); !ok {
+	if _, ok := mm.Template("sig31"); !ok {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := mm.get("sig0"); ok {
+	if _, ok := mm.Template("sig0"); ok {
 		t.Fatal("oldest entry survived past the cap")
 	}
 	// get refreshes recency: touch the LRU victim, insert, and it stays.
-	mm.get("sig28")
-	mm.put("fresh", nil)
-	if _, ok := mm.get("sig28"); !ok {
+	mm.Template("sig28")
+	mm.PutTemplate("fresh", nil)
+	if _, ok := mm.Template("sig28"); !ok {
 		t.Fatal("touched entry was evicted before untouched ones")
 	}
 }

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"container/list"
 	"context"
-	"sync"
 
 	"repro/internal/cn"
 	"repro/internal/exec"
 	"repro/internal/kwindex"
+	"repro/internal/lru"
 	"repro/internal/optimizer"
 	"repro/internal/pipeline"
 	"repro/internal/rank"
@@ -18,111 +17,29 @@ import (
 // pick each plan's seed, only on the query's shape — which schema nodes
 // hold each keyword, under which Z, and which keywords are equal — not
 // on the keyword strings, so queries with the same shape (e.g. any two
-// author names) share one derivation. An entry holds the shape's generic
-// candidate networks (positional placeholder keywords) and the
-// pipeline.Template compiled from them: reduced, deduped, score-sorted
-// CTSSNs with their fragment covers and step orders. The memo is a
-// bounded LRU owned by one System: it used to be a package-global
+// author names) share one derivation: the pipeline.Template compiled
+// from the shape's generic candidate networks. The memo is a bounded
+// exact LRU owned by one System: it used to be a package-global
 // sync.Map keyed by *schema.Graph, which leaked every loaded system's
 // networks for the life of the process.
 type netMemo struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List               // guarded by mu — front = most recent
-	m   map[string]*list.Element // guarded by mu
+	c *lru.Cache[string, *pipeline.Template]
 }
 
 // netMemoCap bounds the distinct keyword shapes memoized per System.
 const netMemoCap = 256
 
-// netMemoEntry is one memoized shape. Entries are replaced, never
-// modified, once published: readers use nets and tmpl after the lock is
-// released.
-type netMemoEntry struct {
-	sig  string
-	nets []*cn.Network
-	tmpl *pipeline.Template // nil until a query of this shape compiled it
-}
-
 func newNetMemo(capacity int) *netMemo {
-	return &netMemo{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+	return &netMemo{lru.New(lru.Config[string, *pipeline.Template]{MaxEntries: capacity})}
 }
 
-// lookupLocked returns the entry of a signature, refreshing its recency.
-func (mm *netMemo) lookupLocked(sig string) (*netMemoEntry, bool) {
-	el, ok := mm.m[sig]
-	if !ok {
-		return nil, false
-	}
-	mm.ll.MoveToFront(el)
-	return el.Value.(*netMemoEntry), true
-}
-
-// storeLocked publishes an entry, replacing the signature's previous
-// one and evicting the least recently used beyond the cap.
-func (mm *netMemo) storeLocked(e *netMemoEntry) {
-	if el, ok := mm.m[e.sig]; ok {
-		el.Value = e
-		mm.ll.MoveToFront(el)
-		return
-	}
-	mm.m[e.sig] = mm.ll.PushFront(e)
-	for mm.cap > 0 && mm.ll.Len() > mm.cap {
-		oldest := mm.ll.Back()
-		mm.ll.Remove(oldest)
-		delete(mm.m, oldest.Value.(*netMemoEntry).sig)
-	}
-}
-
-func (mm *netMemo) get(sig string) ([]*cn.Network, bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	e, ok := mm.lookupLocked(sig)
-	if !ok {
-		return nil, false
-	}
-	return e.nets, true
-}
-
-func (mm *netMemo) put(sig string, nets []*cn.Network) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	mm.storeLocked(&netMemoEntry{sig: sig, nets: nets})
-}
-
-func (mm *netMemo) len() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	return mm.ll.Len()
-}
-
-// Get and Put implement pipeline.NetCache.
-func (mm *netMemo) Get(sig string) ([]*cn.Network, bool) { return mm.get(sig) }
-
-// Put stores the generated networks for a shape signature.
-func (mm *netMemo) Put(sig string, nets []*cn.Network) { mm.put(sig, nets) }
+func (mm *netMemo) len() int { return mm.c.Len() }
 
 // Template and PutTemplate implement pipeline.TemplateCache.
-func (mm *netMemo) Template(sig string) (*pipeline.Template, bool) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	e, ok := mm.lookupLocked(sig)
-	if !ok || e.tmpl == nil {
-		return nil, false
-	}
-	return e.tmpl, true
-}
+func (mm *netMemo) Template(sig string) (*pipeline.Template, bool) { return mm.c.Get(sig) }
 
-// PutTemplate attaches a shape's compiled template to its entry.
-func (mm *netMemo) PutTemplate(sig string, t *pipeline.Template) {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	e := &netMemoEntry{sig: sig, tmpl: t}
-	if old, ok := mm.lookupLocked(sig); ok {
-		e.nets = old.nets
-	}
-	mm.storeLocked(e)
-}
+// PutTemplate publishes a shape's compiled template.
+func (mm *netMemo) PutTemplate(sig string, t *pipeline.Template) { mm.c.Put(sig, t) }
 
 // newPipeline assembles the staged query path over the System's current
 // backends. Built per call so swapping System.Index (e.g. to a
@@ -139,7 +56,7 @@ func (s *System) newPipeline() *pipeline.Pipeline {
 		StrictMinimal: s.Opts.StrictMinimal,
 		Scorer:        s.scorer(),
 		Relax:         s.Opts.Relax,
-		NetCache:      s.memo(),
+		Templates:     s.memo(),
 		NewOptimizer:  s.newOptimizer,
 		NewExecutor:   s.newExecutor,
 		Metrics:       s.PipelineMetrics(),
@@ -190,7 +107,7 @@ func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 		StrictMinimal: s.Opts.StrictMinimal,
 		Scorer:        s.scorer(),
 		Relax:         s.Opts.Relax,
-		NetCache:      s.memo(),
+		Templates:     s.memo(),
 		NewOptimizer:  func() *optimizer.Optimizer { return s.newOptimizerWith(ix) },
 		NewExecutor:   func() *exec.Executor { return s.newExecutorWith(ix) },
 		Metrics:       s.PipelineMetrics(),

@@ -97,7 +97,7 @@ func TestRoundTripTinyPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := diskindex.Options{CacheBytes: 64, PageSize: 64, Shards: 1, ListCacheBytes: -1}
+	opts := diskindex.Options{CacheBytes: 64, PageSize: 64, ListCacheBytes: -1}
 	if st.Size() <= 64 {
 		t.Fatalf("test premise broken: index file only %d bytes", st.Size())
 	}

@@ -1,27 +1,26 @@
 package diskindex
 
 import (
-	"container/list"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/lru"
 )
 
-// pagePool is a fixed-capacity sharded LRU buffer pool over the posting
-// region of the index file. Pages are immutable once read, so eviction
-// merely drops the pool's reference — slices handed to a decoder stay
-// valid. Shards are keyed by page number, which spreads the sequential
-// pages of one long posting list across shards.
+// pagePool is a fixed-capacity buffer pool over the posting region of
+// the index file: an lru.Cache of pages bounded by page count. Pages
+// are immutable once read, so eviction merely drops the pool's
+// reference — slices handed to a decoder stay valid. Shards are picked
+// by page number, which spreads the sequential pages of one long
+// posting list across shards.
 type pagePool struct {
 	src      io.ReaderAt
 	base     int64 // file offset of the pooled region
 	length   int64 // region length in bytes
 	pageSize int64
-	shards   []poolShard
-	perShard int // page capacity per shard, ≥ 1
+	pages    *lru.Cache[int64, []byte]
 	retry    fault.RetryPolicy
 
 	hits      atomic.Int64
@@ -30,57 +29,36 @@ type pagePool struct {
 	retries   atomic.Int64 // reads that succeeded only after retrying
 }
 
-type poolShard struct {
-	mu sync.Mutex
-	ll *list.List              // guarded by mu; front = most recently used
-	m  map[int64]*list.Element // guarded by mu
-}
+// cacheShards is the shard count of the reader's two caches; a pool of
+// fewer pages than that gets a single shard (see lru.Config.Shards).
+const cacheShards = 8
 
-type poolPage struct {
-	no   int64
-	data []byte
-}
-
-func newPagePool(src io.ReaderAt, base, length int64, pageSize int, cacheBytes int64, shards int, retry fault.RetryPolicy) *pagePool {
-	if shards < 1 {
-		shards = 1
-	}
-	p := &pagePool{
+func newPagePool(src io.ReaderAt, base, length int64, pageSize int, cacheBytes int64, retry fault.RetryPolicy) *pagePool {
+	return &pagePool{
 		src:      src,
 		base:     base,
 		length:   length,
 		pageSize: int64(pageSize),
-		shards:   make([]poolShard, shards),
 		retry:    retry,
+		pages: lru.New(lru.Config[int64, []byte]{
+			Shards:     cacheShards,
+			MaxEntries: int(max(cacheBytes/int64(pageSize), 1)),
+			Hash:       func(no int64) uint64 { return uint64(no) },
+		}),
 	}
-	p.perShard = int(cacheBytes / int64(pageSize) / int64(shards))
-	if p.perShard < 1 {
-		p.perShard = 1
-	}
-	for i := range p.shards {
-		p.shards[i].ll = list.New()
-		p.shards[i].m = make(map[int64]*list.Element)
-	}
-	return p
 }
 
 // page returns the pooled page no, reading it on a miss. The returned
 // slice is shared and read-only.
 func (p *pagePool) page(no int64) ([]byte, error) {
-	sh := &p.shards[no%int64(len(p.shards))]
-	sh.mu.Lock()
-	if el, ok := sh.m[no]; ok {
-		sh.ll.MoveToFront(el)
-		data := el.Value.(*poolPage).data
-		sh.mu.Unlock()
+	if data, ok := p.pages.Get(no); ok {
 		p.hits.Add(1)
 		return data, nil
 	}
-	sh.mu.Unlock()
 	p.misses.Add(1)
 
-	// Read outside the shard lock; concurrent misses on the same page do
-	// duplicate reads, which is benign (the page is immutable).
+	// Read outside the pool's locks; concurrent misses on the same page
+	// do duplicate reads, which is benign (the page is immutable).
 	size := p.pageSize
 	if rem := p.length - no*p.pageSize; rem < size {
 		size = rem
@@ -105,19 +83,7 @@ func (p *pagePool) page(no int64) ([]byte, error) {
 	}
 	p.bytesRead.Add(size)
 
-	sh.mu.Lock()
-	if el, ok := sh.m[no]; ok { // raced with another reader; keep theirs
-		sh.ll.MoveToFront(el)
-		buf = el.Value.(*poolPage).data
-	} else {
-		sh.m[no] = sh.ll.PushFront(&poolPage{no: no, data: buf})
-		for sh.ll.Len() > p.perShard {
-			oldest := sh.ll.Back()
-			sh.ll.Remove(oldest)
-			delete(sh.m, oldest.Value.(*poolPage).no)
-		}
-	}
-	sh.mu.Unlock()
+	buf, _ = p.pages.GetOrPut(no, buf) // raced with another reader: keep theirs
 	return buf, nil
 }
 
@@ -156,16 +122,4 @@ func (p *pagePool) readRange(off, n int64) ([]byte, error) {
 		out = append(out, pg[lo:hi]...)
 	}
 	return out, nil
-}
-
-// resident returns the number of pages currently pooled.
-func (p *pagePool) resident() int {
-	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
 }

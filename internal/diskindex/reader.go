@@ -7,10 +7,12 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/atomicio"
 	"repro/internal/fault"
 	"repro/internal/kwindex"
+	"repro/internal/lru"
 	"repro/internal/xmlgraph"
 )
 
@@ -22,8 +24,6 @@ type Options struct {
 	// PageSize is the buffer-pool page size (default: the writer's hint
 	// in the file header, else DefaultPageSize).
 	PageSize int
-	// Shards is the pool's shard count (default 8).
-	Shards int
 	// ListCacheBytes budgets the decoded posting-list cache layered above
 	// the page pool; 0 defaults to CacheBytes, negative disables it.
 	// Decoded lists run roughly ten times their encoded size, so warm
@@ -76,8 +76,14 @@ type Reader struct {
 	terms   []string // sorted tokens
 	entries []dictEntry
 
-	pool  *pagePool
-	lists *listCache
+	pool *pagePool
+	// lists caches decoded posting lists above the page pool, bounded by
+	// bytes: the pool bounds how much raw index stays in memory, this
+	// makes a warm term lookup a single map probe — the in-memory
+	// index's cost profile — instead of a varint decode of the whole
+	// list on every query. nil when disabled.
+	lists                *lru.Cache[string, []kwindex.Posting]
+	listHits, listMisses atomic.Int64
 
 	mu  sync.Mutex
 	err error // first background I/O or decode failure
@@ -89,9 +95,6 @@ type Reader struct {
 func Open(path string, opts Options) (*Reader, error) {
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = DefaultCacheBytes
-	}
-	if opts.Shards == 0 {
-		opts.Shards = 8
 	}
 	if opts.ListCacheBytes == 0 {
 		opts.ListCacheBytes = opts.CacheBytes
@@ -158,9 +161,14 @@ func open(f *os.File, path string, opts Options) (*Reader, error) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	r.pool = newPagePool(src, int64(h.postOff), int64(h.postLen), pageSize, opts.CacheBytes, opts.Shards, opts.Retry)
+	r.pool = newPagePool(src, int64(h.postOff), int64(h.postLen), pageSize, opts.CacheBytes, opts.Retry)
 	if opts.ListCacheBytes > 0 {
-		r.lists = newListCache(opts.ListCacheBytes, 8)
+		r.lists = lru.New(lru.Config[string, []kwindex.Posting]{
+			Shards:   cacheShards,
+			MaxBytes: opts.ListCacheBytes,
+			Hash:     lru.HashString,
+			Size:     listEntrySize,
+		})
 	}
 	return r, nil
 }
@@ -276,9 +284,11 @@ func (r *Reader) fail(err error) {
 // postingsOf returns the decoded posting list of one exact token.
 func (r *Reader) postingsOf(token string) []kwindex.Posting {
 	if r.lists != nil {
-		if ps, ok := r.lists.get(token); ok {
+		if ps, ok := r.lists.Get(token); ok {
+			r.listHits.Add(1)
 			return ps
 		}
+		r.listMisses.Add(1)
 	}
 	i := sort.SearchStrings(r.terms, token)
 	if i == len(r.terms) || r.terms[i] != token {
@@ -303,9 +313,17 @@ func (r *Reader) postingsOf(token string) []kwindex.Posting {
 		return nil
 	}
 	if r.lists != nil {
-		r.lists.put(token, ps)
+		r.lists.Put(token, ps)
 	}
 	return ps
+}
+
+// listEntrySize approximates a decoded list's resident bytes: the
+// map/list bookkeeping plus one Posting struct per posting (the
+// schema-node strings are shared with the reader's table and not
+// charged here).
+func listEntrySize(term string, ps []kwindex.Posting) int64 {
+	return 96 + int64(len(term)) + int64(len(ps))*40
 }
 
 func decodePostings(b []byte, count int, schema []string) ([]kwindex.Posting, error) {
@@ -399,18 +417,15 @@ func (r *Reader) Quarantine() (string, error) {
 
 // Stats snapshots the cache counters.
 func (r *Reader) Stats() Stats {
-	s := Stats{
+	return Stats{
 		PageHits:      r.pool.hits.Load(),
 		PageMisses:    r.pool.misses.Load(),
 		BytesRead:     r.pool.bytesRead.Load(),
 		RetriedReads:  r.pool.retries.Load(),
-		PagesResident: r.pool.resident(),
+		PagesResident: r.pool.pages.Len(),
+		ListHits:      r.listHits.Load(),
+		ListMisses:    r.listMisses.Load(),
 	}
-	if r.lists != nil {
-		s.ListHits = r.lists.hits.Load()
-		s.ListMisses = r.lists.misses.Load()
-	}
-	return s
 }
 
 var _ kwindex.Source = (*Reader)(nil)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cn"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
@@ -64,15 +63,15 @@ func testSystem(t *testing.T) *core.System {
 }
 
 // newPipeline assembles a pipeline over a loaded system's exported
-// parts, the way core does internally, with an overridable net cache.
-func newPipeline(sys *core.System, nc pipeline.NetCache) *pipeline.Pipeline {
+// parts, the way core does internally, with an overridable shape memo.
+func newPipeline(sys *core.System, nc pipeline.TemplateCache) *pipeline.Pipeline {
 	return pipeline.New(pipeline.Config{
-		Schema:   sys.Schema,
-		TSS:      sys.TSS,
-		Index:    sys.Index,
-		Z:        sys.Opts.Z,
-		Workers:  sys.Opts.Workers,
-		NetCache: nc,
+		Schema:    sys.Schema,
+		TSS:       sys.TSS,
+		Index:     sys.Index,
+		Z:         sys.Opts.Z,
+		Workers:   sys.Opts.Workers,
+		Templates: nc,
 		NewOptimizer: func() *optimizer.Optimizer {
 			return &optimizer.Optimizer{
 				TSS: sys.TSS, Store: sys.Store, Index: sys.Index, Stats: sys.Stats,
@@ -84,35 +83,6 @@ func newPipeline(sys *core.System, nc pipeline.NetCache) *pipeline.Pipeline {
 				Cache: exec.NewLookupCache(0)}
 		},
 	})
-}
-
-// poisonedCache returns a cached network carrying a keyword that is not
-// a placeholder of the current query.
-type poisonedCache struct{}
-
-func (poisonedCache) Get(sig string) ([]*cn.Network, bool) {
-	return []*cn.Network{{
-		Occs: []cn.Occ{{Schema: "nation", Keywords: []string{"not-a-placeholder"}}},
-	}}, true
-}
-
-func (poisonedCache) Put(sig string, nets []*cn.Network) {}
-
-// TestSubstitutionFailsLoudly is the regression test for the old
-// fmt.Sscanf placeholder parsing, which silently skipped any cached
-// keyword it could not parse: a substitution that does not match a
-// known placeholder must now surface as an error.
-func TestSubstitutionFailsLoudly(t *testing.T) {
-	sys := testSystem(t)
-	p := newPipeline(sys, poisonedCache{})
-	q := &pipeline.Query{Keywords: []string{"john"}, Mode: pipeline.ModeNetworks}
-	err := p.Run(context.Background(), q)
-	if err == nil {
-		t.Fatal("corrupt cached network substituted silently")
-	}
-	if !strings.Contains(err.Error(), "placeholder") {
-		t.Fatalf("unexpected error: %v", err)
-	}
 }
 
 // TestStagesReportIntoTrace drives a real top-k query with tracing on

@@ -16,19 +16,10 @@ import (
 	"repro/internal/tss"
 )
 
-// NetCache memoizes generated candidate networks per keyword-shape
-// signature. The cached networks carry positional placeholder keywords.
-type NetCache interface {
-	Get(sig string) ([]*cn.Network, bool)
-	Put(sig string, nets []*cn.Network)
-}
-
-// TemplateCache is a NetCache whose entries also hold the Template
-// compiled from their networks — core's per-System bounded LRU, the
-// shape memo. Behind a plain NetCache the pipeline still goes through a
-// template, compiled per query from the cached networks.
+// TemplateCache memoizes the compiled Template per keyword-shape
+// signature — core's per-System bounded LRU, the shape memo. It must be
+// safe for concurrent use.
 type TemplateCache interface {
-	NetCache
 	Template(sig string) (*Template, bool)
 	PutTemplate(sig string, t *Template)
 }
@@ -54,10 +45,9 @@ type Config struct {
 	// (substitute or drop, recorded in Query.Relaxation) instead of
 	// letting the query return zero results.
 	Relax bool
-	// NetCache, when non-nil, memoizes the derivation per keyword shape:
-	// the generic CNs, and — when it is a TemplateCache — the template
-	// compiled from them.
-	NetCache NetCache
+	// Templates, when non-nil, memoizes the derivation per keyword
+	// shape; without it every query compiles its own template.
+	Templates TemplateCache
 	// NewOptimizer builds the plan optimizer (per query).
 	NewOptimizer func() *optimizer.Optimizer
 	// NewExecutor builds the executor honoring the cache options (per
@@ -237,40 +227,28 @@ func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 }
 
 // template returns the compiled template of the query's shape and
-// whether the memo already held the shape (its template or at least its
-// generic networks).
+// whether the memo already held it.
 func (s generateStage) template(q *Query) (*Template, bool, error) {
-	memo, _ := s.cfg.NetCache.(TemplateCache)
+	memo := s.cfg.Templates
 	if memo != nil {
 		if t, ok := memo.Template(q.Sig); ok {
 			return t, true, nil
 		}
 	}
-	var generic []*cn.Network
-	cached := false
-	if s.cfg.NetCache != nil {
-		generic, cached = s.cfg.NetCache.Get(q.Sig)
+	phKeywords := make([]string, len(q.Keywords))
+	phNodes := make(map[string][]string, len(q.Keywords))
+	for i := range q.Keywords {
+		phKeywords[i] = placeholder(i)
+		phNodes[phKeywords[i]] = q.NodeLists[i]
 	}
-	if !cached {
-		phKeywords := make([]string, len(q.Keywords))
-		phNodes := make(map[string][]string, len(q.Keywords))
-		for i := range q.Keywords {
-			phKeywords[i] = placeholder(i)
-			phNodes[phKeywords[i]] = q.NodeLists[i]
-		}
-		var err error
-		generic, err = cn.Generate(cn.Input{
-			Schema:        s.cfg.Schema,
-			Keywords:      phKeywords,
-			SchemaNodesOf: phNodes,
-			MaxSize:       s.cfg.Z,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		if s.cfg.NetCache != nil {
-			s.cfg.NetCache.Put(q.Sig, generic)
-		}
+	generic, err := cn.Generate(cn.Input{
+		Schema:        s.cfg.Schema,
+		Keywords:      phKeywords,
+		SchemaNodesOf: phNodes,
+		MaxSize:       s.cfg.Z,
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	t, err := s.cfg.compile(generic, q.Norm)
 	if err != nil {
@@ -279,7 +257,7 @@ func (s generateStage) template(q *Query) (*Template, bool, error) {
 	if memo != nil {
 		memo.PutTemplate(q.Sig, t)
 	}
-	return t, cached, nil
+	return t, false, nil
 }
 
 // reduceStage instantiates the template's CTSSNs — each candidate

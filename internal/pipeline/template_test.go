@@ -22,26 +22,10 @@ import (
 // the LRU bound.
 type mapMemo struct {
 	mu    sync.Mutex
-	nets  map[string][]*cn.Network
 	tmpls map[string]*pipeline.Template
 }
 
-func newMapMemo() *mapMemo {
-	return &mapMemo{nets: map[string][]*cn.Network{}, tmpls: map[string]*pipeline.Template{}}
-}
-
-func (m *mapMemo) Get(sig string) ([]*cn.Network, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	nets, ok := m.nets[sig]
-	return nets, ok
-}
-
-func (m *mapMemo) Put(sig string, nets []*cn.Network) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nets[sig] = nets
-}
+func newMapMemo() *mapMemo { return &mapMemo{tmpls: map[string]*pipeline.Template{}} }
 
 func (m *mapMemo) Template(sig string) (*pipeline.Template, bool) {
 	m.mu.Lock()
@@ -186,7 +170,7 @@ func TestTemplateMatchesFromScratch(t *testing.T) {
 
 	memo := newMapMemo()
 	p := pipeline.New(pipeline.Config{
-		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z, Relax: true, NetCache: memo,
+		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z, Relax: true, Templates: memo,
 		NewOptimizer: func() *optimizer.Optimizer {
 			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: sys.Index, Stats: sys.Stats,
 				Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}

@@ -1,169 +1,67 @@
 package qserve
 
 import (
-	"container/list"
-	"hash/fnv"
-	"sync"
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/lru"
 )
 
-// resultCache is a sharded LRU over query results with TTL and a byte
-// budget. Sharding keeps lock contention off the serve path: a hot
+// ResultCache is the serving layer's result cache: an lru.Cache over
+// query results bounded by entries, approximate bytes and a TTL. The
+// Server keys it by normalized query (cacheKey); it is exported for
+// other serving surfaces that need the same machinery with their own
+// keys — the shard server caches /shard/execute responses with it.
+type ResultCache struct {
+	c *lru.Cache[string, cachedResult]
+}
+
+// cachedResult is one answer and the caller annotation returned
+// verbatim with it on every hit — the serving layer stores relaxation
+// records there, so a cached relaxed answer stays loudly annotated.
+type cachedResult struct {
+	rs   []exec.Result
+	meta any
+}
+
+// resultCacheShards keeps lock contention off the serve path: a hot
 // cache under concurrent load would otherwise serialize every hit on
-// one mutex. Entries expire lazily on access and by LRU eviction when a
-// shard exceeds its entry or byte share.
-type resultCache struct {
-	shards []*cacheShard
-	ttl    time.Duration
+// one mutex.
+const resultCacheShards = 8
+
+// NewResultCache builds a cache with the given shard count (default 8),
+// total entry and byte bounds, and TTL (non-positive TTL = no expiry).
+func NewResultCache(shards, maxEntries int, maxBytes int64, ttl time.Duration) *ResultCache {
+	if shards <= 0 {
+		shards = resultCacheShards
+	}
+	return &ResultCache{c: lru.New(lru.Config[string, cachedResult]{
+		Shards:     shards,
+		MaxEntries: maxEntries,
+		MaxBytes:   maxBytes,
+		TTL:        ttl,
+		Hash:       lru.HashString,
+		Size:       func(key string, e cachedResult) int64 { return resultBytes(key, e.rs) },
+	})}
 }
 
-type cacheShard struct {
-	mu         sync.Mutex
-	ll         *list.List               // guarded by mu; front = most recently used
-	m          map[string]*list.Element // guarded by mu
-	bytes      int64                    // guarded by mu
-	maxBytes   int64
-	maxEntries int
+// Get returns the cached results and the meta value stored with them.
+func (rc *ResultCache) Get(key string) ([]exec.Result, any, bool) {
+	e, ok := rc.c.Get(key)
+	return e.rs, e.meta, ok
 }
 
-type cacheEntry struct {
-	key     string
-	rs      []exec.Result
-	meta    any // caller annotation returned verbatim on hits (e.g. a relaxation record)
-	size    int64
-	expires time.Time // zero = never
+// Put stores results under key; meta comes back verbatim from Get. It
+// returns the number of entries evicted to fit the new one.
+func (rc *ResultCache) Put(key string, rs []exec.Result, meta any) int64 {
+	return int64(rc.c.Put(key, cachedResult{rs, meta}))
 }
 
-func newResultCache(shards, maxEntries int, maxBytes int64, ttl time.Duration) *resultCache {
-	c := &resultCache{shards: make([]*cacheShard, shards), ttl: ttl}
-	perEntries := (maxEntries + shards - 1) / shards
-	if perEntries < 1 {
-		perEntries = 1
-	}
-	perBytes := maxBytes / int64(shards)
-	if perBytes < 1 {
-		perBytes = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			ll:         list.New(),
-			m:          make(map[string]*list.Element),
-			maxBytes:   perBytes,
-			maxEntries: perEntries,
-		}
-	}
-	return c
-}
+// Clear drops every entry and returns how many were dropped.
+func (rc *ResultCache) Clear() int64 { return int64(rc.c.Clear()) }
 
-func (c *resultCache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
-}
-
-// get returns the cached results and the annotation stored with them,
-// refreshing the entry's LRU position. Expired entries are removed and
-// reported as a miss.
-func (c *resultCache) get(key string) ([]exec.Result, any, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.m[key]
-	if !ok {
-		return nil, nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if !e.expires.IsZero() && time.Now().After(e.expires) {
-		sh.removeLocked(el)
-		return nil, nil, false
-	}
-	sh.ll.MoveToFront(el)
-	return e.rs, e.meta, true
-}
-
-// put inserts (or refreshes) an entry and returns how many entries were
-// evicted to fit it. meta travels with the results and comes back
-// verbatim on every hit — the serving layer stores relaxation records
-// there, so a cached relaxed answer stays loudly annotated.
-func (c *resultCache) put(key string, rs []exec.Result, meta any) int64 {
-	e := &cacheEntry{key: key, rs: rs, meta: meta, size: resultBytes(key, rs)}
-	if c.ttl > 0 {
-		e.expires = time.Now().Add(c.ttl)
-	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[key]; ok {
-		sh.removeLocked(el)
-	}
-	sh.bytes += e.size
-	sh.m[key] = sh.ll.PushFront(e)
-	var evicted int64
-	for (sh.bytes > sh.maxBytes || sh.ll.Len() > sh.maxEntries) && sh.ll.Len() > 1 {
-		sh.removeLocked(sh.ll.Back())
-		evicted++
-	}
-	return evicted
-}
-
-// removeLocked drops an element; the shard lock must be held.
-func (sh *cacheShard) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	sh.ll.Remove(el)
-	delete(sh.m, e.key)
-	sh.bytes -= e.size
-}
-
-// clear drops every entry in every shard and returns how many were
-// dropped. The ingest path uses it: after a write batch, cached results
-// may no longer reflect the index.
-func (c *resultCache) clear() int64 {
-	var dropped int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		dropped += int64(sh.ll.Len())
-		sh.ll.Init()
-		sh.m = make(map[string]*list.Element)
-		sh.bytes = 0
-		sh.mu.Unlock()
-	}
-	return dropped
-}
-
-// invalidateMatching drops every entry whose key satisfies match and
-// returns how many were dropped — the scoped form of clear for ingests
-// whose token footprint is known.
-func (c *resultCache) invalidateMatching(match func(key string) bool) int64 {
-	var dropped int64
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		var doomed []*list.Element
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			if match(el.Value.(*cacheEntry).key) {
-				doomed = append(doomed, el)
-			}
-		}
-		for _, el := range doomed {
-			sh.removeLocked(el)
-		}
-		dropped += int64(len(doomed))
-		sh.mu.Unlock()
-	}
-	return dropped
-}
-
-// usage totals entries and bytes across the shards.
-func (c *resultCache) usage() (entries int, bytes int64) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		entries += sh.ll.Len()
-		bytes += sh.bytes
-		sh.mu.Unlock()
-	}
-	return entries, bytes
-}
+// Usage totals the cached entries and approximate bytes.
+func (rc *ResultCache) Usage() (entries int, bytes int64) { return rc.c.Len(), rc.c.Bytes() }
 
 // resultBytes approximates an entry's memory footprint: the key, the
 // slice headers, and the per-result binding arrays. Networks are shared

@@ -1,102 +1,13 @@
 package qserve
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/exec"
 )
 
-func rs(n int) []exec.Result {
-	out := make([]exec.Result, n)
-	for i := range out {
-		out[i] = exec.Result{Bind: []int64{int64(i)}, Score: i}
-	}
-	return out
-}
-
-func TestCacheLRUEviction(t *testing.T) {
-	// One shard so eviction order is fully deterministic.
-	c := newResultCache(1, 3, 1<<20, 0)
-	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("q%d", i), rs(1), nil)
-	}
-	// Touch q0 so q1 is the LRU victim.
-	if _, _, ok := c.get("q0"); !ok {
-		t.Fatal("q0 missing")
-	}
-	if ev := c.put("q3", rs(1), nil); ev != 1 {
-		t.Fatalf("evicted %d entries, want 1", ev)
-	}
-	if _, _, ok := c.get("q1"); ok {
-		t.Fatal("q1 should have been evicted (LRU)")
-	}
-	for _, k := range []string{"q0", "q2", "q3"} {
-		if _, _, ok := c.get(k); !ok {
-			t.Fatalf("%s should have survived", k)
-		}
-	}
-}
-
-func TestCacheByteBudget(t *testing.T) {
-	big := rs(100)
-	budget := 2*resultBytes("k", big) + resultBytes("k", big)/2
-	c := newResultCache(1, 1000, budget, 0)
-	c.put("a", big, nil)
-	c.put("b", big, nil)
-	if ev := c.put("c", big, nil); ev == 0 {
-		t.Fatal("third oversized entry should evict")
-	}
-	entries, bytes := c.usage()
-	if bytes > budget {
-		t.Fatalf("cache holds %d bytes over budget %d", bytes, budget)
-	}
-	if entries != 2 {
-		t.Fatalf("entries = %d, want 2", entries)
-	}
-}
-
-func TestCacheOversizedEntryStays(t *testing.T) {
-	// An entry larger than the whole budget is still admitted alone (the
-	// eviction loop keeps at least one entry), so a giant query cannot
-	// wedge the shard into thrashing.
-	c := newResultCache(1, 10, 16, 0)
-	c.put("giant", rs(1000), nil)
-	if _, _, ok := c.get("giant"); !ok {
-		t.Fatal("oversized entry evicted itself")
-	}
-}
-
-func TestCacheTTLExpiry(t *testing.T) {
-	c := newResultCache(2, 100, 1<<20, time.Millisecond)
-	c.put("q", rs(2), nil)
-	if _, _, ok := c.get("q"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	time.Sleep(5 * time.Millisecond)
-	if _, _, ok := c.get("q"); ok {
-		t.Fatal("expired entry served")
-	}
-	entries, bytes := c.usage()
-	if entries != 0 || bytes != 0 {
-		t.Fatalf("expired entry retained: %d entries, %d bytes", entries, bytes)
-	}
-}
-
-func TestCachePutRefreshesEntry(t *testing.T) {
-	c := newResultCache(1, 10, 1<<20, 0)
-	c.put("q", rs(1), nil)
-	c.put("q", rs(5), nil)
-	got, _, ok := c.get("q")
-	if !ok || len(got) != 5 {
-		t.Fatalf("refresh lost: ok=%v len=%d", ok, len(got))
-	}
-	entries, _ := c.usage()
-	if entries != 1 {
-		t.Fatalf("duplicate entries after refresh: %d", entries)
-	}
-}
+// The result cache's own behaviour (LRU order, budgets, TTL, refresh)
+// is pinned by internal/lru's suite; what stays here is the key.
 
 func TestCacheKeyNormalization(t *testing.T) {
 	a, err := cacheKey("topk", []string{"Codd", "Relational"}, 10, exec.NestedLoop, "")
@@ -128,29 +39,5 @@ func TestCacheKeyNormalization(t *testing.T) {
 	h, _ := cacheKey("topk", []string{"e f codd"}, 10, exec.NestedLoop, "")
 	if g != h {
 		t.Fatalf("phrase keys differ:\n%q\n%q", g, h)
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	var h histogram
-	for i := 0; i < 90; i++ {
-		h.observe(10 * time.Microsecond) // bucket upper bound 15µs
-	}
-	for i := 0; i < 10; i++ {
-		h.observe(10 * time.Millisecond)
-	}
-	p50, p95 := h.quantile(0.50), h.quantile(0.95)
-	if p50 > time.Millisecond {
-		t.Fatalf("p50 = %v, want ≤1ms", p50)
-	}
-	if p95 < time.Millisecond {
-		t.Fatalf("p95 = %v, want ≥1ms", p95)
-	}
-	if h.quantile(1.0) < p95 {
-		t.Fatal("p100 < p95")
-	}
-	var empty histogram
-	if empty.quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
 	}
 }

@@ -77,8 +77,6 @@ func (a *Annotations) degradation() *Degradation {
 
 // Options configure a Server. The zero value selects the defaults.
 type Options struct {
-	// Shards is the number of cache shards (default 8).
-	Shards int
 	// MaxEntries bounds the total cached queries (default 4096).
 	// Negative disables the result cache entirely.
 	MaxEntries int
@@ -108,9 +106,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if o.MaxEntries == 0 {
 		o.MaxEntries = 4096
 	}
@@ -139,7 +134,7 @@ func (o *Options) defaults() {
 type Server struct {
 	eng   Engine
 	opts  Options
-	cache *resultCache // nil when caching is disabled
+	cache *ResultCache // nil when caching is disabled
 	group flightGroup
 	sem   chan struct{}
 	stats serverStats
@@ -155,7 +150,7 @@ func New(eng Engine, opts Options) *Server {
 		sem:  make(chan struct{}, opts.MaxConcurrent),
 	}
 	if opts.MaxEntries > 0 {
-		s.cache = newResultCache(opts.Shards, opts.MaxEntries, opts.MaxBytes, opts.TTL)
+		s.cache = NewResultCache(0, opts.MaxEntries, opts.MaxBytes, opts.TTL)
 	}
 	return s
 }
@@ -228,7 +223,7 @@ func (s *Server) InvalidateCache() {
 	if s.cache == nil {
 		return
 	}
-	s.cache.clear()
+	s.cache.Clear()
 	s.stats.invalidations.Add(1)
 }
 
@@ -254,7 +249,7 @@ func (s *Server) InvalidateCacheTokens(tokens []string) {
 	for _, t := range tokens {
 		set[t] = true
 	}
-	if s.cache.invalidateMatching(func(key string) bool { return keyMentionsToken(key, set) }) > 0 {
+	if s.cache.c.DeleteFunc(func(key string) bool { return keyMentionsToken(key, set) }) > 0 {
 		s.stats.invalidations.Add(1)
 	}
 }
@@ -271,9 +266,9 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 		return nil, nil, err
 	}
 	if s.cache != nil {
-		if rs, meta, ok := s.cache.get(key); ok {
+		if rs, meta, ok := s.cache.Get(key); ok {
 			s.stats.hits.Add(1)
-			s.stats.latency.observe(time.Since(start))
+			s.stats.latency.Observe(time.Since(start))
 			var ann *Annotations
 			if rx, _ := meta.(*pipeline.Relaxation); rx != nil {
 				// The hit is a relaxed answer: the record cached with it
@@ -306,7 +301,7 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 			if rx != nil {
 				meta = rx
 			}
-			s.stats.evictions.Add(s.cache.put(key, rs, meta))
+			s.stats.evictions.Add(s.cache.Put(key, rs, meta))
 		}
 		if rx != nil {
 			s.stats.relaxed.Add(1)
@@ -322,7 +317,7 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 		if joined {
 			s.stats.collapses.Add(1)
 		}
-		s.stats.latency.observe(time.Since(start))
+		s.stats.latency.Observe(time.Since(start))
 	case errors.Is(err, ErrOverloaded):
 		s.stats.sheds.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

@@ -23,17 +23,8 @@ type serverStats struct {
 	breakerTrips  atomic.Int64
 	degraded      atomic.Int64
 	relaxed       atomic.Int64
-	latency       histogram
+	latency       obs.Histogram
 }
-
-// histogram is the shared fixed-bucket latency histogram from the obs
-// package (bucket i holds durations in [2^i, 2^(i+1)) microseconds).
-// The thin wrapper keeps qserve's historical lowercase call sites.
-type histogram struct{ obs.Histogram }
-
-func (h *histogram) observe(d time.Duration) { h.Observe(d) }
-
-func (h *histogram) quantile(p float64) time.Duration { return h.Quantile(p) }
 
 // Snapshot is a point-in-time view of the serving counters, shaped for
 // JSON (the /debug/qserve endpoint).
@@ -121,8 +112,8 @@ func (s *Server) Stats() Snapshot {
 		RetryAfterMillis: s.RetryAfter().Milliseconds(),
 
 		Served: s.stats.latency.Count(),
-		P50:    s.stats.latency.quantile(0.50),
-		P95:    s.stats.latency.quantile(0.95),
+		P50:    s.stats.latency.Quantile(0.50),
+		P95:    s.stats.latency.Quantile(0.95),
 	}
 	if hs, ok := s.eng.(healthSource); ok {
 		state, err := hs.IndexHealthState()
@@ -133,7 +124,7 @@ func (s *Server) Stats() Snapshot {
 		}
 	}
 	if s.cache != nil {
-		snap.CacheEntries, snap.CacheBytes = s.cache.usage()
+		snap.CacheEntries, snap.CacheBytes = s.cache.Usage()
 	}
 	if snap.Served > 0 {
 		snap.MeanMicros = int64(s.stats.latency.Sum()) / snap.Served / int64(time.Microsecond)

@@ -8,9 +8,9 @@
 package relstore
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/lru"
 )
 
 // PageRows is the number of tuples per page. Connection relations hold
@@ -71,52 +71,42 @@ func (s *IOStats) Snapshot() IOStats {
 }
 
 // BufferPool is a fixed-capacity LRU page cache shared by all relations
-// of a store. Access records a hit or a miss; misses evict the least
-// recently used page once the pool is full.
+// of a store: a single-shard (exact LRU) lru.Cache recording presence
+// only. Access records a hit or a miss; misses evict the least recently
+// used page once the pool is full.
 type BufferPool struct {
-	mu    sync.Mutex
-	cap   int
-	lru   *list.List                // guarded by mu; front = most recent; values are PageKey
-	items map[PageKey]*list.Element // guarded by mu
+	pages *lru.Cache[PageKey, struct{}] // nil: caching disabled
 }
 
 // NewBufferPool returns a pool holding at most capacity pages; capacity
 // <= 0 disables caching (every access is a miss).
 func NewBufferPool(capacity int) *BufferPool {
-	return &BufferPool{cap: capacity, lru: list.New(), items: make(map[PageKey]*list.Element)}
+	if capacity <= 0 {
+		return &BufferPool{}
+	}
+	return &BufferPool{pages: lru.New(lru.Config[PageKey, struct{}]{MaxEntries: capacity})}
 }
 
 // Access touches a page and reports whether it was cached.
 func (p *BufferPool) Access(k PageKey) (hit bool) {
-	if p.cap <= 0 {
+	if p.pages == nil {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.items[k]; ok {
-		p.lru.MoveToFront(el)
-		return true
-	}
-	if p.lru.Len() >= p.cap {
-		back := p.lru.Back()
-		delete(p.items, back.Value.(PageKey))
-		p.lru.Remove(back)
-	}
-	p.items[k] = p.lru.PushFront(k)
-	return false
+	_, hit = p.pages.GetOrPut(k, struct{}{})
+	return hit
 }
 
 // Len returns the number of cached pages.
 func (p *BufferPool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.Len()
+	if p.pages == nil {
+		return 0
+	}
+	return p.pages.Len()
 }
 
 // Reset empties the pool.
 func (p *BufferPool) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lru.Init()
-	p.items = make(map[PageKey]*list.Element)
+	if p.pages != nil {
+		p.pages.Clear()
+	}
 }
