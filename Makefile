@@ -9,9 +9,9 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint
+.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint
 
-check: vet lint tier1 bench-build fuzzseed race chaos
+check: vet lint tier1 bench-build bench-gate fuzzseed race chaos
 
 # Tier-1 gate (see ROADMAP.md).
 tier1:
@@ -26,6 +26,14 @@ vet:
 # the harness uses fails this check instead of the benchmark run.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# The regression gate on the numbers a rerun reproduces: allocs/op of
+# the query path and of one relation probe per access path, at -cpu 1
+# (where the top-k pool does not speculate, so the count repeats
+# exactly), against the committed BENCH_pipeline.json. ns/op is printed
+# as a delta only — wall time on a shared machine is not gateable.
+bench-gate:
+	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — atomiccommit, crcgate, ctxflow,
@@ -72,9 +80,11 @@ bench-qserve:
 bench-diskindex:
 	$(GO) test -run xxx -bench BenchmarkDiskIndexLookup -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_diskindex.json
 
-# Tracing-off vs EXPLAIN ANALYZE overhead of the staged query pipeline.
+# The query path (tracing off vs EXPLAIN ANALYZE) and one relation probe
+# per access path, at -cpu 1 and 2; the -cpu 1 rows are what bench-gate
+# compares against.
 bench-pipeline:
-	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkPipelineOverhead' -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
+	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkPipelineOverhead|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
 
 # The live-index write and read path: synced vs unsynced ingest, cold
 # vs warm multi-segment lookups, flush and compaction cost.

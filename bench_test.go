@@ -28,6 +28,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/presentation"
 	"repro/internal/qserve"
+	"repro/internal/relstore"
 	"repro/internal/tss"
 )
 
@@ -443,27 +444,53 @@ func BenchmarkDecompositionAlgorithm(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupPaths measures one relation probe per access path on
+// the largest relation: the clustered primary copy, the secondary
+// (backward) ordering and a hash index through the one-shot
+// LookupPrefix — path resolution, probe and stats flush — and the
+// composite point lookups of keyword-filter pushdown through a compiled
+// Access with a caller-held IOStats, the way the executor issues them.
+// A probe returns a view, so every path is 0 allocs/op.
 func BenchmarkLookupPaths(b *testing.B) {
 	sys := system(b, core.PresetXKeyword)
 	// The largest relation by probes: the citation single edge.
-	var rel = sys.Store.Relation(firstRelation(sys))
+	var rel = sys.Store.Relation(firstRelation(sys, 2))
 	if rel == nil || rel.NumRows() == 0 {
 		b.Skip("no populated relation")
 	}
-	b.Run("clustered", func(b *testing.B) {
-		var sink int
-		for i := 0; i < b.N; i++ {
-			rows, _ := rel.LookupPrefix([]int{0}, []int64{int64(i%1000 + 1)})
-			sink += len(rows)
+	var sink int
+	probe := func(rel *relstore.Relation, col int) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rows, _ := rel.LookupPrefix([]int{col}, []int64{int64(i%1000 + 1)})
+				sink += rows.Len()
+			}
 		}
-		_ = sink
+	}
+	b.Run("clustered", probe(rel, 0))
+	b.Run("ordering", probe(rel, rel.Arity()-1))
+	// A middle column is a prefix of neither sorted copy: hash index.
+	if wide := sys.Store.Relation(firstRelation(sys, 3)); wide != nil {
+		b.Run("hash", probe(wide, 1))
+	}
+	b.Run("pushdown", func(b *testing.B) {
+		composite := rel.Access(0, 1)
+		var io relstore.IOStats
+		for i := 0; i < b.N; i++ {
+			for to := int64(1); to <= 4; to++ {
+				sink += composite.Lookup([]int64{int64(i%1000 + 1), to}, &io).Len()
+			}
+		}
+		sys.Store.Stats.Add(io)
 	})
+	_ = sink
 }
 
-func firstRelation(sys *core.System) string {
+// firstRelation names the largest relation of at least the given arity.
+func firstRelation(sys *core.System, arity int) string {
 	best, rows := "", -1
 	for _, name := range sys.Store.Relations() {
-		if r := sys.Store.Relation(name); r.NumRows() > rows {
+		if r := sys.Store.Relation(name); r.Arity() >= arity && r.NumRows() > rows {
 			best, rows = name, r.NumRows()
 		}
 	}

@@ -18,6 +18,16 @@
 // status is nonzero when the input contains a test failure or no
 // benchmark results at all, so a piped Makefile target cannot silently
 // commit an empty trajectory.
+//
+// With -compare OLD.json the run is also checked against a committed
+// trajectory file: for every benchmark present in both (same name and
+// GOMAXPROCS), allocs/op may not exceed the old value by more than
+// -max-allocs-regress (default 5%), else the exit status is nonzero.
+// Allocation counts are what a rerun on a shared machine reproduces
+// exactly; ns/op is printed as a delta and never failed on.
+//
+//	go test -run xxx -bench 'BenchmarkQuery$' -cpu 1 -benchmem . |
+//	    xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 package main
 
 import (
@@ -28,6 +38,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // benchResult is one parsed benchmark line.
@@ -58,7 +69,13 @@ type benchFile struct {
 
 func main() {
 	out := flag.String("out", "", "write the parsed results as JSON to this file")
+	compareTo := flag.String("compare", "", "compare the run against this committed BENCH_*.json and fail on an allocs/op regression")
+	maxRegress := flag.String("max-allocs-regress", "5%", "with -compare: how far allocs/op may exceed the old value (\"5%\" or \"0.05\")")
 	flag.Parse()
+	limit, err := parseFraction(*maxRegress)
+	if err != nil {
+		fatal(fmt.Errorf("-max-allocs-regress: %v", err))
+	}
 
 	var doc benchFile
 	failed := false
@@ -104,6 +121,99 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "xkbenchjson: %d results -> %s\n", len(doc.Benchmarks), *out)
 	}
+	if *compareTo != "" {
+		buf, err := os.ReadFile(*compareTo)
+		if err != nil {
+			fatal(err)
+		}
+		var old benchFile
+		if err := json.Unmarshal(buf, &old); err != nil {
+			fatal(fmt.Errorf("%s: %v", *compareTo, err))
+		}
+		report, regressed := compare(old.Benchmarks, doc.Benchmarks, limit)
+		fmt.Print(report)
+		if len(regressed) > 0 {
+			fatal(fmt.Errorf("allocs/op regressed by more than %s against %s: %s", *maxRegress, *compareTo, strings.Join(regressed, ", ")))
+		}
+	}
+}
+
+// parseFraction reads "5%" or "0.05" as 0.05.
+func parseFraction(s string) (float64, error) {
+	pct := strings.HasSuffix(s, "%")
+	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("%q is not a non-negative fraction or percentage", s)
+	}
+	if pct {
+		v /= 100
+	}
+	return v, nil
+}
+
+// compare renders a table of the benchmarks present in both runs (same
+// name and GOMAXPROCS) and names those whose allocs/op exceeds the old
+// value by more than limit. Finding no benchmark in common, or none of
+// them reporting allocations, is itself a regression of the gate: it
+// would otherwise pass while checking nothing.
+func compare(old, cur []benchResult, limit float64) (report string, regressed []string) {
+	type key struct {
+		name  string
+		procs int
+	}
+	was := make(map[key]benchResult, len(old))
+	for _, r := range old {
+		was[key{r.Name, r.Procs}] = r
+	}
+	var sb strings.Builder
+	tw := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tallocs/op\tB/op\tns/op\t")
+	checked := 0
+	for _, r := range cur {
+		o, ok := was[key{r.Name, r.Procs}]
+		if !ok {
+			continue
+		}
+		label := r.Name
+		if r.Procs > 0 {
+			label += "-" + strconv.Itoa(r.Procs)
+		}
+		verdict := ""
+		if o.AllocsPerOp != nil && r.AllocsPerOp != nil {
+			checked++
+			if *r.AllocsPerOp > *o.AllocsPerOp*(1+limit) {
+				regressed = append(regressed, label)
+				verdict = "REGRESSED"
+			}
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", label,
+			oldNew(o.AllocsPerOp, r.AllocsPerOp), oldNew(o.BytesPerOp, r.BytesPerOp), delta(o.NsPerOp, r.NsPerOp), verdict)
+	}
+	tw.Flush()
+	if checked == 0 {
+		regressed = append(regressed, "no benchmark with allocs/op in common")
+	}
+	return sb.String(), regressed
+}
+
+// oldNew renders "746 -> 179 (-76.0%)", or "-" when either side did not
+// report the unit.
+func oldNew(o, n *float64) string {
+	if o == nil || n == nil {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f -> %.0f (%s)", *o, *n, delta(*o, *n))
+}
+
+// delta renders the relative change from o to n.
+func delta(o, n float64) string {
+	switch {
+	case o == n:
+		return "+0.0%"
+	case o == 0:
+		return "new"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(n-o)/o)
 }
 
 // parseBenchLine parses one result line: a name, an iteration count,

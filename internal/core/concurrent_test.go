@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/optimizer"
+	"repro/internal/relstore"
 )
 
 // A loaded system serves concurrent queries (the demo server's usage
@@ -62,15 +65,16 @@ func TestConcurrentColdShape(t *testing.T) {
 	// so containing-list sizes and with them the seeds differ.
 	queries := [][]string{{"john", "vcr"}, {"mike", "dvd"}, {"john", "tv"}, {"mike", "vcr"}, {"john", "dvd"}}
 	ref := loadFig1(t, core.Options{Z: 8})
-	want := make([][]exec.Planned, len(queries))
+	want := make([][]planValue, len(queries))
 	for i, q := range queries {
-		var err error
-		if want[i], err = ref.Plans(q); err != nil {
+		plans, err := ref.Plans(q)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want[i]) == 0 {
+		if len(plans) == 0 {
 			t.Fatalf("%v derives no plan", q)
 		}
+		want[i] = bySystemValue(plans)
 	}
 
 	s := loadFig1(t, core.Options{Z: 8})
@@ -89,7 +93,7 @@ func TestConcurrentColdShape(t *testing.T) {
 					t.Errorf("%v: %v", queries[qi], err)
 					return
 				}
-				if !reflect.DeepEqual(got, want[qi]) {
+				if !reflect.DeepEqual(bySystemValue(got), want[qi]) {
 					t.Errorf("%v: concurrent plans differ from a fresh system's", queries[qi])
 					return
 				}
@@ -98,4 +102,36 @@ func TestConcurrentColdShape(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// planValue is a plan in a form two Systems can be compared on: a
+// step's resolved relation and compiled access paths point into its own
+// System's store, so Plan has them cleared and Access holds, per piece
+// step, what they resolve to — the relation's name, the probe path's
+// kind, and each pushdown position with its path's kind.
+type planValue struct {
+	Plan   optimizer.Plan
+	Access [][]string
+}
+
+func bySystemValue(plans []exec.Planned) []planValue {
+	out := make([]planValue, len(plans))
+	for i, pl := range plans {
+		v := planValue{Plan: *pl.Plan}
+		v.Plan.Steps = append([]optimizer.Step(nil), pl.Plan.Steps...)
+		for j := range v.Plan.Steps {
+			s := &v.Plan.Steps[j]
+			if s.Seed {
+				continue
+			}
+			resolved := []string{s.Rel.Name, s.Probe.Path().String()}
+			for _, pd := range s.Push {
+				resolved = append(resolved, strconv.Itoa(pd.Pos), pd.Access.Path().String())
+			}
+			v.Access = append(v.Access, resolved)
+			s.Rel, s.Probe, s.Push = nil, relstore.Access{}, nil
+		}
+		out[i] = v
+	}
+	return out
 }

@@ -7,7 +7,9 @@
 package decomp
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/tss"
@@ -39,9 +41,13 @@ type Step struct {
 // Fragment is a walk over the TSS graph (possibly revisiting segments —
 // the unfolded-graph fragments of Definition 5.2). Fragments are
 // canonicalized at construction: a walk and its reverse denote the same
-// fragment.
+// fragment. The canonical key and the connection relation's name are
+// derived once, at construction: the optimizer and the executor ask for
+// them on every plan step.
 type Fragment struct {
 	steps []Step
+	key   string
+	rel   string
 }
 
 // NewFragment canonicalizes and validates a walk: consecutive steps must
@@ -62,9 +68,18 @@ func NewFragment(tg *tss.Graph, steps []Step) (Fragment, error) {
 	}
 	f := Fragment{steps: append([]Step(nil), steps...)}
 	rev := f.reversedSteps()
-	if stepsKey(rev) < stepsKey(f.steps) {
-		f.steps = rev
+	var fb, rb [64]byte
+	key, rkey := appendStepsKey(fb[:0], f.steps), appendStepsKey(rb[:0], rev)
+	if bytes.Compare(rkey, key) < 0 {
+		f.steps, key = rev, rkey
 	}
+	f.key = string(key)
+	for i, c := range key {
+		if c == '.' {
+			key[i] = '_'
+		}
+	}
+	f.rel = "CR_" + string(key[:len(key)-1])
 	return f, nil
 }
 
@@ -119,25 +134,27 @@ func (f Fragment) reversedSteps() []Step {
 	return out
 }
 
-func stepsKey(steps []Step) string {
-	var sb strings.Builder
+// appendStepsKey appends "e<edge><f|b>." per step.
+func appendStepsKey(dst []byte, steps []Step) []byte {
 	for _, s := range steps {
 		d := byte('f')
 		if s.Dir == Bwd {
 			d = 'b'
 		}
-		fmt.Fprintf(&sb, "e%d%c.", s.EdgeID, d)
+		dst = append(dst, 'e')
+		dst = strconv.AppendInt(dst, int64(s.EdgeID), 10)
+		dst = append(dst, d, '.')
 	}
-	return sb.String()
+	return dst
 }
 
-// Key returns the fragment's canonical identity.
-func (f Fragment) Key() string { return stepsKey(f.steps) }
+// Key returns the fragment's canonical identity, "e3f.e1b." for a walk
+// forward over edge 3 then backward over edge 1.
+func (f Fragment) Key() string { return f.key }
 
-// RelationName returns the connection relation name for this fragment.
-func (f Fragment) RelationName() string {
-	return "CR_" + strings.TrimSuffix(strings.ReplaceAll(f.Key(), ".", "_"), "_")
-}
+// RelationName returns the connection relation name for this fragment,
+// "CR_e3f_e1b" for the walk above.
+func (f Fragment) RelationName() string { return f.rel }
 
 // Segments returns the walk's segment sequence (length Size()+1).
 func (f Fragment) Segments(tg *tss.Graph) []string {

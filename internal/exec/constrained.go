@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sort"
-
-	"repro/internal/optimizer"
-)
+import "repro/internal/optimizer"
 
 // Constraint restricts an evaluation: PreBind fixes occurrences to
 // specific target objects and Restrict narrows the admissible TO set of
@@ -50,9 +46,7 @@ func (ex *Executor) EvaluateConstrained(p *optimizer.Plan, c Constraint, emit fu
 		}
 		eff[occ] = out
 	}
-	cp := *p
-	cp.Filters = eff
-	return ex.Evaluate(&cp, emit)
+	return ex.Evaluate(p.WithFilters(eff), emit)
 }
 
 // First returns the first result of a constrained evaluation, if any.
@@ -68,11 +62,4 @@ func (ex *Executor) First(p *optimizer.Plan, c Constraint) (Result, bool, error)
 }
 
 // SortedSet renders a TO set as a sorted slice (test and display helper).
-func SortedSet(set map[int64]bool) []int64 {
-	out := make([]int64, 0, len(set))
-	for to := range set {
-		out = append(out, to)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func SortedSet(set map[int64]bool) []int64 { return optimizer.SortedSet(set) }

@@ -82,17 +82,17 @@ type Executor struct {
 
 // LookupCache memoizes relation lookups with a bounded entry count; when
 // full, new results are not cached (the paper re-sends queries when its
-// fixed-size cache fills).
+// fixed-size cache fills). Entries are views into the store, not copies.
 type LookupCache struct {
 	mu      sync.Mutex
-	entries map[lookupKey][]relstore.Row
+	entries map[lookupKey]relstore.Rows
 	cap     int
 	hits    int64
 	misses  int64
 }
 
 type lookupKey struct {
-	rel  string
+	rel  *relstore.Relation
 	col  int
 	val  int64
 	col2 int // -1 for single-column lookups
@@ -102,7 +102,7 @@ type lookupKey struct {
 // NewLookupCache returns a cache bounded to capacity entries
 // (0 = unlimited).
 func NewLookupCache(capacity int) *LookupCache {
-	return &LookupCache{entries: make(map[lookupKey][]relstore.Row), cap: capacity}
+	return &LookupCache{entries: make(map[lookupKey]relstore.Rows), cap: capacity}
 }
 
 // Stats returns cumulative hit and miss counts.
@@ -112,7 +112,7 @@ func (c *LookupCache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-func (c *LookupCache) get(k lookupKey) ([]relstore.Row, bool) {
+func (c *LookupCache) get(k lookupKey) (relstore.Rows, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rows, ok := c.entries[k]
@@ -124,7 +124,7 @@ func (c *LookupCache) get(k lookupKey) ([]relstore.Row, bool) {
 	return rows, ok
 }
 
-func (c *LookupCache) put(k lookupKey, rows []relstore.Row) {
+func (c *LookupCache) put(k lookupKey, rows relstore.Rows) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap > 0 && len(c.entries) >= c.cap {
@@ -133,42 +133,28 @@ func (c *LookupCache) put(k lookupKey, rows []relstore.Row) {
 	c.entries[k] = rows
 }
 
-// lookup probes a connection relation, through the cache when enabled.
-func (ex *Executor) lookup(rel *relstore.Relation, col int, val int64) []relstore.Row {
-	if ex.Cache == nil {
-		rows, _ := rel.LookupPrefix([]int{col}, []int64{val})
-		return rows
-	}
-	k := lookupKey{rel: rel.Name, col: col, val: val, col2: -1}
-	if rows, ok := ex.Cache.get(k); ok {
-		return rows
-	}
-	rows, _ := rel.LookupPrefix([]int{col}, []int64{val})
-	ex.Cache.put(k, rows)
-	return rows
-}
-
-// lookup2 is lookup for composite (pushdown) probes.
-func (ex *Executor) lookup2(rel *relstore.Relation, cols []int, vals []int64) []relstore.Row {
-	if ex.Cache == nil {
-		rows, _ := rel.LookupPrefix(cols, vals)
-		return rows
-	}
-	k := lookupKey{rel: rel.Name, col: cols[0], val: vals[0], col2: cols[1], val2: vals[1]}
-	if rows, ok := ex.Cache.get(k); ok {
-		return rows
-	}
-	rows, _ := rel.LookupPrefix(cols, vals)
-	ex.Cache.put(k, rows)
-	return rows
-}
-
 // Evaluate runs the plan's nested-loop pipeline, calling emit for every
 // result; emit returns false to stop early (top-k). The traversal is
 // depth-first in plan-step order, exactly the §6 nesting.
 func (ex *Executor) Evaluate(p *optimizer.Plan, emit func(Result) bool) error {
 	return ex.EvaluateContext(context.Background(), p, emit)
 }
+
+// evaluation is the state of one EvaluateContext call, recycled through
+// evalPool so that a warm evaluation allocates nothing but the Bind of
+// each result it emits: the binding array, the cancellation poller and
+// the I/O counters of all its probes, flushed to the store once.
+type evaluation struct {
+	ex    *Executor
+	p     *optimizer.Plan
+	emit  func(Result) bool
+	cc    cancelCheck
+	io    relstore.IOStats
+	bind  []int64
+	score int
+}
+
+var evalPool = sync.Pool{New: func() any { return new(evaluation) }}
 
 // EvaluateContext is Evaluate with cooperative cancellation: the join
 // loops poll ctx periodically (and exactly at every emission), so a
@@ -179,116 +165,164 @@ func (ex *Executor) EvaluateContext(ctx context.Context, p *optimizer.Plan, emit
 	if len(p.Steps) == 0 {
 		return fmt.Errorf("exec: empty plan")
 	}
+	for i := range p.Steps {
+		if s := &p.Steps[i]; !s.Seed && s.Rel == nil {
+			return fmt.Errorf("exec: relation %s not materialized", s.Piece.Frag.RelationName())
+		}
+	}
 	cc := newCancelCheck(ctx)
 	if cc.err != nil {
 		return cc.err
 	}
-	bind := make([]int64, len(p.Net.Occs))
-	var run func(step int) bool // returns false to stop everything
-	run = func(step int) bool {
-		if step == len(p.Steps) {
-			if cc.now() {
+	ev := evalPool.Get().(*evaluation)
+	n := len(p.Net.Occs)
+	if cap(ev.bind) < n {
+		ev.bind = make([]int64, n)
+	}
+	*ev = evaluation{ex: ex, p: p, emit: emit, cc: cc, bind: ev.bind[:n], score: p.Net.Score()}
+	clear(ev.bind)
+	ev.run(0)
+	err := ev.cc.err
+	ex.Store.Stats.Add(ev.io)
+	*ev = evaluation{bind: ev.bind} // drop the references before pooling
+	evalPool.Put(ev)
+	return err
+}
+
+// run executes plan step `step` under the current bindings and recurses
+// into the next; it returns false to stop the whole evaluation.
+func (ev *evaluation) run(step int) bool {
+	p, bind := ev.p, ev.bind
+	if step == len(p.Steps) {
+		if ev.cc.now() {
+			return false
+		}
+		return ev.emit(Result{Net: p.Net, Bind: append([]int64(nil), bind...), Score: ev.score})
+	}
+	s := &p.Steps[step]
+	if s.Seed {
+		for _, to := range p.SortedFilter(s.Occ) {
+			if ev.cc.tick() {
 				return false
 			}
-			out := Result{Net: p.Net, Bind: append([]int64(nil), bind...), Score: p.Net.Score()}
-			return emit(out)
-		}
-		s := p.Steps[step]
-		if s.Seed {
-			for _, to := range p.SortedFilter(s.Occ) {
-				if cc.tick() {
-					return false
-				}
-				if boundElsewhere(bind, s.Occ, to) {
-					continue
-				}
-				bind[s.Occ] = to
-				if !run(step + 1) {
-					bind[s.Occ] = 0
-					return false
-				}
-				bind[s.Occ] = 0
+			if boundElsewhere(bind, s.Occ, to) {
+				continue
 			}
-			return true
-		}
-		rel := ex.Store.Relation(s.Piece.Frag.RelationName())
-		if rel == nil {
-			panic(fmt.Sprintf("exec: relation %s not materialized", s.Piece.Frag.RelationName()))
-		}
-		probeOcc := s.Piece.Occs[s.ProbePos]
-		rows := ex.probe(rel, s, p, bind[probeOcc])
-	rowLoop:
-		for _, row := range rows {
-			if cc.tick() {
-				return false
-			}
-			for _, pos := range s.CheckPos {
-				if row[pos] != bind[s.Piece.Occs[pos]] {
-					continue rowLoop
-				}
-			}
-			for _, pos := range s.NewPos {
-				occ := s.Piece.Occs[pos]
-				to := row[pos]
-				if f := p.Filters[occ]; f != nil && !f[to] {
-					continue rowLoop
-				}
-				if boundElsewhere(bind, occ, to) {
-					continue rowLoop
-				}
-			}
-			// Distinctness among the new positions themselves.
-			for i, pi := range s.NewPos {
-				for _, pj := range s.NewPos[i+1:] {
-					if row[pi] == row[pj] {
-						continue rowLoop
-					}
-				}
-			}
-			for _, pos := range s.NewPos {
-				bind[s.Piece.Occs[pos]] = row[pos]
-			}
-			ok := run(step + 1)
-			for _, pos := range s.NewPos {
-				bind[s.Piece.Occs[pos]] = 0
-			}
+			bind[s.Occ] = to
+			ok := ev.run(step + 1)
+			bind[s.Occ] = 0
 			if !ok {
 				return false
 			}
 		}
 		return true
 	}
-	run(0)
-	return cc.err
+	val := bind[s.Piece.Occs[s.ProbePos]]
+	if pd := ev.pushdown(s); pd != nil {
+		return ev.runPushdown(step, s, pd, val)
+	}
+	return ev.join(step, s, ev.lookup(s.Probe, lookupKey{rel: s.Rel, col: s.ProbePos, val: val, col2: -1}))
 }
 
-// pushdownMaxSet bounds how large a keyword TO set is still worth
-// iterating as composite point lookups instead of one range probe.
-const pushdownMaxSet = 8
-
-// probe fetches the rows matching the step's probe binding, pushing a
-// small keyword filter into a composite clustered lookup when possible
-// (§8's tighter master-index integration).
-func (ex *Executor) probe(rel *relstore.Relation, s optimizer.Step, p *optimizer.Plan, val int64) []relstore.Row {
-	if !ex.NoPushdown {
-		for _, pos := range s.NewPos {
-			occ := s.Piece.Occs[pos]
-			f := p.Filters[occ]
-			if f == nil || len(f) == 0 || len(f) > pushdownMaxSet {
-				continue
-			}
-			cols := []int{s.ProbePos, pos}
-			if _, ok := rel.ClusteredOn(cols); !ok {
-				continue
-			}
-			var rows []relstore.Row
-			for _, to := range SortedSet(f) {
-				rows = append(rows, ex.lookup2(rel, cols, []int64{val, to})...)
-			}
-			return rows
+// pushdown picks the composite access path of the step's first newly
+// bound position whose keyword filter is small enough to push into the
+// probe (§8's tighter master-index integration), or nil.
+func (ev *evaluation) pushdown(s *optimizer.Step) *optimizer.Pushdown {
+	if ev.ex.NoPushdown {
+		return nil
+	}
+	for i := range s.Push {
+		pd := &s.Push[i]
+		if f := ev.p.Filters[s.Piece.Occs[pd.Pos]]; len(f) > 0 && len(f) <= optimizer.PushdownMaxSet {
+			return pd
 		}
 	}
-	return ex.lookup(rel, s.ProbePos, val)
+	return nil
+}
+
+// runPushdown probes with one composite (probe value, keyword TO) point
+// lookup per TO of the pushed filter instead of one range probe filtered
+// after the fact. All lookups are issued before any row is joined, the
+// order the store's buffer pool has always seen. It is its own function
+// so that only steps that push down pay for the view array's stack.
+func (ev *evaluation) runPushdown(step int, s *optimizer.Step, pd *optimizer.Pushdown, val int64) bool {
+	var views [optimizer.PushdownMaxSet]relstore.Rows
+	tos := ev.p.SortedFilter(s.Piece.Occs[pd.Pos])
+	for i, to := range tos {
+		views[i] = ev.lookup(pd.Access, lookupKey{rel: s.Rel, col: s.ProbePos, val: val, col2: pd.Pos, val2: to})
+	}
+	for i := range tos {
+		if !ev.join(step, s, views[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// lookup probes a connection relation, through the cache when enabled.
+func (ev *evaluation) lookup(a relstore.Access, k lookupKey) relstore.Rows {
+	vals := [2]int64{k.val, k.val2}
+	n := 1
+	if k.col2 >= 0 {
+		n = 2
+	}
+	c := ev.ex.Cache
+	if c == nil {
+		return a.Lookup(vals[:n], &ev.io)
+	}
+	if rows, ok := c.get(k); ok {
+		return rows
+	}
+	rows := a.Lookup(vals[:n], &ev.io)
+	c.put(k, rows)
+	return rows
+}
+
+// join extends the current bindings with every row of a probe's view
+// that agrees with them, recursing into the next step per row.
+func (ev *evaluation) join(step int, s *optimizer.Step, rows relstore.Rows) bool {
+	p, bind, occs := ev.p, ev.bind, s.Piece.Occs
+rowLoop:
+	for i, n := 0, rows.Len(); i < n; i++ {
+		if ev.cc.tick() {
+			return false
+		}
+		row := rows.At(i)
+		for _, pos := range s.CheckPos {
+			if row[pos] != bind[occs[pos]] {
+				continue rowLoop
+			}
+		}
+		for _, pos := range s.NewPos {
+			occ := occs[pos]
+			to := row[pos]
+			if f := p.Filters[occ]; f != nil && !f[to] {
+				continue rowLoop
+			}
+			if boundElsewhere(bind, occ, to) {
+				continue rowLoop
+			}
+		}
+		// Distinctness among the new positions themselves.
+		for i, pi := range s.NewPos {
+			for _, pj := range s.NewPos[i+1:] {
+				if row[pi] == row[pj] {
+					continue rowLoop
+				}
+			}
+		}
+		for _, pos := range s.NewPos {
+			bind[occs[pos]] = row[pos]
+		}
+		ok := ev.run(step + 1)
+		for _, pos := range s.NewPos {
+			bind[occs[pos]] = 0
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // boundElsewhere reports whether TO to is already bound to an occurrence

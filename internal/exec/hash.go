@@ -52,13 +52,12 @@ func (ex *Executor) EvaluateHashContext(ctx context.Context, p *optimizer.Plan, 
 			tuples = next
 			continue
 		}
-		rel := ex.Store.Relation(s.Piece.Frag.RelationName())
-		if rel == nil {
+		if s.Rel == nil {
 			return fmt.Errorf("exec: relation %s not materialized", s.Piece.Frag.RelationName())
 		}
-		// Scan and pre-filter the piece's rows.
+		// Scan and pre-filter the piece's rows (views into the store).
 		var rows []relstore.Row
-		rel.Scan(func(row relstore.Row) bool {
+		s.Rel.Scan(func(row relstore.Row) bool {
 			if cc.tick() {
 				return false
 			}
@@ -67,7 +66,7 @@ func (ex *Executor) EvaluateHashContext(ctx context.Context, p *optimizer.Plan, 
 					return true
 				}
 			}
-			rows = append(rows, append(relstore.Row(nil), row...))
+			rows = append(rows, row)
 			return true
 		})
 		if cc.err != nil {
@@ -184,14 +183,7 @@ func (ex *Executor) planIndexed(p *optimizer.Plan) bool {
 		if s.Seed {
 			continue
 		}
-		rel := ex.Store.Relation(s.Piece.Frag.RelationName())
-		if rel == nil {
-			continue
-		}
-		if rel.HasHashIndex(s.ProbePos) {
-			return true
-		}
-		if _, ok := rel.ClusteredOn([]int{s.ProbePos}); ok {
+		if s.Rel != nil && s.Probe.Path() != relstore.PathScan {
 			return true
 		}
 	}

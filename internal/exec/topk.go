@@ -65,7 +65,7 @@ func TopKPlansContext(ctx context.Context, ex *Executor, plans []Planned, opts T
 	}
 	next := make(chan fed)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < min(opts.Workers, len(plans)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

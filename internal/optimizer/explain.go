@@ -26,16 +26,9 @@ func (p *Plan) Explain(tg *tss.Graph, store *relstore.Store) string {
 			fmt.Fprintf(&sb, "  %d. seed %s@occ%d (containing list: %s)\n", i+1, occ.Segment, s.Occ, n)
 			continue
 		}
-		rel := s.Piece.Frag.RelationName()
-		path := "scan"
-		if store != nil {
-			if r := store.Relation(rel); r != nil {
-				if _, ok := r.ClusteredOn([]int{s.ProbePos}); ok {
-					path = "clustered"
-				} else if r.HasHashIndex(s.ProbePos) {
-					path = "hash"
-				}
-			}
+		path := relstore.PathScan
+		if store != nil && s.Rel != nil {
+			path = s.Probe.Path()
 		}
 		var news, checks []string
 		for _, pos := range s.NewPos {

@@ -9,7 +9,7 @@ package optimizer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/cn"
@@ -35,7 +35,30 @@ type Step struct {
 	CheckPos []int
 	// NewPos are positions bound by this step.
 	NewPos []int
+
+	// Rel is the piece's connection relation and Probe its access path
+	// for lookups on ProbePos, resolved against the optimizer's store
+	// when the step list is built — once per (shape, seed), so the
+	// executor never looks a relation up by name or searches its
+	// physical design per probe. Rel is nil when the relation is not
+	// materialized; such a step plans but does not execute.
+	Rel   *relstore.Relation
+	Probe relstore.Access
+	// Push lists, in NewPos order, the newly bound positions a small
+	// keyword filter can be pushed into: the relation holds a copy
+	// sorted on (ProbePos, Pos), probed with composite point lookups.
+	Push []Pushdown
 }
+
+// Pushdown is one composite access path of a piece step.
+type Pushdown struct {
+	Pos    int // the newly bound position the filter constrains
+	Access relstore.Access
+}
+
+// PushdownMaxSet bounds how large a keyword TO set is still worth
+// iterating as composite point lookups instead of one range probe.
+const PushdownMaxSet = 8
 
 // Plan evaluates one CTSSN.
 type Plan struct {
@@ -45,7 +68,30 @@ type Plan struct {
 	Joins int
 	// Filters holds, per occurrence, the TO set every binding must fall
 	// in (intersection of the keyword containing lists); nil = free.
+	// Replace them with WithFilters, which keeps sorted in step.
 	Filters []map[int64]bool
+	// sorted holds Filters[occ] ascending for the occurrences the
+	// executor iterates in order: the seed, and every filter small
+	// enough to push down. Computed once per plan, not per probe.
+	sorted [][]int64
+}
+
+// newPlan assembles a plan and pre-sorts the filters its execution
+// iterates.
+func newPlan(t *cn.TSSNetwork, steps []Step, joins int, filters []map[int64]bool) *Plan {
+	p := &Plan{Net: t, Steps: steps, Joins: joins, Filters: filters, sorted: make([][]int64, len(filters))}
+	for occ, f := range filters {
+		if f != nil && (occ == steps[0].Occ || len(f) <= PushdownMaxSet) {
+			p.sorted[occ] = SortedSet(f)
+		}
+	}
+	return p
+}
+
+// WithFilters returns a copy of the plan evaluating under other filters
+// (the presentation module's run-time restrictions).
+func (p *Plan) WithFilters(filters []map[int64]bool) *Plan {
+	return newPlan(p.Net, p.Steps, p.Joins, filters)
 }
 
 // Optimizer builds plans against a materialized decomposition.
@@ -180,10 +226,16 @@ func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters []map[int64]bool, 
 			return nil, fmt.Errorf("optimizer: network %s has no keyword occurrence", t)
 		}
 	}
-	plan := &Plan{Net: t, Filters: filters}
-	if len(sh.pieces) > 0 {
-		plan.Joins = len(sh.pieces) - 1
+	steps, err := sh.stepsFor(o, t, seed)
+	if err != nil {
+		return nil, err
 	}
+	return newPlan(t, steps, max(len(sh.pieces)-1, 0), filters), nil
+}
+
+// stepsFor returns the shape's step order seeded at occurrence seed,
+// building it on first use.
+func (sh *Shape) stepsFor(o *Optimizer, t *cn.TSSNetwork, seed int) ([]Step, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.steps[seed] == nil {
@@ -193,8 +245,7 @@ func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters []map[int64]bool, 
 		}
 		sh.steps[seed] = steps
 	}
-	plan.Steps = sh.steps[seed]
-	return plan, nil
+	return sh.steps[seed], nil
 }
 
 // pickSeed is the seed choice of §6: primarily the keyword occurrence
@@ -293,7 +344,7 @@ func (o *Optimizer) singleEdgePlan(t *cn.TSSNetwork, filters []map[int64]bool, s
 	if err != nil {
 		return nil
 	}
-	return &Plan{Net: t, Steps: steps, Joins: len(pieces) - 1, Filters: filters}
+	return newPlan(t, steps, len(pieces)-1, filters)
 }
 
 func (o *Optimizer) plan(t *cn.TSSNetwork, seed int) (*Plan, error) {
@@ -362,11 +413,20 @@ func (o *Optimizer) buildSteps(t *cn.TSSNetwork, keyed []bool, seed int, pieces 
 		}
 		// Prefer a probe column the relation can serve from an index or
 		// a clustered copy.
-		step.ProbePos = o.bestProbe(p, append([]int{step.ProbePos}, step.CheckPos...))
+		step.Rel = o.Store.Relation(p.Frag.RelationName())
+		step.ProbePos = bestProbe(step.Rel, append([]int{step.ProbePos}, step.CheckPos...))
 		step.CheckPos = nil
 		for pos, occ := range p.Occs {
 			if pos != step.ProbePos && bound[occ] && !contains(step.NewPos, pos) {
 				step.CheckPos = append(step.CheckPos, pos)
+			}
+		}
+		if step.Rel != nil {
+			step.Probe = step.Rel.Access(step.ProbePos)
+			for _, pos := range step.NewPos {
+				if a := step.Rel.Access(step.ProbePos, pos); a.Path() == relstore.PathClustered {
+					step.Push = append(step.Push, Pushdown{Pos: pos, Access: a})
+				}
 			}
 		}
 		steps = append(steps, step)
@@ -407,8 +467,7 @@ func contains(xs []int, x int) bool {
 
 // bestProbe picks, among the bound positions, one the relation serves
 // cheaply: clustered first, then hash-indexed, then any.
-func (o *Optimizer) bestProbe(p decomp.Piece, boundPos []int) int {
-	rel := o.Store.Relation(p.Frag.RelationName())
+func bestProbe(rel *relstore.Relation, boundPos []int) int {
 	if rel == nil {
 		return boundPos[0]
 	}
@@ -504,14 +563,23 @@ func (o *Optimizer) filters(t *cn.TSSNetwork, sets TOSets) []map[int64]bool {
 	return out
 }
 
-// SortedFilter returns the filter set of occurrence occ as a sorted
-// slice, for deterministic seed iteration.
+// SortedFilter returns the filter set of occurrence occ as an ascending
+// slice, for deterministic iteration. For the seed and for filters of at
+// most PushdownMaxSet TOs it is the plan's own precomputed slice and
+// must not be modified.
 func (p *Plan) SortedFilter(occ int) []int64 {
-	set := p.Filters[occ]
+	if s := p.sorted[occ]; s != nil {
+		return s
+	}
+	return SortedSet(p.Filters[occ])
+}
+
+// SortedSet renders a TO set as an ascending slice (never nil).
+func SortedSet(set map[int64]bool) []int64 {
 	out := make([]int64, 0, len(set))
 	for to := range set {
 		out = append(out, to)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

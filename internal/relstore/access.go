@@ -1,9 +1,6 @@
 package relstore
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // AccessPath names how a lookup was satisfied, for plan explanation.
 type AccessPath uint8
@@ -30,116 +27,153 @@ func (p AccessPath) String() string {
 }
 
 // Scan calls fn for every row, charging a sequential read of every page.
-// fn must not retain the row; return false to stop early (pages already
-// touched remain charged).
+// The rows are views into the store (see Rows): fn must not modify them.
+// Return false to stop early (pages already touched remain charged).
 func (r *Relation) Scan(fn func(Row) bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	io := IOStats{Scans: 1}
-	defer func() {
-		if r.store != nil {
-			r.store.Stats.add(io)
-		}
-	}()
-	for i, row := range r.rows {
+	arity, data := len(r.Cols), r.primary.data
+	for i, o := 0, 0; o < len(data); i, o = i+1, o+arity {
 		if i%PageRows == 0 {
 			r.touch("", int32(i/PageRows), true, &io)
 		}
 		io.RowsRead++
-		if !fn(row) {
-			return
+		if !fn(data[o : o+arity : o+arity]) {
+			break
 		}
+	}
+	r.flush(io)
+}
+
+// flush adds one operation's counters to the store's.
+func (r *Relation) flush(io IOStats) {
+	if r.store != nil {
+		r.store.Stats.Add(io)
 	}
 }
 
-// LookupEq returns all rows with row[col] == val, choosing the cheapest
-// available access path (clustered copy, hash index, full scan). The
-// returned rows are copies.
-func (r *Relation) LookupEq(col int, val int64) []Row {
+// LookupEq returns a view of all rows with row[col] == val, choosing the
+// cheapest available access path (clustered copy, hash index, full scan).
+func (r *Relation) LookupEq(col int, val int64) Rows {
 	rows, _ := r.LookupPrefix([]int{col}, []int64{val})
 	return rows
 }
 
-// LookupPrefix returns all rows matching vals on the column prefix cols,
-// reporting the access path used.
-func (r *Relation) LookupPrefix(cols []int, vals []int64) ([]Row, AccessPath) {
-	if len(cols) != len(vals) || len(cols) == 0 {
-		panic(fmt.Sprintf("relstore: %s: LookupPrefix cols/vals mismatch", r.Name))
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	io := IOStats{Lookups: 1}
-	defer func() {
-		if r.store != nil {
-			r.store.Stats.add(io)
-		}
-	}()
+// LookupPrefix returns a view of all rows matching vals on the column
+// prefix cols, reporting the access path used. It resolves the access
+// path and flushes the I/O counters per call; a caller that probes in a
+// loop compiles an Access once and accumulates into its own IOStats.
+func (r *Relation) LookupPrefix(cols []int, vals []int64) (Rows, AccessPath) {
+	a := r.access(cols)
+	var io IOStats
+	rows := a.Lookup(vals, &io)
+	r.flush(io)
+	return rows, a.path
+}
 
-	// Clustered (primary or secondary sorted copy): binary search.
-	if hasPrefix(r.clustered, cols) {
-		rows := r.rangeScan("", nil, cols, vals, &io)
-		return rows, PathClustered
+// Access is a compiled access path: how one relation serves equality
+// lookups on one column list, resolved against the physical design once
+// so that a probe is a binary search (or one map read) and nothing else.
+type Access struct {
+	rel  *Relation
+	cols []int
+	path AccessPath
+	copy *physCopy         // PathClustered: the sorted copy probed
+	hash map[int64][]int32 // PathHash
+}
+
+// Access compiles the cheapest access path for lookups on cols: a copy
+// sorted with cols as a prefix, else (single column) a hash index, else
+// a filtered full scan.
+func (r *Relation) Access(cols ...int) Access {
+	return r.access(append([]int(nil), cols...))
+}
+
+func (r *Relation) access(cols []int) Access {
+	if len(cols) == 0 {
+		panic(fmt.Sprintf("relstore: %s: lookup on no columns", r.Name))
 	}
-	for key, perm := range r.orderings {
-		if hasPrefix(colsFromKey(key), cols) {
-			rows := r.rangeScan(key, perm, cols, vals, &io)
-			return rows, PathClustered
+	a := Access{rel: r, cols: cols, path: PathScan}
+	if c := r.sortedOn(cols); c != nil {
+		a.path, a.copy = PathClustered, c
+	} else if len(cols) == 1 && r.HasHashIndex(cols[0]) {
+		a.path, a.hash = PathHash, r.hashIdx[cols[0]]
+	}
+	return a
+}
+
+// Path names the access path.
+func (a Access) Path() AccessPath { return a.path }
+
+// Lookup returns a view of the rows whose lookup columns equal vals,
+// adding what the probe costs to io: one lookup, the pages it touches
+// against the store's buffer pool, the rows it returns. The caller
+// flushes io into the store's counters (IOStats.Add) when it is done.
+func (a Access) Lookup(vals []int64, io *IOStats) Rows {
+	r := a.rel
+	if len(vals) != len(a.cols) {
+		panic(fmt.Sprintf("relstore: %s: lookup cols/vals mismatch", r.Name))
+	}
+	io.Lookups++
+	arity := len(r.Cols)
+	switch a.path {
+	case PathClustered:
+		return r.rangeScan(a.copy, a.cols, vals, io)
+	case PathHash:
+		// Random page access per match.
+		idx := a.hash[vals[0]]
+		if len(idx) == 0 {
+			return Rows{}
 		}
-	}
-	// Hash probe (single column only): random page access per match.
-	if len(cols) == 1 {
-		if idx, ok := r.hashIdx[cols[0]]; ok {
-			var rows []Row
-			lastPage := int32(-1)
-			for _, ri := range idx[vals[0]] {
-				if pg := ri / PageRows; pg != lastPage {
-					r.touch("", pg, false, &io)
-					lastPage = pg
-				}
-				rows = append(rows, append(Row(nil), r.rows[ri]...))
-				io.RowsRead++
+		lastPage := int32(-1)
+		for _, ri := range idx {
+			if pg := ri / PageRows; pg != lastPage {
+				r.touch("", pg, false, io)
+				lastPage = pg
 			}
-			return rows, PathHash
 		}
+		io.RowsRead += int64(len(idx))
+		return Rows{data: r.primary.data, idx: idx, arity: arity, n: len(idx)}
 	}
 	// Fallback: full scan with filter.
 	io.Scans++
-	var rows []Row
-	for i, row := range r.rows {
+	data := r.primary.data
+	var idx []int32
+	for i, o := 0, 0; o < len(data); i, o = i+1, o+arity {
 		if i%PageRows == 0 {
-			r.touch("", int32(i/PageRows), true, &io)
+			r.touch("", int32(i/PageRows), true, io)
 		}
-		match := true
-		for j, c := range cols {
-			if row[c] != vals[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			rows = append(rows, append(Row(nil), row...))
-			io.RowsRead++
+		if matches(data[o:o+arity], a.cols, vals) {
+			idx = append(idx, int32(i))
 		}
 	}
-	return rows, PathScan
+	if len(idx) == 0 {
+		return Rows{}
+	}
+	io.RowsRead += int64(len(idx))
+	return Rows{data: data, idx: idx, arity: arity, n: len(idx)}
 }
 
-// rangeScan binary-searches the sorted view (perm over rows, or the
-// primary order when perm is nil) for the range matching vals on cols
-// and copies it out, charging one page seek plus the sequential pages of
-// the range.
-func (r *Relation) rangeScan(ordering string, perm []int32, cols []int, vals []int64, io *IOStats) []Row {
-	n := len(r.rows)
-	at := func(i int) Row {
-		if perm == nil {
-			return r.rows[i]
+func matches(row []int64, cols []int, vals []int64) bool {
+	for j, c := range cols {
+		if row[c] != vals[j] {
+			return false
 		}
-		return r.rows[perm[i]]
 	}
-	cmp := func(row Row) int {
-		for j, c := range cols {
-			if row[c] != vals[j] {
-				if row[c] < vals[j] {
+	return true
+}
+
+// rangeScan binary-searches a sorted copy for the range matching vals on
+// cols (a prefix of its sort columns) and returns it in place, charging
+// one page seek plus the sequential pages of the range.
+func (r *Relation) rangeScan(c *physCopy, cols []int, vals []int64, io *IOStats) Rows {
+	arity, data := len(r.Cols), c.data
+	n := len(data) / arity
+	// cmp orders row i against vals on cols.
+	cmp := func(i int) int {
+		row := data[i*arity:]
+		for j, col := range cols {
+			if v := row[col]; v != vals[j] {
+				if v < vals[j] {
 					return -1
 				}
 				return 1
@@ -147,34 +181,37 @@ func (r *Relation) rangeScan(ordering string, perm []int32, cols []int, vals []i
 		}
 		return 0
 	}
-	lo := sort.Search(n, func(i int) bool { return cmp(at(i)) >= 0 })
-	hi := sort.Search(n, func(i int) bool { return cmp(at(i)) > 0 })
-	if lo >= hi {
+	lo, hi := 0, n
+	for lo < hi { // first row >= vals
+		if m := int(uint(lo+hi) >> 1); cmp(m) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	first := lo
+	for hi = n; lo < hi; { // first row > vals
+		if m := int(uint(lo+hi) >> 1); cmp(m) <= 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if first >= hi {
 		// Seek still touches one page (the B-tree leaf probed).
 		if n > 0 {
-			pg := int32(lo)
-			if lo >= n {
-				pg = int32(n - 1)
-			}
-			r.touch(ordering, pg/PageRows, false, io)
+			r.touch(c.ordering, int32(min(first, n-1))/PageRows, false, io)
 		}
-		return nil
+		return Rows{}
 	}
 	// A clustered range scan seeks once (random) and then reads the
 	// range sequentially.
-	var rows []Row
-	lastPage := int32(-1)
-	first := true
-	for i := lo; i < hi; i++ {
-		if pg := int32(i) / PageRows; pg != lastPage {
-			r.touch(ordering, pg, !first, io)
-			first = false
-			lastPage = pg
-		}
-		rows = append(rows, append(Row(nil), at(i)...))
-		io.RowsRead++
+	firstPage, lastPage := int32(first)/PageRows, int32(hi-1)/PageRows
+	for pg := firstPage; pg <= lastPage; pg++ {
+		r.touch(c.ordering, pg, pg != firstPage, io)
 	}
-	return rows
+	io.RowsRead += int64(hi - first)
+	return Rows{data: data[first*arity : hi*arity], arity: arity, n: hi - first}
 }
 
 // touch records one page access against the store's buffer pool;

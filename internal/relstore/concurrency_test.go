@@ -21,7 +21,7 @@ func TestConcurrentReaders(t *testing.T) {
 
 	want := make(map[int64]int)
 	for v := int64(0); v < 37; v++ {
-		want[v] = len(r.LookupEq(0, v))
+		want[v] = r.LookupEq(0, v).Len()
 	}
 
 	var wg sync.WaitGroup
@@ -32,7 +32,7 @@ func TestConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				v := (seed*31 + int64(i)) % 37
-				if got := len(r.LookupEq(0, v)); got != want[v] {
+				if got := r.LookupEq(0, v).Len(); got != want[v] {
 					errs <- "lookup mismatch"
 					return
 				}

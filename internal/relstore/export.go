@@ -1,36 +1,32 @@
 package relstore
 
-import "sort"
-
 // Export returns a copy of the relation's contents and physical design,
 // for serialization. Rows come out in physical (clustered) order, so a
 // rebuild that re-applies the design reproduces the same layout.
 func (r *Relation) Export() (rows []Row, clustered []int, orderings [][]int, hashCols []int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rows = make([]Row, len(r.rows))
-	for i, row := range r.rows {
-		rows[i] = append(Row(nil), row...)
+	arity, data := len(r.Cols), r.primary.data
+	rows = make([]Row, 0, r.NumRows())
+	for o := 0; o < len(data); o += arity {
+		rows = append(rows, append(Row(nil), data[o:o+arity]...))
 	}
-	clustered = append([]int(nil), r.clustered...)
-	var ordKeys []string
-	for k := range r.orderings {
-		ordKeys = append(ordKeys, k)
+	clustered = append([]int(nil), r.primary.cols...)
+	for _, o := range r.orderings {
+		orderings = append(orderings, append([]int(nil), o.cols...))
 	}
-	sort.Strings(ordKeys)
-	for _, k := range ordKeys {
-		orderings = append(orderings, colsFromKey(k))
+	for c := range r.Cols {
+		if r.HasHashIndex(c) {
+			hashCols = append(hashCols, c)
+		}
 	}
-	for c := range r.hashIdx {
-		hashCols = append(hashCols, c)
-	}
-	sort.Ints(hashCols)
 	return rows, clustered, orderings, hashCols
 }
 
 // Import rebuilds a relation from exported state: rows are inserted in
 // order and the physical design re-applied. The relation must be empty.
 func (r *Relation) Import(rows []Row, clustered []int, orderings [][]int, hashCols []int) error {
+	r.mu.Lock()
+	r.primary.data = make([]int64, 0, len(rows)*len(r.Cols)) // one allocation, not a doubling series
+	r.mu.Unlock()
 	for _, row := range rows {
 		if err := r.Insert(row); err != nil {
 			return err

@@ -49,7 +49,10 @@ func (s *IOStats) Cost() float64 {
 	return float64(rand) + float64(snap.SeqReads)/SeqFactor
 }
 
-func (s *IOStats) add(o IOStats) {
+// Add accumulates o into s atomically. Lookups count into a local
+// IOStats and Add it once per operation (per plan evaluation, in the
+// executor), not once per probe.
+func (s *IOStats) Add(o IOStats) {
 	atomic.AddInt64(&s.PageReads, o.PageReads)
 	atomic.AddInt64(&s.SeqReads, o.SeqReads)
 	atomic.AddInt64(&s.PageHits, o.PageHits)

@@ -2,7 +2,7 @@ package relstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,33 +12,65 @@ import (
 // attribute (the paper represents the ID datatype as integers, §5).
 type Row []int64
 
+// Rows is a read-only view of tuples in the store's own storage: the
+// contiguous range a sorted copy holds for a key, or the row indexes a
+// hash index (or a filtered scan) matched. Nothing is copied; the rows
+// must not be written through and stay valid for the life of the store.
+// The zero Rows is empty.
+type Rows struct {
+	data  []int64 // the n tuples themselves (idx == nil) or the copy idx points into
+	idx   []int32 // matched row numbers in data; nil for a contiguous view
+	arity int
+	n     int
+}
+
+// Len returns the number of rows in the view.
+func (v Rows) Len() int { return v.n }
+
+// At returns the i-th row, aliasing the store's storage.
+func (v Rows) At(i int) Row {
+	if v.idx != nil {
+		i = int(v.idx[i])
+	}
+	o := i * v.arity
+	return v.data[o : o+v.arity : o+v.arity]
+}
+
+// physCopy is one physical copy of a relation's tuples, stored flat:
+// row i is data[i*arity : (i+1)*arity]. The primary copy is in
+// insertion order until Cluster sorts it; every secondary ordering is a
+// full sorted copy of its own — what PageKey.Ordering has always charged
+// the buffer pool for.
+type physCopy struct {
+	ordering string // PageKey.Ordering: "" for the primary copy
+	cols     []int  // sort columns; nil for insertion order
+	data     []int64
+}
+
 // Relation is a connection relation. Attributes are named after the TSS
-// occurrences they bind. Relations are built once at load time and then
-// read-only; reads are safe for concurrent use.
+// occurrences they bind. A relation is built at load time — Insert,
+// Seal, then the physical design (Cluster, AddOrdering, BuildHashIndex)
+// — and is read-only from then on: reads take no lock and are safe for
+// concurrent use once building has finished; mu only serializes the
+// builders among themselves.
 type Relation struct {
 	Name  string
 	Cols  []string
 	store *Store
 
-	mu        sync.RWMutex
-	rows      []Row
-	hashIdx   map[int]map[int64][]int32 // col -> value -> row indexes
-	orderings map[string][]int32        // colset key -> row permutation sorted by those cols
-	clustered []int                     // physical (primary) sort order; nil if insertion order
+	mu        sync.Mutex
+	primary   physCopy
+	orderings []*physCopy         // sorted by column list, so the first prefix match is deterministic
+	hashIdx   []map[int64][]int32 // per column: value -> primary row numbers; nil entry = no index
 	sealed    bool
 }
 
 // NumRows returns the relation's cardinality.
-func (r *Relation) NumRows() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.rows)
-}
+func (r *Relation) NumRows() int { return len(r.primary.data) / len(r.Cols) }
 
 // NumPages returns the page count of the primary copy.
 func (r *Relation) NumPages() int {
-	n := r.NumRows()
-	return (n + PageRows - 1) / PageRows
+	return (r.NumRows() + PageRows - 1) / PageRows
 }
 
 // Arity returns the number of attributes.
@@ -64,31 +96,40 @@ func (r *Relation) Insert(row Row) error {
 	if len(row) != len(r.Cols) {
 		return fmt.Errorf("relstore: %s: arity %d row into %d-ary relation", r.Name, len(row), len(r.Cols))
 	}
-	r.rows = append(r.rows, append(Row(nil), row...))
+	r.primary.data = append(r.primary.data, row...)
 	return nil
 }
 
-// Seal freezes the relation and builds the requested physical design.
-// After Seal the relation is read-only.
+// Seal ends the insert phase: the relation accepts no more tuples and
+// its storage is trimmed to size. The physical design is built after.
 func (r *Relation) Seal() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sealed = true
+	if d := r.primary.data; cap(d) > len(d) {
+		r.primary.data = append(make([]int64, 0, len(d)), d...)
+	}
 }
 
 // BuildHashIndex creates a single-attribute hash index on column col.
 func (r *Relation) BuildHashIndex(col int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.buildHashIndexLocked(col)
+}
+
+func (r *Relation) buildHashIndexLocked(col int) error {
 	if col < 0 || col >= len(r.Cols) {
 		return fmt.Errorf("relstore: %s: no column %d", r.Name, col)
 	}
 	if r.hashIdx == nil {
-		r.hashIdx = make(map[int]map[int64][]int32)
+		r.hashIdx = make([]map[int64][]int32, len(r.Cols))
 	}
 	idx := make(map[int64][]int32)
-	for i, row := range r.rows {
-		idx[row[col]] = append(idx[row[col]], int32(i))
+	arity := len(r.Cols)
+	for i, o := 0, col; o < len(r.primary.data); i, o = i+1, o+arity {
+		v := r.primary.data[o]
+		idx[v] = append(idx[v], int32(i))
 	}
 	r.hashIdx[col] = idx
 	return nil
@@ -109,33 +150,21 @@ func (r *Relation) BuildAllHashIndexes() {
 // relation is used", §5.1). Existing indexes and orderings are rebuilt.
 func (r *Relation) Cluster(cols ...int) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if err := r.checkCols(cols); err != nil {
-		r.mu.Unlock()
 		return err
 	}
-	sort.SliceStable(r.rows, func(i, j int) bool { return lessBy(r.rows[i], r.rows[j], cols) })
-	r.clustered = append([]int(nil), cols...)
-	hashCols := make([]int, 0, len(r.hashIdx))
-	for c := range r.hashIdx {
-		hashCols = append(hashCols, c)
-	}
-	ordKeys := make([][]int, 0, len(r.orderings))
-	for k := range r.orderings {
-		ordKeys = append(ordKeys, colsFromKey(k))
-	}
-	r.hashIdx = nil
-	r.orderings = nil
-	r.mu.Unlock()
-	sort.Ints(hashCols)
-	for _, c := range hashCols {
-		if err := r.BuildHashIndex(c); err != nil {
-			return err
+	r.primary.data = r.sortedBy(cols)
+	r.primary.cols = append([]int(nil), cols...)
+	for c, idx := range r.hashIdx {
+		if idx != nil {
+			if err := r.buildHashIndexLocked(c); err != nil {
+				return err
+			}
 		}
 	}
-	for _, oc := range ordKeys {
-		if err := r.AddOrdering(oc...); err != nil {
-			return err
-		}
+	for _, o := range r.orderings {
+		o.data = r.sortedBy(o.cols)
 	}
 	return nil
 }
@@ -149,16 +178,41 @@ func (r *Relation) AddOrdering(cols ...int) error {
 	if err := r.checkCols(cols); err != nil {
 		return err
 	}
-	perm := make([]int32, len(r.rows))
+	o := &physCopy{ordering: colKey(cols), cols: append([]int(nil), cols...), data: r.sortedBy(cols)}
+	at, dup := slices.BinarySearchFunc(r.orderings, cols, func(o *physCopy, cols []int) int { return slices.Compare(o.cols, cols) })
+	if dup {
+		r.orderings[at] = o
+	} else {
+		r.orderings = slices.Insert(r.orderings, at, o)
+	}
+	return nil
+}
+
+// sortedBy returns a copy of the primary tuples stably sorted by cols,
+// so rows equal on cols keep their primary order.
+func (r *Relation) sortedBy(cols []int) []int64 {
+	arity, src := len(r.Cols), r.primary.data
+	perm := make([]int32, len(src)/arity)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return lessBy(r.rows[perm[i]], r.rows[perm[j]], cols) })
-	if r.orderings == nil {
-		r.orderings = make(map[string][]int32)
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		ra, rb := src[int(a)*arity:], src[int(b)*arity:]
+		for _, c := range cols {
+			if ra[c] != rb[c] {
+				if ra[c] < rb[c] {
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
+	})
+	out := make([]int64, 0, len(src))
+	for _, p := range perm {
+		out = append(out, src[int(p)*arity:(int(p)+1)*arity]...)
 	}
-	r.orderings[colKey(cols)] = perm
-	return nil
+	return out
 }
 
 func (r *Relation) checkCols(cols []int) error {
@@ -173,15 +227,7 @@ func (r *Relation) checkCols(cols []int) error {
 	return nil
 }
 
-func lessBy(a, b Row, cols []int) bool {
-	for _, c := range cols {
-		if a[c] != b[c] {
-			return a[c] < b[c]
-		}
-	}
-	return false
-}
-
+// colKey names an ordering for PageKey: its column list, "1,0".
 func colKey(cols []int) string {
 	parts := make([]string, len(cols))
 	for i, c := range cols {
@@ -190,37 +236,33 @@ func colKey(cols []int) string {
 	return strings.Join(parts, ",")
 }
 
-func colsFromKey(k string) []int {
-	parts := strings.Split(k, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		out[i], _ = strconv.Atoi(p)
-	}
-	return out
-}
-
 // HasHashIndex reports whether column col has a hash index.
 func (r *Relation) HasHashIndex(col int) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.hashIdx[col]
-	return ok
+	return col >= 0 && col < len(r.hashIdx) && r.hashIdx[col] != nil
 }
 
 // ClusteredOn reports whether the relation (primary or a secondary copy)
 // is sorted with cols as a prefix, returning the ordering key to probe.
 func (r *Relation) ClusteredOn(cols []int) (ordering string, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if hasPrefix(r.clustered, cols) {
-		return "", true
-	}
-	for key := range r.orderings {
-		if hasPrefix(colsFromKey(key), cols) {
-			return key, true
-		}
+	if c := r.sortedOn(cols); c != nil {
+		return c.ordering, true
 	}
 	return "", false
+}
+
+// sortedOn returns the copy that serves a lookup on cols as a range
+// scan: the primary if it is clustered with cols as a prefix, else the
+// first such secondary ordering in column-list order; nil if none.
+func (r *Relation) sortedOn(cols []int) *physCopy {
+	if hasPrefix(r.primary.cols, cols) {
+		return &r.primary
+	}
+	for _, o := range r.orderings {
+		if hasPrefix(o.cols, cols) {
+			return o
+		}
+	}
+	return nil
 }
 
 func hasPrefix(have, want []int) bool {

@@ -28,6 +28,15 @@ func newTestRelation(t *testing.T, s *Store, name string, rows []Row) *Relation 
 	return r
 }
 
+// collect materializes a view, for assertions.
+func collect(v Rows) []Row {
+	out := make([]Row, v.Len())
+	for i := range out {
+		out[i] = v.At(i)
+	}
+	return out
+}
+
 func TestCreateRelationValidation(t *testing.T) {
 	s := NewStore(16)
 	if _, err := s.CreateRelation("", []string{"a"}); err == nil {
@@ -98,8 +107,8 @@ func TestLookupPathsAgree(t *testing.T) {
 		if p0 != PathScan || p1 != PathHash || p2 != PathClustered || p3 != PathClustered {
 			t.Fatalf("paths = %v %v %v %v", p0, p1, p2, p3)
 		}
-		c0 := count(got0)
-		for name, c := range map[string]map[[3]int64]int{"hash": count(got1), "clust": count(got2), "ord": count(got3)} {
+		c0 := count(collect(got0))
+		for name, c := range map[string]map[[3]int64]int{"hash": count(collect(got1)), "clust": count(collect(got2)), "ord": count(collect(got3))} {
 			if len(c) != len(c0) {
 				t.Fatalf("v=%d: %s returned %d distinct rows, scan %d", v, name, len(c), len(c0))
 			}
@@ -121,13 +130,13 @@ func TestLookupPrefixMultiColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, path := r.LookupPrefix([]int{0, 1}, []int64{1, 10})
-	if path != PathClustered || len(rows) != 2 {
-		t.Fatalf("rows=%v path=%v", rows, path)
+	if path != PathClustered || rows.Len() != 2 {
+		t.Fatalf("rows=%v path=%v", collect(rows), path)
 	}
 	// Without a matching ordering the lookup degrades to a scan.
 	rows2, path2 := r.LookupPrefix([]int{1, 2}, []int64{10, 103})
-	if path2 != PathScan || len(rows2) != 1 {
-		t.Fatalf("rows=%v path=%v", rows2, path2)
+	if path2 != PathScan || rows2.Len() != 1 {
+		t.Fatalf("rows=%v path=%v", collect(rows2), path2)
 	}
 }
 
@@ -135,7 +144,7 @@ func TestLookupEqMissingValue(t *testing.T) {
 	s := NewStore(16)
 	r := newTestRelation(t, s, "r", []Row{{1, 2}, {3, 4}})
 	r.BuildAllHashIndexes()
-	if rows := r.LookupEq(0, 99); rows != nil {
+	if rows := r.LookupEq(0, 99); rows.Len() != 0 {
 		t.Fatalf("rows = %v, want nil", rows)
 	}
 }
@@ -238,8 +247,8 @@ func TestClusterRebuildsIndexes(t *testing.T) {
 	}
 	// Hash index must still find the right row after the physical sort.
 	rows, path := r.LookupPrefix([]int{1}, []int64{30})
-	if len(rows) != 1 || rows[0][0] != 3 {
-		t.Fatalf("rows=%v path=%v", rows, path)
+	if rows.Len() != 1 || rows.At(0)[0] != 3 {
+		t.Fatalf("rows=%v path=%v", collect(rows), path)
 	}
 	// Ordering on col 1 must have been rebuilt.
 	if _, ok := r.ClusteredOn([]int{1}); !ok {
@@ -313,7 +322,7 @@ func TestQuickClusteredEqualsScan(t *testing.T) {
 		}
 		got := make(map[int64]int)
 		for v := int64(0); v < domain; v++ {
-			for _, row := range r.LookupEq(0, v) {
+			for _, row := range collect(r.LookupEq(0, v)) {
 				got[row[0]*1000+row[1]]++
 			}
 		}
