@@ -28,12 +28,15 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The regression gate on the numbers a rerun reproduces: allocs/op of
-# the query path and of one relation probe per access path, at -cpu 1
-# (where the top-k pool does not speculate, so the count repeats
-# exactly), against the committed BENCH_pipeline.json. ns/op is printed
-# as a delta only — wall time on a shared machine is not gateable.
+# the query path and of one relation probe per access path at -cpu 1
+# and 2 (execution is serial, so the count repeats exactly at either),
+# against the committed BENCH_pipeline.json, and of the /api/query
+# handler path (BenchmarkRender) against BENCH_qserve.json. ns/op is
+# printed as a delta only — wall time on a shared machine is not
+# gateable.
 bench-gate:
-	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — atomiccommit, crcgate, ctxflow,
@@ -46,13 +49,14 @@ lint:
 	$(GO) run ./cmd/xkvet -dir . -sarif xkvet.sarif
 
 # The one cache every hot path shares (internal/lru) and its five call
-# sites, the serving layer, the executor, the query pipeline (shared
-# shape memo + metrics sink under concurrent Query/QueryStream) and the
-# segmented live index (WAL + memtable + background flush/compaction)
-# are the concurrency-heavy packages; run their tests under the race
-# detector.
+# sites, the serving layer and its pooled response buffers (webdemo),
+# the executor, the query pipeline (shared shape memo + metrics sink
+# under concurrent Query/QueryStream), the per-System summary memo
+# (core) and the segmented live index (WAL + memtable + background
+# flush/compaction) are the concurrency-heavy packages; run their tests
+# under the race detector.
 race:
-	$(GO) test -race ./internal/lru/ ./internal/relstore/ ./internal/qserve/ ./internal/exec/ ./internal/diskindex/ ./internal/core/ ./internal/pipeline/ ./internal/segidx/ ./internal/shard/ ./internal/rank/ ./internal/edgelist/ ./internal/graphsource/
+	$(GO) test -race ./internal/lru/ ./internal/relstore/ ./internal/qserve/ ./internal/webdemo/ ./internal/exec/ ./internal/diskindex/ ./internal/core/ ./internal/pipeline/ ./internal/segidx/ ./internal/shard/ ./internal/rank/ ./internal/edgelist/ ./internal/graphsource/
 
 # Chaos suite: 200+ deterministic seeded fault scenarios (injected read
 # errors, bit flips, short reads, engine latency/errors/hangs) over the
@@ -66,23 +70,25 @@ chaos:
 # Run every fuzz target against its seed corpus only (no new inputs);
 # catches regressions on the known tricky files deterministically.
 fuzzseed:
-	$(GO) test -run=Fuzz ./internal/diskindex/ ./internal/dtd/ ./internal/xmlgraph/ ./internal/segidx/ ./internal/edgelist/
+	$(GO) test -run=Fuzz ./internal/diskindex/ ./internal/dtd/ ./internal/xmlgraph/ ./internal/segidx/ ./internal/edgelist/ ./internal/webdemo/
 
 # Every bench target tees its text output through cmd/xkbenchjson,
 # leaving a machine-readable BENCH_<name>.json trajectory file at the
 # repo root next to the human-readable log.
 
-# Cold vs warm serving-layer latency on the DBLP workload.
+# Cold vs warm serving-layer latency on the DBLP workload, and the
+# /api/query handler path (render + encode) on result-cache hits and
+# misses at -cpu 1; the Render rows are what bench-gate compares against.
 bench-qserve:
-	$(GO) test -run xxx -bench BenchmarkQServe -benchtime 50x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_qserve.json
+	{ $(GO) test -run xxx -bench BenchmarkQServe -benchtime 50x -benchmem . && \
+	  $(GO) test -run xxx -bench BenchmarkRender -cpu 1 -benchtime 1000x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_qserve.json
 
 # In-memory vs paged-disk master-index lookups (cold and warm pool).
 bench-diskindex:
 	$(GO) test -run xxx -bench BenchmarkDiskIndexLookup -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_diskindex.json
 
 # The query path (tracing off vs EXPLAIN ANALYZE) and one relation probe
-# per access path, at -cpu 1 and 2; the -cpu 1 rows are what bench-gate
-# compares against.
+# per access path, at -cpu 1 and 2: what bench-gate compares against.
 bench-pipeline:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkPipelineOverhead|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
 

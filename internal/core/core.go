@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/decomp"
 	"repro/internal/kwindex"
@@ -51,8 +52,6 @@ type Options struct {
 	// CacheSize bounds the executor's lookup cache in entries; 0 means
 	// unlimited, negative disables caching (the naive algorithm).
 	CacheSize int
-	// Workers is the top-k thread pool size (default 4).
-	Workers int
 	// SkipBlobs skips target-object BLOB construction (benchmarks).
 	SkipBlobs bool
 	// StrictMinimal drops results that violate the strict MTNN
@@ -85,9 +84,6 @@ func (o *Options) defaults() {
 	}
 	if o.PoolPages == 0 {
 		o.PoolPages = relstore.DefaultPoolPages
-	}
-	if o.Workers == 0 {
-		o.Workers = 4
 	}
 }
 
@@ -123,6 +119,12 @@ type System struct {
 	// PipelineMetrics for the same struct-literal reason as netMemo.
 	metrics     *pipeline.Metrics
 	metricsOnce sync.Once
+
+	// summaries memoises the object graph's summary of each target
+	// object (see objectSummary), one slot per TO, allocated on first
+	// use for the same struct-literal reason as netMemo.
+	summaries     []atomic.Pointer[string]
+	summariesOnce sync.Once
 }
 
 // IndexHealth classifies the master-index backend's state for the
@@ -234,9 +236,9 @@ type Prepared struct {
 // LoadPrepared builds a System over an already-decomposed dataset.
 func LoadPrepared(p *Prepared, opts Options) (*System, error) {
 	opts.defaults()
-	if opts.Z < 0 || opts.B < 0 || opts.MaxKeywords < 0 || opts.Workers < 0 {
-		return nil, fmt.Errorf("core: negative option (Z=%d B=%d MaxKeywords=%d Workers=%d)",
-			opts.Z, opts.B, opts.MaxKeywords, opts.Workers)
+	if opts.Z < 0 || opts.B < 0 || opts.MaxKeywords < 0 {
+		return nil, fmt.Errorf("core: negative option (Z=%d B=%d MaxKeywords=%d)",
+			opts.Z, opts.B, opts.MaxKeywords)
 	}
 	if p == nil || p.Schema == nil || p.TSS == nil || p.Data == nil || p.Obj == nil {
 		return nil, fmt.Errorf("core: incomplete prepared dataset")

@@ -29,12 +29,12 @@ func normalizeExplain(s string) string {
 }
 
 // TestExplainAnalyzeGolden locks the -explain-analyze textual output
-// for the paper's Figure 1 query. Workers: 1 keeps the execute stage
-// sequential, so lookup-cache hit/miss counts are deterministic; a
-// fresh System makes the first run a memo miss. Regenerate with
+// for the paper's Figure 1 query. The execute stage is sequential, so
+// lookup-cache hit/miss counts are deterministic; a fresh System makes
+// the first run a memo miss. Regenerate with
 // go test ./internal/core/ -run ExplainAnalyzeGolden -update
 func TestExplainAnalyzeGolden(t *testing.T) {
-	s := loadFig1(t, core.Options{Z: 8, Workers: 1})
+	s := loadFig1(t, core.Options{Z: 8})
 	expl, err := s.ExplainAnalyze(context.Background(), []string{"john", "vcr"}, 10)
 	if err != nil {
 		t.Fatal(err)

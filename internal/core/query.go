@@ -52,7 +52,6 @@ func (s *System) newPipeline() *pipeline.Pipeline {
 		TSS:           s.TSS,
 		Index:         s.Index,
 		Z:             s.Opts.Z,
-		Workers:       s.Opts.Workers,
 		StrictMinimal: s.Opts.StrictMinimal,
 		Scorer:        s.scorer(),
 		Relax:         s.Opts.Relax,
@@ -103,7 +102,6 @@ func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 		TSS:           s.TSS,
 		Index:         ix,
 		Z:             s.Opts.Z,
-		Workers:       s.Opts.Workers,
 		StrictMinimal: s.Opts.StrictMinimal,
 		Scorer:        s.scorer(),
 		Relax:         s.Opts.Relax,
@@ -169,8 +167,8 @@ func (s *System) Plans(keywords []string) ([]exec.Planned, error) {
 }
 
 // Query answers a keyword proximity query with the top-k results,
-// evaluated by a worker pool over the candidate networks smallest-first
-// (the web-search-engine-like presentation of §3.1/§6).
+// evaluated over the candidate networks smallest-first (the
+// web-search-engine-like presentation of §3.1/§6).
 func (s *System) Query(keywords []string, k int) ([]exec.Result, error) {
 	return s.QueryContext(context.Background(), keywords, k)
 }
@@ -234,15 +232,15 @@ func (s *System) QueryAllScoredContext(ctx context.Context, keywords []string, s
 	return q.Results, q.Relaxation, nil
 }
 
-// QueryStream starts the page-by-page presentation of §3.1: workers
-// evaluate the candidate networks smallest-first into a queue the
+// QueryStream starts the page-by-page presentation of §3.1: a producer
+// evaluates the candidate networks smallest-first into a queue the
 // caller drains with Stream.Next. Close the stream when done.
 func (s *System) QueryStream(keywords []string) (*exec.Stream, error) {
 	return s.QueryStreamContext(context.Background(), keywords)
 }
 
 // QueryStreamContext is QueryStream tied to a context: cancelling ctx
-// closes the stream and stops its workers mid-join. The caller should
+// closes the stream and stops its producer mid-join. The caller should
 // still Close the stream when done.
 func (s *System) QueryStreamContext(ctx context.Context, keywords []string) (*exec.Stream, error) {
 	q := &pipeline.Query{

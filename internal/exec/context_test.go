@@ -98,7 +98,7 @@ func TestTopKPlansContextCancelled(t *testing.T) {
 }
 
 // TestStreamContextCancel: cancelling the stream's context closes it —
-// the workers stop and Next drains to an empty page.
+// the producer stops and Next drains to an empty page.
 func TestStreamContextCancel(t *testing.T) {
 	s := fig1System(t, core.Options{Z: 8})
 	plans, err := s.Plans([]string{"us", "vcr"})
@@ -107,7 +107,7 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
-	st := exec.StreamPlansContext(ctx, ex, plans, 2, exec.NestedLoop)
+	st := exec.StreamPlansContext(ctx, ex, plans, exec.NestedLoop)
 	defer st.Close()
 	cancel()
 	deadline := time.After(2 * time.Second)

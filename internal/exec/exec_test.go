@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -135,27 +136,39 @@ func plansWithResults(t *testing.T, s *core.System, plans []exec.Planned) []int 
 	return out
 }
 
-func TestTopKWorkers(t *testing.T) {
-	s := fig1System(t, core.Options{Z: 8, Workers: 8})
+// TestTopKSerialLookups: top-k runs its plans on the caller's goroutine
+// in canonical order, so the work a query does — the relation probes it
+// issues — is the same on every run, even with spare processors a
+// speculative pool would have used. The results are the K smallest in
+// canonical order.
+func TestTopKSerialLookups(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := fig1System(t, core.Options{Z: 8})
+	all, err := s.QueryAll([]string{"us", "vcr"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range []int{1, 2, 5, 100} {
-		rs, err := s.Query([]string{"us", "vcr"}, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all, err := s.QueryAll([]string{"us", "vcr"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := k
-		if len(all) < k {
-			want = len(all)
-		}
-		if len(rs) != want {
-			t.Fatalf("k=%d: got %d results, want %d", k, len(rs), want)
-		}
-		for i := 1; i < len(rs); i++ {
-			if rs[i-1].Score > rs[i].Score {
-				t.Fatalf("k=%d: results unsorted", k)
+		var want int64 = -1
+		for run := 0; run < 20; run++ {
+			before := s.Store.Stats.Snapshot().Lookups
+			rs, err := s.Query([]string{"us", "vcr"}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lookups := s.Store.Stats.Snapshot().Lookups - before
+			if want < 0 {
+				want = lookups
+			} else if lookups != want {
+				t.Fatalf("k=%d run %d: %d lookups, first run %d", k, run, lookups, want)
+			}
+			if n := min(k, len(all)); len(rs) != n {
+				t.Fatalf("k=%d: got %d results, want %d", k, len(rs), n)
+			}
+			for i := 1; i < len(rs); i++ {
+				if !exec.OrdLess(rs[i-1], rs[i]) {
+					t.Fatalf("k=%d: results out of canonical order", k)
+				}
 			}
 		}
 	}

@@ -6,77 +6,52 @@ import (
 	"sync"
 )
 
-// Stream is the web-search-engine-like presentation of §3.1: a pool of
-// workers evaluates the candidate networks smallest-first and fills a
-// queue with MTTONs, which the caller consumes page by page. Because
-// smaller networks are scheduled first and finish sooner, early pages
-// hold the higher-ranked (smaller) results, exactly as the paper
-// describes — but arrival order across networks is not a total sort.
+// Stream is the web-search-engine-like presentation of §3.1: a producer
+// evaluates the candidate networks smallest-first and fills a queue with
+// MTTONs, which the caller consumes page by page. Because smaller
+// networks are evaluated first, early pages hold the higher-ranked
+// (smaller) results, exactly as the paper describes.
 type Stream struct {
 	results chan Result
 	stop    chan struct{}
 	once    sync.Once
-	wg      sync.WaitGroup
 }
 
 // StreamPlans starts evaluating the plans (sorted by ascending score, as
 // the CN generator emits them) into a result queue. Close the stream
-// when done to release the workers.
-func StreamPlans(ex *Executor, plans []Planned, workers int, strategy Strategy) *Stream {
-	return StreamPlansContext(context.Background(), ex, plans, workers, strategy)
+// when done to release the producer.
+func StreamPlans(ex *Executor, plans []Planned, strategy Strategy) *Stream {
+	return StreamPlansContext(context.Background(), ex, plans, strategy)
 }
 
 // StreamPlansContext is StreamPlans tied to a context: cancelling ctx
-// closes the stream, stopping the workers mid-join (a disconnected
-// client stops burning CPU). The stream must still be Closed by the
-// caller; Close is idempotent with the context-driven shutdown.
-func StreamPlansContext(ctx context.Context, ex *Executor, plans []Planned, workers int, strategy Strategy) *Stream {
-	if workers <= 0 {
-		workers = 4
-	}
+// stops the producer mid-join (a disconnected client stops burning CPU)
+// and ends the stream. The stream must still be Closed by the caller;
+// Close is idempotent with the context-driven shutdown.
+func StreamPlansContext(ctx context.Context, ex *Executor, plans []Planned, strategy Strategy) *Stream {
 	s := &Stream{
+		// Lets the producer run a page ahead of the consumer.
 		results: make(chan Result, 64),
 		stop:    make(chan struct{}),
 	}
-	next := make(chan Planned)
-	for w := 0; w < workers; w++ {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for p := range next {
-				_ = ex.RunContext(ctx, p.Plan, strategy, func(r Result) bool {
-					select {
-					case s.results <- r:
-						return true
-					case <-s.stop:
-						return false
-					}
-				})
-			}
-		}()
-	}
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				s.Close()
-			case <-s.stop:
-			}
-		}()
-	}
 	go func() {
-		defer close(next)
+		defer close(s.results)
 		for _, p := range plans {
-			select {
-			case next <- p:
-			case <-s.stop:
+			open := true
+			_ = ex.RunContext(ctx, p.Plan, strategy, func(r Result) bool {
+				select {
+				case s.results <- r:
+				case <-s.stop:
+					open = false
+				case <-ctx.Done():
+					open = false
+				}
+				return open
+			})
+			if !open || ctx.Err() != nil {
 				return
 			}
 		}
-	}()
-	go func() {
-		s.wg.Wait()
-		close(s.results)
 	}()
 	return s
 }
@@ -96,12 +71,12 @@ func (s *Stream) Next(n int) []Result {
 	return page
 }
 
-// Close stops the workers; pending results are discarded. Safe to call
+// Close stops the producer; pending results are discarded. Safe to call
 // multiple times and after exhaustion.
 func (s *Stream) Close() {
 	s.once.Do(func() {
 		close(s.stop)
-		// Drain so workers blocked on send can observe stop.
+		// Drain so a producer blocked on send can observe stop.
 		go func() {
 			for range s.results {
 			}

@@ -18,7 +18,7 @@ func TestStreamPagesCoverAllResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
-	st := exec.StreamPlans(ex, plans, 4, exec.NestedLoop)
+	st := exec.StreamPlans(ex, plans, exec.NestedLoop)
 	defer st.Close()
 
 	got := map[string]bool{}
@@ -58,7 +58,7 @@ func TestStreamCloseEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
-	st := exec.StreamPlans(ex, plans, 2, exec.NestedLoop)
+	st := exec.StreamPlans(ex, plans, exec.NestedLoop)
 	first := st.Next(1)
 	st.Close()
 	st.Close() // idempotent
@@ -78,7 +78,7 @@ func TestStreamFirstPageHasBestScore(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
-	st := exec.StreamPlans(ex, plans, 4, exec.NestedLoop)
+	st := exec.StreamPlans(ex, plans, exec.NestedLoop)
 	defer st.Close()
 	// Pull everything; the global best must appear somewhere.
 	best := -1

@@ -28,7 +28,7 @@ const (
 	ModeNetworks Mode = iota
 	// ModePlans stops after plan optimization (core.Plans).
 	ModePlans
-	// ModeTopK evaluates top-K smallest-first with the worker pool.
+	// ModeTopK evaluates top-K smallest-first, stopping early.
 	ModeTopK
 	// ModeAll evaluates every plan to completion.
 	ModeAll

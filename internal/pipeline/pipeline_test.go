@@ -70,7 +70,6 @@ func newPipeline(sys *core.System, nc pipeline.TemplateCache) *pipeline.Pipeline
 		TSS:       sys.TSS,
 		Index:     sys.Index,
 		Z:         sys.Opts.Z,
-		Workers:   sys.Opts.Workers,
 		Templates: nc,
 		NewOptimizer: func() *optimizer.Optimizer {
 			return &optimizer.Optimizer{
@@ -176,7 +175,6 @@ func TestMetricsAccumulate(t *testing.T) {
 	m := pipeline.NewMetrics()
 	cfgp := pipeline.New(pipeline.Config{
 		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z,
-		Workers: sys.Opts.Workers,
 		NewOptimizer: func() *optimizer.Optimizer {
 			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: sys.Index,
 				Stats: sys.Stats, Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}

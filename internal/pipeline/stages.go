@@ -32,8 +32,6 @@ type Config struct {
 	Index kwindex.Source
 	// Z is the maximum MTNN size of interest.
 	Z int
-	// Workers sizes the execute stage's worker pool.
-	Workers int
 	// StrictMinimal makes the rank stage drop non-minimal results.
 	StrictMinimal bool
 	// Scorer, when non-nil, re-ranks results in the rank stage. nil (or
@@ -319,7 +317,7 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 }
 
 // executeStage evaluates the plans (§6) in the query's mode: top-K
-// through the smallest-first worker pool, all results plan by plan
+// smallest-first with early termination, all results plan by plan
 // through one shared lookup cache, or a started stream. Cache traffic is
 // the executor lookup cache's hit/miss counts.
 type executeStage struct{ cfg *Config }
@@ -337,7 +335,7 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 		if !rank.IsDefault(s.cfg.scorerFor(q)) {
 			// Early termination is only sound for the canonical (Score,
 			// Ord) order: a non-default scorer may promote a result the
-			// top-k pool would prune, so evaluate every plan fully and
+			// top-k evaluation would prune, so evaluate every plan fully and
 			// let the rank stage truncate after re-scoring.
 			rep.Note = "topk(full)"
 			return s.runAll(ctx, q, rep)
@@ -345,7 +343,6 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 		ex := s.cfg.NewExecutor()
 		out, err := exec.TopKPlansContext(ctx, ex, q.Plans, exec.TopKOptions{
 			K:        q.K,
-			Workers:  s.cfg.Workers,
 			Strategy: q.Strategy,
 		})
 		recordLookups(ex, rep)
@@ -358,7 +355,7 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 			return err
 		}
 	case ModeStream:
-		q.Stream = exec.StreamPlansContext(ctx, s.cfg.NewExecutor(), q.Plans, s.cfg.Workers, q.Strategy)
+		q.Stream = exec.StreamPlansContext(ctx, s.cfg.NewExecutor(), q.Plans, q.Strategy)
 	default:
 		return fmt.Errorf("pipeline: mode %v does not execute", q.Mode)
 	}
@@ -401,7 +398,7 @@ func recordLookups(ex *exec.Executor, rep *StageReport) {
 
 // rankStage is the single place results are ordered and filtered: full
 // result sets are sorted ascending by score (top-K sets arrive sorted
-// and truncated from the worker pool), and StrictMinimal drops results
+// and truncated from exec.TopKPlansContext), and StrictMinimal drops results
 // violating §3.1's strict MTNN minimality.
 type rankStage struct{ cfg *Config }
 
@@ -414,7 +411,7 @@ func (s rankStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 		// (Score, Ord) is the canonical total order; for ModeAll's
 		// sequential plan-by-plan enumeration it coincides with the
 		// previous stable sort by score, but naming it here keeps every
-		// ranked surface (this stage, the top-k pool, the scatter-gather
+		// ranked surface (this stage, top-k execution, the scatter-gather
 		// coordinator's merge) on one deterministic order. The
 		// full-enumeration top-k path lands here too: scorers receive
 		// their input canonically ordered (the tie-break they contract

@@ -1,8 +1,11 @@
 package segidx_test
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/segidx"
 )
 
@@ -100,4 +103,63 @@ func TestSummaryShapes(t *testing.T) {
 	if got := h.Summary(); got != "name[TV key=1005]" {
 		t.Errorf("headed doc summary = %q, want name[TV key=1005]", got)
 	}
+}
+
+// TestIngestedSummaryOverridesMemo: core.System memoises the object
+// graph's summary of each target object, but an ingested document whose
+// TO also exists in the object graph must still present as ingested —
+// whether it arrives before or after that TO's object-graph summary was
+// memoised — and a tombstone must fall back to the object graph again.
+func TestIngestedSummaryOverridesMemo(t *testing.T) {
+	ds, err := datagen.TPCHFigure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+		core.Options{Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, t.TempDir(), segidx.Options{Base: sys.Index, NoSync: true})
+	sys.Index = s
+	rs, err := sys.Query([]string{"john", "vcr"}, 1)
+	if err != nil || len(rs) != 1 || len(rs[0].Bind) < 2 {
+		t.Fatalf("query: %v, %d results", err, len(rs))
+	}
+	res := rs[0]
+	before, after := res.Bind[0], res.Bind[1]
+	renders := func(want string) {
+		t.Helper()
+		if out := sys.RenderResult(res); !strings.Contains(out, want) {
+			t.Fatalf("render lacks %q:\n%s", want, out)
+		}
+	}
+
+	// Ingested before anything memoised the object-graph summary.
+	d := doc(before, field(before, "ingested", "ingested", "Before"))
+	mustAdd(t, s, d)
+	if got := sys.SummaryOf(before); got != d.Summary() {
+		t.Fatalf("SummaryOf(%d) = %q, want the ingested %q", before, got, d.Summary())
+	}
+	renders(d.Summary())
+
+	// Ingested after the object-graph summary was memoised.
+	native := ds.Obj.Summary(after)
+	if got := sys.SummaryOf(after); got != native {
+		t.Fatalf("SummaryOf(%d) = %q, want %q", after, got, native)
+	}
+	renders(native)
+	d = doc(after, field(after, "ingested", "ingested", "After"))
+	mustAdd(t, s, d)
+	if got := sys.SummaryOf(after); got != d.Summary() {
+		t.Fatalf("SummaryOf(%d) after ingest = %q, want the ingested %q", after, got, d.Summary())
+	}
+	renders(d.Summary())
+
+	// A tombstone leaves the store without an opinion: the memo answers.
+	mustDelete(t, s, after)
+	if got := sys.SummaryOf(after); got != native {
+		t.Fatalf("SummaryOf(%d) after delete = %q, want %q", after, got, native)
+	}
+	renders(native)
 }

@@ -14,6 +14,7 @@ type TargetObject struct {
 	ID      int64 // head node id, used as TO id throughout the system
 	Segment string
 	Nodes   []xmlgraph.NodeID // member nodes, head first
+	ord     int               // position in ObjectGraph.Objects
 }
 
 // ObjectEdge connects two target objects through one TSS edge instance.
@@ -56,7 +57,7 @@ func (g *Graph) Decompose(data *xmlgraph.Graph) (*ObjectGraph, error) {
 			return nil, fmt.Errorf("tss: node %d has no schema type; run schema.Assign first", id)
 		}
 		if seg, ok := g.headOf[n.Type]; ok {
-			to := &TargetObject{ID: int64(id), Segment: seg, Nodes: []xmlgraph.NodeID{id}}
+			to := &TargetObject{ID: int64(id), Segment: seg, Nodes: []xmlgraph.NodeID{id}, ord: len(og.order)}
 			og.tos[to.ID] = to
 			og.order = append(og.order, to.ID)
 			og.nodeTO[id] = to.ID
@@ -153,6 +154,16 @@ func (og *ObjectGraph) Objects() []int64 {
 	out := make([]int64, len(og.order))
 	copy(out, og.order)
 	return out
+}
+
+// Ordinal returns the position of target object id in Objects, so
+// per-object state can live in a dense slice of NumObjects entries.
+func (og *ObjectGraph) Ordinal(id int64) (int, bool) {
+	to := og.tos[id]
+	if to == nil {
+		return 0, false
+	}
+	return to.ord, true
 }
 
 // BySegment returns the TO ids of a segment, sorted ascending.

@@ -191,13 +191,6 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// resultJSON is one result tree in the list presentation.
-type resultJSON struct {
-	Score    int      `json:"score"`
-	Rendered string   `json:"rendered"`
-	Objects  []string `json:"objects"`
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	keywords, k, ok := queryParams(w, r)
 	if !ok {
@@ -235,27 +228,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("index unavailable: %s", detail))
 		return
 	}
-	out := make([]resultJSON, 0, len(results))
-	for _, res := range results {
-		out = append(out, resultJSON{
-			Score:    res.Score,
-			Rendered: s.sys.RenderResult(res),
-			Objects:  s.sys.ResultSummaries(res),
-		})
+	buf := getQueryBuf()
+	defer putQueryBuf(buf)
+	// Loud, never silent: the body names the partitions a degraded
+	// answer was computed without and the substitutions a relaxed query
+	// made.
+	if err := s.appendQueryBody(buf, results, scorer, ann); err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
 	}
-	body := map[string]interface{}{"results": out}
-	if scorer != "" {
-		body["scorer"] = scorer
-	}
-	if ann != nil && ann.Degraded != nil {
-		// Loud, never silent: the client learns exactly which partitions
-		// the answer was computed without.
-		body["degraded"] = ann.Degraded
-	}
-	if ann != nil && ann.Relaxed != nil {
-		body["relaxed"] = ann.Relaxed
-	}
-	writeJSON(w, body)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.body)
 }
 
 func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
