@@ -30,13 +30,15 @@ bench-build:
 # The regression gate on the numbers a rerun reproduces: allocs/op of
 # the query path and of one relation probe per access path at -cpu 1
 # and 2 (execution is serial, so the count repeats exactly at either),
-# against the committed BENCH_pipeline.json, and of the /api/query
-# handler path (BenchmarkRender) against BENCH_qserve.json. ns/op is
-# printed as a delta only — wall time on a shared machine is not
-# gateable.
+# against the committed BENCH_pipeline.json, of the /api/query handler
+# path (BenchmarkRender) against BENCH_qserve.json, and of the
+# coordinator round trip (BenchmarkShardCoordinator, -cpu 1) against
+# BENCH_shard.json. ns/op is printed as a delta only — wall time on a
+# shared machine is not gateable.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkShardCoordinator' -cpu 1 -benchtime 200x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_shard.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — atomiccommit, crcgate, ctxflow,
@@ -98,11 +100,13 @@ bench-segidx:
 	$(GO) test -run xxx -bench BenchmarkSegidx -benchtime 50x -benchmem ./internal/segidx/ | $(GO) run ./cmd/xkbenchjson -out BENCH_segidx.json
 
 # Scatter-gather serving: coordinator round trip vs the single-node
-# baseline per shard count and per replica count, steady-state degraded
-# latency with a dead shard, the hedged-tail p99 with one stalling
-# replica (hedge off vs on), merge throughput, and the offline split.
+# baseline per shard count and per replica count, steady-state latency
+# with a dead shard, the hedged-tail p99 with one stalling replica
+# (hedge off vs on), merge throughput, and the offline split; then the
+# coordinator round trip at -cpu 1, the rows bench-gate compares against.
 bench-shard:
-	$(GO) test -run xxx -bench BenchmarkShard -benchtime 50x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -out BENCH_shard.json
+	{ $(GO) test -run xxx -bench BenchmarkShard -benchtime 50x -benchmem ./internal/shard/ && \
+	  $(GO) test -run xxx -bench BenchmarkShardCoordinator -cpu 1 -benchtime 200x -benchmem ./internal/shard/ ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_shard.json
 
 # The generic graph-source path on the citation workload: edge-list
 # parse throughput, full load (decompose + proximity + index) and

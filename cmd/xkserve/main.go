@@ -31,11 +31,13 @@
 //	xkserve -sharddir dir -shard-of 1            one shard server (protocol endpoints only)
 //	xkserve -shards http://h1:p,http://h2:p [-sharddir dir] [-load snapshot]
 //
-// A shard server answers only the wire protocol (lookup, execute,
-// stats) plus /healthz — never the ordinary query API, which would be
-// silently partial. The coordinator serves the full demo API, fanning
-// every query across all shards with loud degradation (never silent
-// truncation) when shards are down, and 503 below quorum.
+// A shard server answers only the wire protocol (execute, stats) plus
+// /healthz — never the ordinary query API. The coordinator loads the
+// whole snapshot the split was cut from, reads each query's postings
+// from its own index, and serves the full demo API in one round trip
+// per query: each shard executes its residue class of the query's
+// plans, a dead shard's classes are reassigned to survivors so answers
+// stay exact, and only with no shard left does a query get a 503.
 //
 // Each shard group may list several replicas, "|"-separated — servers
 // over byte-identical copies of the same shard directory:
@@ -44,9 +46,8 @@
 //
 // The coordinator routes each request to the group's healthiest
 // replica, fails over to siblings, and hedges requests that run past
-// the replica's p95 (budget-capped; -hedge-off disables). A partition
-// degrades queries only when its whole group is down. "-shards auto"
-// reads the topology from the split manifest's recorded addresses
+// the replica's p95 (budget-capped; -hedge-off disables). "-shards
+// auto" reads the topology from the split manifest's recorded addresses
 // (xkeyword -shardop split -shardaddrs ...). /healthz reports
 // per-replica breaker states; /debug/shard the replica, failover and
 // hedge counters.
@@ -102,7 +103,6 @@ func main() {
 
 		shardDir    = flag.String("sharddir", "", "directory of a partitioned index (written by xkeyword -shardop split)")
 		shardOf     = flag.Int("shard-of", -1, "serve one shard of -sharddir's split: the shard id (protocol endpoints only)")
-		coordinator = flag.String("coordinator", "", "alias for -shards (kept for existing deployments)")
 		shards      = flag.String("shards", "", "shard topology: comma-separated groups of |-separated replica URLs, or \"auto\" to read the manifest's recorded addresses; serve as scatter-gather coordinator")
 		shardCache  = flag.Int("shard-cache-entries", 1024, "shard-side execute-response cache capacity (negative disables)")
 		hedgeOff    = flag.Bool("hedge-off", false, "disable hedged requests to sibling replicas")
@@ -128,14 +128,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *shards != "" && *coordinator != "" {
-		fmt.Fprintln(os.Stderr, "xkserve: -shards and -coordinator (its alias) are mutually exclusive; pass one")
-		os.Exit(1)
-	}
 	topology := *shards
-	if topology == "" {
-		topology = *coordinator
-	}
 	if *shardOf >= 0 && topology != "" {
 		fmt.Fprintln(os.Stderr, "xkserve: -shard-of and -shards are mutually exclusive")
 		os.Exit(1)
@@ -262,11 +255,12 @@ func main() {
 }
 
 // runShard serves one partition of a split: the wire-protocol endpoints
-// over the shard's own .xki slice, with the structural data restored
-// from the snapshot the split copied beside it (or built from the data
-// flags). The partition reader gets an in-memory failover rebuilt from
-// the replicated object graph, so a corrupt or failing slice degrades
-// loudly instead of answering empty.
+// with the structural data restored from the snapshot the split copied
+// beside it (or built from the data flags). The shard's own .xki slice
+// supplies only its identity and health — execute requests carry their
+// postings; the partition reader gets an in-memory failover rebuilt
+// from the replicated object graph, so a corrupt or failing slice
+// degrades loudly instead of reporting empty.
 func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z int, idxCache int64, scorer string, relax bool, cacheEntries int) error {
 	if shardDir == "" {
 		return fmt.Errorf("-shard-of requires -sharddir")
@@ -286,8 +280,8 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 		}
 	}
 	// Scorer/relax settings are replicated to the shard side so plan
-	// derivation (and the relax token lookups) match the coordinator's;
-	// the coordinator's network CRC cross-check catches a mismatch.
+	// derivation (and relaxation) match the coordinator's; the
+	// coordinator's network CRC cross-check catches a mismatch.
 	sys, err := buildSystem(loadFrom, schemaFlag, in, "", "", z, false, idxCache, scorer, relax)
 	if err != nil {
 		return err
@@ -310,8 +304,6 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 	}
 	local := kwindex.NewFailover(rd, rebuild, func(cause error) {
 		fmt.Fprintf(os.Stderr, "xkserve: shard %d DEGRADED: partition reader abandoned, serving from in-memory rebuild: %v\n", id, cause)
-		// Cached execute responses may predate the index transition.
-		srv.InvalidateCache()
 	})
 	sys.Index = local
 	srv.Local = local
@@ -347,9 +339,9 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 // so validation can check each replica serves the recorded partition
 // (CRC) — and that every replica of a group serves byte-identical data,
 // the invariant that makes failover and hedging answer-preserving.
-// Validation failure is loud but not fatal: availability is governed by
-// the quorum rule at query time, so a replica that is down at boot does
-// not keep the coordinator from starting.
+// Validation failure is loud but not fatal: a replica that is down at
+// boot does not keep the coordinator from starting — queries reassign
+// its plan classes to the shards that are up.
 func buildCoordinator(sys *core.System, topology, shardDir string, opts shard.CoordinatorOptions) (*shard.Coordinator, error) {
 	opts.Logf = func(format string, args ...any) { fmt.Fprintf(os.Stderr, "xkserve: "+format+"\n", args...) }
 	var man *shard.Manifest
@@ -382,7 +374,7 @@ func buildCoordinator(sys *core.System, topology, shardDir string, opts shard.Co
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := coord.Validate(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "xkserve: WARNING: shard validation failed (%v); serving anyway — the quorum rule governs availability\n", err)
+		fmt.Fprintf(os.Stderr, "xkserve: WARNING: shard validation failed (%v); serving anyway — live shards execute every plan class\n", err)
 	} else {
 		fmt.Fprintf(os.Stderr, "xkserve: coordinator over %d shards (%d replicas) validated\n", coord.N(), coord.Replicas())
 	}

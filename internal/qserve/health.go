@@ -26,8 +26,9 @@ const (
 
 // healthSource is the optional engine interface behind Health and the
 // index fields of Snapshot; *core.System implements it, and so does the
-// scatter-gather coordinator (folding per-shard states with a quorum
-// rule: unavailable only when fewer than a quorum of shards answer).
+// scatter-gather coordinator (folding its own index with the per-shard
+// states: unavailable when its index has failed or no shard group has a
+// live replica).
 type healthSource interface {
 	IndexHealthState() (core.IndexHealth, error)
 }

@@ -56,25 +56,6 @@ type ScoredEngine interface {
 	QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error)
 }
 
-// Annotations are the loud qualifications of an answer: non-nil
-// Degraded when it was computed without part of the index (a dead
-// shard), non-nil Relaxed when the query was rewritten to be
-// answerable. Degraded answers are never cached; relaxed answers are
-// (relaxation is a deterministic function of the index), and the cache
-// returns the record with every hit.
-type Annotations struct {
-	Degraded *Degradation         `json:"degraded,omitempty"`
-	Relaxed  *pipeline.Relaxation `json:"relaxed,omitempty"`
-}
-
-// degradation unwraps the degradation note of possibly-nil annotations.
-func (a *Annotations) degradation() *Degradation {
-	if a == nil {
-		return nil
-	}
-	return a.Degraded
-}
-
 // Options configure a Server. The zero value selects the defaults.
 type Options struct {
 	// MaxEntries bounds the total cached queries (default 4096).
@@ -101,7 +82,7 @@ type Options struct {
 	// windows (default 5s).
 	BreakerMax time.Duration
 	// Logf receives the serving layer's rare operational messages (first
-	// index failure, degradation). Default log.Printf.
+	// index failure). Default log.Printf.
 	Logf func(format string, args ...any)
 }
 
@@ -162,24 +143,16 @@ func (s *Server) Engine() Engine { return s.eng }
 
 // Query answers the top-k query through the serving layer.
 func (s *Server) Query(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	rs, _, err := s.QueryAnnotated(ctx, keywords, k)
+	rs, _, err := s.QueryScored(ctx, keywords, k, "")
 	return rs, err
 }
 
-// QueryAnnotated is Query returning the engine's degradation note
-// alongside the results: non-nil when the answer was computed without
-// part of the index (a dead shard's partition). Degraded answers are
-// never cached, so a cache hit is always complete (nil note).
-func (s *Server) QueryAnnotated(ctx context.Context, keywords []string, k int) ([]exec.Result, *Degradation, error) {
-	rs, ann, err := s.QueryScored(ctx, keywords, k, "")
-	return rs, ann.degradation(), err
-}
-
 // QueryScored answers the top-k query ranked by the named scorer (""
-// selects the engine's default) with the full annotations. Engines
-// implementing ScoredEngine serve every scorer and report relaxation;
-// a plain Engine serves the default scorer only.
-func (s *Server) QueryScored(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *Annotations, error) {
+// selects the engine's default), with the relaxation record when the
+// query was rewritten to be answerable (nil otherwise). Engines
+// implementing ScoredEngine serve every scorer and report relaxation; a
+// plain Engine serves the default scorer only.
+func (s *Server) QueryScored(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
 	if se, ok := s.eng.(ScoredEngine); ok {
 		return s.serve(ctx, "topk", keywords, k, exec.NestedLoop, scorer, func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
 			return se.QueryScoredContext(fctx, keywords, k, scorer)
@@ -202,17 +175,11 @@ func (s *Server) QueryAll(ctx context.Context, keywords []string) ([]exec.Result
 
 // QueryAllStrategy is QueryAll with an explicit evaluation strategy.
 func (s *Server) QueryAllStrategy(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	rs, _, err := s.QueryAllAnnotated(ctx, keywords, strat)
-	return rs, err
-}
-
-// QueryAllAnnotated is QueryAllStrategy returning the degradation note.
-func (s *Server) QueryAllAnnotated(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, *Degradation, error) {
-	rs, ann, err := s.serve(ctx, "all", keywords, 0, strat, "", func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
+	rs, _, err := s.serve(ctx, "all", keywords, 0, strat, "", func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
 		rs, err := s.eng.QueryAllStrategyContext(fctx, keywords, strat)
 		return rs, nil, err
 	})
-	return rs, ann.degradation(), err
+	return rs, err
 }
 
 // InvalidateCache drops every cached result. The ingest path calls it
@@ -255,11 +222,11 @@ func (s *Server) InvalidateCacheTokens(tokens []string) {
 }
 
 // serve is the common path: normalize the key, consult the cache, and
-// collapse concurrent misses into one admitted pipeline execution. The
-// degradation slot is installed here — inside the flight — because the
-// flight runs on the serving layer's detached context: a slot installed
-// by the HTTP handler would never reach a collapsed execution.
-func (s *Server) serve(ctx context.Context, kind string, keywords []string, k int, strat exec.Strategy, scorer string, run func(context.Context) ([]exec.Result, *pipeline.Relaxation, error)) ([]exec.Result, *Annotations, error) {
+// collapse concurrent misses into one admitted pipeline execution.
+// Relaxed answers are cached with their record (relaxation is a
+// deterministic function of the index), so a hit stays as loud as the
+// original miss.
+func (s *Server) serve(ctx context.Context, kind string, keywords []string, k int, strat exec.Strategy, scorer string, run func(context.Context) ([]exec.Result, *pipeline.Relaxation, error)) ([]exec.Result, *pipeline.Relaxation, error) {
 	start := time.Now()
 	key, err := cacheKey(kind, keywords, k, strat, scorer)
 	if err != nil {
@@ -269,34 +236,20 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 		if rs, meta, ok := s.cache.Get(key); ok {
 			s.stats.hits.Add(1)
 			s.stats.latency.Observe(time.Since(start))
-			var ann *Annotations
-			if rx, _ := meta.(*pipeline.Relaxation); rx != nil {
-				// The hit is a relaxed answer: the record cached with it
-				// keeps the annotation as loud as the original miss.
-				ann = &Annotations{Relaxed: rx}
-			}
-			return rs, ann, nil
+			rx, _ := meta.(*pipeline.Relaxation)
+			return rs, rx, nil
 		}
 	}
-	rs, ann, joined, err := s.group.do(ctx, key, func(fctx context.Context) ([]exec.Result, *Annotations, error) {
+	rs, rx, joined, err := s.group.do(ctx, key, func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
 		if err := s.admit(fctx); err != nil {
 			return nil, nil, err
 		}
 		defer s.release()
-		fctx, slot := withDegradationSlot(fctx)
 		rs, rx, err := run(fctx)
 		if err != nil {
 			return nil, nil, err
 		}
-		deg := slot.take()
-		if deg != nil {
-			// A degraded answer reflects the shard outage, not the index:
-			// caching it would keep serving the partial answer after the
-			// shard recovers. (A relaxed answer, by contrast, is exactly
-			// what the index says for the rewritten query — cacheable,
-			// with its record stored alongside.)
-			s.stats.degraded.Add(1)
-		} else if s.cache != nil {
+		if s.cache != nil {
 			var meta any
 			if rx != nil {
 				meta = rx
@@ -306,10 +259,7 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 		if rx != nil {
 			s.stats.relaxed.Add(1)
 		}
-		if deg == nil && rx == nil {
-			return rs, nil, nil
-		}
-		return rs, &Annotations{Degraded: deg, Relaxed: rx}, nil
+		return rs, rx, nil
 	})
 	switch {
 	case err == nil:
@@ -325,7 +275,7 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 	default:
 		s.stats.errors.Add(1)
 	}
-	return rs, ann, err
+	return rs, rx, err
 }
 
 // admit acquires an execution slot, waiting at most QueueWait. It

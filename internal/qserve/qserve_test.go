@@ -343,3 +343,53 @@ func TestEmptyAndInvalidQueries(t *testing.T) {
 		t.Fatal("tokenless keyword accepted")
 	}
 }
+
+// TestInvalidateCacheTokens checks the scoped invalidation contract:
+// only cached queries whose normalized keyword bag intersects the
+// ingested tokens are dropped; an empty token list drops nothing.
+func TestInvalidateCacheTokens(t *testing.T) {
+	eng := &fakeEngine{results: []exec.Result{{Score: 1, Ord: 1}}}
+	qs := qserve.New(eng, qserve.Options{})
+	ctx := context.Background()
+
+	warm := func(kws ...string) {
+		t.Helper()
+		if _, err := qs.Query(ctx, kws, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := func(kws ...string) bool {
+		t.Helper()
+		before := eng.calls.Load()
+		warm(kws...)
+		return eng.calls.Load() == before
+	}
+
+	warm("john", "vcr")
+	warm("Anna") // cache key holds the normalized form "anna"
+	if !hits("john", "vcr") || !hits("Anna") {
+		t.Fatal("warm queries are not cache hits")
+	}
+
+	// Tokens touching neither query invalidate nothing.
+	qs.InvalidateCacheTokens([]string{"zebra"})
+	qs.InvalidateCacheTokens(nil)
+	if !hits("john", "vcr") || !hits("Anna") {
+		t.Fatal("unrelated tokens invalidated cached queries")
+	}
+
+	// A token of one query drops exactly that query.
+	qs.InvalidateCacheTokens([]string{"anna"})
+	if hits("Anna") {
+		t.Fatal("query mentioning the ingested token survived invalidation")
+	}
+	if !hits("john", "vcr") {
+		t.Fatal("scoped invalidation dropped an unrelated cached query")
+	}
+
+	// Full invalidation drops everything.
+	qs.InvalidateCache()
+	if hits("john", "vcr") {
+		t.Fatal("InvalidateCache left a cached query behind")
+	}
+}

@@ -33,15 +33,15 @@ func TestScoredCachesRelaxationNote(t *testing.T) {
 	ctx := context.Background()
 
 	for round := 0; round < 2; round++ {
-		rs, ann, err := qs.QueryScored(ctx, []string{"john", "zzz"}, 10, "")
+		rs, rx, err := qs.QueryScored(ctx, []string{"john", "zzz"}, 10, "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rs) != 0 {
 			t.Fatalf("round %d: %d results", round, len(rs))
 		}
-		if ann == nil || ann.Relaxed == nil || len(ann.Relaxed.Dropped) != 1 || ann.Relaxed.Dropped[0] != "zzz" {
-			t.Fatalf("round %d: annotations = %+v, want dropped zzz", round, ann)
+		if rx == nil || len(rx.Dropped) != 1 || rx.Dropped[0] != "zzz" {
+			t.Fatalf("round %d: relaxation = %+v, want dropped zzz", round, rx)
 		}
 	}
 	if got := eng.calls.Load(); got != 1 {
@@ -84,12 +84,12 @@ func TestScoredPlainEngineFallback(t *testing.T) {
 	ctx := context.Background()
 
 	for _, scorer := range []string{"", "edgecount"} {
-		rs, ann, err := qs.QueryScored(ctx, []string{"john"}, 10, scorer)
+		rs, rx, err := qs.QueryScored(ctx, []string{"john"}, 10, scorer)
 		if err != nil {
 			t.Fatalf("scorer %q: %v", scorer, err)
 		}
-		if len(rs) != 0 || (ann != nil && ann.Relaxed != nil) {
-			t.Fatalf("scorer %q: rs=%v ann=%+v", scorer, rs, ann)
+		if len(rs) != 0 || rx != nil {
+			t.Fatalf("scorer %q: rs=%v rx=%+v", scorer, rs, rx)
 		}
 	}
 	_, _, err := qs.QueryScored(ctx, []string{"john"}, 10, "weighted")

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/exec"
+	"repro/internal/pipeline"
 )
 
 // flightGroup collapses concurrent calls with the same key into one
@@ -22,7 +23,7 @@ type flightGroup struct {
 type flight struct {
 	done      chan struct{} // closed when val/err are settled
 	val       []exec.Result
-	ann       *Annotations // answer annotations shared by all collapsed waiters
+	rx        *pipeline.Relaxation // relaxation record shared by all collapsed waiters
 	err       error
 	waiters   int
 	abandoned bool // every waiter left; the flight is being cancelled
@@ -32,11 +33,10 @@ type flight struct {
 // do runs fn once per key across concurrent callers. The bool return
 // is true when this caller joined an existing flight (a collapse).
 // Callers whose ctx ends first detach with ctx's error; fn keeps
-// running for the remaining waiters. Annotations reported by fn are
-// shared with every waiter — a collapsed query served from a
-// partially-failed backend (or relaxed to be answerable) is just as
-// degraded/relaxed for the joiners.
-func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Context) ([]exec.Result, *Annotations, error)) ([]exec.Result, *Annotations, bool, error) {
+// running for the remaining waiters. The relaxation record fn reports
+// is shared with every waiter — a collapsed query relaxed to be
+// answerable is just as relaxed for the joiners.
+func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Context) ([]exec.Result, *pipeline.Relaxation, error)) ([]exec.Result, *pipeline.Relaxation, bool, error) {
 	for {
 		g.mu.Lock()
 		if g.m == nil {
@@ -64,9 +64,9 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 		g.m[key] = f
 		g.mu.Unlock()
 		go func() {
-			val, ann, err := fn(fctx)
+			val, rx, err := fn(fctx)
 			g.mu.Lock()
-			f.val, f.ann, f.err = val, ann, err
+			f.val, f.rx, f.err = val, rx, err
 			delete(g.m, key)
 			g.mu.Unlock()
 			close(f.done)
@@ -79,10 +79,10 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 // wait blocks until the flight settles or the caller's ctx ends; in the
 // latter case it drops the caller's interest and cancels the flight if
 // no one is left waiting.
-func (g *flightGroup) wait(ctx context.Context, f *flight, joined bool) ([]exec.Result, *Annotations, bool, error) {
+func (g *flightGroup) wait(ctx context.Context, f *flight, joined bool) ([]exec.Result, *pipeline.Relaxation, bool, error) {
 	select {
 	case <-f.done:
-		return f.val, f.ann, joined, f.err
+		return f.val, f.rx, joined, f.err
 	case <-ctx.Done():
 		g.mu.Lock()
 		f.waiters--

@@ -21,7 +21,6 @@ type serverStats struct {
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	breakerTrips  atomic.Int64
-	degraded      atomic.Int64
 	relaxed       atomic.Int64
 	latency       obs.Histogram
 }
@@ -40,10 +39,6 @@ type Snapshot struct {
 	// Invalidations counts cache invalidations (full or token-scoped;
 	// one per acknowledged ingest batch on a live-index deployment).
 	Invalidations int64 `json:"invalidations"`
-
-	// Degraded counts queries answered with a loud degradation note
-	// (partial index after a shard loss). Such answers bypass the cache.
-	Degraded int64 `json:"degraded"`
 
 	// Relaxed counts executed queries whose keywords were rewritten
 	// (dropped/substituted) to be answerable; cache hits on relaxed
@@ -102,7 +97,6 @@ func (s *Server) Stats() Snapshot {
 		Errors:        s.stats.errors.Load(),
 		Evictions:     s.stats.evictions.Load(),
 		Invalidations: s.stats.invalidations.Load(),
-		Degraded:      s.stats.degraded.Load(),
 		Relaxed:       s.stats.relaxed.Load(),
 		InFlight:      s.InFlight(),
 		Waiters:       s.waiters.Load(),

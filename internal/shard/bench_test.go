@@ -30,8 +30,8 @@ func BenchmarkShardSingleNode(b *testing.B) {
 }
 
 // BenchmarkShardCoordinator measures the full scatter-gather round trip
-// — lookup fan-out, network derivation, execute fan-out, merge — over
-// in-process HTTP shards, per shard count.
+// — posting reads from the coordinator's index, network derivation,
+// execute fan-out, merge — over in-process HTTP shards, per shard count.
 func BenchmarkShardCoordinator(b *testing.B) {
 	sys := tpchSystem(b)
 	ctx := context.Background()
@@ -48,16 +48,17 @@ func BenchmarkShardCoordinator(b *testing.B) {
 	}
 }
 
-// BenchmarkShardDegraded measures the steady-state degraded path: one
-// of three shards is dead and its breaker open, so each query pays one
-// fast-fail check plus the surviving fan-out.
-func BenchmarkShardDegraded(b *testing.B) {
+// BenchmarkShardOneDown measures the steady state with one of three
+// shards dead and its breaker open: each query pays one fast-fail check,
+// then reassigns the dead shard's plan class to a survivor, and the
+// answer stays exact.
+func BenchmarkShardOneDown(b *testing.B) {
 	sys := tpchSystem(b)
 	cl := startCluster(b, sys, 3, clusterConfig{
 		opts: shard.CoordinatorOptions{
 			Retry:          fault.RetryPolicy{Attempts: 1},
 			RequestTimeout: time.Second,
-			Logf:           func(string, ...any) {}, // the per-query loss line is the bench's hot path
+			Logf:           func(string, ...any) {}, // the per-query reassignment line is the bench's hot path
 		},
 	})
 	cl.servers[1].Close()

@@ -20,12 +20,11 @@ type execMeta struct {
 var crc64Table = crc64.MakeTable(crc64.ECMA)
 
 // execCacheKey is the deterministic identity of an execute request. The
-// response is a pure function of the request — it carries the full
-// merged posting lists and the cover set, and the structural data it is
+// response is a pure function of the request — it carries the query's
+// full posting lists and the cover set, and the structural data it is
 // joined against is replicated and immutable while serving — so equal
-// keys really do mean equal answers; the cache TTL bounds staleness
-// across index swaps, and the failover degrade hook invalidates
-// eagerly. Keywords keep their request order (they feed plan derivation
+// keys really do mean equal answers, whatever state the shard's own
+// partition index is in. Keywords keep their request order (they feed plan derivation
 // positionally); Parts are sorted (a cover is a set); Lists — the bulk
 // of the request — are folded to a CRC-64 over the wire lists in
 // keyword order, every string and list length-prefixed so neighbouring
@@ -80,13 +79,4 @@ func execCacheKey(req *ExecRequest) string {
 		b.WriteString(kw)
 	}
 	return b.String()
-}
-
-// InvalidateCache drops every cached execute response. The serving
-// wiring calls it when the partition source degrades or is swapped: the
-// cached answers may reflect the index state before the transition.
-func (s *Server) InvalidateCache() {
-	if s.Cache != nil {
-		s.Cache.Clear()
-	}
 }

@@ -10,30 +10,64 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/qserve"
 	"repro/internal/shard"
 )
 
-// TestQuorumLossRefuses kills enough shards that no quorum remains: the
-// coordinator must refuse with ErrNoQuorum instead of serving a
-// mostly-empty answer, loudly annotated or not.
+// TestQuorumLossRefuses kills shards one by one. While any shard lives
+// it executes every plan class, so with 1 of 3 alive the answer is
+// still byte-identical to single-node (health degraded); with none left
+// the coordinator must refuse with ErrNoQuorum and report unavailable,
+// never serve an empty "answer".
 func TestQuorumLossRefuses(t *testing.T) {
 	sys := tpchSystem(t)
 	cl := startCluster(t, sys, 3, clusterConfig{})
+	ctx := context.Background()
+	kws := []string{"john", "tv"}
+	want, err := sys.QueryContext(ctx, kws, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cl.servers[0].Close()
 	cl.servers[2].Close()
-	_, err := cl.coord.QueryContext(context.Background(), []string{"john", "tv"}, 10)
+	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	if err != nil {
+		t.Fatalf("1 of 3 shards alive — the query must reassign, not fail: %v", err)
+	}
+	mustEqualResults(t, "1 of 3 alive", got, want)
+	if h, err := cl.coord.IndexHealthState(); h != core.IndexDegraded {
+		t.Fatalf("health with 1 of 3 shards alive = %v (%v), want degraded", h, err)
+	}
+
+	cl.servers[1].Close() // every group down
+	_, err = cl.coord.QueryContext(ctx, kws, 10)
 	if !errors.Is(err, shard.ErrNoQuorum) {
-		t.Fatalf("1 of 3 shards alive: err = %v, want ErrNoQuorum", err)
+		t.Fatalf("0 of 3 shards alive: err = %v, want ErrNoQuorum", err)
 	}
 	if got, _ := cl.coord.IndexHealthState(); got != core.IndexUnavailable {
-		t.Fatalf("health below quorum = %v, want unavailable", got)
+		t.Fatalf("health with every shard down = %v, want unavailable", got)
+	}
+}
+
+// TestCoordinatorIndexUnavailable: the coordinator's own index is where
+// every query's postings come from, so its failure with no fallback
+// must make the engine unavailable — not answer empty lists as
+// "nothing matches" while every shard is healthy.
+func TestCoordinatorIndexUnavailable(t *testing.T) {
+	sys := tpchSystem(t)
+	cl := startCluster(t, sys, 2, clusterConfig{})
+	if h, err := cl.coord.IndexHealthState(); h != core.IndexOK {
+		t.Fatalf("healthy cluster health = %v (%v), want ok", h, err)
+	}
+	sys.Index = brokenSource{}
+	if h, _ := cl.coord.IndexHealthState(); h != core.IndexUnavailable {
+		t.Fatalf("coordinator index failed: health = %v, want unavailable", h)
 	}
 }
 
 // TestSlowShardDegrades makes one shard hang past the request timeout:
-// it must be treated like a dead shard — the query degrades loudly
-// within the timeout budget instead of stalling behind the stray.
+// it must be treated like a dead shard — its plan classes reassigned, the
+// answer exact — within the timeout budget instead of stalling behind
+// the stray.
 func TestSlowShardDegrades(t *testing.T) {
 	sys := tpchSystem(t)
 	release := make(chan struct{})
@@ -52,20 +86,22 @@ func TestSlowShardDegrades(t *testing.T) {
 			})
 		},
 	})
-	ctx, deg := qserve.CaptureDegradation(context.Background())
+	ctx := context.Background()
+	want, err := sys.QueryContext(ctx, []string{"john", "tv"}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
 	rs, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10)
 	if err != nil {
-		t.Fatalf("slow shard must degrade, not fail: %v", err)
+		t.Fatalf("slow shard must be reassigned around, not fail: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("query stalled %v behind the slow shard", elapsed)
 	}
-	if deg() == nil {
-		t.Fatal("slow shard produced no degradation note")
-	}
-	if len(rs) == 0 {
-		t.Fatal("surviving partitions hold postings but the answer is empty")
+	mustEqualResults(t, "slow shard", rs, want)
+	if h, err := cl.coord.IndexHealthState(); h != core.IndexDegraded {
+		t.Fatalf("health with a hung shard = %v (%v), want degraded", h, err)
 	}
 }
 
@@ -103,7 +139,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// Two failing queries reach the threshold and open the breaker.
 	for i := 0; i < 2; i++ {
 		if _, err := cl.coord.QueryContext(ctx, kws, 5); err != nil {
-			t.Fatalf("query %d: quorum held, want degraded success: %v", i, err)
+			t.Fatalf("query %d: survivors hold every class, want success: %v", i, err)
 		}
 	}
 	before := hits.Load()
@@ -131,14 +167,13 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	cctx, deg := qserve.CaptureDegradation(context.Background())
-	if _, err := cl.coord.QueryContext(cctx, kws, 5); err != nil || deg() != nil {
-		t.Fatalf("recovered cluster still degraded (err=%v note=%+v)", err, deg())
+	if _, err := cl.coord.QueryContext(ctx, kws, 5); err != nil {
+		t.Fatalf("recovered cluster still failing: %v", err)
 	}
 }
 
 // TestRetryMasksTransientFailure fails each shard-0 request once: the
-// retry policy must absorb the blip — exact answer, no degradation.
+// retry policy must absorb the blip — exact answer, no reassignment.
 func TestRetryMasksTransientFailure(t *testing.T) {
 	sys := tpchSystem(t)
 	var calls atomic.Int64
@@ -159,8 +194,8 @@ func TestRetryMasksTransientFailure(t *testing.T) {
 			})
 		},
 	})
-	ctx, deg := qserve.CaptureDegradation(context.Background())
-	want, err := sys.QueryContext(context.Background(), []string{"john", "tv"}, 10)
+	ctx := context.Background()
+	want, err := sys.QueryContext(ctx, []string{"john", "tv"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,38 +203,51 @@ func TestRetryMasksTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry did not mask the transient failure: %v", err)
 	}
-	if deg() != nil {
-		t.Fatalf("masked transient failure still noted degradation: %+v", deg())
+	if s := cl.coord.Stats(); s.Reassignments != 0 {
+		t.Fatalf("masked transient failure still reassigned %d plan classes", s.Reassignments)
 	}
 	mustEqualResults(t, "retried", got, want)
 }
 
 // TestValidateCatchesMisconfiguration wires coordinators to clusters
-// that lie about themselves: wrong shard count and wrong partition CRC
-// must both fail Validate before any traffic is served.
+// that lie about themselves: wrong shard count, wrong partition CRC and
+// a split cut from another index than the coordinator's must all fail
+// Validate before any traffic is served.
 func TestValidateCatchesMisconfiguration(t *testing.T) {
 	sys := tpchSystem(t)
 	cl := startCluster(t, sys, 2, clusterConfig{})
 	ctx := context.Background()
+	opts := func(man *shard.Manifest) shard.CoordinatorOptions {
+		return shard.CoordinatorOptions{Manifest: man, HealthTTL: -1, Logf: t.Logf}
+	}
+	shards := [][]string{{cl.servers[0].URL}, {cl.servers[1].URL}}
 
 	// A 3-shard coordinator pointed at a 2-shard deployment: the third
 	// address is shard 0 again, which identifies as 0/2, not 2/3.
-	wrong := shard.NewCoordinator(sys,
-		[]string{cl.servers[0].URL, cl.servers[1].URL, cl.servers[0].URL},
-		shard.CoordinatorOptions{HealthTTL: -1, Logf: t.Logf})
+	wrong := shard.NewCoordinatorGroups(sys, append(shards, []string{cl.servers[0].URL}), opts(nil))
 	if err := wrong.Validate(ctx); err == nil {
 		t.Fatal("Validate accepted a shard identifying with the wrong id/count")
 	}
 
 	// A manifest whose recorded CRC disagrees with what the shard serves.
+	half := sys.Index.NumPostings() / 2
 	man := &shard.Manifest{Version: 1, Scheme: shard.HashScheme, N: 2, Shards: []shard.ShardInfo{
-		{ID: 0, CRC: 0x12345678}, {ID: 1, CRC: 0x12345678},
+		{ID: 0, CRC: 0x12345678, Postings: half}, {ID: 1, CRC: 0x12345678, Postings: sys.Index.NumPostings() - half},
 	}}
-	mismatched := shard.NewCoordinator(sys,
-		[]string{cl.servers[0].URL, cl.servers[1].URL},
-		shard.CoordinatorOptions{Manifest: man, HealthTTL: -1, Logf: t.Logf})
-	if err := mismatched.Validate(ctx); err == nil {
+	if err := shard.NewCoordinatorGroups(sys, shards, opts(man)).Validate(ctx); err == nil {
 		t.Fatal("Validate accepted a shard serving a different partition CRC than the manifest records")
+	}
+
+	// CRCs agree (in-memory partitions report 0), but the split holds
+	// more postings than the coordinator's index: coordinator and shards
+	// were loaded from different snapshots.
+	man.Shards[0].CRC, man.Shards[1].CRC = 0, 0
+	if err := shard.NewCoordinatorGroups(sys, shards, opts(man)).Validate(ctx); err != nil {
+		t.Fatalf("Validate refused a matching split: %v", err)
+	}
+	man.Shards[1].Postings++
+	if err := shard.NewCoordinatorGroups(sys, shards, opts(man)).Validate(ctx); err == nil {
+		t.Fatal("Validate accepted a split whose postings differ from the coordinator's index")
 	}
 }
 

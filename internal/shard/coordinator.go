@@ -21,22 +21,17 @@ import (
 	"repro/internal/rank"
 )
 
-// ErrNoQuorum is returned when fewer than a quorum of shard groups can
-// answer a query's lookup phase (or no group is left to execute a
-// cover). A group counts as answering while at least one of its
-// replicas does, so with replication ErrNoQuorum means whole groups —
-// every replica of a partition — are down, not single processes. The
-// web layer maps it to 503 + Retry-After: a mostly-empty answer must
-// not be served as a result set, loudly annotated or not.
-var ErrNoQuorum = errors.New("shard: quorum of shards unavailable")
+// ErrNoQuorum is returned when no shard group is left to execute a
+// query's plan classes: every replica of every group that was asked has
+// failed. A group counts as live while at least one of its replicas
+// answers, and any live group can execute any class, so short of that
+// every loss is an exact reassignment. The web layer maps it to 503 +
+// Retry-After.
+var ErrNoQuorum = errors.New("shard: no live shard group left")
 
 // CoordinatorOptions configure a Coordinator. The zero value selects
 // the defaults.
 type CoordinatorOptions struct {
-	// Quorum is the minimum number of shards that must answer the
-	// lookup phase (default: majority, n/2+1). Below it queries fail
-	// with ErrNoQuorum instead of degrading.
-	Quorum int
 	// RequestTimeout bounds each shard request (default 5s).
 	RequestTimeout time.Duration
 	// Retry is the per-request retry policy for transient failures
@@ -52,7 +47,8 @@ type CoordinatorOptions struct {
 	// every query, which must not cost a full shard fan-out each time.
 	HealthTTL time.Duration
 	// Manifest, when non-nil, lets Validate check each shard serves the
-	// split it records (CRC + scheme + count).
+	// split it records (CRC + scheme + count) and that the split was cut
+	// from the coordinator's own index (posting totals).
 	Manifest *Manifest
 	// HTTPClient overrides the transport (tests use the httptest
 	// server's client). Default: a dedicated pooled client.
@@ -81,10 +77,7 @@ type CoordinatorOptions struct {
 	HedgeMinSamples int
 }
 
-func (o *CoordinatorOptions) defaults(n int) {
-	if o.Quorum <= 0 {
-		o.Quorum = n/2 + 1
-	}
+func (o *CoordinatorOptions) defaults() {
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
 	}
@@ -124,19 +117,18 @@ func (o *CoordinatorOptions) defaults(n int) {
 // It implements qserve.Engine, so the full serving layer — result
 // cache, singleflight, admission control, breaker, health — fronts it
 // unchanged; it also implements the health interfaces (IndexHealthState
-// with the quorum rule, ShardStates for per-shard reporting).
+// folding its own index with the shard groups, ShardStates for
+// per-shard reporting).
 type Coordinator struct {
 	sys    *core.System
 	groups []*replicaGroup
 	hedge  *hedgeControl
 	opts   CoordinatorOptions
 
-	lookupLat  obs.Histogram // phase 1 wall time per query
-	executeLat obs.Histogram // phase 2 wall time per query
+	executeLat obs.Histogram // execute scatter wall time per query
 	mergeLat   obs.Histogram // merge wall time per query
 
 	queries       atomic.Int64
-	degraded      atomic.Int64
 	reassignments atomic.Int64
 	crcMismatches atomic.Int64
 
@@ -150,27 +142,16 @@ var (
 	_ qserve.ScoredEngine = (*Coordinator)(nil)
 )
 
-// NewCoordinator wires a coordinator to one shard server per partition
-// (base URLs, index = shard id) — the single-replica special case of
-// NewCoordinatorGroups. sys supplies the replicated structural data
-// used to derive networks and plans; its own Index field is never
-// consulted for answers.
-func NewCoordinator(sys *core.System, addrs []string, opts CoordinatorOptions) *Coordinator {
-	groups := make([][]string, len(addrs))
-	for i, a := range addrs {
-		groups[i] = []string{a}
-	}
-	return NewCoordinatorGroups(sys, groups, opts)
-}
-
 // NewCoordinatorGroups wires a coordinator to a replica topology: one
-// address list per shard, index = shard id. Every replica of a group
-// must serve a byte-identical copy of that shard's partition (Validate
-// cross-checks the partition CRCs); each lookup/execute routes to the
-// group's healthiest replica with failover to siblings, so a partition
-// is unavailable only when its whole group is.
+// address list per shard, index = shard id. sys is the whole system the
+// split was cut from: its Index supplies every query's containing lists
+// (Validate checks it against the manifest) and its structural data
+// derives networks and plans exactly as each shard does. Every replica
+// of a group must serve a byte-identical copy of that shard's partition
+// (Validate cross-checks the partition CRCs); each execute request
+// routes to the group's healthiest replica with failover to siblings.
 func NewCoordinatorGroups(sys *core.System, groups [][]string, opts CoordinatorOptions) *Coordinator {
-	opts.defaults(len(groups))
+	opts.defaults()
 	c := &Coordinator{sys: sys, opts: opts}
 	c.hedge = &hedgeControl{
 		disabled:   opts.HedgeDisabled,
@@ -180,7 +161,7 @@ func NewCoordinatorGroups(sys *core.System, groups [][]string, opts CoordinatorO
 		minSamples: int64(opts.HedgeMinSamples),
 	}
 	for i, addrs := range groups {
-		g := &replicaGroup{shard: i, hedge: c.hedge}
+		g := &replicaGroup{hedge: c.hedge}
 		for ri, a := range addrs {
 			label := fmt.Sprintf("shard %d at %s", i, a)
 			if len(addrs) > 1 {
@@ -214,17 +195,27 @@ func (c *Coordinator) Replicas() int {
 	return n
 }
 
-func (c *Coordinator) quorum() int { return c.opts.Quorum }
-
 // Validate probes every replica of every group and checks identity:
 // shard id, count, hash scheme, and the partition CRC — against the
 // manifest when one was provided, and always across the group's own
 // replicas, since hedging and failover are only byte-preserving when
-// every replica serves the identical partition. A coordinator serving
-// in front of mismatched shards would silently misroute, so deployments
-// call this before taking traffic.
+// every replica serves the identical partition. With a manifest it also
+// checks that the split holds exactly the coordinator's postings: the
+// coordinator's index is where every answer's postings come from, so
+// one loaded from a different snapshot than the shards must not serve.
+// A coordinator serving in front of mismatched shards would silently
+// misroute, so deployments call this before taking traffic.
 func (c *Coordinator) Validate(ctx context.Context) error {
 	n := len(c.groups)
+	if m := c.opts.Manifest; m != nil {
+		split := 0
+		for _, si := range m.Shards {
+			split += si.Postings
+		}
+		if own := c.sys.Index.NumPostings(); split != own {
+			return fmt.Errorf("shard: the split holds %d postings, the coordinator's index %d — coordinator and shards loaded from different snapshots?", split, own)
+		}
+	}
 	for i, g := range c.groups {
 		var anchor *StatsResponse // the group's first replica, for the cross-check
 		for _, cl := range g.replicas {
@@ -262,14 +253,14 @@ func (c *Coordinator) QueryContext(ctx context.Context, keywords []string, k int
 	if k <= 0 {
 		return nil, ctx.Err()
 	}
-	rs, _, err := c.query(ctx, keywords, k, exec.NestedLoop, nil, nil)
+	rs, _, err := c.query(ctx, keywords, k, exec.NestedLoop, nil)
 	return rs, err
 }
 
 // QueryAllStrategyContext implements qserve.Engine: the scatter-gather
 // full-result query.
 func (c *Coordinator) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	rs, _, err := c.query(ctx, keywords, 0, strat, nil, nil)
+	rs, _, err := c.query(ctx, keywords, 0, strat, nil)
 	return rs, err
 }
 
@@ -292,149 +283,50 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 	if k <= 0 {
 		return nil, nil, ctx.Err()
 	}
-	return c.query(ctx, keywords, k, exec.NestedLoop, sc, nil)
+	return c.query(ctx, keywords, k, exec.NestedLoop, sc)
 }
 
-// QueryTraced is QueryContext with a per-query obs.Trace covering the
-// coordinator phases (scatter-lookup, the local pipeline's derivation
-// stages, scatter-execute, merge).
-func (c *Coordinator) QueryTraced(ctx context.Context, keywords []string, k int) (*obs.Trace, []exec.Result, error) {
-	tr := obs.NewTrace()
-	rs, _, err := c.query(ctx, keywords, k, exec.NestedLoop, nil, tr)
-	return tr, rs, err
-}
-
-// query is the two-phase scatter-gather path; see the package comment
-// for the protocol and its equivalence argument. A nil (or default)
-// scorer is the byte-identical canonical path; a non-default scorer
-// turns off the per-shard and merge top-k cutoffs and re-ranks the full
-// merged list. The relaxation record comes from the coordinator's local
-// derivation; shards relax identically against the same merged lists
-// (the CRC cross-check would catch any divergence).
-func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat exec.Strategy, sc rank.Scorer, trace *obs.Trace) ([]exec.Result, *pipeline.Relaxation, error) {
+// query is the scatter-gather path; see the package comment for the
+// protocol and its equivalence argument. A nil (or default) scorer is
+// the byte-identical canonical path; a non-default scorer turns off the
+// per-shard and merge top-k cutoffs and re-ranks the full merged list.
+// The relaxation record comes from the coordinator's local derivation;
+// shards relax identically against the same shipped lists (the CRC
+// cross-check would catch any divergence).
+func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat exec.Strategy, sc rank.Scorer) ([]exec.Result, *pipeline.Relaxation, error) {
 	c.queries.Add(1)
 	n := len(c.groups)
 
-	// Normalize once; wire lists are keyed by the normalized form.
-	norms := make([]string, 0, len(keywords))
-	seenNorm := make(map[string]bool)
+	// Read the containing lists from the coordinator's own index, keyed
+	// by the normalized form the wire uses: exactly the lists a single
+	// node's discover stage reads.
+	lists := make(map[string][]kwindex.Posting, len(keywords))
 	for _, kw := range keywords {
 		nk := NormKeyword(kw)
 		if nk == "" {
 			return nil, nil, fmt.Errorf("shard: keyword %q has no tokens", kw)
 		}
-		if !seenNorm[nk] {
-			seenNorm[nk] = true
-			norms = append(norms, nk)
-		}
+		lists[nk] = c.sys.Index.ContainingList(nk)
 	}
 	if c.sys.Opts.Relax {
 		// Relaxation may substitute a no-match phrase by one of its
-		// tokens, so the merged query-scoped source must carry each
-		// token's list too — for the coordinator's own derivation and for
-		// every shard's identical one.
+		// tokens, so the query-scoped source must carry each token's list
+		// too — for the coordinator's own derivation and for every
+		// shard's identical one.
 		for _, kw := range keywords {
 			for _, t := range kwindex.Tokenize(kw) {
-				if !seenNorm[t] {
-					seenNorm[t] = true
-					norms = append(norms, t)
+				if _, ok := lists[t]; !ok {
+					lists[t] = c.sys.Index.ContainingList(t)
 				}
 			}
 		}
 	}
-
-	// Phase 1: scatter the lookups; the union of the live partitions'
-	// lists is the (possibly partial) global containing list.
-	start := time.Now()
-	lookups := make([]LookupResponse, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range c.groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.groups[i].do(ctx, "/shard/lookup", LookupRequest{Keywords: norms}, &lookups[i], c.opts.Retry)
-			if errs[i] == nil && (lookups[i].Shard != i || lookups[i].Of != n) {
-				errs[i] = fmt.Errorf("%s identifies as %d/%d", c.groups[i].name(n), lookups[i].Shard, lookups[i].Of)
-			}
-		}(i)
-	}
-	wg.Wait()
-	c.lookupLat.Observe(time.Since(start))
-	trace.Add(obs.Span{Stage: "scatter-lookup", Start: start, Duration: time.Since(start), In: int64(n), Out: int64(len(norms))})
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-
-	alive := make([]bool, n)
-	var dead []int
-	live := 0
-	for i := range c.groups {
-		if errs[i] == nil {
-			alive[i] = true
-			live++
-		} else {
-			dead = append(dead, i)
-		}
-	}
-	if live < c.quorum() {
-		return nil, nil, fmt.Errorf("%w: %d of %d shards answered (quorum %d); first failure: %v", ErrNoQuorum, live, n, c.quorum(), errs[dead[0]])
-	}
-	if len(dead) > 0 {
-		// Loud, never silent: the answer excludes every result tree that
-		// contains a TO of a dead partition. A group only lands here when
-		// every one of its replicas failed — single-replica faults are
-		// absorbed by the group's failover. The serving layer attaches
-		// this note to the response and refuses to cache it.
-		var names []string
-		for _, i := range dead {
-			names = append(names, c.groups[i].name(n))
-			c.opts.Logf("shard: lookup phase lost %s: %v", names[len(names)-1], errs[i])
-		}
-		c.degraded.Add(1)
-		qserve.NoteDegradation(ctx, qserve.Degradation{
-			Shards: names,
-			Detail: fmt.Sprintf("answers computed without %d of %d index partitions: results containing their target objects are missing", len(dead), n),
-		})
-	}
-
-	// Merge the partition slices into the query-scoped global source,
-	// decoding each shard's response once.
-	decoded := make([]map[string][]kwindex.Posting, n)
-	for i := range c.groups {
-		if !alive[i] {
-			continue
-		}
-		lists, ok := DecodeLists(lookups[i].Lists)
-		if !ok {
-			return nil, nil, fmt.Errorf("shard: shard %d returned malformed postings", i)
-		}
-		decoded[i] = lists
-	}
-	merged := make(map[string][]kwindex.Posting, len(norms))
-	for _, nk := range norms {
-		var parts [][]kwindex.Posting
-		for i := range c.groups {
-			if ps, ok := decoded[i][nk]; ok {
-				parts = append(parts, ps)
-			}
-		}
-		merged[nk] = MergePostings(parts)
-	}
-	globalPostings, globalKeywords := 0, 0
-	for i := range c.groups {
-		if alive[i] {
-			globalPostings += lookups[i].Postings
-			if lookups[i].Keywords > globalKeywords {
-				globalKeywords = lookups[i].Keywords
-			}
-		}
-	}
-	src := NewQuerySource(merged, globalPostings, globalKeywords)
+	globalPostings, globalKeywords := c.sys.Index.NumPostings(), c.sys.Index.NumKeywords()
+	src := NewQuerySource(lists, globalPostings, globalKeywords)
 
 	// Derive the network list locally — the same derivation every shard
 	// performs — to attach results to networks and cross-check CRCs.
-	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeNetworks, Trace: trace}
+	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeNetworks}
 	if err := c.sys.PipelineWith(src).Run(ctx, q); err != nil {
 		return nil, nil, err
 	}
@@ -454,25 +346,24 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 		fetchK = 0
 	}
 
-	// Phase 2: scatter execution, partitioned by plan: class p is the
-	// plans whose index is ≡ p (mod n), and every class that holds a
-	// plan is executed by exactly one shard — its own while that shard
-	// lives. Dead shards' classes are covered by survivors: execution
-	// needs only this request (it carries the full merged postings) and
-	// the replicated structural data, so reassignment keeps the answer
-	// exact. A shard whose cover stays empty — more shards than plans —
-	// is not called.
+	// Scatter execution, partitioned by plan: class p is the plans whose
+	// index is ≡ p (mod n), and every class that holds a plan is executed
+	// by exactly one shard — its own while that shard lives. Dead shards'
+	// classes are covered by survivors: execution needs only this request
+	// (it carries the query's full postings) and the replicated
+	// structural data, so reassignment keeps the answer exact. A shard
+	// whose cover stays empty — more shards than plans — is not called.
 	startExec := time.Now()
+	alive := make([]bool, n)
 	covers := make([][]int, n)
-	var pending []int // classes needing a (re)assignment
-	for p := 0; p < n && p < len(q.Nets); p++ {
-		if alive[p] {
-			covers[p] = append(covers[p], p)
-		} else {
-			pending = append(pending, p)
+	for i := range alive {
+		alive[i] = true
+		if i < len(q.Nets) {
+			covers[i] = []int{i}
 		}
 	}
-	wireLists := EncodeLists(merged)
+	var pending []int // classes needing a reassignment
+	wireLists := EncodeLists(lists)
 	streams := make([][]exec.Result, 0, n)
 	// Bounded reassignment rounds: each round either succeeds or marks
 	// at least one more shard dead, so n rounds always suffice.
@@ -492,10 +383,8 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 			for j, p := range pending {
 				covers[hosts[j%len(hosts)]] = append(covers[hosts[j%len(hosts)]], p)
 			}
-			if round > 0 {
-				c.reassignments.Add(int64(len(pending)))
-				c.opts.Logf("shard: reassigned plan classes %v to surviving shards", pending)
-			}
+			c.reassignments.Add(int64(len(pending)))
+			c.opts.Logf("shard: reassigned plan classes %v to surviving shards", pending)
 			pending = nil
 		}
 		// Fan this round's requests to shards with uncollected covers.
@@ -543,7 +432,7 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 				continue // shard had no cover this round
 			}
 			if out.err != nil {
-				c.opts.Logf("shard: execute phase lost shard %d: %v", i, out.err)
+				c.opts.Logf("shard: lost shard %d: %v", i, out.err)
 				alive[i] = false
 				pending = append(pending, covers[i]...)
 				covers[i] = nil
@@ -568,7 +457,6 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 		return nil, nil, fmt.Errorf("%w: plan classes %v still unexecuted after reassignment", ErrNoQuorum, pending)
 	}
 	c.executeLat.Observe(time.Since(startExec))
-	trace.Add(obs.Span{Stage: "scatter-execute", Start: startExec, Duration: time.Since(startExec), In: int64(n), Out: int64(len(streams))})
 
 	// Merge the per-shard streams on the canonical order with top-k
 	// cutoff, then apply the single-node rank stage's minimality filter.
@@ -585,12 +473,11 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 	}
 	if !rank.IsDefault(sc) {
 		// Re-rank exactly as the single-node rank stage would: the
-		// query-scoped source carries the globally merged postings, so
+		// query-scoped source carries the global postings, so
 		// content-weighted costs match a single node's byte for byte.
 		out = sc.Rank(rank.Context{TSS: c.sys.TSS, Index: src, Keywords: q.Norm}, out, k)
 	}
 	c.mergeLat.Observe(time.Since(startMerge))
-	trace.Add(obs.Span{Stage: "merge", Start: startMerge, Duration: time.Since(startMerge), In: int64(len(streams)), Out: int64(len(out))})
 	return out, q.Relaxation, nil
 }
 
@@ -733,12 +620,18 @@ func (c *Coordinator) groupState(i int, g *replicaGroup) qserve.ShardState {
 	}
 }
 
-// IndexHealthState implements the serving layer's health probe with the
-// quorum rule: unavailable only when fewer than a quorum of shard
-// groups have a live replica; degraded while any replica is down or
-// degraded — a group on its last replica still answers exactly, but an
-// operator should look; ok otherwise.
+// IndexHealthState implements the serving layer's health probe. The
+// coordinator's own index supplies every query's postings, so its
+// failure with no fallback is unavailable, exactly as on a single node.
+// Of the shard groups: unavailable only when none has a live replica —
+// any live group can execute every plan class; degraded while any
+// replica is down or degraded — every loss is an exact reassignment, but
+// an operator should look; ok otherwise.
 func (c *Coordinator) IndexHealthState() (core.IndexHealth, error) {
+	own, ownErr := core.SourceHealth(c.sys.Index)
+	if own == core.IndexUnavailable {
+		return own, fmt.Errorf("coordinator index: %w", ownErr)
+	}
 	states := c.ShardStates()
 	live, notOK := 0, 0
 	var firstDetail string
@@ -761,8 +654,11 @@ func (c *Coordinator) IndexHealthState() (core.IndexHealth, error) {
 			}
 		}
 	}
-	if live < c.quorum() {
-		return core.IndexUnavailable, fmt.Errorf("%d of %d shards reachable, quorum is %d; %s", live, len(states), c.quorum(), firstDetail)
+	if live == 0 {
+		return core.IndexUnavailable, fmt.Errorf("none of %d shards reachable; %s", len(states), firstDetail)
+	}
+	if own == core.IndexDegraded {
+		return own, fmt.Errorf("coordinator index: %w", ownErr)
 	}
 	if notOK > 0 {
 		return core.IndexDegraded, fmt.Errorf("%d of %d shards not ok; %s", notOK, len(states), firstDetail)
@@ -774,9 +670,7 @@ func (c *Coordinator) IndexHealthState() (core.IndexHealth, error) {
 type CoordSnapshot struct {
 	N             int   `json:"n"`
 	Replicas      int   `json:"replicas"`
-	Quorum        int   `json:"quorum"`
 	Queries       int64 `json:"queries"`
-	Degraded      int64 `json:"degraded"`
 	Reassignments int64 `json:"reassignments"`
 	CRCMismatches int64 `json:"crc_mismatches"`
 	// Failovers counts group requests a non-preferred replica saved
@@ -785,7 +679,6 @@ type CoordSnapshot struct {
 	Failovers  int64               `json:"failovers"`
 	Hedges     int64               `json:"hedges"`
 	HedgeWins  int64               `json:"hedge_wins"`
-	LookupP50  time.Duration       `json:"lookup_p50_ns"`
 	ExecuteP50 time.Duration       `json:"execute_p50_ns"`
 	MergeP50   time.Duration       `json:"merge_p50_ns"`
 	Shards     []qserve.ShardState `json:"shards"`
@@ -801,15 +694,12 @@ func (c *Coordinator) Stats() CoordSnapshot {
 	snap := CoordSnapshot{
 		N:             len(c.groups),
 		Replicas:      c.Replicas(),
-		Quorum:        c.quorum(),
 		Queries:       c.queries.Load(),
-		Degraded:      c.degraded.Load(),
 		Reassignments: c.reassignments.Load(),
 		CRCMismatches: c.crcMismatches.Load(),
 		Failovers:     failovers,
 		Hedges:        c.hedge.fired.Load(),
 		HedgeWins:     c.hedge.wins.Load(),
-		LookupP50:     c.lookupLat.Quantile(0.50),
 		ExecuteP50:    c.executeLat.Quantile(0.50),
 		MergeP50:      c.mergeLat.Quantile(0.50),
 		Shards:        c.ShardStates(),

@@ -105,8 +105,10 @@ func contains(xs []int, x int) bool {
 	return false
 }
 
-// TestEmptyCoverNotCalled: with more shards than plans, the shards
-// whose residue class holds no plan get no execute request — and the
+// TestEmptyCoverNotCalled: a query costs each shard at most one
+// request, and that request is /shard/execute — the coordinator reads
+// postings from its own index. With more shards than plans, the shards
+// whose residue class holds no plan get no request at all — and the
 // answer is still the single node's.
 func TestEmptyCoverNotCalled(t *testing.T) {
 	sys := tpchSystem(t)
@@ -119,12 +121,14 @@ func TestEmptyCoverNotCalled(t *testing.T) {
 	if len(plans) == 0 || len(plans) >= n {
 		t.Fatalf("%v derives %d plans; the test needs between 1 and %d", kws, len(plans), n-1)
 	}
-	var executes [n]atomic.Int64
+	var executes, others [n]atomic.Int64
 	cl := startCluster(t, sys, n, clusterConfig{
 		wrap: func(i int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/shard/execute" {
 					executes[i].Add(1)
+				} else {
+					others[i].Add(1)
 				}
 				h.ServeHTTP(w, r)
 			})
@@ -147,6 +151,9 @@ func TestEmptyCoverNotCalled(t *testing.T) {
 		}
 		if i >= len(plans) && calls != 0 {
 			t.Errorf("shard %d owns no plan of %d but got %d execute requests", i, len(plans), calls)
+		}
+		if o := others[i].Load(); o != 0 {
+			t.Errorf("shard %d got %d requests besides execute for one query", i, o)
 		}
 	}
 }

@@ -55,22 +55,10 @@ func (hc *hedgeControl) allow() bool {
 // set: the per-replica clients (each with its own breaker, latency
 // histogram and last-error record) plus the group's failover counter.
 type replicaGroup struct {
-	shard    int
 	replicas []*shardClient
 	hedge    *hedgeControl
 
 	failovers atomic.Int64 // successes that needed a non-preferred replica after a failure
-}
-
-// name renders the group for logs and degradation notes. With one
-// replica it reads exactly like the pre-replica format ("shard 2 of 3
-// at http://..."); with more, the replica addresses are "|"-joined.
-func (g *replicaGroup) name(n int) string {
-	addrs := make([]string, len(g.replicas))
-	for i, cl := range g.replicas {
-		addrs[i] = cl.base
-	}
-	return fmt.Sprintf("shard %d of %d at %s", g.shard, n, strings.Join(addrs, "|"))
 }
 
 // order ranks the group's replicas healthiest-first: breaker-closed
@@ -119,12 +107,12 @@ func (g *replicaGroup) order() []*shardClient {
 	return out
 }
 
-// do routes one idempotent protocol request through the group: the
+// do routes one idempotent execute request through the group: the
 // healthiest replica first (possibly hedged to the next), failing over
 // down the health order until a replica answers. It fails only when
-// every replica has — the group is then treated exactly like a dead
-// single-replica shard by the coordinator's existing loud-degradation
-// and quorum machinery.
+// every replica has — the coordinator then reassigns the group's plan
+// classes to the other groups, exactly as for a dead single-replica
+// shard.
 func (g *replicaGroup) do(ctx context.Context, path string, req, resp any, retry fault.RetryPolicy) error {
 	order := g.order()
 	var lastErr error

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/kwindex"
-	"repro/internal/qserve"
 	"repro/internal/shard"
 )
 
@@ -67,8 +66,7 @@ func startReplicatedCluster(t testing.TB, sys *core.System, n, r int, cfg replic
 }
 
 // runEquivalenceSuite checks a seeded batch of queries against the
-// single-node answer, requiring byte-identical results and — the
-// replica invariant — zero degradation notes.
+// single-node answer, requiring byte-identical results.
 func runEquivalenceSuite(t *testing.T, sys *core.System, coord *shard.Coordinator, tag string) {
 	t.Helper()
 	ctx := context.Background()
@@ -78,13 +76,9 @@ func runEquivalenceSuite(t *testing.T, sys *core.System, coord *shard.Coordinato
 			if err != nil {
 				t.Fatalf("%s: single-node %v: %v", tag, kws, err)
 			}
-			cctx, deg := qserve.CaptureDegradation(ctx)
-			got, err := coord.QueryContext(cctx, kws, k)
+			got, err := coord.QueryContext(ctx, kws, k)
 			if err != nil {
 				t.Fatalf("%s: coordinator %v: %v", tag, kws, err)
-			}
-			if d := deg(); d != nil {
-				t.Fatalf("%s: degradation note %+v — replica faults must be absorbed silently", tag, d)
 			}
 			mustEqualResults(t, fmt.Sprintf("%s %v k=%d", tag, kws, k), got, want)
 		}
@@ -113,9 +107,9 @@ func TestReplicaEquivalenceAcrossR(t *testing.T) {
 }
 
 // TestReplicaKillOneStaysExact kills one replica of EVERY group
-// mid-suite: answers must stay byte-identical to single-node with zero
-// degradation notes — availability now comes from the sibling, and the
-// loud-degradation path is reserved for whole-group loss.
+// mid-suite: answers must stay byte-identical to single-node, served by
+// the sibling through failover rather than by reassigning the group's
+// plan classes.
 func TestReplicaKillOneStaysExact(t *testing.T) {
 	sys := tpchSystem(t)
 	cl := startReplicatedCluster(t, sys, 3, 2, replicaConfig{
@@ -128,8 +122,6 @@ func TestReplicaKillOneStaysExact(t *testing.T) {
 	runEquivalenceSuite(t, sys, cl.coord, "after kill")
 	if s := cl.coord.Stats(); s.Failovers == 0 {
 		t.Fatal("killed replicas but Failovers did not move — who answered?")
-	} else if s.Degraded != 0 {
-		t.Fatalf("replica loss counted %d degraded queries, want 0", s.Degraded)
 	}
 	// Health: still a live replica per group, so never unavailable; the
 	// dead siblings make it degraded, with per-replica detail.
@@ -152,8 +144,7 @@ func TestReplicaKillOneStaysExact(t *testing.T) {
 
 // TestReplicaSlowOneStaysExact hangs one replica of every group past
 // the request timeout: the coordinator must fail over to the sibling
-// and keep answers byte-identical with zero degradation notes, within
-// the timeout budget.
+// and keep answers byte-identical, within the timeout budget.
 func TestReplicaSlowOneStaysExact(t *testing.T) {
 	sys := tpchSystem(t)
 	release := make(chan struct{})
@@ -185,15 +176,12 @@ func TestReplicaSlowOneStaysExact(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
 		t.Fatalf("suite stalled %v behind hung replicas", elapsed)
 	}
-	if s := cl.coord.Stats(); s.Degraded != 0 {
-		t.Fatalf("hung replicas counted %d degraded queries, want 0", s.Degraded)
-	}
 }
 
 // TestReplicaFlapStaysExact flaps one replica per group — alternating
 // hard failure and healthy service per request — which is nastier than
 // a clean kill: the breaker keeps re-admitting it. Answers must stay
-// byte-identical with zero degradation notes throughout.
+// byte-identical throughout.
 func TestReplicaFlapStaysExact(t *testing.T) {
 	sys := tpchSystem(t)
 	var calls atomic.Int64
@@ -217,14 +205,12 @@ func TestReplicaFlapStaysExact(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		runEquivalenceSuite(t, sys, cl.coord, fmt.Sprintf("flap round %d", round))
 	}
-	if s := cl.coord.Stats(); s.Degraded != 0 {
-		t.Fatalf("flapping replica counted %d degraded queries, want 0", s.Degraded)
-	}
 }
 
-// TestGroupLossDegradesLoudly kills BOTH replicas of one group: only
-// then may the answer degrade, and it must do so loudly — a note naming
-// the group — with the result a subset of the single-node answer.
+// TestGroupLossDegradesLoudly kills BOTH replicas of one group: the
+// other groups take over its plan classes, so the answer stays
+// byte-identical to single-node, and health says degraded — loudly, on
+// /healthz, rather than in the answer.
 func TestGroupLossDegradesLoudly(t *testing.T) {
 	sys := tpchSystem(t)
 	cl := startReplicatedCluster(t, sys, 3, 2, replicaConfig{
@@ -239,60 +225,63 @@ func TestGroupLossDegradesLoudly(t *testing.T) {
 	cl.servers[2][0].Close()
 	cl.servers[2][1].Close() // the whole group, not one process
 
-	cctx, deg := qserve.CaptureDegradation(ctx)
-	got, err := cl.coord.QueryContext(cctx, kws, 10)
+	got, err := cl.coord.QueryContext(ctx, kws, 10)
 	if err != nil {
-		t.Fatalf("quorum held (2 of 3 groups) — the query must degrade, not fail: %v", err)
+		t.Fatalf("2 of 3 groups alive — the query must reassign, not fail: %v", err)
 	}
-	d := deg()
-	if d == nil {
-		t.Fatal("whole group killed but no degradation note: silent partial answer")
-	}
-	if len(d.Shards) != 1 || d.Shards[0] == "" {
-		t.Fatalf("degradation names %v, want the one dead group", d.Shards)
-	}
-	if d.Count < 1 {
-		t.Fatalf("degradation count %d, want ≥ 1", d.Count)
-	}
-	wantKeys := map[string]bool{}
-	for _, r := range want {
-		wantKeys[resultKey(r)] = true
-	}
-	for _, r := range got {
-		if !wantKeys[resultKey(r)] {
-			t.Fatalf("degraded answer invented result %s", resultKey(r))
-		}
+	mustEqualResults(t, "one group down", got, want)
+	if s := cl.coord.Stats(); s.Reassignments == 0 {
+		t.Fatal("whole group down but no reassignment counted — who executed its class?")
 	}
 	if got, _ := cl.coord.IndexHealthState(); got != core.IndexDegraded {
-		t.Fatalf("health with one dead group (quorum held) = %v, want degraded", got)
+		t.Fatalf("health with one dead group = %v, want degraded", got)
 	}
 }
 
 // TestGroupLossBelowQuorumRefuses kills every replica of two groups out
-// of three: below quorum the coordinator must refuse with ErrNoQuorum —
-// redundancy changes how rarely this fires, not what it means.
+// of three: the last group executes every plan class and the answer
+// stays exact. Then it kills the last group: with no group left the
+// coordinator must refuse with ErrNoQuorum — redundancy changes how
+// rarely this fires, not what it means.
 func TestGroupLossBelowQuorumRefuses(t *testing.T) {
 	sys := tpchSystem(t)
 	cl := startReplicatedCluster(t, sys, 3, 2, replicaConfig{
 		opts: shard.CoordinatorOptions{Retry: fault.RetryPolicy{Attempts: 1}},
 	})
+	ctx := context.Background()
+	kws := []string{"john", "tv"}
+	want, err := sys.QueryContext(ctx, kws, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range []int{0, 2} {
 		cl.servers[i][0].Close()
 		cl.servers[i][1].Close()
 	}
-	_, err := cl.coord.QueryContext(context.Background(), []string{"john", "tv"}, 10)
+	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	if err != nil {
+		t.Fatalf("1 of 3 groups alive — the query must reassign, not fail: %v", err)
+	}
+	mustEqualResults(t, "1 of 3 groups alive", got, want)
+	if got, _ := cl.coord.IndexHealthState(); got != core.IndexDegraded {
+		t.Fatalf("health with 1 of 3 groups alive = %v, want degraded", got)
+	}
+
+	cl.servers[1][0].Close()
+	cl.servers[1][1].Close()
+	_, err = cl.coord.QueryContext(ctx, kws, 10)
 	if !errors.Is(err, shard.ErrNoQuorum) {
-		t.Fatalf("1 of 3 groups alive: err = %v, want ErrNoQuorum", err)
+		t.Fatalf("0 of 3 groups alive: err = %v, want ErrNoQuorum", err)
 	}
 	if got, _ := cl.coord.IndexHealthState(); got != core.IndexUnavailable {
-		t.Fatalf("health below quorum = %v, want unavailable", got)
+		t.Fatalf("health with every group down = %v, want unavailable", got)
 	}
 }
 
 // TestHedgeFiresAndPreservesAnswer turns a primed primary slow: the
 // p95-derived hedge must fire at the fast sibling, win the race, and —
 // because replicas serve identical partitions — leave every answer
-// byte-identical with zero degradation notes.
+// byte-identical.
 func TestHedgeFiresAndPreservesAnswer(t *testing.T) {
 	sys := tpchSystem(t)
 	var slow atomic.Bool
@@ -326,9 +315,6 @@ func TestHedgeFiresAndPreservesAnswer(t *testing.T) {
 	}
 	if s.HedgeWins == 0 {
 		t.Fatal("hedges fired at a fast sibling but never won")
-	}
-	if s.Degraded != 0 {
-		t.Fatalf("hedging counted %d degraded queries, want 0", s.Degraded)
 	}
 }
 

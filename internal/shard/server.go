@@ -14,19 +14,22 @@ import (
 	"repro/internal/qserve"
 )
 
-// Server is the shard-side of the wire protocol: one partition's index
-// slice plus the replicated structural data, behind /shard/lookup,
-// /shard/execute and /shard/stats. A shard replica deliberately does
-// NOT serve the ordinary query API: a query answered from one partition
-// alone would be silently partial, which the repo's serving invariant
-// forbids — shard replicas answer only protocol requests (and /healthz).
+// Server is the shard-side of the wire protocol: the replicated
+// structural data behind /shard/execute, plus one partition's identity
+// and health behind /shard/stats. A shard replica deliberately does NOT
+// serve the ordinary query API: it executes only the plan classes a
+// coordinator assigns it over the postings the request carries —
+// shard replicas answer only protocol requests (and /healthz).
 type Server struct {
 	// Sys holds the replicated structural data (schema, TSS, connection
 	// store, decomposition); its own Index field is not consulted.
 	Sys *core.System
 	// Local is the shard's partition source — typically a
 	// kwindex.Failover over the partition's diskindex reader with a
-	// rebuild-from-memory fallback.
+	// rebuild-from-memory fallback. It is never read for answers (execute
+	// requests carry their postings); it supplies the posting totals and
+	// the health /shard/stats and /healthz report, which Validate
+	// cross-checks across replicas.
 	Local kwindex.Source
 	// ID and N identify the partition; CRC is the manifest-recorded
 	// partition file checksum, echoed in stats so a coordinator can spot
@@ -43,12 +46,11 @@ type Server struct {
 	cacheMisses atomic.Int64
 }
 
-// Handler returns the shard's HTTP mux: the three protocol endpoints
+// Handler returns the shard's HTTP mux: the two protocol endpoints
 // plus /healthz (shaped like webdemo's: 503 only when the partition
 // index is unavailable).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/shard/lookup", s.handleLookup)
 	mux.HandleFunc("/shard/execute", s.handleExecute)
 	mux.HandleFunc("/shard/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -62,33 +64,6 @@ func (s *Server) health() (state string, detail string) {
 		return string(h), err.Error()
 	}
 	return string(h), ""
-}
-
-func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	var req LookupRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	lists := make(map[string][]kwindex.Posting, len(req.Keywords))
-	for _, kw := range req.Keywords {
-		lists[kw] = s.Local.ContainingList(kw)
-	}
-	state, detail := s.health()
-	if state == string(core.IndexUnavailable) {
-		// An unavailable partition answers empty lists that must not be
-		// passed off as "this partition holds nothing".
-		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("shard %d: partition index unavailable: %s", s.ID, detail))
-		return
-	}
-	writeJSON(w, http.StatusOK, LookupResponse{
-		Shard:    s.ID,
-		Of:       s.N,
-		Lists:    EncodeLists(lists),
-		Postings: s.Local.NumPostings(),
-		Keywords: s.Local.NumKeywords(),
-		State:    state,
-		Detail:   detail,
-	})
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {

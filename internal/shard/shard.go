@@ -1,30 +1,28 @@
-// Package shard implements horizontal scale-out for the XKeyword engine
-// (ROADMAP item 2): the master index is partitioned by target object
-// into N shards, each servable by an independent xkserve replica, and a
-// coordinator scatter-gathers keyword queries across them.
+// Package shard implements horizontal scale-out for the XKeyword engine:
+// a coordinator spreads each keyword query's plan execution across N
+// shard servers, each servable by an independent xkserve replica. The
+// master index is split by target object into N partitions (the split
+// manifest records them); the coordinator keeps the whole index, which
+// the split was cut from.
 //
 // The design follows from one observation about the paper's result
 // shape: an MTTON is a *tree* of target objects, so the TOs of one
 // result can hash to every partition. Executing CNs against only a
 // shard's local index slice would silently lose every cross-partition
-// result. The protocol therefore has two phases:
+// result. The protocol therefore has one phase:
 //
-//   - Lookup scatter: the coordinator fans the query's keyword lookups
-//     to all shards. Partitions are disjoint and exhaustive over TOs, so
-//     the union of the local containing lists is exactly the global
-//     containing list (multi-token intersection is TO-local, so it
-//     commutes with the union).
-//   - Execute scatter: the coordinator ships the merged global postings
-//     back out as a query-scoped index source. Every node derives the
-//     identical plan list from it over the replicated structural data —
-//     connection relations are replicated, only the memory-dominant
-//     index is partitioned — and the list is partitioned by plan: shard
-//     s plans and executes the plans whose index is ≡ s (mod N), each
-//     to the same per-plan cap K a single node applies. Residue classes
-//     are disjoint and exhaustive over the plan list and a plan's
-//     results do not depend on where it runs, so the union of the
-//     per-shard result sets is the exact global result set, and every
-//     plan is executed exactly once in the cluster.
+//   - The coordinator reads the query's containing lists from its own
+//     master index (paper §4: the keyword discoverer reads the master
+//     index before CN generation) and ships them out as a query-scoped
+//     index source. Every node derives the identical plan list from it
+//     over the replicated structural data — schema, TSS and connection
+//     relations are replicated to every shard — and the list is
+//     partitioned by plan: shard s plans and executes the plans whose
+//     index is ≡ s (mod N), each to the same per-plan cap K a single
+//     node applies. Residue classes are disjoint and exhaustive over the
+//     plan list and a plan's results do not depend on where it runs, so
+//     the union of the per-shard result sets is the exact global result
+//     set, and every plan is executed exactly once in the cluster.
 //
 // Determinism: every result carries the canonical order key exec.Result
 // .Ord (plan index, emission sequence). The plan list is a function of
@@ -38,21 +36,14 @@
 // equivalence suite asserts this for N ∈ {1,2,3,7}).
 //
 // Failure semantics preserve the repo's "fail loudly or answer
-// correctly" invariant: an execute-phase failure is fully recoverable
-// (the request carries everything needed, so the dead shard's plan
-// classes are reassigned to survivors and the answer stays exact); a lookup-phase
-// failure loses that shard's posting partition, and the answer — exact
-// over the surviving partitions — is annotated with a loud degradation
-// note via qserve.NoteDegradation and never cached. When fewer than a
-// quorum of shards answer, the coordinator refuses with ErrNoQuorum
-// instead of serving a mostly-empty answer.
+// correctly" invariant with two outcomes and no third: a shard failure
+// is fully recoverable (the request carries everything needed, so the
+// dead shard's plan classes are reassigned to survivors and the answer
+// stays exact); only when no shard group is left to execute a class
+// does the coordinator refuse with ErrNoQuorum.
 package shard
 
-import (
-	"sort"
-
-	"repro/internal/kwindex"
-)
+import "repro/internal/kwindex"
 
 // HashScheme names the partition function recorded in the manifest; a
 // manifest with an unknown scheme is rejected rather than misrouted.
@@ -92,21 +83,4 @@ func PartitionIndex(ix *kwindex.Index, part, n int) *kwindex.Index {
 		}
 	}
 	return kwindex.FromPostings(out)
-}
-
-// MergePostings concatenates per-shard slices of one containing list and
-// restores the global (TO, node) sort order the Source contract
-// promises. Partitions are disjoint, so this is a set union.
-func MergePostings(lists [][]kwindex.Posting) []kwindex.Posting {
-	var out []kwindex.Posting
-	for _, ps := range lists {
-		out = append(out, ps...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TO != out[j].TO {
-			return out[i].TO < out[j].TO
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
 }

@@ -82,32 +82,22 @@ func TestPartitionIndexDisjointExhaustive(t *testing.T) {
 	if total != ix.NumPostings() {
 		t.Fatalf("partitions hold %d postings, master %d: not exhaustive", total, ix.NumPostings())
 	}
-	// Re-merging every term's slices must reproduce the master's list.
+	// The union of every term's slices, in (TO, node) order, must
+	// reproduce the master's list.
 	for _, term := range ix.Terms() {
-		var slices [][]kwindex.Posting
+		var got []kwindex.Posting
 		for _, pix := range parts {
-			if ps := pix.Postings(term); len(ps) > 0 {
-				slices = append(slices, ps)
+			got = append(got, pix.Postings(term)...)
+		}
+		sort.Slice(got, func(i, j int) bool {
+			if got[i].TO != got[j].TO {
+				return got[i].TO < got[j].TO
 			}
+			return got[i].Node < got[j].Node
+		})
+		if want := ix.ContainingList(term); !reflect.DeepEqual(got, want) {
+			t.Fatalf("term %q: partitions' union differs from master list:\ngot  %v\nwant %v", term, got, want)
 		}
-		if got, want := shard.MergePostings(slices), ix.ContainingList(term); !reflect.DeepEqual(got, want) {
-			t.Fatalf("term %q: merged partitions differ from master list:\ngot  %v\nwant %v", term, got, want)
-		}
-	}
-}
-
-func TestMergePostingsRestoresOrder(t *testing.T) {
-	a := []kwindex.Posting{{TO: 1, Node: 10, SchemaNode: "x"}, {TO: 9, Node: 2, SchemaNode: "x"}}
-	b := []kwindex.Posting{{TO: 1, Node: 3, SchemaNode: "y"}, {TO: 4, Node: 1, SchemaNode: "y"}}
-	got := shard.MergePostings([][]kwindex.Posting{a, b})
-	for i := 1; i < len(got); i++ {
-		p, q := got[i-1], got[i]
-		if p.TO > q.TO || (p.TO == q.TO && p.Node > q.Node) {
-			t.Fatalf("merged postings out of (TO, node) order at %d: %v", i, got)
-		}
-	}
-	if len(got) != 4 {
-		t.Fatalf("merged %d postings, want 4", len(got))
 	}
 }
 

@@ -5,18 +5,17 @@ import (
 	"repro/internal/xmlgraph"
 )
 
-// The wire protocol is stdlib net/http + JSON: three POST endpoints on
-// every shard server.
+// The wire protocol is stdlib net/http + JSON: two POST endpoints on
+// every shard server, one round trip per query.
 //
-//	/shard/lookup  — phase 1: local containing lists for the query's
-//	                 normalized keywords (the shard's partition slice).
-//	/shard/execute — phase 2: derive the plan list from the
-//	                 request-carried merged global postings and return
-//	                 the results of the plans in the request's cover
-//	                 (plan index mod N ∈ Parts).
-//	/shard/stats   — identity and health: shard id, N, scheme, index
-//	                 state; the coordinator validates these at startup
-//	                 and polls them for /healthz.
+//	/shard/execute — derive the plan list from the request-carried
+//	                 global postings (read from the coordinator's index)
+//	                 and return the results of the plans in the
+//	                 request's cover (plan index mod N ∈ Parts).
+//	/shard/stats   — identity and health: shard id, N, scheme, partition
+//	                 CRC and totals, index state; the coordinator
+//	                 validates these at startup and polls them for
+//	                 /healthz.
 //
 // Posting lists dominate the payload, so they travel dictionary-coded:
 // the distinct schema-node names once per list, each posting as a
@@ -67,32 +66,8 @@ func DecodeLists(wire map[string]WireList) (map[string][]kwindex.Posting, bool) 
 	return out, true
 }
 
-// LookupRequest asks a shard for its partition's containing lists.
-type LookupRequest struct {
-	// Keywords are the normalized keywords (NormKeyword of the query's
-	// raw keywords).
-	Keywords []string `json:"keywords"`
-}
-
-// LookupResponse carries one shard's partition slice of each list.
-type LookupResponse struct {
-	Shard int                 `json:"shard"`
-	Of    int                 `json:"of"`
-	Lists map[string]WireList `json:"lists"`
-	// Postings/Keywords are the partition index's totals (the
-	// coordinator sums postings across shards — partitions are disjoint
-	// — and takes the max of keywords, an upper-bound display figure).
-	Postings int `json:"postings"`
-	Keywords int `json:"keywords"`
-	// State is the shard's local index health ("ok"/"degraded"): a shard
-	// answering from its rebuilt fallback still answers exactly, but the
-	// coordinator surfaces it in health.
-	State  string `json:"state"`
-	Detail string `json:"detail,omitempty"`
-}
-
 // ExecRequest asks a shard to execute its share of the query's plan
-// list over the merged global postings.
+// list over the query's global postings.
 type ExecRequest struct {
 	// Keywords are the raw query keywords (the pipeline re-normalizes,
 	// so plans derive identically everywhere).
@@ -109,7 +84,7 @@ type ExecRequest struct {
 	// exact because this request carries everything execution needs.
 	N     int   `json:"n"`
 	Parts []int `json:"parts"`
-	// Lists are the merged global containing lists, keyed by normalized
+	// Lists are the global containing lists, keyed by normalized
 	// keyword; GlobalPostings/GlobalKeywords size the query-scoped
 	// source.
 	Lists          map[string]WireList `json:"lists"`

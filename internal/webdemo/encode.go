@@ -7,13 +7,13 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/exec"
-	"repro/internal/qserve"
+	"repro/internal/pipeline"
 )
 
 // The /api/query body is appended into a pooled buffer instead of
 // reflected over by encoding/json. The bytes are exactly what
 // json.NewEncoder(w).Encode wrote for the map
-// {"degraded", "relaxed", "results", "scorer"} of the structs
+// {"relaxed", "results", "scorer"} of the structs
 // {"score", "rendered", "objects"}: keys in sorted order, strings
 // escaped as encoding/json escapes them (HTML-safe, invalid UTF-8 as
 // \ufffd, U+2028/U+2029 escaped), and a trailing newline.
@@ -41,18 +41,10 @@ func putQueryBuf(b *queryBuf) {
 }
 
 // appendQueryBody appends the /api/query response body to buf.body.
-func (s *Server) appendQueryBody(buf *queryBuf, results []exec.Result, scorer string, ann *qserve.Annotations) error {
+func (s *Server) appendQueryBody(buf *queryBuf, results []exec.Result, scorer string, rx *pipeline.Relaxation) error {
 	dst := append(buf.body, '{')
-	if ann != nil && ann.Degraded != nil {
-		v, err := json.Marshal(ann.Degraded)
-		if err != nil {
-			return err
-		}
-		dst = append(append(dst, `"degraded":`...), v...)
-		dst = append(dst, ',')
-	}
-	if ann != nil && ann.Relaxed != nil {
-		v, err := json.Marshal(ann.Relaxed)
+	if rx != nil {
+		v, err := json.Marshal(rx)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/kwindex"
-	"repro/internal/qserve"
+	"repro/internal/pipeline"
 )
 
 // resultJSON is the struct /api/query bodies were reflected from before
@@ -28,7 +28,7 @@ type resultJSON struct {
 }
 
 // referenceBody is the /api/query body as json.NewEncoder wrote it.
-func referenceBody(t *testing.T, sys *core.System, results []exec.Result, scorer string, ann *qserve.Annotations) []byte {
+func referenceBody(t *testing.T, sys *core.System, results []exec.Result, scorer string, rx *pipeline.Relaxation) []byte {
 	t.Helper()
 	out := make([]resultJSON, 0, len(results))
 	for _, res := range results {
@@ -38,11 +38,8 @@ func referenceBody(t *testing.T, sys *core.System, results []exec.Result, scorer
 	if scorer != "" {
 		body["scorer"] = scorer
 	}
-	if ann != nil && ann.Degraded != nil {
-		body["degraded"] = ann.Degraded
-	}
-	if ann != nil && ann.Relaxed != nil {
-		body["relaxed"] = ann.Relaxed
+	if rx != nil {
+		body["relaxed"] = rx
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(body); err != nil {
@@ -96,7 +93,7 @@ func encoderSystems(t *testing.T) map[*core.System][]string {
 // TestQueryBodyMatchesEncodingJSON: for every query under the default
 // and the weighted scorer, the /api/query body equals what
 // json.NewEncoder wrote over the old structs, relaxation record
-// included; and so does the encoder's output with a degradation note.
+// included.
 func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
 	ctx := context.Background()
 	relaxed, bodies := 0, 0
@@ -119,30 +116,15 @@ func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var ann *qserve.Annotations
 					if rx != nil {
 						relaxed++
-						ann = &qserve.Annotations{Relaxed: rx}
 					}
-					if want := referenceBody(t, sys, results, scorer, ann); !bytes.Equal(rec.Body.Bytes(), want) {
+					if want := referenceBody(t, sys, results, scorer, rx); !bytes.Equal(rec.Body.Bytes(), want) {
 						t.Fatalf("%s: body\n%s\nwant\n%s", path, rec.Body, want)
 					}
 					if got := rec.Header().Get("Content-Type"); got != "application/json" {
 						t.Fatalf("%s: Content-Type %q", path, got)
 					}
-
-					ann = &qserve.Annotations{
-						Degraded: &qserve.Degradation{Shards: []string{"shard 1 of 2 at http://a<b>&c"}, Detail: "partition 1 missing", Count: 2},
-						Relaxed:  rx,
-					}
-					buf := getQueryBuf()
-					if err := s.appendQueryBody(buf, results, scorer, ann); err != nil {
-						t.Fatal(err)
-					}
-					if want := referenceBody(t, sys, results, scorer, ann); !bytes.Equal(buf.body, want) {
-						t.Fatalf("%s degraded: body\n%s\nwant\n%s", path, buf.body, want)
-					}
-					putQueryBuf(buf)
 					bodies++
 				}
 			}

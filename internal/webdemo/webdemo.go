@@ -85,10 +85,10 @@ func (s *Server) Handler() http.Handler {
 // balancer should keep the instance but an operator should look), 503
 // with Retry-After for "unavailable".
 // When the engine is a scatter-gather coordinator the body also carries
-// the per-shard states, and "unavailable" follows the coordinator's
-// quorum rule: 503 only when fewer than a quorum of shards answer — a
-// single dead shard keeps the endpoint 200 "degraded" (answers are
-// loudly annotated, not wrong).
+// the per-shard states, and "unavailable" means the coordinator's own
+// index failed or no shard group has a live replica — a dead shard
+// keeps the endpoint 200 "degraded" (its plan classes are reassigned,
+// so answers stay exact).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	state, detail := s.qs.Health()
 	w.Header().Set("Content-Type", "application/json")
@@ -202,11 +202,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Through the serving layer: cached, collapsed, admission-controlled,
-	// and cancelled when the client disconnects (r.Context()). Annotated:
-	// a scatter-gather answer computed without a dead shard's partition
-	// arrives with a degradation note, a relaxed query with the exact
-	// substitutions made — both surfaced below, never silent.
-	results, ann, err := s.qs.QueryScored(r.Context(), keywords, k, scorer)
+	// and cancelled when the client disconnects (r.Context()). A relaxed
+	// query arrives with the exact substitutions made, surfaced below,
+	// never silent.
+	results, rx, err := s.qs.QueryScored(r.Context(), keywords, k, scorer)
 	if err != nil {
 		switch {
 		case errors.Is(err, qserve.ErrOverloaded), errors.Is(err, shard.ErrNoQuorum):
@@ -230,10 +229,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := getQueryBuf()
 	defer putQueryBuf(buf)
-	// Loud, never silent: the body names the partitions a degraded
-	// answer was computed without and the substitutions a relaxed query
-	// made.
-	if err := s.appendQueryBody(buf, results, scorer, ann); err != nil {
+	// Loud, never silent: the body names the substitutions a relaxed
+	// query made.
+	if err := s.appendQueryBody(buf, results, scorer, rx); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
