@@ -9,7 +9,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint
+.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint bench-decomp
 
 check: vet lint tier1 bench-build bench-gate fuzzseed race chaos
 
@@ -33,12 +33,15 @@ bench-build:
 # against the committed BENCH_pipeline.json, of the /api/query handler
 # path (BenchmarkRender) against BENCH_qserve.json, and of the
 # coordinator round trip (BenchmarkShardCoordinator, -cpu 1) against
-# BENCH_shard.json. ns/op is printed as a delta only — wall time on a
-# shared machine is not gateable.
+# BENCH_shard.json, and of the cold Figure 12 search and the shape
+# enumeration under it (-cpu 1) against BENCH_decomp.json. ns/op is
+# printed as a delta only — wall time on a shared machine is not
+# gateable.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkShardCoordinator' -cpu 1 -benchtime 200x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_shard.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_decomp.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — atomiccommit, crcgate, ctxflow,
@@ -120,3 +123,9 @@ bench-graphsrc:
 # a 60s budget.
 bench-lint:
 	$(GO) test -run xxx -bench BenchmarkXkvet -benchtime 3x -benchmem ./internal/lint/ | $(GO) run ./cmd/xkbenchjson -out BENCH_lint.json
+
+# The Figure 12 decomposition search on DBLP (M=6, B=2) with the
+# per-graph memo bypassed, and the shape enumeration it starts with, at
+# -cpu 1: what bench-gate compares against.
+bench-decomp:
+	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -out BENCH_decomp.json

@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/banks"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/decomp"
 	"repro/internal/diskindex"
 	"repro/internal/exec"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/presentation"
 	"repro/internal/qserve"
 	"repro/internal/relstore"
-	"repro/internal/tss"
 )
 
 var (
@@ -419,26 +417,6 @@ func BenchmarkMaterializeMinimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newBenchStore()
 		if err := decomp.Materialize(s, w.DS.Obj, min); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecompositionAlgorithm(b *testing.B) {
-	// XKeyword memoizes per TSS-graph structure, so after the first call
-	// this measures the memoized path — the cost every Load after the
-	// first pays. The cold cost appears once in any profile as the first
-	// iteration's outlier (seconds at M=6).
-	tg, err := tss.Derive(datagen.DBLPSchema(), datagen.DBLPSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := decomp.XKeyword(tg, 6, 2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decomp.XKeyword(tg, 6, 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -75,20 +75,28 @@ func (t *TSSNetwork) Score() int {
 
 // Canon returns a canonical string for isomorphism grouping: the
 // smallest, over every choice of root, of the rooted rendering
-// label(>|<edgeID child ...) with children sorted.
+// label(>|<edgeID child ...) with children sorted. The rendering of a
+// subtree hanging below a given neighbour is the same under every root,
+// so each is rendered once and shared.
 func (t *TSSNetwork) Canon() string {
-	adj := make([][]TSSEdgeRef, len(t.Occs))
+	n := len(t.Occs)
+	adj := make([][]TSSEdgeRef, n)
 	for _, e := range t.Edges {
 		adj[e.From] = append(adj[e.From], e)
 		adj[e.To] = append(adj[e.To], e)
 	}
-	labels := make([]string, len(t.Occs))
+	labels := make([]string, n)
 	for i, o := range t.Occs {
 		labels[i] = o.label()
 	}
+	below := make([]string, n*n) // [v*n+parent]: v's subtree seen from parent
 	var canonFrom func(v, parent int) string
 	canonFrom = func(v, parent int) string {
-		var subs []string
+		if parent >= 0 && below[v*n+parent] != "" {
+			return below[v*n+parent]
+		}
+		subs := make([]string, 0, len(adj[v]))
+		size := len(labels[v]) + 2
 		for _, e := range adj[v] {
 			other, dir := e.To, ">"
 			if e.To == v {
@@ -97,10 +105,13 @@ func (t *TSSNetwork) Canon() string {
 			if other == parent {
 				continue
 			}
-			subs = append(subs, dir+strconv.Itoa(e.EdgeID)+canonFrom(other, v))
+			s := dir + strconv.Itoa(e.EdgeID) + canonFrom(other, v)
+			subs = append(subs, s)
+			size += len(s) + 1
 		}
 		sort.Strings(subs)
 		var sb strings.Builder
+		sb.Grow(size)
 		sb.WriteString(labels[v])
 		sb.WriteByte('(')
 		for i, s := range subs {
@@ -110,6 +121,9 @@ func (t *TSSNetwork) Canon() string {
 			sb.WriteString(s)
 		}
 		sb.WriteByte(')')
+		if parent >= 0 {
+			below[v*n+parent] = sb.String()
+		}
 		return sb.String()
 	}
 	best := ""

@@ -1,6 +1,9 @@
 package cn_test
 
 import (
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -241,5 +244,71 @@ func TestReduceDBLPAuthorPair(t *testing.T) {
 	}
 	if tn.Score() != 6 {
 		t.Fatalf("score = %d", tn.Score())
+	}
+}
+
+// perRootCanon renders every root's tree from scratch — the definition
+// Canon's shared subtree renderings must reproduce.
+func perRootCanon(t *cn.TSSNetwork) string {
+	label := func(o cn.TSSOcc) string {
+		if o.Free() {
+			return o.Segment
+		}
+		var parts []string
+		for _, k := range o.Keywords {
+			parts = append(parts, k.Keyword+"@"+k.SchemaNode)
+		}
+		return o.Segment + "{" + strings.Join(parts, ",") + "}"
+	}
+	var from func(v, parent int) string
+	from = func(v, parent int) string {
+		var subs []string
+		for _, e := range t.Edges {
+			if e.From != v && e.To != v {
+				continue
+			}
+			other, dir := e.To, ">"
+			if e.To == v {
+				other, dir = e.From, "<"
+			}
+			if other != parent {
+				subs = append(subs, dir+strconv.Itoa(e.EdgeID)+from(other, v))
+			}
+		}
+		sort.Strings(subs)
+		return label(t.Occs[v]) + "(" + strings.Join(subs, "|") + ")"
+	}
+	best := ""
+	for r := range t.Occs {
+		if s := from(r, -1); best == "" || s < best {
+			best = s
+		}
+	}
+	return best
+}
+
+func TestCanonMatchesPerRootRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	segs := []string{"a", "b", "c"}
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(8)
+		net := &cn.TSSNetwork{}
+		for v := 0; v < n; v++ {
+			o := cn.TSSOcc{Segment: segs[rng.Intn(len(segs))]}
+			if rng.Intn(4) == 0 {
+				o.Keywords = []cn.KeywordAt{{Keyword: "k", SchemaNode: segs[rng.Intn(len(segs))]}}
+			}
+			net.Occs = append(net.Occs, o)
+			if v > 0 {
+				e := cn.TSSEdgeRef{From: rng.Intn(v), To: v, EdgeID: rng.Intn(3)}
+				if rng.Intn(2) == 0 {
+					e.From, e.To = e.To, e.From
+				}
+				net.Edges = append(net.Edges, e)
+			}
+		}
+		if got, want := net.Canon(), perRootCanon(net); got != want {
+			t.Fatalf("%s: Canon %q, per-root rendering %q", net, got, want)
+		}
 	}
 }

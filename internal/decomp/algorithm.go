@@ -10,42 +10,6 @@ import (
 	"repro/internal/tss"
 )
 
-// pathFragments returns the fragments induced by the simple paths of
-// exactly `size` edges in the network.
-func pathFragments(tg *tss.Graph, t *cn.TSSNetwork, size int) []Fragment {
-	adj := netAdjacency(t)
-	var out []Fragment
-	seen := make(map[string]bool)
-	var dfs func(path []int, steps []Step)
-	dfs = func(path []int, steps []Step) {
-		if len(steps) == size {
-			if f, err := NewFragment(tg, steps); err == nil && !seen[f.Key()] {
-				seen[f.Key()] = true
-				out = append(out, f)
-			}
-			return
-		}
-		cur := path[len(path)-1]
-		for _, h := range adj[cur] {
-			on := false
-			for _, v := range path {
-				if v == h.to {
-					on = true
-					break
-				}
-			}
-			if on {
-				continue
-			}
-			dfs(append(path, h.to), append(steps, h.step))
-		}
-	}
-	for v := range t.Occs {
-		dfs([]int{v}, nil)
-	}
-	return out
-}
-
 // Decomposition is a named set of fragments together with the physical
 // design applied when materializing their connection relations.
 type Decomposition struct {
@@ -177,6 +141,9 @@ func graphFingerprint(tg *tss.Graph) string {
 }
 
 func xkeywordUncached(tg *tss.Graph, m, b int) (*Decomposition, error) {
+	if n := tg.NumEdges(); n > maxKeyedEdge+1 {
+		return nil, fmt.Errorf("decomp: TSS graph has %d edges; walk keys hold edge ids up to %d", n, maxKeyedEdge)
+	}
 	l := JoinBound(m, b)
 	d := &Decomposition{Name: "XKeyword", Physical: Physical{ClusterBothDirections: true, HashIndexes: true}}
 	// Single-edge fragments first: Definition 5.2 requires every edge in
@@ -199,96 +166,8 @@ func xkeywordUncached(tg *tss.Graph, m, b int) (*Decomposition, error) {
 			shapes = append(shapes, s)
 		}
 	}
-	cov := NewCoverer(tg, d.Fragments)
-	var queue []int
-	for i, s := range shapes {
-		if _, ok := cov.Cover(s, b); !ok {
-			queue = append(queue, i)
-		}
-	}
-	recheck := func(q []int) []int {
-		cov = NewCoverer(tg, d.Fragments)
-		var nq []int
-		for _, si := range q {
-			if _, ok := cov.Cover(shapes[si], b); !ok {
-				nq = append(nq, si)
-			}
-		}
-		return nq
-	}
-	// Candidate fragments of a given size are the simple paths of the
-	// uncovered shapes — any other fragment cannot appear in them.
-	candidates := func(q []int, size int, wantMVD bool) []Fragment {
-		seen := make(map[string]Fragment)
-		for _, si := range q {
-			for _, f := range pathFragments(tg, shapes[si], size) {
-				if f.IsUseless(tg) || f.HasMVD(tg) != wantMVD {
-					continue
-				}
-				seen[f.Key()] = f
-			}
-		}
-		keys := make([]string, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		out := make([]Fragment, len(keys))
-		for i, k := range keys {
-			out[i] = seen[k]
-		}
-		return out
-	}
-
-	// Step 3: larger non-MVD fragments that help.
-	for size := l + 1; size <= m && len(queue) > 0; size++ {
-		for _, f := range candidates(queue, size, false) {
-			helps := false
-			trial := cov.With(f)
-			for _, si := range queue {
-				if _, ok := trial.Cover(shapes[si], b); ok {
-					helps = true
-					break
-				}
-			}
-			if helps {
-				d.add(f)
-				cov = trial
-			}
-		}
-		queue = recheck(queue)
-	}
-
-	// Step 4: greedy minimum MVD fragments of size ≤ L.
-	if len(queue) > 0 {
-		var mvds []Fragment
-		for n := 2; n <= l; n++ {
-			mvds = append(mvds, candidates(queue, n, true)...)
-		}
-		for len(queue) > 0 {
-			bestGain, bestIdx := 0, -1
-			for i, f := range mvds {
-				if d.Has(f) {
-					continue
-				}
-				trial := cov.With(f)
-				gain := 0
-				for _, si := range queue {
-					if _, ok := trial.Cover(shapes[si], b); ok {
-						gain++
-					}
-				}
-				if gain > bestGain {
-					bestGain, bestIdx = gain, i
-				}
-			}
-			if bestIdx < 0 {
-				return nil, fmt.Errorf("decomp: %d CTSSN shapes cannot be covered with B=%d joins (first: %s)",
-					len(queue), b, shapes[queue[0]])
-			}
-			d.add(mvds[bestIdx])
-			queue = recheck(queue)
-		}
+	if err := newSearcher(tg, shapes, b).search(d, m, l); err != nil {
+		return nil, err
 	}
 	sort.Slice(d.Fragments, func(i, j int) bool { return d.Fragments[i].Key() < d.Fragments[j].Key() })
 	return d, nil

@@ -15,30 +15,46 @@ type Piece struct {
 	Reversed bool
 }
 
-// stepCode packs a step into 7 bits (edge ids < 64, 1 direction bit),
-// offset by 1 so a zero byte never encodes a step. Walk keys concatenate
-// step codes into a uint64, which bounds keyed walks to 9 steps — beyond
-// every M the system uses.
+// stepCode packs a step into 7 bits (edge id, 1 direction bit), offset by
+// 1 so a zero code never encodes a step. The edge id must be at most
+// maxKeyedEdge: edge 63 traversed backward would encode to 128 and spill
+// into the neighbouring step's bits. Walk keys concatenate step codes
+// into a uint64, which bounds keyed walks to 9 steps — beyond every M the
+// system uses.
 func stepCode(s Step) uint64 {
 	return (uint64(s.EdgeID)<<1 | uint64(s.Dir)) + 1
 }
 
-const maxKeyedSteps = 9
+const (
+	maxKeyedSteps = 9
+	maxKeyedEdge  = 62
+	// maxCoverEdges bounds the networks Cover evaluates: its BFS state is
+	// a uint32 edge mask.
+	maxCoverEdges = 30
+)
 
+// keyedEdge reports whether stepCode can encode the edge id.
+func keyedEdge(id int) bool { return id >= 0 && id <= maxKeyedEdge }
+
+// walkKey packs a walk into a key; it fails for walks longer than
+// maxKeyedSteps or over an edge id past maxKeyedEdge.
 func walkKey(steps []Step) (uint64, bool) {
 	if len(steps) > maxKeyedSteps {
 		return 0, false
 	}
 	var k uint64
 	for _, s := range steps {
+		if !keyedEdge(s.EdgeID) {
+			return 0, false
+		}
 		k = k<<7 | stepCode(s)
 	}
 	return k, true
 }
 
 // Coverer precomputes the fragment-matching tables of a fixed fragment
-// set, so covering many networks against one decomposition (the Fig. 12
-// algorithm scans thousands of shapes) avoids rebuilding them per call.
+// set, so covering many networks against one decomposition avoids
+// rebuilding them per call.
 type Coverer struct {
 	tg       *tss.Graph
 	exact    map[uint64]coverHit
@@ -59,11 +75,13 @@ func NewCoverer(tg *tss.Graph, frags []Fragment) *Coverer {
 	return c
 }
 
+// addFragment indexes both orientations of f; a fragment walk key cannot
+// hold is never matched.
 func (c *Coverer) addFragment(f Fragment) {
+	if _, ok := walkKey(f.steps); !ok {
+		return
+	}
 	for orient, steps := range [][]Step{f.steps, f.reversedSteps()} {
-		if len(steps) > maxKeyedSteps {
-			continue
-		}
 		var key uint64
 		for _, s := range steps {
 			key = key<<7 | stepCode(s)
@@ -75,29 +93,14 @@ func (c *Coverer) addFragment(f Fragment) {
 	}
 }
 
-// With returns a new Coverer extended with extra fragments; the receiver
-// is unchanged.
-func (c *Coverer) With(extra ...Fragment) *Coverer {
-	n := &Coverer{tg: c.tg, exact: make(map[uint64]coverHit, len(c.exact)), prefixes: make(map[uint64]bool, len(c.prefixes))}
-	for k, v := range c.exact {
-		n.exact[k] = v
-	}
-	for k := range c.prefixes {
-		n.prefixes[k] = true
-	}
-	for _, f := range extra {
-		n.addFragment(f)
-	}
-	return n
-}
-
 // Cover finds a minimum-piece cover of the network's edges by instances
 // of the given fragments (pieces may overlap on edges). It returns the
 // pieces and true if the network can be evaluated with at most maxJoins
 // joins, i.e. with at most maxJoins+1 pieces. maxJoins < 0 lifts the
 // bound. Choosing the relations to evaluate a CTSSN is NP-complete in
 // general (§1); networks are small (≤ M edges), so breadth-first search
-// over covered-edge bitmasks is exact and fast.
+// over covered-edge bitmasks is exact and fast. A network over an edge id
+// walk keys cannot hold (past maxKeyedEdge) is never covered.
 func Cover(tg *tss.Graph, t *cn.TSSNetwork, frags []Fragment, maxJoins int) ([]Piece, bool) {
 	return NewCoverer(tg, frags).Cover(t, maxJoins)
 }
@@ -108,8 +111,13 @@ func (c *Coverer) Cover(t *cn.TSSNetwork, maxJoins int) ([]Piece, bool) {
 	if nEdges == 0 {
 		return nil, true
 	}
-	if nEdges > 30 || len(t.Occs) > 60 {
+	if nEdges > maxCoverEdges || len(t.Occs) > 60 {
 		return nil, false
+	}
+	for _, e := range t.Edges {
+		if !keyedEdge(e.EdgeID) {
+			return nil, false
+		}
 	}
 	pieces := c.matchPieces(t)
 	if len(pieces) == 0 {

@@ -1,12 +1,15 @@
 package decomp_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cn"
 	"repro/internal/datagen"
 	"repro/internal/decomp"
+	"repro/internal/schema"
 	"repro/internal/tss"
+	"repro/internal/xmlgraph"
 )
 
 // edgeID finds a TSS edge by its schema path rendering.
@@ -357,5 +360,49 @@ func TestPresetsShape(t *testing.T) {
 	}
 	if !comb.Physical.ClusterBothDirections || !comb.Physical.HashIndexes {
 		t.Fatalf("combination physical = %+v", comb.Physical)
+	}
+}
+
+// wideGraph is a hub segment containing n leaf segments, one TSS edge
+// each: a TSS graph with edge ids 0..n-1.
+func wideGraph(t *testing.T, n int) *tss.Graph {
+	t.Helper()
+	sg := schema.New()
+	spec := tss.Spec{Segments: []tss.SegmentSpec{{Name: "hub", Head: "hub"}}}
+	steps := []error{sg.AddNode("hub", schema.All), sg.SetRoot("hub")}
+	for i := 0; i < n; i++ {
+		leaf := fmt.Sprintf("leaf%02d", i)
+		steps = append(steps, sg.AddNode(leaf, schema.All), sg.AddEdge("hub", leaf, xmlgraph.Containment, 1))
+		spec.Segments = append(spec.Segments, tss.SegmentSpec{Name: leaf, Head: leaf})
+	}
+	tg, err := tss.Derive(sg.MustBuild(steps...), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tg.NumEdges() != n {
+		t.Fatalf("derived %d edges, want %d", tg.NumEdges(), n)
+	}
+	return tg
+}
+
+// Walk keys hold 7 bits per step, edge ids up to 62: on a TSS graph with
+// more edges the decomposition search and Cover must fail loudly instead
+// of matching pieces through colliding keys.
+func TestWideGraphRejected(t *testing.T) {
+	if _, err := decomp.XKeyword(wideGraph(t, 63), 2, 0); err != nil {
+		t.Fatalf("63 edges: %v", err)
+	}
+	tg := wideGraph(t, 64)
+	if _, err := decomp.XKeyword(tg, 2, 0); err == nil {
+		t.Fatal("XKeyword accepted a TSS graph with edge id 63")
+	}
+	// hub -> leaf63, covered by its own single-edge fragment under a
+	// key that would collide with other walks.
+	net := &cn.TSSNetwork{
+		Occs:  []cn.TSSOcc{{Segment: "hub"}, {Segment: "leaf63"}},
+		Edges: []cn.TSSEdgeRef{{From: 0, To: 1, EdgeID: 63}},
+	}
+	if _, ok := decomp.Cover(tg, net, decomp.Minimal(tg).Fragments, -1); ok {
+		t.Fatal("Cover matched a network over edge id 63")
 	}
 }

@@ -1,6 +1,9 @@
 package decomp
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/cn"
@@ -55,28 +58,34 @@ func EnumerateFragments(tg *tss.Graph, n int, includeMVD bool) []Fragment {
 // (two reference-free parents, shared to-one choice prefixes, to-one
 // edges used twice from one occurrence). Keyword annotations are ignored
 // — coverage under a join budget depends only on the shape. The returned
-// networks are deduplicated under isomorphism.
+// networks are deduplicated under isomorphism and sorted by size, then by
+// Canon.
 func EnumerateShapes(tg *tss.Graph, maxSize int) []*cn.TSSNetwork {
-	// Each shape's canonical string is computed once, when the shape is
-	// first seen, and reused as the final sort key.
+	// Extensions are deduplicated on the cheap shapeForm; each distinct
+	// shape's Canon is computed once, for the final sort.
 	type keyed struct {
 		t   *cn.TSSNetwork
 		key string
 	}
-	seen := make(map[string]bool)
+	sf := newShapeFormer(tg)
+	seen := make(map[string]struct{})
 	var out, queue []keyed
-	for _, seg := range tg.Segments() {
-		t := &cn.TSSNetwork{Occs: []cn.TSSOcc{{Segment: seg}}}
-		if k := t.Canon(); !seen[k] {
-			seen[k] = true
-			queue = append(queue, keyed{t, k})
+	visit := func(t *cn.TSSNetwork) {
+		form := sf.form(t)
+		if _, dup := seen[string(form)]; !dup {
+			seen[string(form)] = struct{}{}
+			queue = append(queue, keyed{t: t})
 		}
+	}
+	for _, seg := range tg.Segments() {
+		visit(&cn.TSSNetwork{Occs: []cn.TSSOcc{{Segment: seg}}})
 	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		t := cur.t
 		if t.Size() >= 1 {
+			cur.key = t.Canon()
 			out = append(out, cur)
 		}
 		if t.Size() >= maxSize {
@@ -90,23 +99,18 @@ func EnumerateShapes(tg *tss.Graph, maxSize int) []*cn.TSSNetwork {
 				if dir == Bwd {
 					other = e.From
 				}
-				nt := &cn.TSSNetwork{
-					Occs:  append(append([]cn.TSSOcc(nil), t.Occs...), cn.TSSOcc{Segment: other}),
-					Edges: append(append([]cn.TSSEdgeRef(nil), t.Edges...), cn.TSSEdgeRef{}),
+				ni := len(t.Occs)
+				edge := cn.TSSEdgeRef{From: v, To: ni, EdgeID: id}
+				if dir == Bwd {
+					edge = cn.TSSEdgeRef{From: ni, To: v, EdgeID: id}
 				}
-				ni := len(nt.Occs) - 1
-				if dir == Fwd {
-					nt.Edges[len(nt.Edges)-1] = cn.TSSEdgeRef{From: v, To: ni, EdgeID: id}
-				} else {
-					nt.Edges[len(nt.Edges)-1] = cn.TSSEdgeRef{From: ni, To: v, EdgeID: id}
-				}
-				if !shapeAdmissible(tg, nt, v) {
+				if !shapeAdmissible(tg, t.Edges, edge, v) {
 					return
 				}
-				if k := nt.Canon(); !seen[k] {
-					seen[k] = true
-					queue = append(queue, keyed{nt, k})
-				}
+				visit(&cn.TSSNetwork{
+					Occs:  append(t.Occs[:ni:ni], cn.TSSOcc{Segment: other}),
+					Edges: append(t.Edges[:len(t.Edges):len(t.Edges)], edge),
+				})
 			}
 			for _, id := range tg.Out(seg) {
 				attach(id, Fwd)
@@ -130,48 +134,128 @@ func EnumerateShapes(tg *tss.Graph, maxSize int) []*cn.TSSNetwork {
 }
 
 // shapeAdmissible checks the instance-impossibility rules around
-// occurrence v after an edge incident to v was added.
-func shapeAdmissible(tg *tss.Graph, t *cn.TSSNetwork, v int) bool {
-	var in, out []cn.TSSEdgeRef
-	for _, e := range t.Edges {
-		if e.To == v {
-			in = append(in, e)
-		}
-		if e.From == v {
-			out = append(out, e)
-		}
-	}
-	// Two reference-free incoming edges: the occurrence's containment
-	// ancestry is unique (useless rule 2 at shape level).
-	nNoRef := 0
-	for _, e := range in {
-		if !tg.Edge(e.EdgeID).BackwardMany {
-			nNoRef++
-		}
-	}
-	if nNoRef > 1 {
-		return false
-	}
-	// Outgoing edges sharing a to-one choice prefix, or one to-one edge
-	// used twice (useless rule 1 at shape level).
-	prefixes := make(map[string]int)
-	perEdge := make(map[int]int)
-	for _, e := range out {
+// occurrence v when the edge add, incident to v, joins the shape's edges.
+func shapeAdmissible(tg *tss.Graph, edges []cn.TSSEdgeRef, add cn.TSSEdgeRef, v int) bool {
+	ta := tg.Edge(add.EdgeID)
+	for _, e := range edges {
 		te := tg.Edge(e.EdgeID)
-		if te.ChoicePrefix != "" {
-			prefixes[te.ChoicePrefix]++
-		}
-		perEdge[e.EdgeID]++
-	}
-	for _, c := range prefixes {
-		if c > 1 {
+		// Two reference-free incoming edges: the occurrence's containment
+		// ancestry is unique (useless rule 2 at shape level).
+		if add.To == v && e.To == v && !ta.BackwardMany && !te.BackwardMany {
 			return false
 		}
-	}
-	for id, c := range perEdge {
-		if c > 1 && !tg.Edge(id).ForwardMany {
-			return false
+		// Outgoing edges sharing a to-one choice prefix, or one to-one
+		// edge used twice (useless rule 1 at shape level).
+		if add.From == v && e.From == v {
+			if ta.ChoicePrefix != "" && ta.ChoicePrefix == te.ChoicePrefix {
+				return false
+			}
+			if add.EdgeID == e.EdgeID && !ta.ForwardMany {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// shapeFormer computes an exact canonical form of free shapes: the tree
+// rooted at its center (the smaller form of the two, for a bicentral
+// tree), each occurrence written as the code of the edge from its parent,
+// its segment index and its child count, followed by its children's forms
+// in sorted order, all as uvarints. The codes are prefix-free, so
+// two shapes share a form iff they are isomorphic — the grouping Canon
+// gives, without rendering a string per root.
+type shapeFormer struct {
+	seg   map[string]uint64
+	adj   [][]cn.TSSEdgeRef
+	deg   []int
+	arena []byte
+	spans [][2]int
+	best  []byte
+}
+
+func newShapeFormer(tg *tss.Graph) *shapeFormer {
+	sf := &shapeFormer{seg: make(map[string]uint64)}
+	for i, s := range tg.Segments() {
+		sf.seg[s] = uint64(i)
+	}
+	return sf
+}
+
+// form returns t's canonical form; the slice is reused by the next call.
+func (sf *shapeFormer) form(t *cn.TSSNetwork) []byte {
+	n := len(t.Occs)
+	for len(sf.adj) < n {
+		sf.adj = append(sf.adj, nil)
+		sf.deg = append(sf.deg, 0)
+	}
+	adj, deg := sf.adj[:n], sf.deg[:n]
+	for v := range adj {
+		adj[v] = adj[v][:0]
+	}
+	for _, e := range t.Edges {
+		adj[e.From] = append(adj[e.From], e)
+		adj[e.To] = append(adj[e.To], e)
+	}
+	// Strip leaves layer by layer; the last layer holds the center(s).
+	var layer, next []int
+	for v := range adj {
+		deg[v] = len(adj[v])
+		if deg[v] <= 1 {
+			layer = append(layer, v)
+		}
+	}
+	for left := n; left > 2; {
+		left -= len(layer)
+		next = next[:0]
+		for _, v := range layer {
+			for _, e := range adj[v] {
+				if u := e.From + e.To - v; deg[u] > 1 {
+					if deg[u]--; deg[u] == 1 {
+						next = append(next, u)
+					}
+				}
+			}
+		}
+		layer, next = append(layer[:0], next...), layer
+	}
+	sf.best = sf.best[:0]
+	for i, c := range layer {
+		sf.arena = sf.arena[:0]
+		sp := sf.encode(t, c, -1, 0)
+		if enc := sf.arena[sp[0]:sp[1]]; i == 0 || bytes.Compare(enc, sf.best) < 0 {
+			sf.best = append(sf.best[:0], enc...)
+		}
+	}
+	return sf.best
+}
+
+// encode writes the form of the subtree at v (entered from parent over
+// the edge coded code, 0 at the root) to the arena and returns its span.
+// Child forms are written first, then copied after v's header in sorted
+// order.
+func (sf *shapeFormer) encode(t *cn.TSSNetwork, v, parent int, code uint64) [2]int {
+	base := len(sf.spans)
+	for _, e := range sf.adj[v] {
+		u, dir := e.To, uint64(Fwd)
+		if e.To == v {
+			u, dir = e.From, uint64(Bwd)
+		}
+		if u != parent {
+			sf.spans = append(sf.spans, sf.encode(t, u, v, (uint64(e.EdgeID)<<1|dir)+1))
+		}
+	}
+	kids := sf.spans[base:]
+	slices.SortFunc(kids, func(a, b [2]int) int {
+		return bytes.Compare(sf.arena[a[0]:a[1]], sf.arena[b[0]:b[1]])
+	})
+	start := len(sf.arena)
+	sf.arena = binary.AppendUvarint(sf.arena, code)
+	sf.arena = binary.AppendUvarint(sf.arena, sf.seg[t.Occs[v].Segment])
+	sf.arena = binary.AppendUvarint(sf.arena, uint64(len(kids)))
+	for _, k := range kids {
+		sf.arena = append(sf.arena, sf.arena[k[0]:k[1]]...)
+	}
+	sf.spans = sf.spans[:base]
+	return [2]int{start, len(sf.arena)}
 }
