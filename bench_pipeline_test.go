@@ -10,15 +10,13 @@ package repro
 import (
 	"context"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // BenchmarkQuery measures a warm-memo top-10 author-pair query through
 // the staged pipeline — discover, generate (memo hit), reduce,
-// optimize, execute, rank.
+// optimize, execute, rank — on a system loaded as xkserve loads it.
 func BenchmarkQuery(b *testing.B) {
-	sys := system(b, core.PresetXKeyword)
+	sys := servedSystem(b)
 	w := workload(b)
 	pair := w.Pairs[0]
 	if _, err := sys.Query(pair[:], 10); err != nil { // warm the CN memo
@@ -38,7 +36,7 @@ func BenchmarkQuery(b *testing.B) {
 // <2%-overhead acceptance gate for the pipeline refactor; the traced
 // run prices the six spans and the trace allocation.
 func BenchmarkPipelineOverhead(b *testing.B) {
-	sys := system(b, core.PresetXKeyword)
+	sys := servedSystem(b)
 	w := workload(b)
 	pair := w.Pairs[0]
 	if _, err := sys.Query(pair[:], 10); err != nil { // warm the CN memo

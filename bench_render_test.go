@@ -54,7 +54,7 @@ func serve(b *testing.B, h http.Handler, path string) {
 // the mix with an empty result cache, so every request also runs the
 // pipeline. Both run with a warm shape memo.
 func BenchmarkRender(b *testing.B) {
-	sys := system(b, core.PresetXKeyword)
+	sys := servedSystem(b)
 	paths := renderPaths(b, sys)
 	newHandler := func() http.Handler {
 		return webdemo.NewServerWith(sys, qserve.New(sys, qserve.Options{})).Handler()

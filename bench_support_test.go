@@ -1,11 +1,5 @@
 package repro
 
-import (
-	"math/rand"
-
-	"repro/internal/relstore"
-)
+import "math/rand"
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func newBenchStore() *relstore.Store { return relstore.NewStore(relstore.DefaultPoolPages) }

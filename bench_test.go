@@ -31,10 +31,11 @@ import (
 )
 
 var (
-	benchOnce sync.Once
-	benchW    *experiments.Workload
-	benchSys  map[core.DecompositionPreset]*core.System
-	benchErr  error
+	benchOnce   sync.Once
+	benchW      *experiments.Workload
+	benchSys    map[core.DecompositionPreset]*core.System
+	benchServed *core.System
+	benchErr    error
 )
 
 func workload(b *testing.B) *experiments.Workload {
@@ -54,20 +55,39 @@ func workload(b *testing.B) *experiments.Workload {
 	return benchW
 }
 
+// system loads the workload under a preset the way the experiments do:
+// with the harness's simulated buffer pool installed.
 func system(b *testing.B, preset core.DecompositionPreset) *core.System {
 	b.Helper()
 	w := workload(b)
 	if sys, ok := benchSys[preset]; ok {
 		return sys
 	}
+	sys := loadSystem(b, preset)
+	sys.Store.Pool = relstore.NewBufferPool(w.Config.PoolPages)
+	benchSys[preset] = sys
+	return sys
+}
+
+// servedSystem loads the workload the way xkserve does: the XKeyword
+// preset, no buffer pool; its queries run the naive executor.
+func servedSystem(b *testing.B) *core.System {
+	b.Helper()
+	if benchServed == nil {
+		benchServed = loadSystem(b, core.PresetXKeyword)
+	}
+	return benchServed
+}
+
+func loadSystem(b *testing.B, preset core.DecompositionPreset) *core.System {
+	b.Helper()
+	w := workload(b)
 	sys, err := core.LoadPrepared(w.Prepared, core.Options{
-		Z: w.Config.Z, B: w.Config.B, Decomposition: preset,
-		PoolPages: w.Config.PoolPages, SkipBlobs: true,
+		Z: w.Config.Z, B: w.Config.B, Decomposition: preset, SkipBlobs: true,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchSys[preset] = sys
 	return sys
 }
 
@@ -415,7 +435,7 @@ func BenchmarkMaterializeMinimal(b *testing.B) {
 	min := decomp.Minimal(w.DS.TSS)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newBenchStore()
+		s := relstore.NewStore()
 		if err := decomp.Materialize(s, w.DS.Obj, min); err != nil {
 			b.Fatal(err)
 		}

@@ -47,11 +47,6 @@ type Options struct {
 	MaxKeywords int
 	// Decomposition preset (default PresetXKeyword).
 	Decomposition DecompositionPreset
-	// PoolPages is the buffer-pool capacity (default relstore's).
-	PoolPages int
-	// CacheSize bounds the executor's lookup cache in entries; 0 means
-	// unlimited, negative disables caching (the naive algorithm).
-	CacheSize int
 	// SkipBlobs skips target-object BLOB construction (benchmarks).
 	SkipBlobs bool
 	// StrictMinimal drops results that violate the strict MTNN
@@ -81,9 +76,6 @@ func (o *Options) defaults() {
 	}
 	if o.Decomposition == "" {
 		o.Decomposition = PresetXKeyword
-	}
-	if o.PoolPages == 0 {
-		o.PoolPages = relstore.DefaultPoolPages
 	}
 }
 
@@ -251,7 +243,7 @@ func LoadPrepared(p *Prepared, opts Options) (*System, error) {
 		TSS:    p.TSS,
 		Data:   p.Data,
 		Obj:    p.Obj,
-		Store:  relstore.NewStore(opts.PoolPages),
+		Store:  relstore.NewStore(),
 		Opts:   opts,
 	}
 	s.Index = kwindex.Build(s.Obj)

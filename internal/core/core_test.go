@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -95,37 +96,56 @@ func TestMVDRedundancy(t *testing.T) {
 	}
 }
 
-// The optimized (caching) and naive algorithms must produce identical
-// result sets, for several queries and decompositions.
+// The optimized (caching) and naive executors must produce identical
+// results, in the same order, for several queries and every
+// decomposition; the naive one is what the served query path runs.
 func TestCacheEquivalence(t *testing.T) {
 	queries := [][]string{{"john", "vcr"}, {"us", "vcr"}, {"tv", "vcr"}, {"mike", "dvd"}}
-	for _, preset := range []core.DecompositionPreset{core.PresetXKeyword, core.PresetMinClust} {
-		cached := loadFig1(t, core.Options{Z: 8, Decomposition: preset, CacheSize: 0})
-		naive := loadFig1(t, core.Options{Z: 8, Decomposition: preset, CacheSize: -1})
+	for _, preset := range allPresets {
+		s := loadFig1(t, core.Options{Z: 8, Decomposition: preset})
 		for _, q := range queries {
-			a, err := cached.QueryAll(q)
+			plans, err := s.Plans(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := naive.QueryAll(q)
+			run := func(cache *exec.LookupCache) []string {
+				ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: cache}
+				var keys []string
+				for _, p := range plans {
+					if err := ex.Evaluate(p.Plan, func(r exec.Result) bool {
+						keys = append(keys, r.Key())
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return keys
+			}
+			cached, naive := run(exec.NewLookupCache(0)), run(nil)
+			if !slices.Equal(cached, naive) {
+				t.Fatalf("%s/%v: cached %d results, naive %d", preset, q, len(cached), len(naive))
+			}
+			served, err := s.QueryAllStrategy(q, exec.NestedLoop)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameResults(a, b) {
-				t.Fatalf("%s/%v: cached %d results, naive %d", preset, q, len(a), len(b))
+			sort.Strings(naive)
+			if !slices.Equal(resultKeys(served), naive) {
+				t.Fatalf("%s/%v: served %d results, naive executor %d", preset, q, len(served), len(naive))
 			}
 		}
 	}
 }
 
+var allPresets = []core.DecompositionPreset{
+	core.PresetXKeyword, core.PresetComplete, core.PresetMinClust,
+	core.PresetMinNClustIndx, core.PresetMinNClustNIndx,
+}
+
 // Every decomposition preset must return the same result sets.
 func TestDecompositionEquivalence(t *testing.T) {
-	presets := []core.DecompositionPreset{
-		core.PresetXKeyword, core.PresetComplete, core.PresetMinClust,
-		core.PresetMinNClustIndx, core.PresetMinNClustNIndx,
-	}
 	var baseline []exec.Result
-	for i, p := range presets {
+	for i, p := range allPresets {
 		s := loadFig1(t, core.Options{Z: 8, Decomposition: p})
 		rs, err := s.QueryAll([]string{"john", "vcr"})
 		if err != nil {

@@ -10,7 +10,8 @@ import (
 // system. fragments selects the connection relations the on-demand
 // queries may probe (nil = the system's whole decomposition); the §7
 // expansion experiment compares the minimal, inlined and combined
-// fragment sets this way.
+// fragment sets this way. The session memoizes its lookups in a fresh
+// unbounded LookupCache, since expansions repeat probes.
 func (s *System) PresentationSession(fragments []decomp.Fragment) *presentation.Session {
 	var fallback []decomp.Fragment
 	if fragments == nil {
@@ -18,7 +19,7 @@ func (s *System) PresentationSession(fragments []decomp.Fragment) *presentation.
 	} else {
 		fallback = s.Decomp.Fragments
 	}
-	sess := &presentation.Session{
+	return &presentation.Session{
 		TSS:       s.TSS,
 		Obj:       s.Obj,
 		Store:     s.Store,
@@ -26,11 +27,8 @@ func (s *System) PresentationSession(fragments []decomp.Fragment) *presentation.
 		Stats:     s.Stats,
 		Fragments: fragments,
 		Fallback:  fallback,
+		Cache:     exec.NewLookupCache(0),
 	}
-	if s.Opts.CacheSize >= 0 {
-		sess.Cache = exec.NewLookupCache(s.Opts.CacheSize)
-	}
-	return sess
 }
 
 // MinimalFragments returns the single-edge fragments of the system's

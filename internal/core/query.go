@@ -131,15 +131,13 @@ func (s *System) Networks(keywords []string) ([]*cn.TSSNetwork, error) {
 	return q.Nets, nil
 }
 
-// newExecutor builds an executor honoring the cache options.
+// newExecutor builds the serving executor: the naive nested loop, with
+// no lookup memo (the §6 memo is measured by the experiments, which
+// build their own cached executors).
 func (s *System) newExecutor() *exec.Executor { return s.newExecutorWith(s.Index) }
 
 func (s *System) newExecutorWith(ix kwindex.Source) *exec.Executor {
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: ix}
-	if s.Opts.CacheSize >= 0 {
-		ex.Cache = exec.NewLookupCache(s.Opts.CacheSize)
-	}
-	return ex
+	return &exec.Executor{Store: s.Store, TSS: s.TSS, Index: ix}
 }
 
 // newOptimizer builds the plan optimizer over the loaded decomposition.

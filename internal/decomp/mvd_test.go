@@ -24,7 +24,7 @@ func TestMVDTheoremBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := ds.TSS
-	store := relstore.NewStore(relstore.DefaultPoolPages)
+	store := relstore.NewStore()
 	var frags []decomp.Fragment
 	for n := 2; n <= 3; n++ {
 		frags = append(frags, decomp.EnumerateFragments(tg, n, true)...)

@@ -1,8 +1,9 @@
 // Package exec implements XKeyword's execution module (paper §6):
-// nested-loop evaluation of CTSSN plans over connection relations, with
-// the optimized partial-result caching algorithm (and the naive
-// non-caching baseline of DISCOVER/DBXplorer), a hash-join strategy for
-// full-result queries over unindexed decompositions, and the thread-pool
+// nested-loop evaluation of CTSSN plans over connection relations — the
+// naive non-caching algorithm of DISCOVER/DBXplorer, which serves
+// queries, and the optimized partial-result caching algorithm the
+// experiments measure against it — a hash-join strategy for full-result
+// queries over unindexed decompositions, and the serial smallest-first
 // top-k evaluation across candidate networks.
 package exec
 
@@ -57,10 +58,11 @@ func (r Result) Key() string {
 	return fmt.Sprint(r.Net.Canon(), r.Bind)
 }
 
-// Executor evaluates plans. It is safe for concurrent use; the lookup
-// cache is shared across goroutines and across the plans of one keyword
-// query, which is how common subexpressions between candidate networks
-// are reused.
+// Executor evaluates plans. Evaluation does not modify the executor, so
+// one may serve several goroutines. A query runs its plans serially
+// through one executor; with a Cache, the memo is shared across those
+// plans, which is how §6 reuses common subexpressions between candidate
+// networks.
 type Executor struct {
 	Store *relstore.Store
 	TSS   *tss.Graph

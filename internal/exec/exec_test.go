@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -22,59 +23,83 @@ func fig1System(t *testing.T, opts core.Options) *core.System {
 	return s
 }
 
+// evalAll evaluates every plan of a query to completion through ex with
+// the nested loop, so a cached executor's memo is exercised.
+func evalAll(t *testing.T, ex *exec.Executor, plans []exec.Planned) []exec.Result {
+	t.Helper()
+	var out []exec.Result
+	for _, p := range plans {
+		if err := ex.Evaluate(p.Plan, func(r exec.Result) bool {
+			out = append(out, r)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func resultKeys(rs []exec.Result) []string {
+	keys := make([]string, len(rs))
+	for i, r := range rs {
+		keys[i] = r.Key()
+	}
+	return keys
+}
+
 func TestLookupCacheBasics(t *testing.T) {
 	c := exec.NewLookupCache(0)
 	if h, m := c.Stats(); h != 0 || m != 0 {
 		t.Fatalf("fresh cache stats = %d/%d", h, m)
 	}
-	s := fig1System(t, core.Options{Z: 8, CacheSize: 0})
-	if _, err := s.QueryAll([]string{"us", "vcr"}); err != nil {
+	s := fig1System(t, core.Options{Z: 8})
+	plans, err := s.Plans([]string{"us", "vcr"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: c}, plans)
+	if h, m := c.Stats(); h+m == 0 {
+		t.Fatal("a query through a cached executor left no cache traffic")
 	}
 }
 
 func TestCacheReducesIO(t *testing.T) {
-	// The optimized algorithm must issue fewer page reads than the naive
+	// The optimized algorithm must issue fewer lookups than the naive
 	// one for a query with repeated sub-lookups (the Figure 2 MVD data:
 	// both lineitems connect to the same TV part).
-	cached := fig1System(t, core.Options{Z: 8, CacheSize: 0})
-	naive := fig1System(t, core.Options{Z: 8, CacheSize: -1})
-
-	cached.Store.ResetStats()
-	if _, err := cached.QueryAll([]string{"us", "vcr"}); err != nil {
+	s := fig1System(t, core.Options{Z: 8})
+	plans, err := s.Plans([]string{"us", "vcr"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := cached.Store.Stats.Snapshot()
-
-	naive.Store.ResetStats()
-	if _, err := naive.QueryAll([]string{"us", "vcr"}); err != nil {
-		t.Fatal(err)
+	lookups := func(cache *exec.LookupCache) int64 {
+		s.Store.ResetStats()
+		evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: cache}, plans)
+		return s.Store.Stats.Snapshot().Lookups
 	}
-	n := naive.Store.Stats.Snapshot()
-
-	if c.Lookups >= n.Lookups {
-		t.Fatalf("cached lookups %d >= naive lookups %d", c.Lookups, n.Lookups)
+	if c, n := lookups(exec.NewLookupCache(0)), lookups(nil); c >= n {
+		t.Fatalf("cached lookups %d >= naive lookups %d", c, n)
 	}
 }
 
+// A capacity-1 cache drops every put after the first, so most probes
+// are re-sent; the results must still equal the naive executor's, in
+// the same order.
 func TestCacheCapacity(t *testing.T) {
-	c := exec.NewLookupCache(1)
-	// Capacity is honored indirectly: after filling, puts are dropped but
-	// correctness is preserved (exercised through a query).
-	s := fig1System(t, core.Options{Z: 8, CacheSize: 1})
-	a, err := s.QueryAll([]string{"us", "vcr"})
+	s := fig1System(t, core.Options{Z: 8})
+	plans, err := s.Plans([]string{"us", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := fig1System(t, core.Options{Z: 8, CacheSize: -1})
-	b, err := s2.QueryAll([]string{"us", "vcr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
+	tiny := exec.NewLookupCache(1)
+	a := resultKeys(evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: tiny}, plans))
+	b := resultKeys(evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}, plans))
+	if len(a) == 0 || !slices.Equal(a, b) {
 		t.Fatalf("tiny cache changed results: %d vs %d", len(a), len(b))
 	}
-	_ = c
+	if h, m := tiny.Stats(); m < 2 {
+		t.Fatalf("tiny cache stats = %d/%d, want repeated misses", h, m)
+	}
 }
 
 func TestResultsAreDistinctTrees(t *testing.T) {

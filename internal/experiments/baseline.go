@@ -30,7 +30,7 @@ func FigBaseline(cfg Config, scales []int) (Figure, error) {
 		if err != nil {
 			return fig, err
 		}
-		sys, err := w.load(core.PresetXKeyword, 0)
+		sys, err := w.load(core.PresetXKeyword)
 		if err != nil {
 			return fig, err
 		}

@@ -27,7 +27,7 @@ var fig15Presets = []core.DecompositionPreset{
 func Fig15a(w *Workload) (Figure, error) {
 	fig := Figure{ID: "15a", Title: "top-K results per candidate network", XLabel: "K"}
 	for _, preset := range fig15Presets {
-		sys, err := w.load(preset, -1) // per-run caches created below
+		sys, err := w.load(preset)
 		if err != nil {
 			return fig, err
 		}
@@ -99,7 +99,7 @@ func Fig15b(w *Workload) (Figure, error) {
 		}
 	}
 	for _, preset := range fig15Presets {
-		sys, err := w.load(preset, -1)
+		sys, err := w.load(preset)
 		if err != nil {
 			return fig, err
 		}

@@ -19,7 +19,7 @@ import (
 // series for machine reading).
 func Fig16a(w *Workload) (Figure, error) {
 	fig := Figure{ID: "16a", Title: "optimized vs naive execution (caching)", XLabel: "size"}
-	sys, err := w.load(core.PresetXKeyword, -1)
+	sys, err := w.load(core.PresetXKeyword)
 	if err != nil {
 		return fig, err
 	}
@@ -107,7 +107,7 @@ func Fig16a(w *Workload) (Figure, error) {
 // oversized relations.
 func Fig16b(w *Workload) (Figure, error) {
 	fig := Figure{ID: "16b", Title: "presentation-graph expansion of a Paper node", XLabel: "size"}
-	sys, err := w.load(core.PresetXKeyword, -1)
+	sys, err := w.load(core.PresetXKeyword)
 	if err != nil {
 		return fig, err
 	}

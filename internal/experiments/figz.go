@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/relstore"
 )
 
 // FigZ reproduces §7's sensitivity remark — "the absolute times are an
@@ -30,11 +31,12 @@ func FigZ(w *Workload, zs []int) (Figure, error) {
 	netSeries := Series{Label: "candidate networks"}
 	for _, z := range zs {
 		sys, err := core.LoadPrepared(w.Prepared, core.Options{
-			Z: z, B: w.Config.B, PoolPages: w.Config.PoolPages, SkipBlobs: true,
+			Z: z, B: w.Config.B, SkipBlobs: true,
 		})
 		if err != nil {
 			return fig, err
 		}
+		sys.Store.Pool = relstore.NewBufferPool(w.Config.PoolPages)
 		var pp, ep, np Point
 		pp.X, ep.X, np.X = z, z, z
 		runs := 0

@@ -39,7 +39,8 @@ type Config struct {
 	Ks []int
 	// Sizes is the CTSSN-size axis of Figures 15(b)/16(a)/16(b).
 	Sizes []int
-	// PoolPages bounds the buffer pool.
+	// PoolPages bounds the simulated buffer pool every system of the
+	// workload is given.
 	PoolPages int
 	// Seed drives query selection.
 	Seed int64
@@ -255,19 +256,20 @@ func authorNameOf(ds *datagen.Dataset, to int64) string {
 	return strings.TrimSuffix(strings.SplitN(sum, "name=", 2)[1], "]")
 }
 
-// load builds a System over the shared dataset with a preset.
-func (w *Workload) load(preset core.DecompositionPreset, cacheSize int) (*core.System, error) {
+// load builds a System over the shared dataset with a preset and
+// installs the simulated buffer pool the figures' costs are charged
+// against.
+func (w *Workload) load(preset core.DecompositionPreset) (*core.System, error) {
 	sys, err := core.LoadPrepared(w.Prepared, core.Options{
 		Z:             w.Config.Z,
 		B:             w.Config.B,
 		Decomposition: preset,
-		PoolPages:     w.Config.PoolPages,
-		CacheSize:     cacheSize,
 		SkipBlobs:     true,
 	})
 	if err != nil {
 		return nil, err
 	}
+	sys.Store.Pool = relstore.NewBufferPool(w.Config.PoolPages)
 	if w.Config.DiskIndex {
 		rd, err := w.diskReader()
 		if err != nil {

@@ -17,7 +17,7 @@ func SpaceComparison(w *Workload) (string, error) {
 	fmt.Fprintf(&sb, "Decomposition space (DBLP-like dataset, %d target objects)\n", w.DS.Obj.NumObjects())
 	fmt.Fprintf(&sb, "%-16s %10s %12s %10s %18s\n", "decomposition", "fragments", "rows", "pages", "largest relation")
 	for _, preset := range fig15Presets {
-		sys, err := w.load(preset, -1)
+		sys, err := w.load(preset)
 		if err != nil {
 			return "", err
 		}

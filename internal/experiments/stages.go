@@ -38,7 +38,7 @@ type StageTable struct {
 // workload's author-pair queries at top-K, under the xkeyword preset.
 func StageBreakdown(w *Workload, k int) (StageTable, error) {
 	tbl := StageTable{K: k, Queries: len(w.Pairs)}
-	sys, err := w.load(core.PresetXKeyword, 0)
+	sys, err := w.load(core.PresetXKeyword)
 	if err != nil {
 		return tbl, err
 	}

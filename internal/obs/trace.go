@@ -22,7 +22,7 @@ type Span struct {
 	In  int64 `json:"in"`
 	Out int64 `json:"out"`
 	// CacheHits and CacheMisses count the stage's cache traffic: the CN
-	// memo for generation, the executor's lookup cache for execution.
+	// memo of the generate stage.
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// Cached marks a stage whose whole output came from a cache.

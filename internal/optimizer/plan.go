@@ -4,7 +4,8 @@
 // allows), orders the nested loops starting from the keyword with the
 // smallest containing list (§6), and prefers probe directions that are
 // clustered or indexed. Common subexpressions across the CNs of one
-// keyword query are reused through the executor's shared lookup cache.
+// keyword query are reused through an executor's lookup cache, when it
+// has one (§6).
 package optimizer
 
 import (

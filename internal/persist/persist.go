@@ -274,7 +274,7 @@ func load(r io.Reader) (*core.System, *snapshot, error) {
 		return nil, nil, err
 	}
 
-	store := relstore.NewStore(snap.Opts.PoolPages)
+	store := relstore.NewStore()
 	d := &decomp.Decomposition{Name: snap.DecompName, Physical: snap.Physical}
 	for i, steps := range snap.FragmentSteps {
 		ss := make([]decomp.Step, len(steps))

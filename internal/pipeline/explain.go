@@ -66,8 +66,6 @@ func (e *Explain) Format() string {
 				memo = "hit"
 			}
 			fmt.Fprintf(&sb, " memo=%s", memo)
-		} else if sp.CacheHits+sp.CacheMisses > 0 {
-			fmt.Fprintf(&sb, " cache=%dh/%dm", sp.CacheHits, sp.CacheMisses)
 		}
 		if sp.Note != "" {
 			fmt.Fprintf(&sb, " (%s)", sp.Note)

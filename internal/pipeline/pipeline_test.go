@@ -130,10 +130,6 @@ func TestStagesReportIntoTrace(t *testing.T) {
 	if spans[1].Cached || spans[1].CacheMisses != 1 {
 		t.Fatalf("generate span cache fields wrong: %+v", spans[1])
 	}
-	// The executor's lookup cache traffic surfaced on the execute span.
-	if spans[4].CacheHits+spans[4].CacheMisses == 0 {
-		t.Fatal("execute span has no lookup-cache traffic")
-	}
 }
 
 // TestPartialModesStopEarly checks ModeNetworks and ModePlans run only

@@ -48,8 +48,8 @@ type Config struct {
 	Templates TemplateCache
 	// NewOptimizer builds the plan optimizer (per query).
 	NewOptimizer func() *optimizer.Optimizer
-	// NewExecutor builds the executor honoring the cache options (per
-	// query; the lookup cache is shared across the query's plans).
+	// NewExecutor builds the executor (per query, shared by the
+	// query's plans).
 	NewExecutor func() *exec.Executor
 	// Metrics, when non-nil, accumulates cross-query stage statistics.
 	Metrics *Metrics
@@ -318,8 +318,7 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 
 // executeStage evaluates the plans (§6) in the query's mode: top-K
 // smallest-first with early termination, all results plan by plan
-// through one shared lookup cache, or a started stream. Cache traffic is
-// the executor lookup cache's hit/miss counts.
+// through one executor, or a started stream.
 type executeStage struct{ cfg *Config }
 
 func (s executeStage) Name() string { return StageExecute }
@@ -345,7 +344,6 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 			K:        q.K,
 			Strategy: q.Strategy,
 		})
-		recordLookups(ex, rep)
 		if err != nil {
 			return err
 		}
@@ -377,23 +375,12 @@ func (s executeStage) runAll(ctx context.Context, q *Query, rep *StageReport) er
 			out = append(out, r)
 			return true
 		}); err != nil {
-			recordLookups(ex, rep)
 			return err
 		}
 	}
-	recordLookups(ex, rep)
 	q.Results = out
 	rep.Out = int64(len(out))
 	return nil
-}
-
-// recordLookups copies the executor lookup cache's counters into the
-// stage report.
-func recordLookups(ex *exec.Executor, rep *StageReport) {
-	if ex.Cache == nil {
-		return
-	}
-	rep.CacheHits, rep.CacheMisses = ex.Cache.Stats()
 }
 
 // rankStage is the single place results are ordered and filtered: full

@@ -105,9 +105,9 @@ func (r *Relation) access(cols []int) Access {
 func (a Access) Path() AccessPath { return a.path }
 
 // Lookup returns a view of the rows whose lookup columns equal vals,
-// adding what the probe costs to io: one lookup, the pages it touches
-// against the store's buffer pool, the rows it returns. The caller
-// flushes io into the store's counters (IOStats.Add) when it is done.
+// adding what the probe costs to io: one lookup, the pages it touches,
+// the rows it returns. The caller flushes io into the store's counters
+// (IOStats.Add) when it is done.
 func (a Access) Lookup(vals []int64, io *IOStats) Rows {
 	r := a.rel
 	if len(vals) != len(a.cols) {
@@ -214,13 +214,14 @@ func (r *Relation) rangeScan(c *physCopy, cols []int, vals []int64, io *IOStats)
 	return Rows{data: data[first*arity : hi*arity], arity: arity, n: hi - first}
 }
 
-// touch records one page access against the store's buffer pool;
-// sequential misses are discounted by the disk cost model.
+// touch records one page access, against the store's buffer pool when
+// one is installed; sequential misses are discounted by the disk cost
+// model.
 func (r *Relation) touch(ordering string, page int32, sequential bool, io *IOStats) {
 	if r.store == nil {
 		return
 	}
-	if r.store.Pool.Access(PageKey{Relation: r.Name, Ordering: ordering, Page: page}) {
+	if p := r.store.Pool; p != nil && p.Access(PageKey{Relation: r.Name, Ordering: ordering, Page: page}) {
 		io.PageHits++
 		return
 	}

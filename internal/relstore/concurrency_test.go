@@ -8,7 +8,7 @@ import (
 // The store is read-only after loading; concurrent readers across the
 // top-k worker pool must agree and not race (run under -race).
 func TestConcurrentReaders(t *testing.T) {
-	s := NewStore(64)
+	s := pooledStore(64)
 	var rows []Row
 	for i := 0; i < PageRows*8; i++ {
 		rows = append(rows, Row{int64(i % 37), int64(i)})

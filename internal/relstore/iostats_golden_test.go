@@ -18,7 +18,7 @@ var updateIOStats = flag.Bool("update", false, "rewrite testdata/iostats.golden"
 // that preceded the flat layout; storage may change, what a probe is
 // charged may not.
 func TestIOStatsGolden(t *testing.T) {
-	s := NewStore(3)
+	s := pooledStore(3)
 	rng := rand.New(rand.NewSource(19))
 	var rows []Row
 	for i := 0; i < 5*PageRows+17; i++ {

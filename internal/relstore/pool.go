@@ -78,38 +78,26 @@ func (s *IOStats) Snapshot() IOStats {
 // only. Access records a hit or a miss; misses evict the least recently
 // used page once the pool is full.
 type BufferPool struct {
-	pages *lru.Cache[PageKey, struct{}] // nil: caching disabled
+	pages *lru.Cache[PageKey, struct{}]
 }
 
-// NewBufferPool returns a pool holding at most capacity pages; capacity
-// <= 0 disables caching (every access is a miss).
+// NewBufferPool returns a pool holding at most capacity pages, or nil —
+// no pool, every access a miss — when capacity <= 0.
 func NewBufferPool(capacity int) *BufferPool {
 	if capacity <= 0 {
-		return &BufferPool{}
+		return nil
 	}
 	return &BufferPool{pages: lru.New(lru.Config[PageKey, struct{}]{MaxEntries: capacity})}
 }
 
 // Access touches a page and reports whether it was cached.
 func (p *BufferPool) Access(k PageKey) (hit bool) {
-	if p.pages == nil {
-		return false
-	}
 	_, hit = p.pages.GetOrPut(k, struct{}{})
 	return hit
 }
 
 // Len returns the number of cached pages.
-func (p *BufferPool) Len() int {
-	if p.pages == nil {
-		return 0
-	}
-	return p.pages.Len()
-}
+func (p *BufferPool) Len() int { return p.pages.Len() }
 
 // Reset empties the pool.
-func (p *BufferPool) Reset() {
-	if p.pages != nil {
-		p.pages.Clear()
-	}
-}
+func (p *BufferPool) Reset() { p.pages.Clear() }

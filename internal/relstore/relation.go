@@ -136,10 +136,18 @@ func (r *Relation) buildHashIndexLocked(col int) error {
 }
 
 // BuildAllHashIndexes creates a hash index on every attribute (the
-// "single attribute indices on every attribute" design of §5.1).
+// "single attribute indices on every attribute" design of §5.1) that no
+// sorted copy already leads with: Access and the optimizer both prefer
+// such a copy, so an index on its first column would never be read.
+// Call it after Cluster and AddOrdering.
 func (r *Relation) BuildAllHashIndexes() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for c := range r.Cols {
-		if err := r.BuildHashIndex(c); err != nil {
+		if r.sortedOn([]int{c}) != nil {
+			continue
+		}
+		if err := r.buildHashIndexLocked(c); err != nil {
 			panic(err) // unreachable: columns enumerated from r.Cols
 		}
 	}

@@ -38,7 +38,7 @@ func collect(v Rows) []Row {
 }
 
 func TestCreateRelationValidation(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	if _, err := s.CreateRelation("", []string{"a"}); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -57,7 +57,7 @@ func TestCreateRelationValidation(t *testing.T) {
 }
 
 func TestInsertValidation(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	r, _ := s.CreateRelation("r", []string{"a", "b"})
 	if err := r.Insert(Row{1}); err == nil {
 		t.Fatal("wrong arity accepted")
@@ -79,7 +79,7 @@ func TestLookupPathsAgree(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, Row{int64(rng.Intn(50)), int64(rng.Intn(50)), int64(i)})
 	}
-	s := NewStore(64)
+	s := pooledStore(64)
 	scanRel := newTestRelation(t, s, "scan", rows)
 	hashRel := newTestRelation(t, s, "hash", rows)
 	hashRel.BuildAllHashIndexes()
@@ -122,7 +122,7 @@ func TestLookupPathsAgree(t *testing.T) {
 }
 
 func TestLookupPrefixMultiColumn(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	r := newTestRelation(t, s, "r", []Row{
 		{1, 10, 100}, {1, 10, 101}, {1, 20, 102}, {2, 10, 103},
 	})
@@ -141,7 +141,7 @@ func TestLookupPrefixMultiColumn(t *testing.T) {
 }
 
 func TestLookupEqMissingValue(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	r := newTestRelation(t, s, "r", []Row{{1, 2}, {3, 4}})
 	r.BuildAllHashIndexes()
 	if rows := r.LookupEq(0, 99); rows.Len() != 0 {
@@ -150,7 +150,7 @@ func TestLookupEqMissingValue(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	var rows []Row
 	for i := 0; i < 10; i++ {
 		rows = append(rows, Row{int64(i), 0})
@@ -163,8 +163,36 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
+// pooledStore returns a store with a simulated buffer pool of the given
+// capacity in pages.
+func pooledStore(pages int) *Store {
+	s := NewStore()
+	s.Pool = NewBufferPool(pages)
+	return s
+}
+
+// Without a pool every page access is a read: a repeated scan reads the
+// same pages again, nothing is ever a hit, and ResetStats still works.
+func TestNoPoolCountsEveryAccess(t *testing.T) {
+	s := NewStore()
+	var rows []Row
+	for i := 0; i < PageRows*3; i++ { // 3 pages
+		rows = append(rows, Row{int64(i), int64(i % 7)})
+	}
+	r := newTestRelation(t, s, "r", rows)
+	r.Scan(func(Row) bool { return true })
+	r.Scan(func(Row) bool { return true })
+	if st := s.Stats.Snapshot(); st.PageReads != 6 || st.SeqReads != 6 || st.PageHits != 0 {
+		t.Fatalf("stats = %+v, want 6 sequential reads, no hits", st)
+	}
+	s.ResetStats()
+	if st := s.Stats.Snapshot(); st != (IOStats{}) {
+		t.Fatalf("stats after reset = %+v", st)
+	}
+}
+
 func TestIOAccounting(t *testing.T) {
-	s := NewStore(2) // tiny pool: 2 pages
+	s := pooledStore(2) // tiny pool: 2 pages
 	var rows []Row
 	for i := 0; i < PageRows*4; i++ { // 4 pages
 		rows = append(rows, Row{int64(i), int64(i % 7)})
@@ -187,7 +215,7 @@ func TestIOAccounting(t *testing.T) {
 }
 
 func TestBufferPoolHitsAfterWarm(t *testing.T) {
-	s := NewStore(64)
+	s := pooledStore(64)
 	var rows []Row
 	for i := 0; i < PageRows*3; i++ {
 		rows = append(rows, Row{int64(i % 5), int64(i)})
@@ -228,15 +256,15 @@ func TestBufferPoolLRU(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatal("reset did not empty pool")
 	}
-	// Zero-capacity pool never hits.
-	z := NewBufferPool(0)
-	if z.Access(k(1)) || z.Access(k(1)) {
-		t.Fatal("zero-capacity pool cached")
+	// Zero capacity means no pool (every access a read; see
+	// TestNoPoolCountsEveryAccess).
+	if NewBufferPool(0) != nil {
+		t.Fatal("zero-capacity pool built")
 	}
 }
 
 func TestClusterRebuildsIndexes(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	r := newTestRelation(t, s, "r", []Row{{3, 30}, {1, 10}, {2, 20}})
 	r.BuildAllHashIndexes()
 	if err := r.AddOrdering(1); err != nil {
@@ -260,7 +288,7 @@ func TestClusterRebuildsIndexes(t *testing.T) {
 }
 
 func TestClusteredOnPrefixSemantics(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	r := newTestRelation(t, s, "r", []Row{{1, 2, 3}})
 	if err := r.AddOrdering(0, 1); err != nil {
 		t.Fatal(err)
@@ -274,7 +302,7 @@ func TestClusteredOnPrefixSemantics(t *testing.T) {
 }
 
 func TestBlobs(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	s.PutBlob(7, []byte("<part/>"))
 	b, ok := s.Blob(7)
 	if !ok || string(b) != "<part/>" {
@@ -286,7 +314,7 @@ func TestBlobs(t *testing.T) {
 }
 
 func TestStoreTotals(t *testing.T) {
-	s := NewStore(16)
+	s := pooledStore(16)
 	newTestRelation(t, s, "a", []Row{{1, 2}, {3, 4}})
 	newTestRelation(t, s, "b", make([]Row, 0))
 	if s.TotalRows() != 2 {
@@ -307,7 +335,7 @@ func TestQuickClusteredEqualsScan(t *testing.T) {
 		n := int(nRaw%500) + 1
 		domain := int64(domainRaw%20) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(32)
+		s := pooledStore(32)
 		r, _ := s.CreateRelation("r", []string{"x", "y"})
 		for i := 0; i < n; i++ {
 			if err := r.Insert(Row{rng.Int63n(domain), rng.Int63n(domain)}); err != nil {

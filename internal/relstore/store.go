@@ -6,16 +6,19 @@ import (
 	"sync"
 )
 
-// DefaultPoolPages is the default buffer-pool capacity. The paper's
-// machine had 1 GB RAM against a multi-hundred-MB database; a pool that
-// holds a modest fraction of the benchmark relations reproduces the same
-// cache dynamics.
+// DefaultPoolPages is the buffer-pool capacity the experiments install
+// by default. The paper's machine had 1 GB RAM against a
+// multi-hundred-MB database; a pool that holds a modest fraction of the
+// benchmark relations reproduces the same cache dynamics.
 const DefaultPoolPages = 4096
 
-// Store owns a set of connection relations, the target-object BLOBs and
-// the shared buffer pool. Reads are safe for concurrent use once loading
-// has finished.
+// Store owns a set of connection relations and the target-object BLOBs.
+// Reads are safe for concurrent use once loading has finished.
 type Store struct {
+	// Pool is the simulated buffer pool every page access is charged
+	// against. Nil (the default) counts every access as a page read;
+	// the experiments install a pool before they measure, to reproduce
+	// the paper's cache behaviour.
 	Pool  *BufferPool
 	Stats IOStats
 
@@ -24,11 +27,9 @@ type Store struct {
 	blobs     map[int64][]byte
 }
 
-// NewStore returns a store with the given buffer-pool capacity in pages
-// (<= 0 disables caching).
-func NewStore(poolPages int) *Store {
+// NewStore returns an empty store with no buffer pool.
+func NewStore() *Store {
 	return &Store{
-		Pool:      NewBufferPool(poolPages),
 		relations: make(map[string]*Relation),
 		blobs:     make(map[int64][]byte),
 	}
@@ -106,9 +107,11 @@ func (s *Store) Blob(id int64) ([]byte, bool) {
 	return b, ok
 }
 
-// ResetStats zeroes the I/O counters and empties the buffer pool, so a
-// benchmark can measure one query in isolation.
+// ResetStats zeroes the I/O counters and empties the buffer pool, if
+// one is installed, so a benchmark can measure one query in isolation.
 func (s *Store) ResetStats() {
 	s.Stats = IOStats{}
-	s.Pool.Reset()
+	if s.Pool != nil {
+		s.Pool.Reset()
+	}
 }

@@ -112,7 +112,7 @@ func TestViewsMatchBruteForce(t *testing.T) {
 		}
 		for _, design := range designs {
 			name := fmt.Sprintf("round%d/arity%d/%s", round, arity, design)
-			s := NewStore(8)
+			s := pooledStore(8)
 			r := newTestRelation(t, s, name, rows)
 			m := &model{rows: rows}
 			must := func(err error) {
@@ -193,7 +193,7 @@ func TestSharedPrefixOrderingsAreDeterministic(t *testing.T) {
 	for i := 0; i < 2*PageRows; i++ {
 		rows = append(rows, Row{int64(i % 5), int64(i % 7), int64(-i)})
 	}
-	s := NewStore(64)
+	s := pooledStore(64)
 	r := newTestRelation(t, s, "r", rows)
 	if err := r.AddOrdering(0, 2); err != nil { // added first, sorts second
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 	for i := 0; i < 4*PageRows; i++ {
 		rows = append(rows, Row{int64(i % 50), int64(i % 9), int64(i % 31)})
 	}
-	s := NewStore(64)
+	s := pooledStore(64)
 	r := newTestRelation(t, s, "r", rows)
 	r.BuildAllHashIndexes()
 	if err := r.Cluster(0, 1, 2); err != nil {
