@@ -6,10 +6,16 @@ package repro
 // observability layer costs — "disabled" runs with a nil Trace (every
 // span operation a no-op) and must stay within noise of BenchmarkQuery;
 // "traced" is the full EXPLAIN ANALYZE path with per-stage spans.
+// BenchmarkSnapshotLoad is the start-up cost of a server that restores
+// a saved system instead of running the load stage.
 
 import (
+	"bytes"
 	"context"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/persist"
 )
 
 // BenchmarkQuery measures a warm-memo top-10 author-pair query through
@@ -56,4 +62,22 @@ func BenchmarkPipelineOverhead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSnapshotLoad measures persist.Load of the system xkserve
+// serves, saved once to memory: decoding the snapshot and rebuilding
+// everything it does not store. The snapshot size is reported as
+// snapshot-bytes.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	var snap bytes.Buffer
+	if err := persist.Save(&snap, servedSystem(b), datagen.DBLPSpec()); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := persist.Load(bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
 }

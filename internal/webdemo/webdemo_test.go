@@ -1,8 +1,10 @@
 package webdemo_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +17,14 @@ import (
 
 func demoServer(t *testing.T) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(webdemo.NewServer(demoSystem(t)).Handler())
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// demoSystem loads TPC-H Figure 1.
+func demoSystem(t *testing.T) *core.System {
+	t.Helper()
 	ds, err := datagen.TPCHFigure1()
 	if err != nil {
 		t.Fatal(err)
@@ -24,9 +34,7 @@ func demoServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(webdemo.NewServer(sys).Handler())
-	t.Cleanup(srv.Close)
-	return srv
+	return sys
 }
 
 func getJSON(t *testing.T, url string, out interface{}) int {
@@ -224,34 +232,33 @@ func TestErrorHandling(t *testing.T) {
 }
 
 func TestObjectEndpoint(t *testing.T) {
-	srv := demoServer(t)
-	// Discover a valid TO id through a query.
-	var out struct {
-		Results []struct {
-			Objects []string `json:"objects"`
-		} `json:"results"`
-	}
-	if code := getJSON(t, srv.URL+"/api/query?q=john&k=1", &out); code != http.StatusOK {
-		t.Fatalf("query status %d", code)
-	}
-	// Probe ids until one hits (ids are node ids; the first person is 1).
-	found := false
-	for id := 1; id <= 50 && !found; id++ {
+	sys := demoSystem(t)
+	srv := httptest.NewServer(webdemo.NewServer(sys).Handler())
+	t.Cleanup(srv.Close)
+	// Every target object's body is its serialized XML fragment.
+	for _, id := range sys.Obj.Objects() {
+		want, err := sys.Obj.BlobXML(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp, err := http.Get(fmt.Sprintf("%s/api/object?id=%d", srv.URL, id))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body := resp.Header.Get("Content-Type")
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			found = true
-			if !strings.Contains(body, "xml") {
-				t.Fatalf("content type %q", body)
-			}
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !found {
-		t.Fatal("no target object served")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("object %d: status %d", id, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "xml") {
+			t.Fatalf("object %d: content type %q", id, ct)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("object %d: body %q, want %q", id, body, want)
+		}
 	}
 	resp, err := http.Get(srv.URL + "/api/object?id=999999")
 	if err != nil {
