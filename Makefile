@@ -77,7 +77,7 @@ chaos:
 # Run every fuzz target against its seed corpus only (no new inputs);
 # catches regressions on the known tricky files deterministically.
 fuzzseed:
-	$(GO) test -run=Fuzz ./internal/diskindex/ ./internal/dtd/ ./internal/xmlgraph/ ./internal/segidx/ ./internal/edgelist/ ./internal/webdemo/
+	$(GO) test -run=Fuzz ./internal/diskindex/ ./internal/dtd/ ./internal/xmlgraph/ ./internal/segidx/ ./internal/edgelist/ ./internal/webdemo/ ./internal/persist/
 
 # Every bench target tees its text output through cmd/xkbenchjson,
 # leaving a machine-readable BENCH_<name>.json trajectory file at the

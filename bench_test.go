@@ -83,7 +83,7 @@ func loadSystem(b *testing.B, preset core.DecompositionPreset) *core.System {
 	b.Helper()
 	w := workload(b)
 	sys, err := core.LoadPrepared(w.Prepared, core.Options{
-		Z: w.Config.Z, B: w.Config.B, Decomposition: preset, SkipBlobs: true,
+		Z: w.Config.Z, B: w.Config.B, Decomposition: preset,
 	})
 	if err != nil {
 		b.Fatal(err)

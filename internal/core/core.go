@@ -1,6 +1,6 @@
 // Package core is the XKeyword system facade: it wires the load stage —
-// schema conformance, target decomposition, master index, statistics,
-// target-object BLOBs and connection-relation materialization — and the
+// schema conformance, target decomposition, master index, statistics
+// and connection-relation materialization — and the
 // query stage — CN generation, CTSSN reduction, plan optimization and
 // execution (paper §4, Figure 7).
 package core
@@ -47,8 +47,6 @@ type Options struct {
 	MaxKeywords int
 	// Decomposition preset (default PresetXKeyword).
 	Decomposition DecompositionPreset
-	// SkipBlobs skips target-object BLOB construction (benchmarks).
-	SkipBlobs bool
 	// StrictMinimal drops results that violate the strict MTNN
 	// minimality of §3.1 (a leaf whose keywords already appear in
 	// another bound target object). Off by default, matching the
@@ -77,6 +75,20 @@ func (o *Options) defaults() {
 	if o.Decomposition == "" {
 		o.Decomposition = PresetXKeyword
 	}
+}
+
+// Validate rejects options no system can run with: a negative bound or
+// an unknown scorer name. LoadPrepared checks them after defaulting, and
+// a restored snapshot's options are checked before they are served.
+func (o *Options) Validate() error {
+	if o.Z < 0 || o.B < 0 || o.MaxKeywords < 0 {
+		return fmt.Errorf("core: negative option (Z=%d B=%d MaxKeywords=%d)",
+			o.Z, o.B, o.MaxKeywords)
+	}
+	if _, err := rank.New(o.Scorer); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }
 
 // System is a loaded XKeyword instance.
@@ -198,8 +210,9 @@ func (s *System) memo() *netMemo {
 
 // Load runs the load stage of Figure 7 over a typed or untyped data
 // graph: conformance/type assignment, TSS derivation, target
-// decomposition, master index, statistics, BLOBs, and connection
-// relation materialization under the chosen decomposition preset.
+// decomposition, master index, statistics, and connection relation
+// materialization under the chosen decomposition preset. Target-object
+// BLOBs are not stored: ObjectGraph.BlobXML serializes one on demand.
 func Load(sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph, opts Options) (*System, error) {
 	opts.defaults()
 	if err := sg.Assign(data); err != nil {
@@ -228,15 +241,11 @@ type Prepared struct {
 // LoadPrepared builds a System over an already-decomposed dataset.
 func LoadPrepared(p *Prepared, opts Options) (*System, error) {
 	opts.defaults()
-	if opts.Z < 0 || opts.B < 0 || opts.MaxKeywords < 0 {
-		return nil, fmt.Errorf("core: negative option (Z=%d B=%d MaxKeywords=%d)",
-			opts.Z, opts.B, opts.MaxKeywords)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	if p == nil || p.Schema == nil || p.TSS == nil || p.Data == nil || p.Obj == nil {
 		return nil, fmt.Errorf("core: incomplete prepared dataset")
-	}
-	if _, err := rank.New(opts.Scorer); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
 	}
 	s := &System{
 		Schema: p.Schema,
@@ -272,15 +281,6 @@ func LoadPrepared(p *Prepared, opts Options) (*System, error) {
 	s.Decomp = d
 	if err := decomp.Materialize(s.Store, s.Obj, d); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
-	}
-	if !opts.SkipBlobs {
-		for _, id := range s.Obj.Objects() {
-			blob, err := s.Obj.BlobXML(id)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
-			}
-			s.Store.PutBlob(id, blob)
-		}
 	}
 	return s, nil
 }

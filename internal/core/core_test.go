@@ -236,20 +236,6 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
-func TestBlobsLoaded(t *testing.T) {
-	s := loadFig1(t, core.Options{})
-	for _, id := range s.Obj.Objects() {
-		b, ok := s.Store.Blob(id)
-		if !ok || len(b) == 0 {
-			t.Fatalf("missing blob for TO %d", id)
-		}
-	}
-	s2 := loadFig1(t, core.Options{SkipBlobs: true})
-	if _, ok := s2.Store.Blob(s2.Obj.Objects()[0]); ok {
-		t.Fatal("SkipBlobs ignored")
-	}
-}
-
 func TestSizeBoundDBLP(t *testing.T) {
 	// Figure 14's graph: all values sit one containment step below their
 	// heads, so f(8) = 8 - 2 = 6 with two keywords, as §7 states.

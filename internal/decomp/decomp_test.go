@@ -86,6 +86,9 @@ func TestFragmentConstruction(t *testing.T) {
 	if _, err := decomp.NewFragment(tg, []decomp.Step{{EdgeID: 999}}); err == nil {
 		t.Fatal("unknown edge accepted")
 	}
+	if _, err := decomp.NewFragment(tg, []decomp.Step{{EdgeID: e.persOrd, Dir: decomp.Bwd + 1}}); err == nil {
+		t.Fatal("unknown direction accepted")
+	}
 }
 
 // Theorem 5.3 on the paper's examples: PaLOLPa has the MVD

@@ -60,6 +60,9 @@ func NewFragment(tg *tss.Graph, steps []Step) (Fragment, error) {
 		if s.EdgeID < 0 || s.EdgeID >= tg.NumEdges() {
 			return Fragment{}, fmt.Errorf("decomp: step %d: unknown edge %d", i, s.EdgeID)
 		}
+		if s.Dir != Fwd && s.Dir != Bwd {
+			return Fragment{}, fmt.Errorf("decomp: step %d: unknown direction %d", i, s.Dir)
+		}
 		if i > 0 {
 			if stepTo(tg, steps[i-1]) != stepFrom(tg, s) {
 				return Fragment{}, fmt.Errorf("decomp: steps %d and %d do not meet", i-1, i)

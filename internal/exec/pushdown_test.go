@@ -78,7 +78,7 @@ func tpchSystem(t *testing.T) *core.System {
 		t.Fatal(err)
 	}
 	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
-		core.Options{Z: 8, SkipBlobs: true})
+		core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func FigZ(w *Workload, zs []int) (Figure, error) {
 	netSeries := Series{Label: "candidate networks"}
 	for _, z := range zs {
 		sys, err := core.LoadPrepared(w.Prepared, core.Options{
-			Z: z, B: w.Config.B, SkipBlobs: true,
+			Z: z, B: w.Config.B,
 		})
 		if err != nil {
 			return fig, err

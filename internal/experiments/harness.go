@@ -264,7 +264,6 @@ func (w *Workload) load(preset core.DecompositionPreset) (*core.System, error) {
 		Z:             w.Config.Z,
 		B:             w.Config.B,
 		Decomposition: preset,
-		SkipBlobs:     true,
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/decomp"
 	"repro/internal/optimizer"
 	"repro/internal/relstore"
 )
@@ -29,7 +30,7 @@ func TestShadowedHashIndexesSkipped(t *testing.T) {
 			core.PresetMinNClustIndx, core.PresetMinNClustNIndx,
 		} {
 			sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
-				core.Options{Decomposition: preset, SkipBlobs: true})
+				core.Options{Decomposition: preset})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +38,7 @@ func TestShadowedHashIndexesSkipped(t *testing.T) {
 			ref := relstore.NewStore()
 			for _, name := range sys.Store.Relations() {
 				rel := sys.Store.Relation(name)
-				full := withEveryHashIndex(t, ref, rel, sys.Decomp.Physical.HashIndexes)
+				full := withEveryHashIndex(t, ref, rel, sys.Decomp.Physical)
 				for c := range rel.Cols {
 					if got, want := rel.Access(c).Path(), full.Access(c).Path(); got != want {
 						t.Fatalf("%s/%s col %d: access %v, with every index %v", preset, name, c, got, want)
@@ -60,23 +61,44 @@ func TestShadowedHashIndexesSkipped(t *testing.T) {
 	}
 }
 
-// withEveryHashIndex rebuilds rel in store with its sorted copies and,
-// when indexed, a hash index on every column.
-func withEveryHashIndex(t *testing.T, store *relstore.Store, rel *relstore.Relation, indexed bool) *relstore.Relation {
+// withEveryHashIndex rebuilds rel in store under the design phys — the
+// sorted copies decomp.Materialize lays out — and, when phys indexes,
+// a hash index on every column.
+func withEveryHashIndex(t *testing.T, store *relstore.Store, rel *relstore.Relation, phys decomp.Physical) *relstore.Relation {
 	t.Helper()
-	rows, clustered, orderings, _ := rel.Export()
-	var hashCols []int
-	if indexed {
-		for c := range rel.Cols {
-			hashCols = append(hashCols, c)
-		}
-	}
 	full, err := store.CreateRelation(rel.Name, rel.Cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Import(rows, clustered, orderings, hashCols); err != nil {
+	rel.Scan(func(row relstore.Row) bool {
+		err = full.Insert(row)
+		return err == nil
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	full.Seal()
+	arity := len(rel.Cols)
+	if phys.ClusterBothDirections {
+		fwd, bwd := make([]int, arity), make([]int, arity)
+		for i := range fwd {
+			fwd[i], bwd[i] = i, arity-1-i
+		}
+		if err := full.Cluster(fwd...); err != nil {
+			t.Fatal(err)
+		}
+		if arity > 1 {
+			if err := full.AddOrdering(bwd...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if phys.HashIndexes {
+		for c := range rel.Cols {
+			if err := full.BuildHashIndex(c); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return full
 }

@@ -1,10 +1,12 @@
 // Package persist saves a loaded XKeyword system to disk and restores
-// it, so the load stage — conformance, target decomposition, master
-// indexing, the Figure 12 algorithm and connection-relation
-// materialization — runs once per dataset. The format is a gob stream
-// holding the schema graph, the administrator's TSS spec, the typed data
-// graph, the chosen fragments with their materialized relations, and the
-// target-object BLOBs.
+// it, so the load stage's decisions — conformance, the chosen
+// decomposition (the Figure 12 algorithm) and its bound M — are made
+// once per dataset. The format is a gob stream holding what those
+// decisions were: the schema graph, the administrator's TSS spec, the
+// typed data graph, the options, M, the fragment list and its physical
+// design. Everything derived from them — the object graph, master index,
+// statistics and connection relations — is rebuilt at load, and
+// target-object BLOBs are serialized on demand (tss.ObjectGraph.BlobXML).
 package persist
 
 import (
@@ -41,7 +43,10 @@ var Quarantines obs.Counter
 //	2 — master index moved to a sidecar .xki file (SaveFile writes it
 //	    next to the snapshot; LoadFileOpts can serve from it instead of
 //	    rebuilding the in-memory index)
-const formatVersion = 2
+//	3 — connection relations and target-object BLOBs are no longer
+//	    stored: load re-materializes the relations from the data graph
+//	    and the fragment list, and BLOBs are serialized on demand
+const formatVersion = 3
 
 type snapshot struct {
 	Version int
@@ -60,8 +65,6 @@ type snapshot struct {
 	DecompName    string
 	Physical      decomp.Physical
 	FragmentSteps [][]stepDTO
-	Relations     []relationDTO
-	Blobs         map[int64][]byte
 	M             int
 
 	// SidecarCRC is the metadata checksum of the .xki sidecar written by
@@ -100,26 +103,13 @@ type stepDTO struct {
 	Dir    uint8
 }
 
-type relationDTO struct {
-	Name      string
-	Cols      []string
-	Rows      [][]int64
-	Clustered []int
-	Orderings [][]int
-	HashCols  []int
-}
-
 // Save writes the system to w. Writers that need crash safety and the
 // snapshot↔sidecar linkage should use SaveFile.
 func Save(w io.Writer, sys *core.System, spec tss.Spec) error {
-	snap, err := buildSnapshot(sys, spec)
-	if err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(snap)
+	return gob.NewEncoder(w).Encode(buildSnapshot(sys, spec))
 }
 
-func buildSnapshot(sys *core.System, spec tss.Spec) (*snapshot, error) {
+func buildSnapshot(sys *core.System, spec tss.Spec) *snapshot {
 	snap := snapshot{
 		Version:     formatVersion,
 		Segments:    spec.Segments,
@@ -127,7 +117,6 @@ func buildSnapshot(sys *core.System, spec tss.Spec) (*snapshot, error) {
 		Opts:        sys.Opts,
 		DecompName:  sys.Decomp.Name,
 		Physical:    sys.Decomp.Physical,
-		Blobs:       sys.Store.Blobs(),
 		M:           sys.M,
 	}
 	for _, name := range sys.Schema.Nodes() {
@@ -154,21 +143,8 @@ func buildSnapshot(sys *core.System, spec tss.Spec) (*snapshot, error) {
 			steps = append(steps, stepDTO{EdgeID: s.EdgeID, Dir: uint8(s.Dir)})
 		}
 		snap.FragmentSteps = append(snap.FragmentSteps, steps)
-		rel := sys.Store.Relation(f.RelationName())
-		if rel == nil {
-			return nil, fmt.Errorf("persist: relation %s not materialized", f.RelationName())
-		}
-		rows, clustered, orderings, hashCols := rel.Export()
-		dto := relationDTO{
-			Name: rel.Name, Cols: rel.Cols,
-			Clustered: clustered, Orderings: orderings, HashCols: hashCols,
-		}
-		for _, r := range rows {
-			dto.Rows = append(dto.Rows, []int64(r))
-		}
-		snap.Relations = append(snap.Relations, dto)
 	}
-	return &snap, nil
+	return &snap
 }
 
 // SidecarPath returns the master-index sidecar written next to a
@@ -199,20 +175,17 @@ func SaveFile(path string, sys *core.System, spec tss.Spec) error {
 	if err != nil {
 		return err
 	}
-	snap, err := buildSnapshot(sys, spec)
-	if err != nil {
-		return err
-	}
+	snap := buildSnapshot(sys, spec)
 	snap.SidecarCRC = crc
 	return atomicio.WriteFile(path, func(f *os.File) error {
 		return gob.NewEncoder(saveWriter(f)).Encode(snap)
 	})
 }
 
-// Load restores a system from r, skipping every load-stage computation:
-// the schema, data graph, fragments and relations come from the
-// snapshot; only the in-memory derivations (TSS graph, object graph,
-// master index, statistics) are rebuilt, which is linear in the data.
+// Load restores a system from r, skipping the load stage's decisions:
+// the schema, data graph, options and decomposition come from the
+// snapshot; what they determine (TSS graph, object graph, master index,
+// statistics, connection relations) is rebuilt.
 func Load(r io.Reader) (*core.System, error) {
 	sys, _, err := load(r)
 	if err != nil {
@@ -232,6 +205,9 @@ func load(r io.Reader) (*core.System, *snapshot, error) {
 	}
 	if snap.Version != formatVersion {
 		return nil, nil, fmt.Errorf("persist: snapshot format version %d, but this build reads version %d — re-run the load stage (xkeyword -save) to regenerate the snapshot", snap.Version, formatVersion)
+	}
+	if err := snap.Opts.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
 
 	sg := schema.New()
@@ -274,7 +250,6 @@ func load(r io.Reader) (*core.System, *snapshot, error) {
 		return nil, nil, err
 	}
 
-	store := relstore.NewStore()
 	d := &decomp.Decomposition{Name: snap.DecompName, Physical: snap.Physical}
 	for i, steps := range snap.FragmentSteps {
 		ss := make([]decomp.Step, len(steps))
@@ -286,21 +261,10 @@ func load(r io.Reader) (*core.System, *snapshot, error) {
 			return nil, nil, fmt.Errorf("persist: fragment %d: %w", i, err)
 		}
 		d.Fragments = append(d.Fragments, f)
-		dto := snap.Relations[i]
-		rel, err := store.CreateRelation(dto.Name, dto.Cols)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows := make([]relstore.Row, len(dto.Rows))
-		for j, r := range dto.Rows {
-			rows[j] = relstore.Row(r)
-		}
-		if err := rel.Import(rows, dto.Clustered, dto.Orderings, dto.HashCols); err != nil {
-			return nil, nil, err
-		}
 	}
-	for id, b := range snap.Blobs {
-		store.PutBlob(id, b)
+	store := relstore.NewStore()
+	if err := decomp.Materialize(store, og, d); err != nil {
+		return nil, nil, fmt.Errorf("persist: %w", err)
 	}
 
 	sys := &core.System{

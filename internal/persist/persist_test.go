@@ -14,7 +14,7 @@ import (
 	"repro/internal/persist"
 )
 
-func loadFig1(t *testing.T) *core.System {
+func loadFig1(t testing.TB) *core.System {
 	t.Helper()
 	ds, err := datagen.TPCHFigure1()
 	if err != nil {
@@ -70,13 +70,6 @@ func TestRoundTrip(t *testing.T) {
 			if a[i].Key() != b[i].Key() {
 				t.Fatalf("%v: result %d differs", q, i)
 			}
-		}
-	}
-
-	// Blobs survive.
-	for _, id := range restored.Obj.Objects() {
-		if _, ok := restored.Store.Blob(id); !ok {
-			t.Fatalf("blob %d missing after restore", id)
 		}
 	}
 
@@ -202,5 +195,37 @@ func TestLoadOptsMissingSidecar(t *testing.T) {
 	// Without DiskIndex the snapshot alone is enough.
 	if _, err := persist.LoadFile(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A snapshot's options are checked when it is loaded, not first when a
+// query runs with them: an unknown scorer used to load and then panic
+// in the ranker.
+func TestLoadRejectsInvalidOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*core.Options)
+		want string
+	}{
+		{"scorer", func(o *core.Options) { o.Scorer = "bogus" }, `"bogus"`},
+		{"negative Z", func(o *core.Options) { o.Z = -1 }, "Z=-1"},
+		{"negative B", func(o *core.Options) { o.B = -1 }, "B=-1"},
+		{"negative MaxKeywords", func(o *core.Options) { o.MaxKeywords = -1 }, "MaxKeywords=-1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := loadFig1(t)
+			tc.edit(&sys.Opts)
+			var buf bytes.Buffer
+			if err := persist.Save(&buf, sys, datagen.TPCHSpec()); err != nil {
+				t.Fatal(err)
+			}
+			_, err := persist.Load(&buf)
+			if err == nil {
+				t.Fatal("snapshot with invalid options loaded")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %s", err, tc.want)
+			}
+		})
 	}
 }

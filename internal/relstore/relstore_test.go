@@ -301,18 +301,6 @@ func TestClusteredOnPrefixSemantics(t *testing.T) {
 	}
 }
 
-func TestBlobs(t *testing.T) {
-	s := pooledStore(16)
-	s.PutBlob(7, []byte("<part/>"))
-	b, ok := s.Blob(7)
-	if !ok || string(b) != "<part/>" {
-		t.Fatalf("blob = %q, %v", b, ok)
-	}
-	if _, ok := s.Blob(8); ok {
-		t.Fatal("missing blob found")
-	}
-}
-
 func TestStoreTotals(t *testing.T) {
 	s := pooledStore(16)
 	newTestRelation(t, s, "a", []Row{{1, 2}, {3, 4}})

@@ -12,8 +12,8 @@ import (
 // benchmark relations reproduces the same cache dynamics.
 const DefaultPoolPages = 4096
 
-// Store owns a set of connection relations and the target-object BLOBs.
-// Reads are safe for concurrent use once loading has finished.
+// Store owns a set of connection relations. Reads are safe for
+// concurrent use once loading has finished.
 type Store struct {
 	// Pool is the simulated buffer pool every page access is charged
 	// against. Nil (the default) counts every access as a page read;
@@ -24,15 +24,11 @@ type Store struct {
 
 	mu        sync.RWMutex
 	relations map[string]*Relation
-	blobs     map[int64][]byte
 }
 
 // NewStore returns an empty store with no buffer pool.
 func NewStore() *Store {
-	return &Store{
-		relations: make(map[string]*Relation),
-		blobs:     make(map[int64][]byte),
-	}
+	return &Store{relations: make(map[string]*Relation)}
 }
 
 // CreateRelation registers an empty relation with the given attributes.
@@ -90,21 +86,6 @@ func (s *Store) TotalPages() int {
 		n += r.NumPages()
 	}
 	return n
-}
-
-// PutBlob stores the serialized target object for id (load stage item 3).
-func (s *Store) PutBlob(id int64, blob []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.blobs[id] = append([]byte(nil), blob...)
-}
-
-// Blob returns the stored target-object BLOB, if present.
-func (s *Store) Blob(id int64) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.blobs[id]
-	return b, ok
 }
 
 // ResetStats zeroes the I/O counters and empties the buffer pool, if

@@ -12,7 +12,9 @@ import (
 // BlobXML serializes a target object as a self-contained XML fragment:
 // the head element with its intra-segment member subtree. The paper
 // stores these BLOBs at load time so a target object can be returned
-// instantly given its id (§4, load stage item 3).
+// instantly given its id (§4, load stage item 3); serializing one from
+// the object graph takes microseconds, so they are built on demand and
+// never stored.
 func (og *ObjectGraph) BlobXML(id int64) ([]byte, error) {
 	to := og.tos[id]
 	if to == nil {

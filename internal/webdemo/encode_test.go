@@ -75,7 +75,7 @@ func encoderSystems(t *testing.T) map[*core.System][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dblp, err := core.LoadPrepared(w.Prepared, core.Options{Z: w.Config.Z, B: w.Config.B, SkipBlobs: true, Relax: true})
+	dblp, err := core.LoadPrepared(w.Prepared, core.Options{Z: w.Config.Z, B: w.Config.B, Relax: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,17 +173,17 @@ func (s *Server) handlePGDOT(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(g.DOT(s.sys.SummaryOf)))
 }
 
-// handleObject returns a target object's stored BLOB — the full XML
-// fragment the load stage serialized (§4, load stage item 3), which the
-// demo shows when the user clicks a node.
+// handleObject returns a target object's BLOB — its full XML fragment
+// (§4, load stage item 3), serialized on demand from the object graph —
+// which the demo shows when the user clicks a node.
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad id: %w", err))
 		return
 	}
-	blob, ok := s.sys.Store.Blob(id)
-	if !ok {
+	blob, err := s.sys.Obj.BlobXML(id)
+	if err != nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no target object %d", id))
 		return
 	}
