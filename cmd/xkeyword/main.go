@@ -77,7 +77,7 @@ func main() {
 		analyze    = flag.Bool("explain-analyze", false, "run the query and print the per-stage timing tree")
 		preset     = flag.String("decomposition", "xkeyword", "decomposition preset: xkeyword, complete, minclust, minnclustindx, minnclustnindx")
 		saveTo     = flag.String("save", "", "after loading, snapshot the database to this file")
-		loadFrom   = flag.String("load", "", "restore a snapshot instead of loading XML (skips the load stage)")
+		loadFrom   = flag.String("load", "", "restore a snapshot instead of loading XML (skips conformance and the decomposition search)")
 		diskIndex  = flag.Bool("disk-index", false, "serve the master index from a paged .xki file through a buffer pool instead of RAM")
 		idxCache   = flag.Int64("index-cache-bytes", diskindex.DefaultCacheBytes, "buffer-pool budget for -disk-index")
 		segDir     = flag.String("segdir", "", "segmented-index directory for -segop")
