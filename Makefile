@@ -30,17 +30,17 @@ bench-build:
 # The regression gate on the numbers a rerun reproduces: allocs/op of
 # the query path and of one relation probe per access path at -cpu 1
 # and 2 (execution is serial, so the count repeats exactly at either),
-# and of one snapshot load (-cpu 1, a few loads, not 200), against the
-# committed BENCH_pipeline.json, of the /api/query handler
-# path (BenchmarkRender) against BENCH_qserve.json, and of the
-# coordinator round trip (BenchmarkShardCoordinator, -cpu 1) against
-# BENCH_shard.json, and of the cold Figure 12 search and the shape
-# enumeration under it (-cpu 1) against BENCH_decomp.json. ns/op is
-# printed as a delta only — wall time on a shared machine is not
-# gateable.
+# and of one snapshot load and of the relation build inside it (-cpu 1,
+# a few loads, not 200), against the committed BENCH_pipeline.json, of
+# the /api/query handler path (BenchmarkRender) against
+# BENCH_qserve.json, and of the coordinator round trip
+# (BenchmarkShardCoordinator, -cpu 1) against BENCH_shard.json, and of
+# the cold Figure 12 search and the shape enumeration under it (-cpu 1)
+# against BENCH_decomp.json. ns/op is printed as a delta only — wall
+# time on a shared machine is not gateable.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
-	$(GO) test -run xxx -bench 'BenchmarkSnapshotLoad' -cpu 1 -benchtime 5x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkShardCoordinator' -cpu 1 -benchtime 200x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_shard.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_decomp.json -max-allocs-regress 5%
@@ -95,11 +95,11 @@ bench-diskindex:
 	$(GO) test -run xxx -bench BenchmarkDiskIndexLookup -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_diskindex.json
 
 # The query path (tracing off vs EXPLAIN ANALYZE) and one relation probe
-# per access path, at -cpu 1 and 2, then a snapshot load at -cpu 1:
-# what bench-gate compares against.
+# per access path, at -cpu 1 and 2, then a snapshot load and the
+# relation build inside it at -cpu 1: what bench-gate compares against.
 bench-pipeline:
 	{ $(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkPipelineOverhead|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . && \
-	  $(GO) test -run xxx -bench 'BenchmarkSnapshotLoad' -cpu 1 -benchtime 5x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
+	  $(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
 
 # The live-index write and read path: synced vs unsynced ingest, cold
 # vs warm multi-segment lookups, flush and compaction cost.

@@ -7,7 +7,8 @@ package repro
 // span operation a no-op) and must stay within noise of BenchmarkQuery;
 // "traced" is the full EXPLAIN ANALYZE path with per-stage spans.
 // BenchmarkSnapshotLoad is the start-up cost of a server that restores
-// a saved system instead of running the load stage.
+// a saved system instead of running the load stage, and
+// BenchmarkMaterialize the connection-relation build inside it.
 
 import (
 	"bytes"
@@ -15,7 +16,9 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/decomp"
 	"repro/internal/persist"
+	"repro/internal/relstore"
 )
 
 // BenchmarkQuery measures a warm-memo top-10 author-pair query through
@@ -80,4 +83,18 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(snap.Len()), "snapshot-bytes")
+}
+
+// BenchmarkMaterialize measures decomp.Materialize of the served
+// system's XKeyword decomposition into a fresh store: every connection
+// relation filled, clustered both ways and hash-indexed, as core.Load
+// and persist.Load both build them.
+func BenchmarkMaterialize(b *testing.B) {
+	sys := servedSystem(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := decomp.Materialize(relstore.NewStore(), sys.Obj, sys.Decomp); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -8,12 +8,20 @@ import (
 
 func newTestRelation(t *testing.T, s *Store, name string, rows []Row) *Relation {
 	t.Helper()
-	cols := []string{"a", "b"}
+	arity := 2
 	if len(rows) > 0 {
-		cols = make([]string, len(rows[0]))
-		for i := range cols {
-			cols[i] = string(rune('a' + i))
-		}
+		arity = len(rows[0])
+	}
+	return newRelation(t, s, name, arity, rows)
+}
+
+// newRelation creates a relation of the given arity holding rows in
+// primary (insertion) order, ready for its physical design.
+func newRelation(t *testing.T, s *Store, name string, arity int, rows []Row) *Relation {
+	t.Helper()
+	cols := make([]string, arity)
+	for i := range cols {
+		cols[i] = string(rune('a' + i))
 	}
 	r, err := s.CreateRelation(name, cols)
 	if err != nil {
