@@ -59,11 +59,13 @@ lint:
 # sites, the serving layer and its pooled response buffers (webdemo),
 # the executor, the query pipeline (shared shape memo + metrics sink
 # under concurrent Query/QueryStream), the per-System summary memo
-# (core) and the segmented live index (WAL + memtable + background
-# flush/compaction) are the concurrency-heavy packages; run their tests
+# (core), the segmented live index (WAL + memtable + background
+# flush/compaction) and the relation build (decomp.Materialize fills,
+# sorts and indexes fragments on GOMAXPROCS goroutines, under core.Load
+# and persist.Load) are the concurrency-heavy packages; run their tests
 # under the race detector.
 race:
-	$(GO) test -race ./internal/lru/ ./internal/relstore/ ./internal/qserve/ ./internal/webdemo/ ./internal/exec/ ./internal/diskindex/ ./internal/core/ ./internal/pipeline/ ./internal/segidx/ ./internal/shard/ ./internal/rank/ ./internal/edgelist/ ./internal/graphsource/
+	$(GO) test -race ./internal/lru/ ./internal/relstore/ ./internal/decomp/ ./internal/persist/ ./internal/qserve/ ./internal/webdemo/ ./internal/exec/ ./internal/diskindex/ ./internal/core/ ./internal/pipeline/ ./internal/segidx/ ./internal/shard/ ./internal/rank/ ./internal/edgelist/ ./internal/graphsource/
 
 # Chaos suite: 200+ deterministic seeded fault scenarios (injected read
 # errors, bit flips, short reads, engine latency/errors/hangs) over the

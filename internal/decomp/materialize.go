@@ -2,6 +2,9 @@ package decomp
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/relstore"
 	"repro/internal/tss"
@@ -12,88 +15,128 @@ import (
 // A tuple is added per subgraph of the fragment's type (§5): one walk of
 // distinct target objects following the fragment's steps. Column i binds
 // the i-th segment of the walk; columns are named "t0", "t1", ....
+//
+// The relations are created in fragment order, so a repeated fragment
+// fails on its first repetition; then GOMAXPROCS goroutines fill, sort
+// and index them, one relation at a time each. Every relation is built
+// from the object graph alone, so the result does not depend on the
+// schedule.
 func Materialize(s *relstore.Store, og *tss.ObjectGraph, d *Decomposition) error {
-	for _, f := range d.Fragments {
-		if err := materializeFragment(s, og, d, f); err != nil {
+	rels := make([]*relstore.Relation, len(d.Fragments))
+	for i, f := range d.Fragments {
+		cols := make([]string, f.Size()+1)
+		for c := range cols {
+			cols[c] = fmt.Sprintf("t%d", c)
+		}
+		rel, err := s.CreateRelation(f.RelationName(), cols)
+		if err != nil {
+			return err
+		}
+		rels[i] = rel
+	}
+	errs := make([]error, len(rels))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(rels)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(rels); i = int(next.Add(1) - 1) {
+				errs[i] = buildRelation(rels[i], og, d.Fragments[i], d.Physical)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func materializeFragment(s *relstore.Store, og *tss.ObjectGraph, d *Decomposition, f Fragment) error {
-	cols := make([]string, f.Size()+1)
-	for i := range cols {
-		cols[i] = fmt.Sprintf("t%d", i)
+// buildRelation fills rel with the fragment's subgraphs — a count pass,
+// then a fill pass into storage of exactly that size — and applies the
+// physical design.
+func buildRelation(rel *relstore.Relation, og *tss.ObjectGraph, f Fragment, phys Physical) error {
+	arity := rel.Arity()
+	w := &walker{og: og, steps: f.Steps(), row: make([]int64, arity)}
+	starts := og.BySegment(stepFrom(og.TSS, w.steps[0]))
+	for _, to := range starts {
+		w.walk(0, to)
 	}
-	rel, err := s.CreateRelation(f.RelationName(), cols)
-	if err != nil {
+	w.out, w.n = make([]int64, w.n*arity), 0
+	for _, to := range starts {
+		w.walk(0, to)
+	}
+	if err := rel.Fill(w.out); err != nil {
 		return err
 	}
-	steps := f.Steps()
-	startSeg := stepFrom(og.TSS, steps[0])
-	row := make(relstore.Row, len(cols))
-	var walk func(pos int, at int64) error
-	walk = func(pos int, at int64) error {
-		row[pos] = at
-		if pos == len(steps) {
-			// Distinctness: a subgraph has distinct nodes.
-			for i := 0; i < pos; i++ {
-				for j := i + 1; j <= pos; j++ {
-					if row[i] == row[j] {
-						return nil
-					}
-				}
-			}
-			return rel.Insert(row)
-		}
-		st := steps[pos]
-		if st.Dir == Fwd {
-			for _, oe := range og.Out(at) {
-				if oe.EdgeID == st.EdgeID {
-					if err := walk(pos+1, oe.To); err != nil {
-						return err
-					}
-				}
-			}
-		} else {
-			for _, oe := range og.In(at) {
-				if oe.EdgeID == st.EdgeID {
-					if err := walk(pos+1, oe.From); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	for _, to := range og.BySegment(startSeg) {
-		if err := walk(0, to); err != nil {
-			return err
-		}
-	}
-	rel.Seal()
 
-	if d.Physical.ClusterBothDirections {
-		fwd := make([]int, len(cols))
-		bwd := make([]int, len(cols))
-		for i := range cols {
+	if phys.ClusterBothDirections {
+		fwd := make([]int, arity)
+		bwd := make([]int, arity)
+		for i := range fwd {
 			fwd[i] = i
-			bwd[i] = len(cols) - 1 - i
+			bwd[i] = arity - 1 - i
 		}
 		if err := rel.Cluster(fwd...); err != nil {
 			return err
 		}
-		if len(cols) > 1 {
+		if arity > 1 {
 			if err := rel.AddOrdering(bwd...); err != nil {
 				return err
 			}
 		}
 	}
-	if d.Physical.HashIndexes {
+	if phys.HashIndexes {
 		rel.BuildAllHashIndexes()
 	}
 	return nil
+}
+
+// walker enumerates the subgraphs of one fragment's type in a fixed
+// order: every walk of distinct target objects that follows the steps.
+// With out nil it only counts them; otherwise it writes walk n to row n
+// of out.
+type walker struct {
+	og    *tss.ObjectGraph
+	steps []Step
+	row   []int64 // the walk so far
+	out   []int64
+	n     int // walks found
+}
+
+func (w *walker) walk(pos int, at int64) {
+	// Distinctness: a subgraph has distinct nodes, so a walk that
+	// revisits one is cut here rather than at its end.
+	for _, v := range w.row[:pos] {
+		if v == at {
+			return
+		}
+	}
+	w.row[pos] = at
+	if pos == len(w.steps) {
+		if w.out != nil {
+			copy(w.out[w.n*len(w.row):], w.row)
+		}
+		w.n++
+		return
+	}
+	st := w.steps[pos]
+	if st.Dir == Fwd {
+		for _, oe := range w.og.Out(at) {
+			if oe.EdgeID == st.EdgeID {
+				w.walk(pos+1, oe.To)
+			}
+		}
+	} else {
+		for _, oe := range w.og.In(at) {
+			if oe.EdgeID == st.EdgeID {
+				w.walk(pos+1, oe.From)
+			}
+		}
+	}
 }
 
 // SpaceReport summarizes a materialized decomposition: per-fragment

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -48,11 +49,11 @@ type physCopy struct {
 }
 
 // Relation is a connection relation. Attributes are named after the TSS
-// occurrences they bind. A relation is built at load time — Insert,
-// Seal, then the physical design (Cluster, AddOrdering, BuildHashIndex)
-// — and is read-only from then on: reads take no lock and are safe for
-// concurrent use once building has finished; mu only serializes the
-// builders among themselves.
+// occurrences they bind. A relation is built at load time — Fill, then
+// the physical design (Cluster, AddOrdering, BuildHashIndex) — and is
+// read-only from then on: reads take no lock and are safe for concurrent
+// use once building has finished; mu only serializes the builders among
+// themselves.
 type Relation struct {
 	Name  string
 	Cols  []string
@@ -62,7 +63,7 @@ type Relation struct {
 	primary   physCopy
 	orderings []*physCopy         // sorted by column list, so the first prefix match is deterministic
 	hashIdx   []map[int64][]int32 // per column: value -> primary row numbers; nil entry = no index
-	sealed    bool
+	filled    bool
 }
 
 // NumRows returns the relation's cardinality.
@@ -86,29 +87,23 @@ func (r *Relation) ColIndex(name string) int {
 	return -1
 }
 
-// Insert appends a tuple. It is an error after Seal or with wrong arity.
-func (r *Relation) Insert(row Row) error {
+// Fill gives the relation its tuples, flat and in primary order: row i
+// is rows[i*arity : (i+1)*arity]. The relation keeps rows as its primary
+// copy, so the caller allocates it at exactly the relation's size and
+// does not write to it again. A relation is filled once, before its
+// physical design; a second Fill, or a length that is not a multiple of
+// the arity, is an error.
+func (r *Relation) Fill(rows []int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sealed {
-		return fmt.Errorf("relstore: %s is sealed", r.Name)
+	if r.filled {
+		return fmt.Errorf("relstore: %s is already filled", r.Name)
 	}
-	if len(row) != len(r.Cols) {
-		return fmt.Errorf("relstore: %s: arity %d row into %d-ary relation", r.Name, len(row), len(r.Cols))
+	if len(rows)%len(r.Cols) != 0 {
+		return fmt.Errorf("relstore: %s: %d values do not make %d-ary rows", r.Name, len(rows), len(r.Cols))
 	}
-	r.primary.data = append(r.primary.data, row...)
+	r.primary.data, r.filled = rows, true
 	return nil
-}
-
-// Seal ends the insert phase: the relation accepts no more tuples and
-// its storage is trimmed to size. The physical design is built after.
-func (r *Relation) Seal() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sealed = true
-	if d := r.primary.data; cap(d) > len(d) {
-		r.primary.data = append(make([]int64, 0, len(d)), d...)
-	}
 }
 
 // BuildHashIndex creates a single-attribute hash index on column col.
@@ -155,14 +150,15 @@ func (r *Relation) BuildAllHashIndexes() {
 
 // Cluster physically sorts the primary copy by the given column prefix
 // (an index-organized table clustered "on the direction that the
-// relation is used", §5.1). Existing indexes and orderings are rebuilt.
+// relation is used", §5.1), in place. Existing indexes and orderings are
+// rebuilt.
 func (r *Relation) Cluster(cols ...int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.checkCols(cols); err != nil {
 		return err
 	}
-	r.primary.data = r.sortedBy(cols)
+	permuteRows(r.primary.data, len(r.Cols), r.sortPerm(cols))
 	r.primary.cols = append([]int(nil), cols...)
 	for c, idx := range r.hashIdx {
 		if idx != nil {
@@ -200,27 +196,82 @@ func (r *Relation) AddOrdering(cols ...int) error {
 // so rows equal on cols keep their primary order.
 func (r *Relation) sortedBy(cols []int) []int64 {
 	arity, src := len(r.Cols), r.primary.data
-	perm := make([]int32, len(src)/arity)
+	out := make([]int64, len(src))
+	for i, p := range r.sortPerm(cols) {
+		copy(out[i*arity:(i+1)*arity], src[int(p)*arity:])
+	}
+	return out
+}
+
+// sortPerm returns the primary's row numbers in the order of a stable
+// sort by cols. It is an LSD radix sort: one stable counting pass per
+// 8-bit digit of v − min over the column, least significant column and
+// digit first, skipping the digits on which every row agrees.
+func (r *Relation) sortPerm(cols []int) []int32 {
+	arity, src := len(r.Cols), r.primary.data
+	n := len(src) / arity
+	perm, tmp := make([]int32, n), make([]int32, n)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	slices.SortStableFunc(perm, func(a, b int32) int {
-		ra, rb := src[int(a)*arity:], src[int(b)*arity:]
-		for _, c := range cols {
-			if ra[c] != rb[c] {
-				if ra[c] < rb[c] {
-					return -1
-				}
-				return 1
+	for k := len(cols) - 1; k >= 0 && n > 1; k-- {
+		c := cols[k]
+		lo, hi := src[c], src[c]
+		for o := c; o < len(src); o += arity {
+			lo, hi = min(lo, src[o]), max(hi, src[o])
+		}
+		// Histograms do not depend on the row order, so one pass over
+		// the column counts every digit the column's span needs.
+		var counts [8][256]int
+		digits := (bits.Len64(uint64(hi)-uint64(lo)) + 7) / 8
+		for o := c; o < len(src); o += arity {
+			key := uint64(src[o]) - uint64(lo)
+			for d := 0; d < digits; d++ {
+				counts[d][byte(key>>(8*d))]++
 			}
 		}
-		return 0
-	})
-	out := make([]int64, 0, len(src))
-	for _, p := range perm {
-		out = append(out, src[int(p)*arity:(int(p)+1)*arity]...)
+		for d := 0; d < digits; d++ {
+			count, shift := &counts[d], 8*d
+			if count[byte((uint64(src[c])-uint64(lo))>>shift)] == n {
+				continue // every row has this digit
+			}
+			at := 0
+			for b, m := range count {
+				count[b], at = at, at+m
+			}
+			for _, p := range perm {
+				b := byte((uint64(src[int(p)*arity+c]) - uint64(lo)) >> shift)
+				tmp[count[b]] = p
+				count[b]++
+			}
+			perm, tmp = tmp, perm
+		}
 	}
-	return out
+	return perm
+}
+
+// permuteRows reorders the flat rows of data in place so that row i
+// holds what row perm[i] held, following each cycle of perm once; perm
+// is consumed.
+func permuteRows(data []int64, arity int, perm []int32) {
+	saved := make([]int64, arity)
+	for i := range perm {
+		if int(perm[i]) == i {
+			continue // in place, or its cycle is done
+		}
+		copy(saved, data[i*arity:(i+1)*arity])
+		j := i
+		for {
+			k := int(perm[j])
+			perm[j] = int32(j)
+			if k == i {
+				copy(data[j*arity:(j+1)*arity], saved)
+				break
+			}
+			copy(data[j*arity:(j+1)*arity], data[k*arity:(k+1)*arity])
+			j = k
+		}
+	}
 }
 
 func (r *Relation) checkCols(cols []int) error {

@@ -27,13 +27,20 @@ func newRelation(t *testing.T, s *Store, name string, arity int, rows []Row) *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range rows {
-		if err := r.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.Fill(flatten(arity, rows)); err != nil {
+		t.Fatal(err)
 	}
-	r.Seal()
 	return r
+}
+
+// flatten lays rows out the way Fill takes them: row i at
+// [i*arity, (i+1)*arity).
+func flatten(arity int, rows []Row) []int64 {
+	flat := make([]int64, 0, arity*len(rows))
+	for _, row := range rows {
+		flat = append(flat, row...)
+	}
+	return flat
 }
 
 // collect materializes a view, for assertions.
@@ -64,18 +71,20 @@ func TestCreateRelationValidation(t *testing.T) {
 	}
 }
 
-func TestInsertValidation(t *testing.T) {
+func TestFillValidation(t *testing.T) {
 	s := pooledStore(16)
 	r, _ := s.CreateRelation("r", []string{"a", "b"})
-	if err := r.Insert(Row{1}); err == nil {
+	if err := r.Fill([]int64{1}); err == nil {
 		t.Fatal("wrong arity accepted")
 	}
-	if err := r.Insert(Row{1, 2}); err != nil {
+	if err := r.Fill([]int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	r.Seal()
-	if err := r.Insert(Row{3, 4}); err == nil {
-		t.Fatal("insert after seal accepted")
+	if err := r.Fill([]int64{3, 4}); err == nil {
+		t.Fatal("second fill accepted")
+	}
+	if r.NumRows() != 1 {
+		t.Fatalf("NumRows = %d after a rejected fill, want 1", r.NumRows())
 	}
 }
 
@@ -333,12 +342,13 @@ func TestQuickClusteredEqualsScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := pooledStore(32)
 		r, _ := s.CreateRelation("r", []string{"x", "y"})
-		for i := 0; i < n; i++ {
-			if err := r.Insert(Row{rng.Int63n(domain), rng.Int63n(domain)}); err != nil {
-				return false
-			}
+		rows := make([]int64, 2*n)
+		for i := range rows {
+			rows[i] = rng.Int63n(domain)
 		}
-		r.Seal()
+		if err := r.Fill(rows); err != nil {
+			return false
+		}
 		want := make(map[int64]int)
 		r.Scan(func(row Row) bool { want[row[0]*1000+row[1]]++; return true })
 		if err := r.Cluster(0); err != nil {
