@@ -32,8 +32,9 @@ bench-build:
 # and 2 (execution is serial, so the count repeats exactly at either),
 # and of one snapshot load and of the relation build inside it (-cpu 1,
 # a few loads, not 200), against the committed BENCH_pipeline.json, of
-# the /api/query handler path (BenchmarkRender) against
-# BENCH_qserve.json, and of the coordinator round trip
+# the serving layer cold and warm (BenchmarkQServe, -cpu 1) and the
+# /api/query handler path (BenchmarkRender) against BENCH_qserve.json,
+# and of the coordinator round trip
 # (BenchmarkShardCoordinator, -cpu 1) against BENCH_shard.json, and of
 # the cold Figure 12 search and the shape enumeration under it (-cpu 1)
 # against BENCH_decomp.json. ns/op is printed as a delta only — wall
@@ -41,6 +42,7 @@ bench-build:
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkQServe' -cpu 1 -benchtime 50x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkShardCoordinator' -cpu 1 -benchtime 200x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_shard.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_decomp.json -max-allocs-regress 5%
@@ -58,7 +60,7 @@ lint:
 # The one cache every hot path shares (internal/lru) and its five call
 # sites, the serving layer and its pooled response buffers (webdemo),
 # the executor, the query pipeline (shared shape memo + metrics sink
-# under concurrent Query/QueryStream), the per-System summary memo
+# under concurrent top-k and full-result queries), the per-System summary memo
 # (core), the segmented live index (WAL + memtable + background
 # flush/compaction) and the relation build (decomp.Materialize fills,
 # sorts and indexes fragments on GOMAXPROCS goroutines, under core.Load
@@ -87,9 +89,9 @@ fuzzseed:
 
 # Cold vs warm serving-layer latency on the DBLP workload, and the
 # /api/query handler path (render + encode) on result-cache hits and
-# misses at -cpu 1; the Render rows are what bench-gate compares against.
+# misses, both at -cpu 1: what bench-gate compares against.
 bench-qserve:
-	{ $(GO) test -run xxx -bench BenchmarkQServe -benchtime 50x -benchmem . && \
+	{ $(GO) test -run xxx -bench BenchmarkQServe -cpu 1 -benchtime 50x -benchmem . && \
 	  $(GO) test -run xxx -bench BenchmarkRender -cpu 1 -benchtime 1000x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_qserve.json
 
 # In-memory vs paged-disk master-index lookups (cold and warm pool).

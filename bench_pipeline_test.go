@@ -40,7 +40,7 @@ func BenchmarkQuery(b *testing.B) {
 }
 
 // BenchmarkPipelineOverhead compares the query path with tracing
-// disabled (nil Trace, the default for Query/QueryAll/QueryStream)
+// disabled (nil Trace, the default for every query but EXPLAIN ANALYZE)
 // against the traced EXPLAIN ANALYZE path. The disabled run is the
 // <2%-overhead acceptance gate for the pipeline refactor; the traced
 // run prices the six spans and the trace allocation.

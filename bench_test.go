@@ -292,19 +292,19 @@ func BenchmarkQServe(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			qs := qserve.New(sys, qserve.Options{})
-			if _, err := qs.Query(context.Background(), pair, 10); err != nil {
+			if _, _, err := qs.QueryScored(context.Background(), pair, 10, ""); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		qs := qserve.New(sys, qserve.Options{})
-		if _, err := qs.Query(context.Background(), pair, 10); err != nil {
+		if _, _, err := qs.QueryScored(context.Background(), pair, 10, ""); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := qs.Query(context.Background(), pair, 10); err != nil {
+			if _, _, err := qs.QueryScored(context.Background(), pair, 10, ""); err != nil {
 				b.Fatal(err)
 			}
 		}

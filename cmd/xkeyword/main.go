@@ -472,56 +472,14 @@ func swapToDiskIndex(sys *core.System, savedTo string, cacheBytes int64) error {
 	return nil
 }
 
-// serve answers queries from the command line or stdin.
+// serve answers queries from the command line or stdin. A failed
+// command-line query exits non-zero; in stdin mode a failed line is
+// reported and the next one is read.
 func serve(sys *core.System, k int, all, explain, analyze bool) {
-	runQuery := func(keywords []string) {
-		t0 := time.Now()
-		if analyze {
-			kk := k
-			if all {
-				kk = 0
-			}
-			expl, err := sys.ExplainAnalyze(context.Background(), keywords, kk)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "query:", err)
-				return
-			}
-			fmt.Print(expl.Format())
-			return
-		}
-		if explain {
-			plans, err := sys.Plans(keywords)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "query:", err)
-				return
-			}
-			fmt.Printf("%d candidate networks\n", len(plans))
-			for _, p := range plans {
-				fmt.Println(p.Plan.Explain(sys.TSS, sys.Store))
-			}
-			return
-		}
-		rs, rx, err := func() ([]exec.Result, *pipeline.Relaxation, error) {
-			if all {
-				return sys.QueryAllScoredContext(context.Background(), keywords, "")
-			}
-			return sys.QueryScoredContext(context.Background(), keywords, k, "")
-		}()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "query:", err)
-			return
-		}
-		if rx != nil {
-			fmt.Fprintf(os.Stderr, "NOTE: query relaxed: %s\n", rx)
-		}
-		fmt.Printf("%d results in %v\n", len(rs), time.Since(t0).Round(time.Millisecond))
-		for i, r := range rs {
-			fmt.Printf("\n#%d  score %d\n%s\n", i+1, r.Score, sys.RenderResult(r))
-		}
-	}
-
 	if flag.NArg() > 0 {
-		runQuery(flag.Args())
+		if err := runQuery(sys, flag.Args(), k, all, explain, analyze); err != nil {
+			fatal(fmt.Errorf("query: %w", err))
+		}
 		return
 	}
 	fmt.Fprintln(os.Stderr, "enter keyword queries, one per line (Ctrl-D to exit):")
@@ -531,8 +489,61 @@ func serve(sys *core.System, k int, all, explain, analyze bool) {
 		if len(words) == 0 {
 			continue
 		}
-		runQuery(words)
+		if err := runQuery(sys, words, k, all, explain, analyze); err != nil {
+			fmt.Fprintln(os.Stderr, "query:", err)
+		}
 	}
+}
+
+// runQuery answers one keyword query: its per-stage timing tree with
+// -explain-analyze, its plans with -explain, otherwise its ranked
+// results — the top k, or every result with -all.
+func runQuery(sys *core.System, keywords []string, k int, all, explain, analyze bool) error {
+	t0 := time.Now()
+	if analyze {
+		if all {
+			k = 0
+		}
+		expl, err := sys.ExplainAnalyze(context.Background(), keywords, k)
+		if err != nil {
+			return err
+		}
+		fmt.Print(expl.Format())
+		return nil
+	}
+	if explain {
+		plans, err := sys.Plans(keywords)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%d candidate networks\n", len(plans))
+		for _, p := range plans {
+			fmt.Println(p.Plan.Explain(sys.TSS, sys.Store))
+		}
+		return nil
+	}
+	var rs []exec.Result
+	var rx *pipeline.Relaxation
+	if all {
+		q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeAll, Strategy: exec.AutoStrategy}
+		if err := sys.Run(context.Background(), q); err != nil {
+			return err
+		}
+		rs, rx = q.Results, q.Relaxation
+	} else {
+		var err error
+		if rs, rx, err = sys.QueryScoredContext(context.Background(), keywords, k, ""); err != nil {
+			return err
+		}
+	}
+	if rx != nil {
+		fmt.Fprintf(os.Stderr, "NOTE: query relaxed: %s\n", rx)
+	}
+	fmt.Printf("%d results in %v\n", len(rs), time.Since(t0).Round(time.Millisecond))
+	for i, r := range rs {
+		fmt.Printf("\n#%d  score %d\n%s\n", i+1, r.Score, sys.RenderResult(r))
+	}
+	return nil
 }
 
 func fatal(err error) {

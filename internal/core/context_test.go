@@ -4,23 +4,25 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/pipeline"
 )
 
 func TestQueryContextCancelled(t *testing.T) {
 	s := loadFig1(t, core.Options{Z: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.QueryContext(ctx, []string{"john", "vcr"}, 10); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryContext err = %v, want context.Canceled", err)
+	if _, _, err := s.QueryScoredContext(ctx, []string{"john", "vcr"}, 10, ""); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryScoredContext err = %v, want context.Canceled", err)
 	}
-	if _, err := s.QueryAllContext(ctx, []string{"john", "vcr"}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryAllContext err = %v, want context.Canceled", err)
+	all := &pipeline.Query{Keywords: []string{"us", "vcr"}, Mode: pipeline.ModeAll, Strategy: exec.AutoStrategy}
+	if err := s.Run(ctx, all); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run(ModeAll) err = %v, want context.Canceled", err)
 	}
 	// An unconstrained context behaves exactly like the plain API.
-	a, err := s.QueryContext(context.Background(), []string{"john", "vcr"}, 10)
+	a, _, err := s.QueryScoredContext(context.Background(), []string{"john", "vcr"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,27 +32,5 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 	if len(a) != len(b) {
 		t.Fatalf("ctx query returned %d results, plain %d", len(a), len(b))
-	}
-}
-
-func TestQueryStreamContextCancel(t *testing.T) {
-	s := loadFig1(t, core.Options{Z: 8})
-	ctx, cancel := context.WithCancel(context.Background())
-	st, err := s.QueryStreamContext(ctx, []string{"us", "vcr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	cancel()
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case <-deadline:
-			t.Fatal("stream still open after context cancellation")
-		default:
-		}
-		if page := st.Next(8); len(page) == 0 {
-			return
-		}
 	}
 }

@@ -54,7 +54,8 @@ type Options struct {
 	StrictMinimal bool
 	// Scorer names the default result scorer (rank.Names; "" means
 	// edgecount, the paper's ranking). Validated at load time; a query
-	// may override it per call via the QueryScored entry points.
+	// may override it per call: QueryScoredContext takes a scorer name,
+	// and Run takes a pipeline.Query whose Scorer is set.
 	Scorer string
 	// Relax lets the pipeline rewrite no-match keywords (substitute or
 	// drop, loudly recorded in the returned Relaxation) instead of

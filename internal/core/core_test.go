@@ -125,10 +125,7 @@ func TestCacheEquivalence(t *testing.T) {
 			if !slices.Equal(cached, naive) {
 				t.Fatalf("%s/%v: cached %d results, naive %d", preset, q, len(cached), len(naive))
 			}
-			served, err := s.QueryAllStrategy(q, exec.NestedLoop)
-			if err != nil {
-				t.Fatal(err)
-			}
+			served, _ := runAll(t, s, q, exec.NestedLoop, "")
 			sort.Strings(naive)
 			if !slices.Equal(resultKeys(served), naive) {
 				t.Fatalf("%s/%v: served %d results, naive executor %d", preset, q, len(served), len(naive))
@@ -164,14 +161,8 @@ func TestDecompositionEquivalence(t *testing.T) {
 // Nested-loop and hash-join strategies must agree.
 func TestStrategyEquivalence(t *testing.T) {
 	s := loadFig1(t, core.Options{Z: 8})
-	nl, err := s.QueryAllStrategy([]string{"us", "vcr"}, exec.NestedLoop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj, err := s.QueryAllStrategy([]string{"us", "vcr"}, exec.HashJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl, _ := runAll(t, s, []string{"us", "vcr"}, exec.NestedLoop, "")
+	hj, _ := runAll(t, s, []string{"us", "vcr"}, exec.HashJoin, "")
 	if !sameResults(nl, hj) {
 		t.Fatalf("nested-loop %d results, hash-join %d", len(nl), len(hj))
 	}

@@ -29,7 +29,7 @@ func (s *System) ExplainAnalyze(ctx context.Context, keywords []string, k int) (
 		q.K = 0
 		q.Strategy = exec.AutoStrategy
 	}
-	if err := s.run(ctx, q); err != nil {
+	if err := s.Run(ctx, q); err != nil {
 		return nil, err
 	}
 	return pipeline.NewExplain(q, tr), nil

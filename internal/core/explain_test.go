@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/pipeline"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -94,11 +96,11 @@ func TestExplainAnalyzeAll(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueryAndStream hammers one System with interleaved
-// Query and QueryStream calls — the serving pattern — exercising the
-// shared netMemo, metrics sink and per-query lookup caches through the
-// pipeline. Run under -race in CI.
-func TestConcurrentQueryAndStream(t *testing.T) {
+// TestConcurrentQueryAndRun hammers one System with interleaved top-k
+// Query calls and full-result Run calls — the serving pattern —
+// exercising the shared netMemo, metrics sink and per-query executors
+// through the pipeline. Run under -race in CI.
+func TestConcurrentQueryAndRun(t *testing.T) {
 	s := loadFig1(t, core.Options{Z: 8})
 	want, err := s.Query([]string{"john", "vcr"}, 5)
 	if err != nil {
@@ -122,21 +124,12 @@ func TestConcurrentQueryAndStream(t *testing.T) {
 						return
 					}
 				} else {
-					st, err := s.QueryStream([]string{"us", "vcr"})
-					if err != nil {
+					q := &pipeline.Query{Keywords: []string{"us", "vcr"}, Mode: pipeline.ModeAll, Strategy: exec.NestedLoop}
+					if err := s.Run(context.Background(), q); err != nil {
 						errs <- err
 						return
 					}
-					n := 0
-					for {
-						page := st.Next(4)
-						n += len(page)
-						if len(page) < 4 {
-							break
-						}
-					}
-					st.Close()
-					if n == 0 {
+					if len(q.Results) == 0 {
 						errs <- nil
 						return
 					}
@@ -147,13 +140,13 @@ func TestConcurrentQueryAndStream(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("concurrent query/stream failed: %v", err)
+		t.Fatalf("concurrent query/run failed: %v", err)
 	}
 	snap := s.PipelineSnapshot()
 	if snap.Queries < 32 {
 		t.Fatalf("metrics counted %d queries, want >= 32", snap.Queries)
 	}
-	if snap.ByMode["topk"] == 0 || snap.ByMode["stream"] == 0 {
+	if snap.ByMode["topk"] == 0 || snap.ByMode["all"] == 0 {
 		t.Fatalf("by-mode counters missing a mode: %v", snap.ByMode)
 	}
 }

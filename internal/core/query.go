@@ -41,27 +41,6 @@ func (mm *netMemo) Template(sig string) (*pipeline.Template, bool) { return mm.c
 // PutTemplate publishes a shape's compiled template.
 func (mm *netMemo) PutTemplate(sig string, t *pipeline.Template) { mm.c.Put(sig, t) }
 
-// newPipeline assembles the staged query path over the System's current
-// backends. Built per call so swapping System.Index (e.g. to a
-// disk-backed reader) or toggling options keeps taking effect exactly as
-// it did when the query path read the fields directly; the stages
-// themselves are stateless and the memo and metrics sinks are shared.
-func (s *System) newPipeline() *pipeline.Pipeline {
-	return pipeline.New(pipeline.Config{
-		Schema:        s.Schema,
-		TSS:           s.TSS,
-		Index:         s.Index,
-		Z:             s.Opts.Z,
-		StrictMinimal: s.Opts.StrictMinimal,
-		Scorer:        s.scorer(),
-		Relax:         s.Opts.Relax,
-		Templates:     s.memo(),
-		NewOptimizer:  s.newOptimizer,
-		NewExecutor:   s.newExecutor,
-		Metrics:       s.PipelineMetrics(),
-	})
-}
-
 // scorer resolves the System's configured default scorer. Opts.Scorer
 // is validated by LoadPrepared and by every flag surface; an invalid
 // name reaching this point is a programming error and panics rather
@@ -83,19 +62,26 @@ func (s *System) resolveScorer(name string) (rank.Scorer, error) {
 	return rank.New(name)
 }
 
-// run drives a query through the pipeline.
-func (s *System) run(ctx context.Context, q *pipeline.Query) error {
-	return s.newPipeline().Run(ctx, q)
+// Run drives a query through the pipeline over the System's current
+// backends: the one way into the query path besides QueryScoredContext.
+// The caller sets the request fields of q (Keywords, Mode, K, Strategy,
+// Scorer, Trace) and reads the stage outputs after Run returns. The
+// pipeline is assembled per call, so swapping System.Index (e.g. to a
+// disk-backed reader) or toggling options takes effect on the next
+// query; the stages themselves are stateless and the memo and metrics
+// sinks are shared.
+func (s *System) Run(ctx context.Context, q *pipeline.Query) error {
+	return s.PipelineWith(s.Index).Run(ctx, q)
 }
 
 // PipelineWith assembles the staged query path over the System's
-// structural data (schema, TSS, store, decomposition) with a substitute
-// master-index source. The scatter-gather serving path uses it to run
-// discovery, CN generation and planning against a query-scoped source
-// carrying globally merged postings, so every shard derives the exact
-// plan list a single node would. The shape memo is shared with the
-// normal path: it is keyed by keyword shape, which the source fully
-// determines, and templates hold nothing read from an index.
+// structural data (schema, TSS, store, decomposition) with the given
+// master-index source. Run uses it with System.Index; the scatter-gather
+// serving path uses it with a query-scoped source carrying globally
+// merged postings, so every shard derives the exact plan list a single
+// node would. The shape memo is shared between the two: it is keyed by
+// keyword shape, which the source fully determines, and templates hold
+// nothing read from an index.
 func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 	return pipeline.New(pipeline.Config{
 		Schema:        s.Schema,
@@ -106,44 +92,15 @@ func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 		Scorer:        s.scorer(),
 		Relax:         s.Opts.Relax,
 		Templates:     s.memo(),
-		NewOptimizer:  func() *optimizer.Optimizer { return s.newOptimizerWith(ix) },
-		NewExecutor:   func() *exec.Executor { return s.newExecutorWith(ix) },
+		NewOptimizer:  s.optimizerWith,
+		NewExecutor:   s.ExecutorWith,
 		Metrics:       s.PipelineMetrics(),
 	})
 }
 
-// ExecutorWith builds an executor over the System's connection store
-// with a substitute master-index source (keyword-filter pushdown and
-// minimality checks read the index).
-func (s *System) ExecutorWith(ix kwindex.Source) *exec.Executor {
-	return s.newExecutorWith(ix)
-}
-
-// Networks runs the keyword discoverer, the CN generator and the CTSSN
-// reduction for a keyword query and returns the candidate TSS networks
-// in ascending score order (paper §4). Keywords are tokenized
-// case-insensitively.
-func (s *System) Networks(keywords []string) ([]*cn.TSSNetwork, error) {
-	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeNetworks}
-	if err := s.run(context.Background(), q); err != nil {
-		return nil, err
-	}
-	return q.Nets, nil
-}
-
-// newExecutor builds the serving executor: the naive nested loop, with
-// no lookup memo (the §6 memo is measured by the experiments, which
-// build their own cached executors).
-func (s *System) newExecutor() *exec.Executor { return s.newExecutorWith(s.Index) }
-
-func (s *System) newExecutorWith(ix kwindex.Source) *exec.Executor {
-	return &exec.Executor{Store: s.Store, TSS: s.TSS, Index: ix}
-}
-
-// newOptimizer builds the plan optimizer over the loaded decomposition.
-func (s *System) newOptimizer() *optimizer.Optimizer { return s.newOptimizerWith(s.Index) }
-
-func (s *System) newOptimizerWith(ix kwindex.Source) *optimizer.Optimizer {
+// optimizerWith builds the plan optimizer over the loaded decomposition
+// with the given master-index source.
+func (s *System) optimizerWith(ix kwindex.Source) *optimizer.Optimizer {
 	return &optimizer.Optimizer{
 		TSS:       s.TSS,
 		Store:     s.Store,
@@ -154,11 +111,32 @@ func (s *System) newOptimizerWith(ix kwindex.Source) *optimizer.Optimizer {
 	}
 }
 
+// ExecutorWith builds the serving executor over the System's connection
+// store with the given master-index source (keyword-filter pushdown and
+// minimality checks read the index): the naive nested loop, with no
+// lookup memo (the §6 memo is measured by the experiments, which build
+// their own cached executors).
+func (s *System) ExecutorWith(ix kwindex.Source) *exec.Executor {
+	return &exec.Executor{Store: s.Store, TSS: s.TSS, Index: ix}
+}
+
+// Networks runs the keyword discoverer, the CN generator and the CTSSN
+// reduction for a keyword query and returns the candidate TSS networks
+// in ascending score order (paper §4). Keywords are tokenized
+// case-insensitively.
+func (s *System) Networks(keywords []string) ([]*cn.TSSNetwork, error) {
+	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeNetworks}
+	if err := s.Run(context.Background(), q); err != nil {
+		return nil, err
+	}
+	return q.Nets, nil
+}
+
 // Plans generates and optimizes the plans of a keyword query, in
 // ascending score order.
 func (s *System) Plans(keywords []string) ([]exec.Planned, error) {
 	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModePlans}
-	if err := s.run(context.Background(), q); err != nil {
+	if err := s.Run(context.Background(), q); err != nil {
 		return nil, err
 	}
 	return q.Plans, nil
@@ -166,37 +144,31 @@ func (s *System) Plans(keywords []string) ([]exec.Planned, error) {
 
 // Query answers a keyword proximity query with the top-k results,
 // evaluated over the candidate networks smallest-first (the
-// web-search-engine-like presentation of §3.1/§6).
+// web-search-engine-like presentation of §3.1/§6) and ranked by the
+// System's default scorer.
 func (s *System) Query(keywords []string, k int) ([]exec.Result, error) {
-	return s.QueryContext(context.Background(), keywords, k)
-}
-
-// QueryContext is Query with cooperative cancellation: a cancelled
-// context stops the in-flight join loops and the call returns ctx's
-// error (the partial results are discarded).
-func (s *System) QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	q := &pipeline.Query{
-		Keywords: keywords,
-		Mode:     pipeline.ModeTopK,
-		K:        k,
-		Strategy: exec.NestedLoop,
-	}
-	if err := s.run(ctx, q); err != nil {
-		return nil, err
-	}
-	return q.Results, nil
+	rs, _, err := s.QueryScoredContext(context.Background(), keywords, k, "")
+	return rs, err
 }
 
 // QueryScoredContext answers a top-k keyword query ranked by the named
-// scorer ("" falls back to Opts.Scorer, then to edgecount — the
-// paper's ranking, byte-identical to QueryContext). The returned
-// Relaxation is non-nil exactly when Opts.Relax is on and the query was
-// rewritten to be answerable; callers must surface it.
+// scorer ("" falls back to Opts.Scorer, then to edgecount, the paper's
+// ranking). It is the serving entry point: qserve, the scatter-gather
+// coordinator and the web demo all answer through it. k ≤ 0 asks for
+// nothing and gets no results, whatever the scorer, exactly as the
+// coordinator answers. A cancelled context stops the in-flight join
+// loops and the call returns ctx's error (partial results are
+// discarded). The returned Relaxation is non-nil exactly when
+// Opts.Relax is on and the query was rewritten to be answerable;
+// callers must surface it.
 func (s *System) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
 	sc, err := s.resolveScorer(scorer)
 	if err != nil {
 		return nil, nil, err
 	}
+	if k <= 0 {
+		return nil, nil, ctx.Err()
+	}
 	q := &pipeline.Query{
 		Keywords: keywords,
 		Mode:     pipeline.ModeTopK,
@@ -204,81 +176,18 @@ func (s *System) QueryScoredContext(ctx context.Context, keywords []string, k in
 		Strategy: exec.NestedLoop,
 		Scorer:   sc,
 	}
-	if err := s.run(ctx, q); err != nil {
+	if err := s.Run(ctx, q); err != nil {
 		return nil, nil, err
 	}
 	return q.Results, q.Relaxation, nil
 }
 
-// QueryAllScoredContext is QueryScoredContext without the top-k bound:
-// every result of every candidate network, ranked by the named scorer,
-// using the automatic evaluation strategy.
-func (s *System) QueryAllScoredContext(ctx context.Context, keywords []string, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
-	sc, err := s.resolveScorer(scorer)
-	if err != nil {
-		return nil, nil, err
-	}
-	q := &pipeline.Query{
-		Keywords: keywords,
-		Mode:     pipeline.ModeAll,
-		Strategy: exec.AutoStrategy,
-		Scorer:   sc,
-	}
-	if err := s.run(ctx, q); err != nil {
-		return nil, nil, err
-	}
-	return q.Results, q.Relaxation, nil
-}
-
-// QueryStream starts the page-by-page presentation of §3.1: a producer
-// evaluates the candidate networks smallest-first into a queue the
-// caller drains with Stream.Next. Close the stream when done.
-func (s *System) QueryStream(keywords []string) (*exec.Stream, error) {
-	return s.QueryStreamContext(context.Background(), keywords)
-}
-
-// QueryStreamContext is QueryStream tied to a context: cancelling ctx
-// closes the stream and stops its producer mid-join. The caller should
-// still Close the stream when done.
-func (s *System) QueryStreamContext(ctx context.Context, keywords []string) (*exec.Stream, error) {
-	q := &pipeline.Query{
-		Keywords: keywords,
-		Mode:     pipeline.ModeStream,
-		Strategy: exec.NestedLoop,
-	}
-	if err := s.run(ctx, q); err != nil {
-		return nil, err
-	}
-	return q.Stream, nil
-}
-
-// QueryAll returns every result of every candidate network, sorted by
-// score, using the automatic strategy (hash joins on unindexed
-// decompositions, nested loops otherwise).
+// QueryAll returns every result of every candidate network, ranked by
+// the System's default scorer, using the automatic strategy (hash joins
+// on unindexed decompositions, nested loops otherwise).
 func (s *System) QueryAll(keywords []string) ([]exec.Result, error) {
-	return s.QueryAllStrategy(keywords, exec.AutoStrategy)
-}
-
-// QueryAllContext is QueryAll with cooperative cancellation.
-func (s *System) QueryAllContext(ctx context.Context, keywords []string) ([]exec.Result, error) {
-	return s.QueryAllStrategyContext(ctx, keywords, exec.AutoStrategy)
-}
-
-// QueryAllStrategy is QueryAll with an explicit evaluation strategy.
-func (s *System) QueryAllStrategy(keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	return s.QueryAllStrategyContext(context.Background(), keywords, strat)
-}
-
-// QueryAllStrategyContext is QueryAllStrategy with cooperative
-// cancellation: a cancelled context terminates the in-flight plan
-// evaluation and the call returns ctx's error.
-func (s *System) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	q := &pipeline.Query{
-		Keywords: keywords,
-		Mode:     pipeline.ModeAll,
-		Strategy: strat,
-	}
-	if err := s.run(ctx, q); err != nil {
+	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeAll, Strategy: exec.AutoStrategy}
+	if err := s.Run(context.Background(), q); err != nil {
 		return nil, err
 	}
 	return q.Results, nil

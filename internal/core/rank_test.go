@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cn"
-	"repro/internal/core"
 	"repro/internal/xmlgraph"
 )
 
@@ -30,64 +29,5 @@ func TestWeightedSize(t *testing.T) {
 	bare := &cn.TSSNetwork{Occs: []cn.TSSOcc{{Segment: "x"}, {Segment: "y"}}, Edges: []cn.TSSEdgeRef{{From: 0, To: 1}}}
 	if got := bare.WeightedScore(cn.UnitWeights()); got != 1 {
 		t.Fatalf("fallback score = %v", got)
-	}
-}
-
-// With unit weights, weighted ranking must agree with the paper's
-// edge-count ranking.
-func TestRankWeightedUnitMatchesDefault(t *testing.T) {
-	s := loadFig1(t, core.Options{Z: 8})
-	all, err := s.QueryAll([]string{"john", "vcr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranked := core.RankWeighted(all, cn.UnitWeights())
-	for i := range all {
-		if ranked[i].Score != all[i].Score {
-			t.Fatalf("unit ranking reordered scores at %d: %d vs %d", i, ranked[i].Score, all[i].Score)
-		}
-	}
-}
-
-// Penalizing reference edges demotes results that hop through IDREFs.
-func TestRankWeightedPenalizesReferences(t *testing.T) {
-	s := loadFig1(t, core.Options{Z: 8})
-	// "us, dvd": connects either through the service_call reference
-	// (DVD error, issued by Mike) or via containment-heavy paths through
-	// products.
-	all, err := s.QueryAll([]string{"us", "dvd"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) < 2 {
-		t.Skip("not enough results to compare")
-	}
-	w := cn.Weights{Containment: 1, Reference: 10}
-	heavyRef := core.RankWeighted(all, w)
-	// The top result must have the minimum weighted cost over all
-	// results: nothing cheaper was ranked below it.
-	w0 := heavyRef[0].Net.WeightedScore(w)
-	for _, r := range all {
-		if wr := r.Net.WeightedScore(w); wr < w0 {
-			t.Fatalf("result with weight %v ranked below top (weight %v)", wr, w0)
-		}
-	}
-}
-
-func TestQueryWeighted(t *testing.T) {
-	s := loadFig1(t, core.Options{Z: 8})
-	rs, err := s.QueryWeighted([]string{"john", "vcr"}, 3, cn.Weights{Containment: 1, Reference: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) == 0 || len(rs) > 3 {
-		t.Fatalf("got %d results", len(rs))
-	}
-	// Weighted scores must be non-decreasing.
-	w := cn.Weights{Containment: 1, Reference: 2}
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].Net.WeightedScore(w) > rs[i].Net.WeightedScore(w) {
-			t.Fatal("weighted ranking not sorted")
-		}
 	}
 }

@@ -11,8 +11,27 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/kwindex"
+	"repro/internal/pipeline"
 	"repro/internal/rank"
 )
+
+// runAll answers kws through System.Run in ModeAll under the given
+// strategy, ranked by the named scorer ("" keeps the System default).
+func runAll(t *testing.T, sys *core.System, kws []string, strat exec.Strategy, scorer string) ([]exec.Result, *pipeline.Relaxation) {
+	t.Helper()
+	q := &pipeline.Query{Keywords: kws, Mode: pipeline.ModeAll, Strategy: strat}
+	if scorer != "" {
+		sc, err := rank.New(scorer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Scorer = sc
+	}
+	if err := sys.Run(context.Background(), q); err != nil {
+		t.Fatalf("%v all scorer=%q: %v", kws, scorer, err)
+	}
+	return q.Results, q.Relaxation
+}
 
 func mustSameResults(t *testing.T, tag string, got, want []exec.Result) {
 	t.Helper()
@@ -29,9 +48,10 @@ func mustSameResults(t *testing.T, tag string, got, want []exec.Result) {
 }
 
 // TestDefaultScorerEquivalence is the randomized refactor-equivalence
-// suite: for a seeded batch of queries, the scored entry points with the
+// suite: for a seeded batch of queries, the scored entry point with the
 // default scorer (explicitly and via "") must return byte-identical
-// answers to the pre-scorer Query path, with no relaxation record.
+// answers to a top-k Run that names no scorer, with no relaxation
+// record.
 func TestDefaultScorerEquivalence(t *testing.T) {
 	ds, err := datagen.TPCH(datagen.TPCHParams{
 		Persons: 12, OrdersPerPerson: 2, LineitemsPerOrder: 2,
@@ -67,10 +87,11 @@ func TestDefaultScorerEquivalence(t *testing.T) {
 			}
 		}
 		k := []int{1, 3, 10}[rng.Intn(3)]
-		want, err := sys.QueryContext(ctx, kws, k)
-		if err != nil {
+		wantQ := &pipeline.Query{Keywords: kws, Mode: pipeline.ModeTopK, K: k, Strategy: exec.NestedLoop}
+		if err := sys.Run(ctx, wantQ); err != nil {
 			t.Fatalf("%v: %v", kws, err)
 		}
+		want := wantQ.Results
 		for _, name := range []string{"", rank.DefaultName} {
 			got, rx, err := sys.QueryScoredContext(ctx, kws, k, name)
 			if err != nil {
@@ -81,15 +102,10 @@ func TestDefaultScorerEquivalence(t *testing.T) {
 			}
 			mustSameResults(t, fmt.Sprintf("%v k=%d scorer=%q", kws, k, name), got, want)
 		}
-		// The all-results path too.
-		wantAll, err := sys.QueryAllContext(ctx, kws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotAll, rx, err := sys.QueryAllScoredContext(ctx, kws, "")
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The all-results path too: naming the default scorer changes
+		// nothing.
+		wantAll, _ := runAll(t, sys, kws, exec.AutoStrategy, "")
+		gotAll, rx := runAll(t, sys, kws, exec.AutoStrategy, rank.DefaultName)
 		if rx != nil {
 			t.Fatalf("all-path relaxation: %v", rx)
 		}
@@ -104,10 +120,7 @@ func TestScoredMatchesDirectRank(t *testing.T) {
 	sys := loadFig1(t, core.Options{Z: 8})
 	ctx := context.Background()
 	kws := []string{"john", "vcr"}
-	all, err := sys.QueryAllContext(ctx, kws)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all, _ := runAll(t, sys, kws, exec.AutoStrategy, "")
 	if len(all) < 3 {
 		t.Fatalf("only %d results — dataset too small to rank", len(all))
 	}
@@ -125,11 +138,8 @@ func TestScoredMatchesDirectRank(t *testing.T) {
 				append([]exec.Result(nil), all...), k)
 			var got []exec.Result
 			if k == 0 {
-				got, _, err = sys.QueryAllScoredContext(ctx, kws, name)
-			} else {
-				got, _, err = sys.QueryScoredContext(ctx, kws, k, name)
-			}
-			if err != nil {
+				got, _ = runAll(t, sys, kws, exec.AutoStrategy, name)
+			} else if got, _, err = sys.QueryScoredContext(ctx, kws, k, name); err != nil {
 				t.Fatalf("%s k=%d: %v", name, k, err)
 			}
 			mustSameResults(t, fmt.Sprintf("%s k=%d", name, k), got, want)

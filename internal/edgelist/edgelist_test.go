@@ -88,11 +88,11 @@ func TestParseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsA, err := sysA.QueryContext(ctx, []string{"alice", "icde"}, 10)
+	rsA, _, err := sysA.QueryScoredContext(ctx, []string{"alice", "icde"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsB, err := sysB.QueryContext(ctx, []string{"alice", "icde"}, 10)
+	rsB, _, err := sysB.QueryScoredContext(ctx, []string{"alice", "icde"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestParseNoEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := sys.QueryContext(context.Background(), []string{"alice"}, 5)
+	rs, _, err := sys.QueryScoredContext(context.Background(), []string{"alice"}, 5, "")
 	if err != nil {
 		t.Fatal(err)
 	}

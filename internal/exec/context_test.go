@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -94,31 +93,5 @@ func TestTopKPlansContextCancelled(t *testing.T) {
 	}
 	if len(rs) != 0 {
 		t.Fatalf("pre-cancelled top-k returned %d results", len(rs))
-	}
-}
-
-// TestStreamContextCancel: cancelling the stream's context closes it —
-// the producer stops and Next drains to an empty page.
-func TestStreamContextCancel(t *testing.T) {
-	s := fig1System(t, core.Options{Z: 8})
-	plans, err := s.Plans([]string{"us", "vcr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
-	st := exec.StreamPlansContext(ctx, ex, plans, exec.NestedLoop)
-	defer st.Close()
-	cancel()
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case <-deadline:
-			t.Fatal("stream still producing after cancellation")
-		default:
-		}
-		if page := st.Next(16); len(page) == 0 {
-			return // drained and closed
-		}
 	}
 }

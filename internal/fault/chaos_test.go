@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -110,7 +111,11 @@ func buildFixture() (*fixture, error) {
 		fx.tos[term] = mem.TOSet(term, "")
 	}
 	for _, q := range fx.queries {
-		rs, err := sys.QueryContext(context.Background(), q, 10)
+		// qserve asks the engine the sorted keyword bag (result and
+		// binding order follow keyword order), so the baseline does too.
+		q = slices.Clone(q)
+		slices.Sort(q)
+		rs, _, err := sys.QueryScoredContext(context.Background(), q, 10, "")
 		if err != nil {
 			return nil, fmt.Errorf("baseline query %v: %w", q, err)
 		}
@@ -118,7 +123,7 @@ func buildFixture() (*fixture, error) {
 		// The full result universe (huge k) pins down which individual
 		// results are valid; ties at the top-k boundary make the exact
 		// member set run-dependent, but never let an invented result in.
-		all, err := sys.QueryContext(context.Background(), q, 1<<20)
+		all, _, err := sys.QueryScoredContext(context.Background(), q, 1<<20, "")
 		if err != nil {
 			return nil, fmt.Errorf("baseline universe %v: %w", q, err)
 		}
@@ -282,7 +287,7 @@ func TestChaosQserve(t *testing.T) {
 					for i := 0; i < 4; i++ {
 						qi := lr.intn(len(fx.queries))
 						ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-						got, err := qs.Query(ctx, fx.queries[qi], 10)
+						got, _, err := qs.QueryScored(ctx, fx.queries[qi], 10, "")
 						cancel()
 						if err != nil {
 							continue // loud failure: allowed

@@ -8,16 +8,16 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 )
 
-// Engine is the serving-path seam: the subset of the query engine the
-// qserve layer drives (core.System implements it). EngineWrapper
-// decorates one with injected latency, errors and hangs, so the chaos
-// suite can starve admission slots and trip per-stage timeouts without
-// touching the real pipeline.
+// Engine is the serving-path seam: the query engine the qserve layer
+// drives (core.System and the shard coordinator implement it).
+// EngineWrapper decorates one with injected latency, errors and hangs,
+// so the chaos suite can starve admission slots and trip per-stage
+// timeouts without touching the real pipeline.
 type Engine interface {
-	QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error)
-	QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error)
+	QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error)
 }
 
 // EngineProfile sets the per-query fault probabilities of an
@@ -101,16 +101,11 @@ func (w *EngineWrapper) inject(ctx context.Context) error {
 	return nil
 }
 
-func (w *EngineWrapper) QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
+// QueryScoredContext runs the query's fault schedule, then the wrapped
+// engine.
+func (w *EngineWrapper) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
 	if err := w.inject(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return w.inner.QueryContext(ctx, keywords, k)
-}
-
-func (w *EngineWrapper) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	if err := w.inject(ctx); err != nil {
-		return nil, err
-	}
-	return w.inner.QueryAllStrategyContext(ctx, keywords, strat)
+	return w.inner.QueryScoredContext(ctx, keywords, k, scorer)
 }

@@ -35,11 +35,11 @@ func TestXMLAdapterEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	for _, kws := range [][]string{{"john", "vcr"}, {"smith"}} {
-		want, err := direct.QueryContext(ctx, kws, 10)
+		want, _, err := direct.QueryScoredContext(ctx, kws, 10, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := viaSource.QueryContext(ctx, kws, 10)
+		got, _, err := viaSource.QueryScoredContext(ctx, kws, 10, "")
 		if err != nil {
 			t.Fatal(err)
 		}

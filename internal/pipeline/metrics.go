@@ -16,8 +16,8 @@ type Metrics struct {
 	stages  [numStages]stageMetrics
 }
 
-// numModes is the number of pipeline modes (ModeNetworks..ModeStream).
-const numModes = int(ModeStream) + 1
+// numModes is the number of pipeline modes (ModeNetworks..ModeAll).
+const numModes = int(ModeAll) + 1
 
 // stageMetrics is the cumulative account of one stage.
 type stageMetrics struct {
@@ -83,7 +83,7 @@ type Snapshot struct {
 	// executed, as opposed to being answered from a serving-layer cache.
 	Queries int64 `json:"queries"`
 	// ByMode breaks runs down by pipeline mode (networks, plans, topk,
-	// all, stream).
+	// all).
 	ByMode map[string]int64 `json:"by_mode"`
 	// Stages holds one cumulative entry per stage, pipeline order.
 	Stages []StageSnapshot `json:"stages"`
@@ -98,7 +98,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		return snap
 	}
 	snap.Queries = m.queries.Load()
-	for mode := ModeNetworks; mode <= ModeStream; mode++ {
+	for mode := ModeNetworks; mode <= ModeAll; mode++ {
 		if n := m.byMode[int(mode)].Load(); n > 0 {
 			snap.ByMode[mode.String()] = n
 		}

@@ -2,11 +2,14 @@
 // (paper §4–§6): keyword discovery against the master index, candidate
 // network generation (§4), CTSSN reduction (§5.1 of Figure 7's query
 // stage), plan optimization (§5), execution (§6) and result ranking.
-// Every Query* entry point of core.System is a thin configuration of
-// one Run call, so each stage's duration, input/output cardinality and
-// cache behaviour are measured in exactly one place: per query into an
-// obs.Trace (EXPLAIN ANALYZE), and cumulatively into a Metrics sink
-// (the /debug/pipeline endpoint).
+// Every query of core.System — System.Run, the serving entry point
+// QueryScoredContext, and the thin wrappers over them (Query, QueryAll,
+// Networks, Plans, ExplainAnalyze) — is one Run call, as is every
+// query of the scatter-gather coordinator and its shards, so each
+// stage's duration, input/output cardinality and cache behaviour are
+// measured in exactly one place: per query into an obs.Trace (EXPLAIN
+// ANALYZE), and cumulatively into a Metrics sink (the /debug/pipeline
+// endpoint).
 package pipeline
 
 import (
@@ -32,9 +35,6 @@ const (
 	ModeTopK
 	// ModeAll evaluates every plan to completion.
 	ModeAll
-	// ModeStream starts the page-by-page evaluation and returns the
-	// stream without waiting for results.
-	ModeStream
 )
 
 // String names the mode for traces and EXPLAIN output.
@@ -48,8 +48,6 @@ func (m Mode) String() string {
 		return "topk"
 	case ModeAll:
 		return "all"
-	case ModeStream:
-		return "stream"
 	}
 	return "unknown"
 }
@@ -117,11 +115,8 @@ type Query struct {
 	// Plans are the optimized execution plans, same order (set by
 	// optimize).
 	Plans []exec.Planned
-	// Results is the final result list (set by execute and rank; empty
-	// for ModeStream).
+	// Results is the final result list (set by execute and rank).
 	Results []exec.Result
-	// Stream is the started result stream (ModeStream only).
-	Stream *exec.Stream
 	// Relaxation records how discover rewrote a no-match query. Set only
 	// when Config.Relax is on and at least one keyword had no match;
 	// nil means the query ran exactly as asked.
@@ -182,13 +177,7 @@ func (p *Pipeline) stagesFor(mode Mode) []Stage {
 	if mode == ModePlans {
 		return stages
 	}
-	stages = append(stages, p.Execute)
-	if mode == ModeStream {
-		// A stream's results are ranked page by page as they arrive;
-		// there is no materialized result list to rank.
-		return stages
-	}
-	return append(stages, p.Rank)
+	return append(stages, p.Execute, p.Rank)
 }
 
 // Run drives the query through the stage prefix its mode selects,

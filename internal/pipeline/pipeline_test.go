@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/kwindex"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/pipeline"
@@ -71,14 +72,14 @@ func newPipeline(sys *core.System, nc pipeline.TemplateCache) *pipeline.Pipeline
 		Index:     sys.Index,
 		Z:         sys.Opts.Z,
 		Templates: nc,
-		NewOptimizer: func() *optimizer.Optimizer {
+		NewOptimizer: func(ix kwindex.Source) *optimizer.Optimizer {
 			return &optimizer.Optimizer{
-				TSS: sys.TSS, Store: sys.Store, Index: sys.Index, Stats: sys.Stats,
+				TSS: sys.TSS, Store: sys.Store, Index: ix, Stats: sys.Stats,
 				Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B,
 			}
 		},
-		NewExecutor: func() *exec.Executor {
-			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index,
+		NewExecutor: func(ix kwindex.Source) *exec.Executor {
+			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: ix,
 				Cache: exec.NewLookupCache(0)}
 		},
 	})
@@ -171,12 +172,12 @@ func TestMetricsAccumulate(t *testing.T) {
 	m := pipeline.NewMetrics()
 	cfgp := pipeline.New(pipeline.Config{
 		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z,
-		NewOptimizer: func() *optimizer.Optimizer {
-			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: sys.Index,
+		NewOptimizer: func(ix kwindex.Source) *optimizer.Optimizer {
+			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: ix,
 				Stats: sys.Stats, Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}
 		},
-		NewExecutor: func() *exec.Executor {
-			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index}
+		NewExecutor: func(ix kwindex.Source) *exec.Executor {
+			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: ix}
 		},
 		Metrics: m,
 	})

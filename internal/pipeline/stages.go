@@ -46,11 +46,11 @@ type Config struct {
 	// Templates, when non-nil, memoizes the derivation per keyword
 	// shape; without it every query compiles its own template.
 	Templates TemplateCache
-	// NewOptimizer builds the plan optimizer (per query).
-	NewOptimizer func() *optimizer.Optimizer
-	// NewExecutor builds the executor (per query, shared by the
-	// query's plans).
-	NewExecutor func() *exec.Executor
+	// NewOptimizer builds the plan optimizer over Index (per query).
+	NewOptimizer func(ix kwindex.Source) *optimizer.Optimizer
+	// NewExecutor builds the executor over Index (per query, shared by
+	// the query's plans).
+	NewExecutor func(ix kwindex.Source) *exec.Executor
 	// Metrics, when non-nil, accumulates cross-query stage statistics.
 	Metrics *Metrics
 }
@@ -292,7 +292,7 @@ func (s optimizeStage) Name() string { return StageOptimize }
 
 func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Nets))
-	opt := s.cfg.NewOptimizer()
+	opt := s.cfg.NewOptimizer(s.cfg.Index)
 	sets := make(optimizer.TOSets)
 	var plans []exec.Planned
 	for i, tn := range q.Nets {
@@ -317,8 +317,8 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 }
 
 // executeStage evaluates the plans (§6) in the query's mode: top-K
-// smallest-first with early termination, all results plan by plan
-// through one executor, or a started stream.
+// smallest-first with early termination, or all results plan by plan
+// through one executor.
 type executeStage struct{ cfg *Config }
 
 func (s executeStage) Name() string { return StageExecute }
@@ -339,7 +339,7 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 			rep.Note = "topk(full)"
 			return s.runAll(ctx, q, rep)
 		}
-		ex := s.cfg.NewExecutor()
+		ex := s.cfg.NewExecutor(s.cfg.Index)
 		out, err := exec.TopKPlansContext(ctx, ex, q.Plans, exec.TopKOptions{
 			K:        q.K,
 			Strategy: q.Strategy,
@@ -352,8 +352,6 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 		if err := s.runAll(ctx, q, rep); err != nil {
 			return err
 		}
-	case ModeStream:
-		q.Stream = exec.StreamPlansContext(ctx, s.cfg.NewExecutor(), q.Plans, q.Strategy)
 	default:
 		return fmt.Errorf("pipeline: mode %v does not execute", q.Mode)
 	}
@@ -365,7 +363,7 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 // canonical (plan, sequence) Ord — the ModeAll body, shared by the
 // full-enumeration top-k path.
 func (s executeStage) runAll(ctx context.Context, q *Query, rep *StageReport) error {
-	ex := s.cfg.NewExecutor()
+	ex := s.cfg.NewExecutor(s.cfg.Index)
 	var out []exec.Result
 	for pi, p := range q.Plans {
 		n := 0

@@ -141,7 +141,7 @@ func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error
 		t.nets = append(t.nets, nt)
 	}
 	sort.SliceStable(t.nets, func(i, j int) bool { return t.nets[i].net.Score() < t.nets[j].net.Score() })
-	opt := c.NewOptimizer()
+	opt := c.NewOptimizer(c.Index)
 	for i := range t.nets {
 		nt := &t.nets[i]
 		nt.shape, nt.err = opt.Compile(nt.net)

@@ -171,8 +171,8 @@ func TestTemplateMatchesFromScratch(t *testing.T) {
 	memo := newMapMemo()
 	p := pipeline.New(pipeline.Config{
 		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z, Relax: true, Templates: memo,
-		NewOptimizer: func() *optimizer.Optimizer {
-			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: sys.Index, Stats: sys.Stats,
+		NewOptimizer: func(ix kwindex.Source) *optimizer.Optimizer {
+			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: ix, Stats: sys.Stats,
 				Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}
 		},
 	})

@@ -1,12 +1,14 @@
 // Package qserve is the query-serving layer in front of the XKeyword
 // engine: the piece a production deployment needs between HTTP handlers
 // and the §4–§6 pipeline (CN generation, planning, join execution),
-// which the paper re-runs from scratch on every query. It provides
+// which the paper re-runs from scratch on every query. It serves one
+// call, Server.QueryScored, over one engine method (Engine), and
+// provides
 //
 //   - a sharded LRU result cache with TTL and byte-budget eviction,
 //     keyed on the normalized keyword bag plus the result-shaping
-//     parameters, so "Codd relational" and "Relational CODD" share an
-//     entry;
+//     parameters, with the engine asked that bag, so "Codd relational"
+//     and "Relational CODD" share an entry and get the same answer;
 //   - singleflight collapse: N concurrent identical queries run the
 //     pipeline once and share the result;
 //   - admission control: a bounded semaphore with a queue-wait deadline
@@ -25,13 +27,11 @@ package qserve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/pipeline"
-	"repro/internal/rank"
 )
 
 // ErrOverloaded is returned when admission control sheds a query: every
@@ -39,20 +39,12 @@ import (
 // should map it to a retryable status (HTTP 503).
 var ErrOverloaded = errors.New("qserve: overloaded: no execution slot within queue-wait deadline")
 
-// Engine is the query pipeline qserve fronts. *core.System implements
-// it; tests substitute slow or blocking fakes.
+// Engine is the query pipeline qserve fronts: one top-k query ranked
+// by a named scorer ("" selects the engine's default), returning the
+// relaxation record when the query was rewritten to be answerable.
+// *core.System and the shard coordinator implement it; tests substitute
+// slow or blocking fakes.
 type Engine interface {
-	QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error)
-	QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error)
-}
-
-// ScoredEngine is the extended engine surface: pluggable result scorers
-// and no-match relaxation. *core.System and the shard coordinator
-// implement it; QueryScored routes through it whenever the wrapped
-// engine does (even for the default scorer, so relaxation records
-// flow), and plain Engines keep working for the default scorer only.
-type ScoredEngine interface {
-	Engine
 	QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error)
 }
 
@@ -141,47 +133,6 @@ func New(eng Engine, opts Options) *Server {
 // debug state the Server does not model.
 func (s *Server) Engine() Engine { return s.eng }
 
-// Query answers the top-k query through the serving layer.
-func (s *Server) Query(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	rs, _, err := s.QueryScored(ctx, keywords, k, "")
-	return rs, err
-}
-
-// QueryScored answers the top-k query ranked by the named scorer (""
-// selects the engine's default), with the relaxation record when the
-// query was rewritten to be answerable (nil otherwise). Engines
-// implementing ScoredEngine serve every scorer and report relaxation; a
-// plain Engine serves the default scorer only.
-func (s *Server) QueryScored(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
-	if se, ok := s.eng.(ScoredEngine); ok {
-		return s.serve(ctx, "topk", keywords, k, exec.NestedLoop, scorer, func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
-			return se.QueryScoredContext(fctx, keywords, k, scorer)
-		})
-	}
-	if scorer != "" && scorer != rank.DefaultName {
-		return nil, nil, fmt.Errorf("qserve: engine %T does not support scorer selection (want %q)", s.eng, scorer)
-	}
-	return s.serve(ctx, "topk", keywords, k, exec.NestedLoop, scorer, func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
-		rs, err := s.eng.QueryContext(fctx, keywords, k)
-		return rs, nil, err
-	})
-}
-
-// QueryAll answers the full-result query through the serving layer,
-// using the engine's automatic strategy.
-func (s *Server) QueryAll(ctx context.Context, keywords []string) ([]exec.Result, error) {
-	return s.QueryAllStrategy(ctx, keywords, exec.AutoStrategy)
-}
-
-// QueryAllStrategy is QueryAll with an explicit evaluation strategy.
-func (s *Server) QueryAllStrategy(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	rs, _, err := s.serve(ctx, "all", keywords, 0, strat, "", func(fctx context.Context) ([]exec.Result, *pipeline.Relaxation, error) {
-		rs, err := s.eng.QueryAllStrategyContext(fctx, keywords, strat)
-		return rs, nil, err
-	})
-	return rs, err
-}
-
 // InvalidateCache drops every cached result. The ingest path calls it
 // after a write batch whose token footprint it cannot name (deletes: the
 // dead TO's tokens are not in the request): the index has changed, so
@@ -221,14 +172,19 @@ func (s *Server) InvalidateCacheTokens(tokens []string) {
 	}
 }
 
-// serve is the common path: normalize the key, consult the cache, and
-// collapse concurrent misses into one admitted pipeline execution.
-// Relaxed answers are cached with their record (relaxation is a
-// deterministic function of the index), so a hit stays as loud as the
-// original miss.
-func (s *Server) serve(ctx context.Context, kind string, keywords []string, k int, strat exec.Strategy, scorer string, run func(context.Context) ([]exec.Result, *pipeline.Relaxation, error)) ([]exec.Result, *pipeline.Relaxation, error) {
+// QueryScored answers the top-k query ranked by the named scorer (""
+// selects the engine's default), with the relaxation record when the
+// query was rewritten to be answerable (nil otherwise). It normalizes
+// the key, consults the cache, and collapses concurrent misses into one
+// admitted pipeline execution. The engine is handed the key's
+// normalized, sorted keywords, not the request's: result tie order and
+// binding order follow keyword order, so every permutation a key stands
+// for must get the answer its first arrival would have cached. Relaxed
+// answers are cached with their record (relaxation is a deterministic
+// function of the index), so a hit stays as loud as the original miss.
+func (s *Server) QueryScored(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
 	start := time.Now()
-	key, err := cacheKey(kind, keywords, k, strat, scorer)
+	key, norm, err := cacheKey(keywords, k, scorer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -245,7 +201,7 @@ func (s *Server) serve(ctx context.Context, kind string, keywords []string, k in
 			return nil, nil, err
 		}
 		defer s.release()
-		rs, rx, err := run(fctx)
+		rs, rx, err := s.eng.QueryScoredContext(fctx, norm, k, scorer)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -12,15 +12,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/pipeline"
 	"repro/internal/qserve"
 )
 
 // fakeEngine counts pipeline runs and can block until released or until
-// the context ends, standing in for a slow join execution.
+// the context ends, standing in for a slow join execution. It records
+// the keywords and scorer name of every run and answers with a fixed
+// relaxation record.
 type fakeEngine struct {
 	calls   atomic.Int64
 	block   chan struct{} // nil = return immediately
 	results []exec.Result
+	relax   *pipeline.Relaxation
+
+	mu       sync.Mutex
+	keywords [][]string // guarded by mu
+	scorers  []string   // guarded by mu
 }
 
 func (f *fakeEngine) run(ctx context.Context) ([]exec.Result, error) {
@@ -38,12 +46,13 @@ func (f *fakeEngine) run(ctx context.Context) ([]exec.Result, error) {
 	return f.results, nil
 }
 
-func (f *fakeEngine) QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	return f.run(ctx)
-}
-
-func (f *fakeEngine) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	return f.run(ctx)
+func (f *fakeEngine) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
+	f.mu.Lock()
+	f.keywords = append(f.keywords, keywords)
+	f.scorers = append(f.scorers, scorer)
+	f.mu.Unlock()
+	rs, err := f.run(ctx)
+	return rs, f.relax, err
 }
 
 func fig1System(t testing.TB) *core.System {
@@ -65,7 +74,7 @@ func TestCacheHitAndKeyNormalization(t *testing.T) {
 	qs := qserve.New(sys, qserve.Options{})
 	ctx := context.Background()
 
-	base, err := qs.Query(ctx, []string{"john", "vcr"}, 10)
+	base, _, err := qs.QueryScored(ctx, []string{"john", "vcr"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +87,7 @@ func TestCacheHitAndKeyNormalization(t *testing.T) {
 		{"John", "VCR"},
 		{"  VCR!", "john,"},
 	} {
-		rs, err := qs.Query(ctx, q, 10)
+		rs, _, err := qs.QueryScored(ctx, q, 10, "")
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
 		}
@@ -91,7 +100,7 @@ func TestCacheHitAndKeyNormalization(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 3/1", st.Hits, st.Misses)
 	}
 	// A different k is a different entry.
-	if _, err := qs.Query(ctx, []string{"john", "vcr"}, 1); err != nil {
+	if _, _, err := qs.QueryScored(ctx, []string{"john", "vcr"}, 1, ""); err != nil {
 		t.Fatal(err)
 	}
 	if st := qs.Stats(); st.Misses != 2 {
@@ -99,33 +108,6 @@ func TestCacheHitAndKeyNormalization(t *testing.T) {
 	}
 	if st := qs.Stats(); st.CacheEntries != 2 || st.CacheBytes <= 0 {
 		t.Fatalf("cache usage = %d entries / %d bytes", st.CacheEntries, st.CacheBytes)
-	}
-}
-
-func TestQueryAllThroughCache(t *testing.T) {
-	sys := fig1System(t)
-	qs := qserve.New(sys, qserve.Options{})
-	ctx := context.Background()
-	a, err := qs.QueryAll(ctx, []string{"us", "vcr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := qs.QueryAll(ctx, []string{"VCR", "US"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("all-results mismatch: %d vs %d", len(a), len(b))
-	}
-	want, err := sys.QueryAll([]string{"us", "vcr"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(want) {
-		t.Fatalf("served %d results, engine says %d", len(a), len(want))
-	}
-	if st := qs.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 }
 
@@ -139,7 +121,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = qs.Query(context.Background(), []string{"codd", "relational"}, 10)
+			_, _, errs[i] = qs.QueryScored(context.Background(), []string{"codd", "relational"}, 10, "")
 		}(i)
 	}
 	// Let every goroutine reach the flight, then release the pipeline.
@@ -177,13 +159,13 @@ func TestAdmissionControlSheds(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = qs.Query(context.Background(), []string{"occupier"}, 10)
+		_, _, _ = qs.QueryScored(context.Background(), []string{"occupier"}, 10, "")
 	}()
 	for qs.InFlight() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	// A different query cannot be admitted within the queue wait.
-	_, err := qs.Query(context.Background(), []string{"shed", "me"}, 10)
+	_, _, err := qs.QueryScored(context.Background(), []string{"shed", "me"}, 10, "")
 	if !errors.Is(err, qserve.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -200,7 +182,7 @@ func TestCancellationStopsFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := qs.QueryAll(ctx, []string{"long", "query"})
+		_, _, err := qs.QueryScored(ctx, []string{"long", "query"}, 10, "")
 		errc <- err
 	}()
 	for qs.InFlight() == 0 {
@@ -236,7 +218,7 @@ func TestCancelOneWaiterKeepsFlightAlive(t *testing.T) {
 	defer cancel1()
 	errs := make(chan error, 2)
 	go func() {
-		_, err := qs.Query(ctx1, []string{"shared"}, 10)
+		_, _, err := qs.QueryScored(ctx1, []string{"shared"}, 10, "")
 		errs <- err
 	}()
 	for qs.InFlight() == 0 {
@@ -244,7 +226,7 @@ func TestCancelOneWaiterKeepsFlightAlive(t *testing.T) {
 	}
 	rsc := make(chan []exec.Result, 1)
 	go func() {
-		rs, err := qs.Query(context.Background(), []string{"shared"}, 10)
+		rs, _, err := qs.QueryScored(context.Background(), []string{"shared"}, 10, "")
 		rsc <- rs
 		errs <- err
 	}()
@@ -280,7 +262,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	}
 	want := make(map[int]int)
 	for i, q := range queries {
-		rs, err := sys.QueryAll(q)
+		rs, err := sys.Query(q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +278,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				qi := (w + i) % len(queries)
-				rs, err := qs.QueryAll(context.Background(), queries[qi])
+				rs, _, err := qs.QueryScored(context.Background(), queries[qi], 10, "")
 				if err != nil {
 					errc <- fmt.Errorf("query %v: %w", queries[qi], err)
 					return
@@ -336,10 +318,10 @@ func TestConcurrentMixedQueries(t *testing.T) {
 
 func TestEmptyAndInvalidQueries(t *testing.T) {
 	qs := qserve.New(&fakeEngine{}, qserve.Options{})
-	if _, err := qs.Query(context.Background(), nil, 10); err == nil {
+	if _, _, err := qs.QueryScored(context.Background(), nil, 10, ""); err == nil {
 		t.Fatal("empty query accepted")
 	}
-	if _, err := qs.Query(context.Background(), []string{"..."}, 10); err == nil {
+	if _, _, err := qs.QueryScored(context.Background(), []string{"..."}, 10, ""); err == nil {
 		t.Fatal("tokenless keyword accepted")
 	}
 }
@@ -354,7 +336,7 @@ func TestInvalidateCacheTokens(t *testing.T) {
 
 	warm := func(kws ...string) {
 		t.Helper()
-		if _, err := qs.Query(ctx, kws, 5); err != nil {
+		if _, _, err := qs.QueryScored(ctx, kws, 5, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,7 +36,7 @@ func TestCancellationDuringQueueWait(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = qs.Query(context.Background(), []string{"occupier"}, 10)
+		_, _, _ = qs.QueryScored(context.Background(), []string{"occupier"}, 10, "")
 	}()
 	for qs.InFlight() == 0 {
 		time.Sleep(time.Millisecond)
@@ -44,7 +44,7 @@ func TestCancellationDuringQueueWait(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := qs.Query(ctx, []string{"queued", "then", "cancelled"}, 10)
+		_, _, err := qs.QueryScored(ctx, []string{"queued", "then", "cancelled"}, 10, "")
 		errc <- err
 	}()
 	// Give the query time to enter the queue wait, then hang up.
@@ -86,12 +86,12 @@ func TestBreakerFastFailsAfterShed(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = qs.Query(context.Background(), []string{"occupier"}, 10)
+		_, _, _ = qs.QueryScored(context.Background(), []string{"occupier"}, 10, "")
 	}()
 	for qs.InFlight() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := qs.Query(context.Background(), []string{"first"}, 10); !errors.Is(err, qserve.ErrOverloaded) {
+	if _, _, err := qs.QueryScored(context.Background(), []string{"first"}, 10, ""); !errors.Is(err, qserve.ErrOverloaded) {
 		t.Fatalf("first err = %v, want ErrOverloaded", err)
 	}
 	st := qs.Stats()
@@ -102,7 +102,7 @@ func TestBreakerFastFailsAfterShed(t *testing.T) {
 		t.Fatalf("retry-after hint %dms, want positive", st.RetryAfterMillis)
 	}
 	start := time.Now()
-	if _, err := qs.Query(context.Background(), []string{"second"}, 10); !errors.Is(err, qserve.ErrOverloaded) {
+	if _, _, err := qs.QueryScored(context.Background(), []string{"second"}, 10, ""); !errors.Is(err, qserve.ErrOverloaded) {
 		t.Fatalf("second err = %v, want ErrOverloaded", err)
 	}
 	if fast := time.Since(start); fast > wait/2 {
@@ -112,7 +112,7 @@ func TestBreakerFastFailsAfterShed(t *testing.T) {
 	// breaker even though its window has not expired.
 	close(eng.block)
 	<-done
-	if _, err := qs.Query(context.Background(), []string{"after", "recovery"}, 10); err != nil {
+	if _, _, err := qs.QueryScored(context.Background(), []string{"after", "recovery"}, 10, ""); err != nil {
 		t.Fatalf("post-recovery query failed: %v", err)
 	}
 	if st := qs.Stats(); st.BreakerOpen {
@@ -166,7 +166,7 @@ func TestHealthEngineStillServes(t *testing.T) {
 	eng := &healthEngine{state: core.IndexOK}
 	eng.results = []exec.Result{}
 	qs := qserve.New(eng, qserve.Options{MaxEntries: -1})
-	if _, err := qs.Query(context.Background(), []string{"a"}, 5); err != nil {
+	if _, _, err := qs.QueryScored(context.Background(), []string{"a"}, 5, ""); err != nil {
 		t.Fatal(err)
 	}
 }

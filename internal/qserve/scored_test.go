@@ -2,33 +2,17 @@ package qserve_test
 
 import (
 	"context"
-	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/pipeline"
 	"repro/internal/qserve"
 )
-
-// fakeScoredEngine extends fakeEngine with the scored surface, recording
-// the scorer names routed through and returning a fixed relaxation.
-type fakeScoredEngine struct {
-	fakeEngine
-	scorers []string
-	relax   *pipeline.Relaxation
-}
-
-func (f *fakeScoredEngine) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
-	f.scorers = append(f.scorers, scorer)
-	rs, err := f.run(ctx)
-	return rs, f.relax, err
-}
 
 // A relaxation note must reach the caller on the cache miss AND be
 // replayed on the hit — a relaxed answer without its note would look
 // like a confident exact answer.
 func TestScoredCachesRelaxationNote(t *testing.T) {
-	eng := &fakeScoredEngine{relax: &pipeline.Relaxation{Dropped: []string{"zzz"}}}
+	eng := &fakeEngine{relax: &pipeline.Relaxation{Dropped: []string{"zzz"}}}
 	qs := qserve.New(eng, qserve.Options{})
 	ctx := context.Background()
 
@@ -55,7 +39,7 @@ func TestScoredCachesRelaxationNote(t *testing.T) {
 // Different scorers are different answers: the cache must miss across
 // scorer names and hit within one.
 func TestScoredCacheKeySeparatesScorers(t *testing.T) {
-	eng := &fakeScoredEngine{}
+	eng := &fakeEngine{}
 	qs := qserve.New(eng, qserve.Options{})
 	ctx := context.Background()
 
@@ -72,28 +56,5 @@ func TestScoredCacheKeySeparatesScorers(t *testing.T) {
 	// The engine saw each requested scorer verbatim.
 	if len(eng.scorers) != 3 || eng.scorers[0] != "" || eng.scorers[1] != "weighted" || eng.scorers[2] != "diversified" {
 		t.Fatalf("scorers routed through: %q", eng.scorers)
-	}
-}
-
-// A plain Engine (no scored surface) keeps serving the default scorer
-// and loudly rejects any other — silent fallback to a different ranking
-// would misreport what the user asked for.
-func TestScoredPlainEngineFallback(t *testing.T) {
-	eng := &fakeEngine{}
-	qs := qserve.New(eng, qserve.Options{})
-	ctx := context.Background()
-
-	for _, scorer := range []string{"", "edgecount"} {
-		rs, rx, err := qs.QueryScored(ctx, []string{"john"}, 10, scorer)
-		if err != nil {
-			t.Fatalf("scorer %q: %v", scorer, err)
-		}
-		if len(rs) != 0 || rx != nil {
-			t.Fatalf("scorer %q: rs=%v rx=%+v", scorer, rs, rx)
-		}
-	}
-	_, _, err := qs.QueryScored(ctx, []string{"john"}, 10, "weighted")
-	if err == nil || !strings.Contains(err.Error(), "does not support scorer") {
-		t.Fatalf("plain engine accepted a non-default scorer: %v", err)
 	}
 }

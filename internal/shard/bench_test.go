@@ -23,7 +23,7 @@ func BenchmarkShardSingleNode(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+		if _, _, err := sys.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +40,7 @@ func BenchmarkShardCoordinator(b *testing.B) {
 			cl := startCluster(b, sys, n, clusterConfig{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+				if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,13 +65,13 @@ func BenchmarkShardOneDown(b *testing.B) {
 	ctx := context.Background()
 	// Open the breaker before timing so the loop measures steady state.
 	for i := 0; i < 4; i++ {
-		if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+		if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+		if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func BenchmarkShardReplicated(b *testing.B) {
 			cl := startReplicatedCluster(b, sys, 2, r, replicaConfig{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+				if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -132,7 +132,7 @@ func BenchmarkShardHedgedTail(b *testing.B) {
 			// Warmup primes the preferred replica's latency histograms so
 			// the p95-derived hedge delay exists from the first timed query.
 			for i := 0; i < 5; i++ {
-				if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+				if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -140,7 +140,7 @@ func BenchmarkShardHedgedTail(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+				if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 					b.Fatal(err)
 				}
 				lats = append(lats, time.Since(start))

@@ -23,13 +23,13 @@ func TestQuorumLossRefuses(t *testing.T) {
 	cl := startCluster(t, sys, 3, clusterConfig{})
 	ctx := context.Background()
 	kws := []string{"john", "tv"}
-	want, err := sys.QueryContext(ctx, kws, 10)
+	want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.servers[0].Close()
 	cl.servers[2].Close()
-	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatalf("1 of 3 shards alive — the query must reassign, not fail: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestQuorumLossRefuses(t *testing.T) {
 	}
 
 	cl.servers[1].Close() // every group down
-	_, err = cl.coord.QueryContext(ctx, kws, 10)
+	_, _, err = cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if !errors.Is(err, shard.ErrNoQuorum) {
 		t.Fatalf("0 of 3 shards alive: err = %v, want ErrNoQuorum", err)
 	}
@@ -87,12 +87,12 @@ func TestSlowShardDegrades(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	want, err := sys.QueryContext(ctx, []string{"john", "tv"}, 10)
+	want, _, err := sys.QueryScoredContext(ctx, []string{"john", "tv"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	rs, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10)
+	rs, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, "")
 	if err != nil {
 		t.Fatalf("slow shard must be reassigned around, not fail: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 
 	// Two failing queries reach the threshold and open the breaker.
 	for i := 0; i < 2; i++ {
-		if _, err := cl.coord.QueryContext(ctx, kws, 5); err != nil {
+		if _, _, err := cl.coord.QueryScoredContext(ctx, kws, 5, ""); err != nil {
 			t.Fatalf("query %d: survivors hold every class, want success: %v", i, err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	// Heal the shard; after the window the half-open probe readmits it.
 	failing.Store(false)
 	time.Sleep(150 * time.Millisecond)
-	if _, err := cl.coord.QueryContext(ctx, kws, 5); err != nil {
+	if _, _, err := cl.coord.QueryScoredContext(ctx, kws, 5, ""); err != nil {
 		t.Fatalf("post-recovery query: %v", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -167,7 +167,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if _, err := cl.coord.QueryContext(ctx, kws, 5); err != nil {
+	if _, _, err := cl.coord.QueryScoredContext(ctx, kws, 5, ""); err != nil {
 		t.Fatalf("recovered cluster still failing: %v", err)
 	}
 }
@@ -195,11 +195,11 @@ func TestRetryMasksTransientFailure(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	want, err := sys.QueryContext(ctx, []string{"john", "tv"}, 10)
+	want, _, err := sys.QueryScoredContext(ctx, []string{"john", "tv"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, "")
 	if err != nil {
 		t.Fatalf("retry did not mask the transient failure: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestCancellationPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 5)
+		_, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 5, "")
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -137,10 +137,7 @@ type Coordinator struct {
 	stAt    time.Time           // guarded by stMu — when it was taken
 }
 
-var (
-	_ qserve.Engine       = (*Coordinator)(nil)
-	_ qserve.ScoredEngine = (*Coordinator)(nil)
-)
+var _ qserve.Engine = (*Coordinator)(nil)
 
 // NewCoordinatorGroups wires a coordinator to a replica topology: one
 // address list per shard, index = shard id. sys is the whole system the
@@ -248,29 +245,17 @@ func (c *Coordinator) Validate(ctx context.Context) error {
 	return nil
 }
 
-// QueryContext implements qserve.Engine: the scatter-gather top-k query.
-func (c *Coordinator) QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	if k <= 0 {
-		return nil, ctx.Err()
-	}
-	rs, _, err := c.query(ctx, keywords, k, exec.NestedLoop, nil)
-	return rs, err
-}
-
-// QueryAllStrategyContext implements qserve.Engine: the scatter-gather
-// full-result query.
-func (c *Coordinator) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	rs, _, err := c.query(ctx, keywords, 0, strat, nil)
-	return rs, err
-}
-
-// QueryScoredContext implements qserve.ScoredEngine: the scatter-gather
-// top-k query ranked by the named scorer, with the relaxation record.
-// The default scorer keeps the per-shard top-k caps and the early-
-// terminating canonical merge byte-identical to QueryContext; any other
-// scorer fetches full streams (a shard-side cap could prune a result
-// the scorer would promote) and re-ranks the merged list exactly like a
-// single node would.
+// QueryScoredContext implements qserve.Engine: the scatter-gather top-k
+// query ranked by the named scorer, with the relaxation record; see the
+// package comment for the protocol and its equivalence argument. The
+// default scorer keeps the per-shard top-k caps and the early-
+// terminating canonical merge; any other scorer fetches full streams (a
+// shard-side cap could prune a result the scorer would promote) and
+// re-ranks the merged list exactly like a single node would. k ≤ 0 asks
+// for nothing and gets no results, as on a single node. The relaxation
+// record comes from the coordinator's local derivation; shards relax
+// identically against the same shipped lists (the CRC cross-check would
+// catch any divergence).
 func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
 	name := scorer
 	if name == "" {
@@ -283,17 +268,6 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 	if k <= 0 {
 		return nil, nil, ctx.Err()
 	}
-	return c.query(ctx, keywords, k, exec.NestedLoop, sc)
-}
-
-// query is the scatter-gather path; see the package comment for the
-// protocol and its equivalence argument. A nil (or default) scorer is
-// the byte-identical canonical path; a non-default scorer turns off the
-// per-shard and merge top-k cutoffs and re-ranks the full merged list.
-// The relaxation record comes from the coordinator's local derivation;
-// shards relax identically against the same shipped lists (the CRC
-// cross-check would catch any divergence).
-func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat exec.Strategy, sc rank.Scorer) ([]exec.Result, *pipeline.Relaxation, error) {
 	c.queries.Add(1)
 	n := len(c.groups)
 
@@ -409,7 +383,6 @@ func (c *Coordinator) query(ctx context.Context, keywords []string, k int, strat
 				out.err = c.groups[i].do(ctx, "/shard/execute", ExecRequest{
 					Keywords:       keywords,
 					K:              fetchK,
-					Strategy:       uint8(strat),
 					N:              n,
 					Parts:          parts,
 					Lists:          wireLists,

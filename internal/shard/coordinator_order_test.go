@@ -53,7 +53,7 @@ func TestGatherOrderDeterministic(t *testing.T) {
 	ctx := context.Background()
 	const queries = 8
 	for q := 0; q < queries; q++ {
-		if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10); err != nil {
+		if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -164,26 +164,16 @@ func TestEquivalenceAcrossN(t *testing.T) {
 				t.Fatalf("Validate: %v", err)
 			}
 			for _, qq := range queries {
-				want, err := sys.QueryContext(ctx, qq.kws, qq.k)
+				want, _, err := sys.QueryScoredContext(ctx, qq.kws, qq.k, "")
 				if err != nil {
 					t.Fatalf("single-node %v: %v", qq.kws, err)
 				}
-				got, err := cl.coord.QueryContext(ctx, qq.kws, qq.k)
+				got, _, err := cl.coord.QueryScoredContext(ctx, qq.kws, qq.k, "")
 				if err != nil {
 					t.Fatalf("coordinator %v: %v", qq.kws, err)
 				}
 				mustEqualResults(t, fmt.Sprintf("%v k=%d", qq.kws, qq.k), got, want)
 			}
-			// Full enumeration (k=0) through the all-strategy path.
-			want, err := sys.QueryAllStrategyContext(ctx, []string{"john", "tv"}, exec.NestedLoop)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := cl.coord.QueryAllStrategyContext(ctx, []string{"john", "tv"}, exec.NestedLoop)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustEqualResults(t, "query-all", got, want)
 		})
 	}
 }
@@ -221,11 +211,11 @@ func TestEquivalenceWithFailoverShard(t *testing.T) {
 	})
 	ctx := context.Background()
 	for _, kws := range [][]string{{"john", "tv"}, {"anna", "vcr"}, {"maria", "dvd"}} {
-		want, err := sys.QueryContext(ctx, kws, 10)
+		want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.coord.QueryContext(ctx, kws, 10)
+		got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,11 +254,11 @@ func TestExecuteFailureReassignsExactly(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	want, err := sys.QueryContext(ctx, []string{"john", "tv"}, 10)
+	want, _, err := sys.QueryScoredContext(ctx, []string{"john", "tv"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +278,11 @@ func TestKillShardMidSuite(t *testing.T) {
 	ctx := context.Background()
 	kws := []string{"john", "tv"}
 
-	want, err := sys.QueryContext(ctx, kws, 10)
+	want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +290,7 @@ func TestKillShardMidSuite(t *testing.T) {
 
 	cl.servers[2].Close() // lights out mid-suite
 
-	got, err = cl.coord.QueryContext(ctx, kws, 10)
+	got, _, err = cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatalf("2 of 3 shards alive — the query must reassign, not fail: %v", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/kwindex"
+	"repro/internal/pipeline"
 	"repro/internal/shard"
 )
 
@@ -55,9 +56,11 @@ func TestExecuteOwnedPlanPartition(t *testing.T) {
 				var want []exec.Result
 				var err error
 				if k > 0 {
-					want, err = sys.QueryContext(ctx, kws, k)
+					want, _, err = sys.QueryScoredContext(ctx, kws, k, "")
 				} else {
-					want, err = sys.QueryAllStrategyContext(ctx, kws, exec.NestedLoop)
+					q := &pipeline.Query{Keywords: kws, Mode: pipeline.ModeAll, Strategy: exec.NestedLoop}
+					err = sys.Run(ctx, q)
+					want = q.Results
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -135,11 +138,11 @@ func TestEmptyCoverNotCalled(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	want, err := sys.QueryContext(ctx, kws, 10)
+	want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}

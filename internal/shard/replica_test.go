@@ -72,11 +72,11 @@ func runEquivalenceSuite(t *testing.T, sys *core.System, coord *shard.Coordinato
 	ctx := context.Background()
 	for _, kws := range [][]string{{"john", "tv"}, {"anna", "vcr"}, {"maria", "dvd"}} {
 		for _, k := range []int{1, 5, 10} {
-			want, err := sys.QueryContext(ctx, kws, k)
+			want, _, err := sys.QueryScoredContext(ctx, kws, k, "")
 			if err != nil {
 				t.Fatalf("%s: single-node %v: %v", tag, kws, err)
 			}
-			got, err := coord.QueryContext(ctx, kws, k)
+			got, _, err := coord.QueryScoredContext(ctx, kws, k, "")
 			if err != nil {
 				t.Fatalf("%s: coordinator %v: %v", tag, kws, err)
 			}
@@ -218,14 +218,14 @@ func TestGroupLossDegradesLoudly(t *testing.T) {
 	})
 	ctx := context.Background()
 	kws := []string{"john", "tv"}
-	want, err := sys.QueryContext(ctx, kws, 10)
+	want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl.servers[2][0].Close()
 	cl.servers[2][1].Close() // the whole group, not one process
 
-	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatalf("2 of 3 groups alive — the query must reassign, not fail: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestGroupLossBelowQuorumRefuses(t *testing.T) {
 	})
 	ctx := context.Background()
 	kws := []string{"john", "tv"}
-	want, err := sys.QueryContext(ctx, kws, 10)
+	want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestGroupLossBelowQuorumRefuses(t *testing.T) {
 		cl.servers[i][0].Close()
 		cl.servers[i][1].Close()
 	}
-	got, err := cl.coord.QueryContext(ctx, kws, 10)
+	got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatalf("1 of 3 groups alive — the query must reassign, not fail: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestGroupLossBelowQuorumRefuses(t *testing.T) {
 
 	cl.servers[1][0].Close()
 	cl.servers[1][1].Close()
-	_, err = cl.coord.QueryContext(ctx, kws, 10)
+	_, _, err = cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if !errors.Is(err, shard.ErrNoQuorum) {
 		t.Fatalf("0 of 3 groups alive: err = %v, want ErrNoQuorum", err)
 	}
@@ -339,7 +339,7 @@ func TestHedgeBudgetCaps(t *testing.T) {
 	})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if _, err := cl.coord.QueryContext(ctx, []string{"john", "tv"}, 5); err != nil {
+		if _, _, err := cl.coord.QueryScoredContext(ctx, []string{"john", "tv"}, 5, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,17 +13,17 @@ import (
 	"repro/internal/shard"
 )
 
-// Both serving fronts satisfy the scored interface — the web layer can
+// Both serving fronts satisfy the engine interface — the web layer can
 // swap one for the other without caring which is behind it.
 var (
-	_ qserve.ScoredEngine = (*core.System)(nil)
-	_ qserve.ScoredEngine = (*shard.Coordinator)(nil)
+	_ qserve.Engine = (*core.System)(nil)
+	_ qserve.Engine = (*shard.Coordinator)(nil)
 )
 
 // TestScoredEquivalenceAcrossN: the coordinator's scored path must match
 // the single-node engine for every scorer, at every shard count — the
-// default via the unscored reference path, the non-default scorers via
-// the single-node scored path (both full-enumerate then rank, so the
+// default named explicitly against the single node's "" default, the
+// non-default scorers by name (both full-enumerate then rank, so the
 // scatter-gather merge is the only thing under test).
 func TestScoredEquivalenceAcrossN(t *testing.T) {
 	sys := tpchSystem(t)
@@ -41,7 +41,7 @@ func TestScoredEquivalenceAcrossN(t *testing.T) {
 		cl := startCluster(t, sys, n, clusterConfig{})
 		for _, kws := range queries {
 			for _, k := range []int{2, 10} {
-				want, err := sys.QueryContext(ctx, kws, k)
+				want, _, err := sys.QueryScoredContext(ctx, kws, k, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,11 +140,11 @@ func TestShardExecuteCache(t *testing.T) {
 	ctx := context.Background()
 	kws := []string{vocab[0], vocab[1]}
 
-	first, err := cl.coord.QueryContext(ctx, kws, 10)
+	first, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.coord.QueryContext(ctx, kws, 10)
+	second, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,7 +113,14 @@ func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
 					if rec.Code != http.StatusOK {
 						t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
 					}
-					results, rx, err := sys.QueryScoredContext(ctx, strings.Fields(q), k, scorer)
+					// The serving layer asks the engine the normalized,
+					// sorted keyword bag, so the reference does too.
+					var bag []string
+					for _, kw := range strings.Fields(q) {
+						bag = append(bag, strings.Join(kwindex.Tokenize(kw), " "))
+					}
+					slices.Sort(bag)
+					results, rx, err := sys.QueryScoredContext(ctx, bag, k, scorer)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/pipeline"
 	"repro/internal/qserve"
 	"repro/internal/webdemo"
 )
@@ -56,21 +57,13 @@ type blockingEngine struct {
 	release chan struct{}
 }
 
-func (b *blockingEngine) run(ctx context.Context) ([]exec.Result, error) {
+func (b *blockingEngine) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
 	select {
 	case <-b.release:
-		return nil, nil
+		return nil, nil, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
-}
-
-func (b *blockingEngine) QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	return b.run(ctx)
-}
-
-func (b *blockingEngine) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	return b.run(ctx)
 }
 
 // TestOverloadedQueryCarriesRetryAfter saturates the single execution
@@ -151,12 +144,8 @@ func TestHealthzUnavailable(t *testing.T) {
 // of a soft-failed index — while reporting itself unavailable.
 type unavailableEngine struct{}
 
-func (u *unavailableEngine) QueryContext(ctx context.Context, keywords []string, k int) ([]exec.Result, error) {
-	return nil, nil
-}
-
-func (u *unavailableEngine) QueryAllStrategyContext(ctx context.Context, keywords []string, strat exec.Strategy) ([]exec.Result, error) {
-	return nil, nil
+func (u *unavailableEngine) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
+	return nil, nil, nil
 }
 
 func (u *unavailableEngine) IndexHealthState() (core.IndexHealth, error) {
