@@ -107,7 +107,7 @@ func BenchmarkFig15aTopK(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index, Cache: exec.NewLookupCache(0)}
+					ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
 					for _, p := range plans {
 						n := 0
 						_ = ex.Evaluate(p.Plan, func(exec.Result) bool {
@@ -132,7 +132,7 @@ func BenchmarkFig15bAll(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/size=%d", preset, size), func(b *testing.B) {
 				sys := system(b, preset)
 				plan := chainPlan(b, sys, size)
-				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index}
+				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					_ = ex.Run(plan, exec.AutoStrategy, func(exec.Result) bool { return true })
@@ -188,7 +188,7 @@ func benchFig16a(b *testing.B, cached bool) {
 			plan := chainPlan(b, sys, size)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index}
+				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS}
 				if cached {
 					ex.Cache = exec.NewLookupCache(0)
 				}
@@ -328,7 +328,7 @@ func BenchmarkPushdown(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index, NoPushdown: mode == "off"}
+				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, NoPushdown: mode == "off"}
 				for _, p := range plans {
 					_ = ex.Evaluate(p.Plan, func(exec.Result) bool { return true })
 				}

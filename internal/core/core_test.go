@@ -109,7 +109,7 @@ func TestCacheEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			run := func(cache *exec.LookupCache) []string {
-				ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: cache}
+				ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Cache: cache}
 				var keys []string
 				for _, p := range plans {
 					if err := ex.Evaluate(p.Plan, func(r exec.Result) bool {

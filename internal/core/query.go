@@ -93,7 +93,7 @@ func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 		Relax:         s.Opts.Relax,
 		Templates:     s.memo(),
 		NewOptimizer:  s.optimizerWith,
-		NewExecutor:   s.ExecutorWith,
+		NewExecutor:   s.Executor,
 		Metrics:       s.PipelineMetrics(),
 	})
 }
@@ -111,13 +111,12 @@ func (s *System) optimizerWith(ix kwindex.Source) *optimizer.Optimizer {
 	}
 }
 
-// ExecutorWith builds the serving executor over the System's connection
-// store with the given master-index source (keyword-filter pushdown and
-// minimality checks read the index): the naive nested loop, with no
-// lookup memo (the §6 memo is measured by the experiments, which build
-// their own cached executors).
-func (s *System) ExecutorWith(ix kwindex.Source) *exec.Executor {
-	return &exec.Executor{Store: s.Store, TSS: s.TSS, Index: ix}
+// Executor builds the serving executor over the System's connection
+// store: the naive nested loop, with no lookup memo (the §6 memo is
+// measured by the experiments, which build their own cached executors).
+// Plans carry their keyword filters, so the executor reads no index.
+func (s *System) Executor() *exec.Executor {
+	return &exec.Executor{Store: s.Store, TSS: s.TSS}
 }
 
 // Networks runs the keyword discoverer, the CN generator and the CTSSN

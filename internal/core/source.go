@@ -5,9 +5,9 @@ import (
 	"repro/internal/kwindex"
 )
 
-// PostingSource is the master-index read interface the whole query
-// pipeline — CN generation, planning, execution, strict-minimality
-// filtering and the presentation graphs — consumes. It aliases
+// PostingSource is the master-index read interface the query pipeline
+// (through discover's one containing-list read per keyword), the
+// scorers and the presentation graphs consume. It aliases
 // kwindex.Source (defined next to the Posting type, where both backends
 // can implement it without an import cycle) and is satisfied by
 //

@@ -19,7 +19,7 @@ func TestEvaluateContextCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	total := 0
 	for _, p := range plans {
 		if err := ex.Evaluate(p.Plan, func(exec.Result) bool { total++; return true }); err != nil {
@@ -67,7 +67,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	n := 0
 	err = ex.RunContext(ctx, plans[0].Plan, exec.NestedLoop, func(exec.Result) bool { n++; return true })
 	if !errors.Is(err, context.Canceled) {
@@ -86,7 +86,7 @@ func TestTopKPlansContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	rs, err := exec.TopKPlansContext(ctx, ex, plans, exec.TopKOptions{K: 10})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -66,9 +66,6 @@ func (r Result) Key() string {
 type Executor struct {
 	Store *relstore.Store
 	TSS   *tss.Graph
-	// Index is the master index backend — in-memory (*kwindex.Index) or
-	// disk-backed (*diskindex.Reader); the executor only reads it.
-	Index kwindex.Source
 	// Cache enables the optimized execution algorithm: connection
 	// relation lookups are memoized so repeated queries are not re-sent
 	// to the store (§6). Nil runs the naive algorithm.
@@ -203,7 +200,7 @@ func (ev *evaluation) run(step int) bool {
 	}
 	s := &p.Steps[step]
 	if s.Seed {
-		for _, to := range p.SortedFilter(s.Occ) {
+		for _, to := range p.Filters[s.Occ] {
 			if ev.cc.tick() {
 				return false
 			}
@@ -249,7 +246,7 @@ func (ev *evaluation) pushdown(s *optimizer.Step) *optimizer.Pushdown {
 // so that only steps that push down pay for the view array's stack.
 func (ev *evaluation) runPushdown(step int, s *optimizer.Step, pd *optimizer.Pushdown, val int64) bool {
 	var views [optimizer.PushdownMaxSet]relstore.Rows
-	tos := ev.p.SortedFilter(s.Piece.Occs[pd.Pos])
+	tos := ev.p.Filters[s.Piece.Occs[pd.Pos]]
 	for i, to := range tos {
 		views[i] = ev.lookup(pd.Access, lookupKey{rel: s.Rel, col: s.ProbePos, val: val, col2: pd.Pos, val2: to})
 	}
@@ -298,7 +295,7 @@ rowLoop:
 		for _, pos := range s.NewPos {
 			occ := occs[pos]
 			to := row[pos]
-			if f := p.Filters[occ]; f != nil && !f[to] {
+			if f := p.Filters[occ]; f != nil && !kwindex.HasTO(f, to) {
 				continue rowLoop
 			}
 			if boundElsewhere(bind, occ, to) {

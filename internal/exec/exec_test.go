@@ -57,7 +57,7 @@ func TestLookupCacheBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: c}, plans)
+	evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Cache: c}, plans)
 	if h, m := c.Stats(); h+m == 0 {
 		t.Fatal("a query through a cached executor left no cache traffic")
 	}
@@ -74,7 +74,7 @@ func TestCacheReducesIO(t *testing.T) {
 	}
 	lookups := func(cache *exec.LookupCache) int64 {
 		s.Store.ResetStats()
-		evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: cache}, plans)
+		evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Cache: cache}, plans)
 		return s.Store.Stats.Snapshot().Lookups
 	}
 	if c, n := lookups(exec.NewLookupCache(0)), lookups(nil); c >= n {
@@ -92,8 +92,8 @@ func TestCacheCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiny := exec.NewLookupCache(1)
-	a := resultKeys(evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: tiny}, plans))
-	b := resultKeys(evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}, plans))
+	a := resultKeys(evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS, Cache: tiny}, plans))
+	b := resultKeys(evalAll(t, &exec.Executor{Store: s.Store, TSS: s.TSS}, plans))
 	if len(a) == 0 || !slices.Equal(a, b) {
 		t.Fatalf("tiny cache changed results: %d vs %d", len(a), len(b))
 	}
@@ -133,7 +133,7 @@ func TestEvaluateEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	n := 0
 	for _, p := range plans {
 		if err := ex.Evaluate(p.Plan, func(exec.Result) bool { n++; return false }); err != nil {
@@ -147,7 +147,7 @@ func TestEvaluateEarlyStop(t *testing.T) {
 
 func plansWithResults(t *testing.T, s *core.System, plans []exec.Planned) []int {
 	t.Helper()
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	var out []int
 	for i, p := range plans {
 		found := false
@@ -208,7 +208,8 @@ func TestConstrainedEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
+	checked := false
 	for _, pp := range plans {
 		p := pp.Plan
 		var base []exec.Result
@@ -218,20 +219,24 @@ func TestConstrainedEvaluation(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(base) == 0 {
+		if len(base) == 0 || len(p.Net.Occs) < 2 {
 			continue
+		}
+		constrained := func(c exec.Constraint) []exec.Result {
+			t.Helper()
+			var got []exec.Result
+			if err := ex.EvaluateConstrained(p, c, func(r exec.Result) bool {
+				got = append(got, r)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return got
 		}
 		// Pre-binding occurrence 0 to its value in base[0] must return a
 		// subset of base, all with that binding.
 		want := base[0].Bind[0]
-		var got []exec.Result
-		err := ex.EvaluateConstrained(p, exec.Constraint{PreBind: map[int]int64{0: want}}, func(r exec.Result) bool {
-			got = append(got, r)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := constrained(exec.Constraint{PreBind: map[int]int64{0: want}})
 		if len(got) == 0 || len(got) > len(base) {
 			t.Fatalf("constrained returned %d of %d", len(got), len(base))
 		}
@@ -240,33 +245,33 @@ func TestConstrainedEvaluation(t *testing.T) {
 				t.Fatalf("constraint violated: %v", r.Bind)
 			}
 		}
-		// Restricting to an empty set yields nothing.
-		empty := make([]map[int64]bool, len(p.Net.Occs))
-		empty[0] = map[int64]bool{}
-		n := 0
-		if err := ex.EvaluateConstrained(p, exec.Constraint{Restrict: empty}, func(exec.Result) bool {
-			n++
-			return true
-		}); err != nil {
-			t.Fatal(err)
+		// PreBind and Restrict together: the last occurrence restricted to
+		// the TO it takes in base[0] and a TO no result binds there must
+		// return exactly base's results agreeing with base[0] on both.
+		last := len(p.Net.Occs) - 1
+		v := base[0].Bind[last]
+		restrict := make([][]int64, len(p.Net.Occs))
+		restrict[last] = []int64{-1, v}
+		var both []string
+		for _, r := range base {
+			if r.Bind[0] == want && r.Bind[last] == v {
+				both = append(both, r.Key())
+			}
 		}
-		if n != 0 {
+		gotBoth := resultKeys(constrained(exec.Constraint{PreBind: map[int]int64{0: want}, Restrict: restrict}))
+		if !slices.Equal(gotBoth, both) {
+			t.Fatalf("PreBind+Restrict = %v, want %v", gotBoth, both)
+		}
+		// Restricting to an empty set yields nothing.
+		empty := make([][]int64, len(p.Net.Occs))
+		empty[0] = []int64{}
+		if n := len(constrained(exec.Constraint{Restrict: empty})); n != 0 {
 			t.Fatalf("empty restriction returned %d results", n)
 		}
+		checked = true
 		break
 	}
-}
-
-func TestSortedSet(t *testing.T) {
-	got := exec.SortedSet(map[int64]bool{5: true, 1: true, 3: true})
-	want := []int64{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedSet = %v", got)
-		}
-	}
-	if exec.SortedSet(nil) == nil {
-		// empty-but-non-nil is fine; nil is fine too
-		return
+	if !checked {
+		t.Fatal("no multi-occurrence plan with results")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/kwindex"
 	"repro/internal/optimizer"
 	"repro/internal/relstore"
 )
@@ -45,7 +46,7 @@ func (ex *Executor) EvaluateHashContext(ctx context.Context, p *optimizer.Plan, 
 	for _, s := range p.Steps {
 		if s.Seed {
 			var next [][]int64
-			for _, to := range p.SortedFilter(s.Occ) {
+			for _, to := range p.Filters[s.Occ] {
 				next = append(next, []int64{to})
 			}
 			boundOccs = []int{s.Occ}
@@ -62,7 +63,7 @@ func (ex *Executor) EvaluateHashContext(ctx context.Context, p *optimizer.Plan, 
 				return false
 			}
 			for pos, occ := range s.Piece.Occs {
-				if f := p.Filters[occ]; f != nil && !f[row[pos]] {
+				if f := p.Filters[occ]; f != nil && !kwindex.HasTO(f, row[pos]) {
 					return true
 				}
 			}

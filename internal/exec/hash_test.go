@@ -17,7 +17,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+			ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 			for _, pp := range plans {
 				keys := func(rs []exec.Result) map[string]bool {
 					m := make(map[string]bool)
@@ -53,7 +53,7 @@ func TestHashJoinEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	for _, pp := range plans {
 		n := 0
 		if err := ex.EvaluateHash(pp.Plan, func(exec.Result) bool { n++; return false }); err != nil {
@@ -71,7 +71,7 @@ func TestAllAndFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	sawResults := false
 	for _, pp := range plans {
 		all, err := ex.All(pp.Plan)
@@ -105,7 +105,7 @@ func TestStrategySelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+		ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 		for _, pp := range plans {
 			n := 0
 			if err := ex.Run(pp.Plan, exec.AutoStrategy, func(exec.Result) bool { n++; return true }); err != nil {

@@ -12,7 +12,9 @@ import "repro/internal/kwindex"
 // Like DISCOVER and DBXplorer, XKeyword's executor emits such results
 // (each candidate network is evaluated independently); core's
 // StrictMinimal option applies this check to make the semantics exact.
-func IsMinimal(ix kwindex.Source, r Result) bool {
+// tos maps each keyword of the result's network to the ascending TOs
+// containing it on any schema node.
+func IsMinimal(tos map[string][]int64, r Result) bool {
 	if len(r.Net.Occs) <= 1 {
 		return true
 	}
@@ -32,12 +34,13 @@ func IsMinimal(ix kwindex.Source, r Result) bool {
 		}
 		redundant := true
 		for _, ka := range o.Keywords {
+			set := tos[ka.Keyword]
 			foundElsewhere := false
 			for j, to := range r.Bind {
 				if j == i {
 					continue
 				}
-				if ix.TOSet(ka.Keyword, "")[to] {
+				if kwindex.HasTO(set, to) {
 					foundElsewhere = true
 					break
 				}

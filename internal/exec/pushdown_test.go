@@ -20,7 +20,7 @@ func TestPushdownEquivalenceAndBenefit(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(noPushdown bool) (keys map[string]bool, rows int64) {
-			ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, NoPushdown: noPushdown}
+			ex := &exec.Executor{Store: s.Store, TSS: s.TSS, NoPushdown: noPushdown}
 			s.Store.ResetStats()
 			keys = map[string]bool{}
 			for _, pp := range plans {
@@ -58,7 +58,7 @@ func TestPushdownStrictBenefit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := func(noPushdown bool) int64 {
-		ex := &exec.Executor{Store: sysBig.Store, TSS: sysBig.TSS, Index: sysBig.Index, NoPushdown: noPushdown}
+		ex := &exec.Executor{Store: sysBig.Store, TSS: sysBig.TSS, NoPushdown: noPushdown}
 		sysBig.Store.ResetStats()
 		for _, pp := range plans {
 			_ = ex.Evaluate(pp.Plan, func(exec.Result) bool { return true })

@@ -104,7 +104,7 @@ func TestEvaluateAllocatesOnlyResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	for i, pp := range plans {
 		results := 0
 		emit := func(exec.Result) bool { results++; return true }

@@ -47,7 +47,7 @@ func Fig15a(w *Workload) (Figure, error) {
 			pt.X = k
 			runs := 0
 			for _, plans := range pairPlans {
-				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index, Cache: exec.NewLookupCache(0)}
+				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
 				for _, p := range plans {
 					plan := p.Plan
 					n := 0
@@ -124,7 +124,7 @@ func Fig15b(w *Workload) (Figure, error) {
 				if err != nil {
 					return fig, err
 				}
-				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index, Cache: exec.NewLookupCache(0)}
+				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
 				nres := 0
 				dur, io := measure(sys.Store, func() {
 					_ = ex.Run(plan, exec.AutoStrategy, func(exec.Result) bool {

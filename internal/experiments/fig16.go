@@ -50,7 +50,7 @@ func Fig16a(w *Workload) (Figure, error) {
 				return fig, err
 			}
 			for _, mode := range []bool{false, true} {
-				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index}
+				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS}
 				if mode {
 					ex.Cache = exec.NewLookupCache(0)
 				}

@@ -52,7 +52,7 @@ func FigZ(w *Workload, zs []int) (Figure, error) {
 			}
 			np.Results += float64(len(plans))
 
-			ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: sys.Index, Cache: exec.NewLookupCache(0)}
+			ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
 			nres := 0
 			dur, io := measure(sys.Store, func() {
 				for _, p := range plans {

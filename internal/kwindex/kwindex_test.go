@@ -2,6 +2,7 @@ package kwindex_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
@@ -143,5 +144,66 @@ func TestValueTokenDedupedPerNode(t *testing.T) {
 	// twice in pathological values; here: two persons => two postings.
 	if got := len(ix.ContainingList("US")); got != 2 {
 		t.Fatalf("US postings = %d, want 2", got)
+	}
+}
+
+// sortedKeys is the reference ascending form of a TOSetFromList map.
+func sortedKeys(set map[int64]bool) []int64 {
+	out := make([]int64, 0, len(set))
+	for to := range set {
+		out = append(out, to)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// SplitList is the sorted form of DistinctSchemaNodes and
+// TOSetFromList: one ascending, duplicate-free TO set per schema node.
+func TestTOsSortedDistinct(t *testing.T) {
+	ix, _ := buildFig1Index(t)
+	keywords := append(ix.Terms(), "set dvd", "vcr tv", "absent")
+	// Two postings of one TO on one schema node, one on another.
+	synthetic := []kwindex.Posting{
+		{TO: 1, Node: 1, SchemaNode: "a"},
+		{TO: 1, Node: 2, SchemaNode: "a"},
+		{TO: 1, Node: 3, SchemaNode: "b"},
+		{TO: 4, Node: 5, SchemaNode: "b"},
+	}
+	lists := [][]kwindex.Posting{synthetic}
+	for _, k := range keywords {
+		lists = append(lists, ix.ContainingList(k))
+	}
+	for _, ps := range lists {
+		nodes, tos := kwindex.SplitList(ps)
+		if want := kwindex.DistinctSchemaNodes(ps); !slices.Equal(nodes, want) || len(tos) != len(nodes) {
+			t.Fatalf("SplitList nodes = %v (%d sets), want %v", nodes, len(tos), want)
+		}
+		for i, n := range nodes {
+			if want := sortedKeys(kwindex.TOSetFromList(ps, n)); !slices.Equal(tos[i], want) {
+				t.Fatalf("SplitList set of %q = %v, want %v", n, tos[i], want)
+			}
+		}
+	}
+	nodes, tos := kwindex.SplitList(synthetic)
+	if !slices.Equal(nodes, []string{"a", "b"}) || !slices.Equal(tos[0], []int64{1}) || !slices.Equal(tos[1], []int64{1, 4}) {
+		t.Fatalf("SplitList(synthetic) = %v %v, want [a b] [[1] [1 4]]", nodes, tos)
+	}
+}
+
+func TestIntersectTOs(t *testing.T) {
+	a, b := []int64{1, 3, 5, 7}, []int64{2, 3, 4, 7, 9}
+	if got := kwindex.IntersectTOs(a, b); !slices.Equal(got, []int64{3, 7}) {
+		t.Fatalf("IntersectTOs = %v, want [3 7]", got)
+	}
+	if got := kwindex.IntersectTOs([]int64{1}, []int64{2}); got == nil || len(got) != 0 {
+		t.Fatalf("disjoint IntersectTOs = %#v, want empty and non-nil", got)
+	}
+	for _, to := range a {
+		if !kwindex.HasTO(a, to) || kwindex.HasTO(a, to+1) {
+			t.Fatalf("HasTO wrong around %d in %v", to, a)
+		}
+	}
+	if kwindex.HasTO(nil, 0) {
+		t.Fatal("HasTO found a TO in the empty set")
 	}
 }

@@ -1,6 +1,9 @@
 package kwindex
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Source is the read interface of the master index: everything the CN
 // generator, optimizer, executor and presentation layers need from the
@@ -15,10 +18,12 @@ type Source interface {
 	// must not be modified.
 	ContainingList(k string) []Posting
 	// SchemaNodes returns the distinct schema nodes whose extensions
-	// contain keyword k, sorted.
+	// contain keyword k, sorted. The query path derives these from
+	// ContainingList with SplitList instead.
 	SchemaNodes(k string) []string
 	// TOSet returns the target objects containing keyword k, restricted
-	// to postings on the given schema node ("" for any).
+	// to postings on the given schema node ("" for any). The query path
+	// derives TO sets from ContainingList with SplitList instead.
 	TOSet(k, schemaNode string) map[int64]bool
 	// NumPostings returns the total number of postings in the index.
 	NumPostings() int
@@ -74,17 +79,16 @@ func Intersect(lists [][]Posting) []Posting {
 }
 
 // DistinctSchemaNodes returns the sorted distinct schema nodes of a
-// posting list — the SchemaNodes computation shared by both backends.
+// posting list — the SchemaNodes computation shared by every backend. A
+// keyword sits on few schema nodes, so a linear scan finds repeats.
 func DistinctSchemaNodes(ps []Posting) []string {
-	seen := make(map[string]bool)
 	var out []string
 	for _, p := range ps {
-		if !seen[p.SchemaNode] {
-			seen[p.SchemaNode] = true
+		if !slices.Contains(out, p.SchemaNode) {
 			out = append(out, p.SchemaNode)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -98,4 +102,53 @@ func TOSetFromList(ps []Posting, schemaNode string) map[int64]bool {
 		}
 	}
 	return set
+}
+
+// SplitList splits a containing list into its sorted distinct schema
+// nodes and, per schema node, the ascending duplicate-free target
+// objects of the postings on it: tos[i] is the TO set of nodes[i]. Every
+// TO set the query stage needs is one of these or an intersection of
+// them. The TO slices share one backing array and must not be modified.
+func SplitList(ps []Posting) (nodes []string, tos [][]int64) {
+	nodes = DistinctSchemaNodes(ps)
+	tos = make([][]int64, len(nodes))
+	buf := make([]int64, 0, len(ps))
+	for i, n := range nodes {
+		// The list is sorted by (TO, node), so a TO repeats only
+		// adjacently among one schema node's postings.
+		start := len(buf)
+		for _, p := range ps {
+			if p.SchemaNode == n && (len(buf) == start || buf[len(buf)-1] != p.TO) {
+				buf = append(buf, p.TO)
+			}
+		}
+		tos[i] = buf[start:len(buf):len(buf)]
+	}
+	return nodes, tos
+}
+
+// IntersectTOs merges two ascending TO sets into their intersection. The
+// result is never nil: an empty one means the constraints it joins match
+// nothing.
+func IntersectTOs(a, b []int64) []int64 {
+	out := make([]int64, 0, min(len(a), len(b)))
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// HasTO reports whether the ascending TO set tos holds to.
+func HasTO(tos []int64, to int64) bool {
+	_, ok := slices.BinarySearch(tos, to)
+	return ok
 }

@@ -10,7 +10,6 @@ package optimizer
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/cn"
@@ -67,32 +66,11 @@ type Plan struct {
 	Steps []Step
 	// Joins is the number of piece-to-piece joins (pieces - 1).
 	Joins int
-	// Filters holds, per occurrence, the TO set every binding must fall
-	// in (intersection of the keyword containing lists); nil = free.
-	// Replace them with WithFilters, which keeps sorted in step.
-	Filters []map[int64]bool
-	// sorted holds Filters[occ] ascending for the occurrences the
-	// executor iterates in order: the seed, and every filter small
-	// enough to push down. Computed once per plan, not per probe.
-	sorted [][]int64
-}
-
-// newPlan assembles a plan and pre-sorts the filters its execution
-// iterates.
-func newPlan(t *cn.TSSNetwork, steps []Step, joins int, filters []map[int64]bool) *Plan {
-	p := &Plan{Net: t, Steps: steps, Joins: joins, Filters: filters, sorted: make([][]int64, len(filters))}
-	for occ, f := range filters {
-		if f != nil && (occ == steps[0].Occ || len(f) <= PushdownMaxSet) {
-			p.sorted[occ] = SortedSet(f)
-		}
-	}
-	return p
-}
-
-// WithFilters returns a copy of the plan evaluating under other filters
-// (the presentation module's run-time restrictions).
-func (p *Plan) WithFilters(filters []map[int64]bool) *Plan {
-	return newPlan(p.Net, p.Steps, p.Joins, filters)
+	// Filters holds, per occurrence, the ascending TO set every binding
+	// must fall in (the intersection of its keywords' TO sets): nil =
+	// free, non-nil and empty = matches nothing. The sets are shared
+	// with the query's TOSets and other plans and must not be modified.
+	Filters [][]int64
 }
 
 // Optimizer builds plans against a materialized decomposition.
@@ -204,10 +182,40 @@ func (o *Optimizer) Compile(t *cn.TSSNetwork) (*Shape, error) {
 }
 
 // TOSets memoizes the (keyword, schema node) TO sets of one keyword
-// query, so each is read from the index once however many networks
-// constrain on it. The sets end up shared between the plans' Filters
-// and are read-only from then on.
-type TOSets map[cn.KeywordAt]map[int64]bool
+// query as ascending slices, so each keyword's containing list is read
+// from the index once however many networks constrain on it. The query
+// pipeline's discover stage fills it from the lists it reads anyway;
+// the sets end up shared between the plans' Filters and are read-only
+// from then on.
+type TOSets map[cn.KeywordAt][]int64
+
+// Add splits keyword k's containing list ps with kwindex.SplitList,
+// records the TO set of every schema node on it and returns those
+// schema nodes, sorted.
+func (s TOSets) Add(k string, ps []kwindex.Posting) []string {
+	nodes, tos := kwindex.SplitList(ps)
+	for i, n := range nodes {
+		s[cn.KeywordAt{Keyword: k, SchemaNode: n}] = tos[i]
+	}
+	return nodes
+}
+
+// Get returns the TO set of ka. On a miss it reads the keyword's
+// containing list from ix once and memoizes the set of every schema
+// node on it. The result is never nil: a keyword constraint nothing
+// satisfies gets an empty set.
+func (s TOSets) Get(ix kwindex.Source, ka cn.KeywordAt) []int64 {
+	if set, ok := s[ka]; ok {
+		return set
+	}
+	s.Add(ka.Keyword, ix.ContainingList(ka.Keyword))
+	set, ok := s[ka]
+	if !ok {
+		set = []int64{}
+		s[ka] = set
+	}
+	return set
+}
 
 // Bind instantiates a compiled shape for network t of one query: it
 // computes t's filters through sets, seeds the nested loop at the
@@ -218,7 +226,7 @@ func (o *Optimizer) Bind(sh *Shape, t *cn.TSSNetwork, sets TOSets) (*Plan, error
 	return o.bind(sh, t, o.filters(t, sets), -1)
 }
 
-func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters []map[int64]bool, seed int) (*Plan, error) {
+func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters [][]int64, seed int) (*Plan, error) {
 	if seed < 0 {
 		if t.Size() == 0 && t.Occs[0].Free() {
 			return nil, fmt.Errorf("optimizer: single free occurrence")
@@ -231,7 +239,7 @@ func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters []map[int64]bool, 
 	if err != nil {
 		return nil, err
 	}
-	return newPlan(t, steps, max(len(sh.pieces)-1, 0), filters), nil
+	return &Plan{Net: t, Steps: steps, Joins: max(len(sh.pieces)-1, 0), Filters: filters}, nil
 }
 
 // stepsFor returns the shape's step order seeded at occurrence seed,
@@ -257,7 +265,7 @@ func (sh *Shape) stepsFor(o *Optimizer, t *cn.TSSNetwork, seed int) ([]Step, err
 // iterates the VCR part outermost: many sub-parts share one parent
 // part, while the reverse direction fans out. Returns -1 when no
 // occurrence is keyword-constrained.
-func (sh *Shape) pickSeed(filters []map[int64]bool) int {
+func (sh *Shape) pickSeed(filters [][]int64) int {
 	seed, seedSize, seedProfit := -1, -1, false
 	for i, f := range filters {
 		if f == nil {
@@ -323,7 +331,7 @@ func (o *Optimizer) PlanSeededVariants(t *cn.TSSNetwork, seed int) ([]*Plan, err
 
 // singleEdgePlan builds the edge-by-edge alternative of a seeded plan,
 // or nil when the single-edge fragments cannot cover the network.
-func (o *Optimizer) singleEdgePlan(t *cn.TSSNetwork, filters []map[int64]bool, seed int) *Plan {
+func (o *Optimizer) singleEdgePlan(t *cn.TSSNetwork, filters [][]int64, seed int) *Plan {
 	var singles []decomp.Fragment
 	for _, f := range o.Fragments {
 		if f.Size() == 1 {
@@ -345,7 +353,7 @@ func (o *Optimizer) singleEdgePlan(t *cn.TSSNetwork, filters []map[int64]bool, s
 	if err != nil {
 		return nil
 	}
-	return newPlan(t, steps, len(pieces)-1, filters)
+	return &Plan{Net: t, Steps: steps, Joins: len(pieces) - 1, Filters: filters}
 }
 
 func (o *Optimizer) plan(t *cn.TSSNetwork, seed int) (*Plan, error) {
@@ -527,60 +535,20 @@ func selectivity(occ int, bound map[int]bool, keyed []bool) float64 {
 
 // filters computes, per occurrence, the intersection of the TO sets of
 // its keyword constraints (nil for free occurrences), reading each
-// (keyword, schema node) set from the index once per sets. A
-// single-keyword occurrence shares the memoized set; an occurrence
-// carrying several keywords gets a fresh intersection, so memoized sets
-// are never modified. An empty intersection means the network has no
-// results.
-func (o *Optimizer) filters(t *cn.TSSNetwork, sets TOSets) []map[int64]bool {
-	out := make([]map[int64]bool, len(t.Occs))
+// keyword's sets through sets. A single-keyword occurrence shares the
+// memoized set; an occurrence carrying several keywords gets a fresh
+// merge intersection, so memoized sets are never modified. An empty
+// intersection means the network has no results.
+func (o *Optimizer) filters(t *cn.TSSNetwork, sets TOSets) [][]int64 {
+	out := make([][]int64, len(t.Occs))
 	for i, occ := range t.Occs {
-		if occ.Free() {
-			continue
-		}
-		var set map[int64]bool
 		for ki, ka := range occ.Keywords {
-			s, ok := sets[ka]
-			if !ok {
-				if s = o.Index.TOSet(ka.Keyword, ka.SchemaNode); s == nil {
-					s = map[int64]bool{} // keyword-constrained, matches nothing
-				}
-				sets[ka] = s
+			if s := sets.Get(o.Index, ka); ki == 0 {
+				out[i] = s
+			} else {
+				out[i] = kwindex.IntersectTOs(out[i], s)
 			}
-			if ki == 0 {
-				set = s
-				continue
-			}
-			both := make(map[int64]bool)
-			for to := range set {
-				if s[to] {
-					both[to] = true
-				}
-			}
-			set = both
 		}
-		out[i] = set
 	}
-	return out
-}
-
-// SortedFilter returns the filter set of occurrence occ as an ascending
-// slice, for deterministic iteration. For the seed and for filters of at
-// most PushdownMaxSet TOs it is the plan's own precomputed slice and
-// must not be modified.
-func (p *Plan) SortedFilter(occ int) []int64 {
-	if s := p.sorted[occ]; s != nil {
-		return s
-	}
-	return SortedSet(p.Filters[occ])
-}
-
-// SortedSet renders a TO set as an ascending slice (never nil).
-func SortedSet(set map[int64]bool) []int64 {
-	out := make([]int64, 0, len(set))
-	for to := range set {
-		out = append(out, to)
-	}
-	slices.Sort(out)
 	return out
 }

@@ -1,10 +1,14 @@
 package optimizer_test
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/experiments"
+	"repro/internal/kwindex"
 	"repro/internal/optimizer"
 )
 
@@ -182,4 +186,67 @@ func TestPlanJoinsFallback(t *testing.T) {
 			t.Fatalf("minimal cover of %s used %d joins, want %d", tn, p.Joins, tn.Size()-1)
 		}
 	}
+}
+
+// Every filter of every plan of the workload queries is the ascending
+// form of the keyword TO sets the master index reports: the merge
+// intersection of its keywords' sets, nil for a free occurrence, and
+// non-nil but empty when two keywords on one occurrence share no TO
+// (two authors' names on one name node).
+func TestFiltersMatchIndexTOSets(t *testing.T) {
+	w, err := experiments.NewWorkload(experiments.QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.LoadPrepared(w.Prepared, core.Options{Z: w.Config.Z, B: w.Config.B})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disjoint := 0
+	for _, pair := range w.Pairs {
+		plans, err := s.Plans(pair[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pp := range plans {
+			p := pp.Plan
+			for occ, o := range p.Net.Occs {
+				f := p.Filters[occ]
+				if o.Free() {
+					if f != nil {
+						t.Fatalf("free occurrence %d of %s has filter %v", occ, p.Net, f)
+					}
+					continue
+				}
+				var want map[int64]bool
+				for ki, ka := range o.Keywords {
+					set := kwindex.TOSetFromList(s.Index.ContainingList(ka.Keyword), ka.SchemaNode)
+					if ki > 0 {
+						maps.DeleteFunc(want, func(to int64, _ bool) bool { return !set[to] })
+						continue
+					}
+					want = set
+				}
+				if f == nil || !slices.Equal(f, sortedKeys(want)) {
+					t.Fatalf("occurrence %d of %s: filter %v, want %v", occ, p.Net, f, sortedKeys(want))
+				}
+				if len(o.Keywords) == 2 && len(f) == 0 {
+					disjoint++
+				}
+			}
+		}
+	}
+	if disjoint == 0 {
+		t.Fatal("no two-keyword occurrence with disjoint TO sets in the workload")
+	}
+}
+
+// sortedKeys returns a TO set's members in ascending order.
+func sortedKeys(set map[int64]bool) []int64 {
+	out := make([]int64, 0, len(set))
+	for to := range set {
+		out = append(out, to)
+	}
+	slices.Sort(out)
+	return out
 }

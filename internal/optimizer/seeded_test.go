@@ -53,7 +53,7 @@ func TestPlanSeededEquivalence(t *testing.T) {
 		TSS: s.TSS, Store: s.Store, Index: s.Index, Stats: s.Stats,
 		Fragments: s.Decomp.Fragments, MaxJoins: s.Opts.B,
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	checked := 0
 	for _, tn := range nets {
 		if tn.Size() == 0 {
@@ -127,7 +127,7 @@ func TestPlanSeededVariants(t *testing.T) {
 		TSS: s.TSS, Store: s.Store, Index: s.Index, Stats: s.Stats,
 		Fragments: s.Decomp.Fragments, MaxJoins: -1,
 	}
-	ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	sawTwo := false
 	for _, tn := range nets {
 		if tn.Size() < 2 {

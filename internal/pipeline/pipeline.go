@@ -14,11 +14,13 @@ package pipeline
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/cn"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/optimizer"
 	"repro/internal/rank"
 )
 
@@ -122,12 +124,35 @@ type Query struct {
 	// nil means the query ran exactly as asked.
 	Relaxation *Relaxation
 
+	// sets holds, per (keyword, schema node) pair of NodeLists, the
+	// ascending TO set (set by discover from the one containing-list
+	// read per keyword; optimize's filters read it).
+	sets optimizer.TOSets
 	// tmpl is the query shape's compiled template (set by generate);
 	// reduce and optimize instantiate from it.
 	tmpl *Template
 	// halt is set by a stage that has fully answered the query (e.g.
 	// discover relaxing away every keyword); Run stops after it.
 	halt bool
+}
+
+// KeywordTOs returns, per distinct keyword of the query, the ascending
+// TOs containing it on any schema node: the union of discover's
+// per-schema-node sets, as exec.IsMinimal reads them.
+func (q *Query) KeywordTOs() map[string][]int64 {
+	out := make(map[string][]int64, len(q.Norm))
+	for i, k := range q.Norm {
+		if _, ok := out[k]; ok {
+			continue
+		}
+		var all []int64
+		for _, n := range q.NodeLists[i] {
+			all = append(all, q.sets[cn.KeywordAt{Keyword: k, SchemaNode: n}]...)
+		}
+		slices.Sort(all)
+		out[k] = slices.Compact(all)
+	}
+	return out
 }
 
 // StageReport is what a stage tells the driver about its work. The

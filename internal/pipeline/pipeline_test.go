@@ -78,9 +78,8 @@ func newPipeline(sys *core.System, nc pipeline.TemplateCache) *pipeline.Pipeline
 				Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B,
 			}
 		},
-		NewExecutor: func(ix kwindex.Source) *exec.Executor {
-			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: ix,
-				Cache: exec.NewLookupCache(0)}
+		NewExecutor: func() *exec.Executor {
+			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
 		},
 	})
 }
@@ -176,8 +175,8 @@ func TestMetricsAccumulate(t *testing.T) {
 			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: ix,
 				Stats: sys.Stats, Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}
 		},
-		NewExecutor: func(ix kwindex.Source) *exec.Executor {
-			return &exec.Executor{Store: sys.Store, TSS: sys.TSS, Index: ix}
+		NewExecutor: func() *exec.Executor {
+			return &exec.Executor{Store: sys.Store, TSS: sys.TSS}
 		},
 		Metrics: m,
 	})

@@ -48,9 +48,9 @@ type Config struct {
 	Templates TemplateCache
 	// NewOptimizer builds the plan optimizer over Index (per query).
 	NewOptimizer func(ix kwindex.Source) *optimizer.Optimizer
-	// NewExecutor builds the executor over Index (per query, shared by
-	// the query's plans).
-	NewExecutor func(ix kwindex.Source) *exec.Executor
+	// NewExecutor builds the executor (per query, shared by the query's
+	// plans).
+	NewExecutor func() *exec.Executor
 	// Metrics, when non-nil, accumulates cross-query stage statistics.
 	Metrics *Metrics
 }
@@ -115,9 +115,11 @@ func equalitySignature(norm []string) string {
 	return sb.String()
 }
 
-// discoverStage tokenizes the keywords and looks up, per keyword, the
-// schema nodes whose extensions contain it (the containing-list heads
-// of §4). Out is the total number of keyword→schema-node pairs.
+// discoverStage tokenizes the keywords and reads each distinct
+// keyword's containing list (§4) once, splitting it into the schema
+// nodes whose extensions contain the keyword — the CN generator's
+// input — and, per schema node, the TO set optimize reads. Out is the
+// total number of keyword→schema-node pairs.
 type discoverStage struct{ cfg *Config }
 
 func (s discoverStage) Name() string { return StageDiscover }
@@ -132,6 +134,16 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 	keywords := make([]string, 0, len(q.Keywords))
 	norm := make([]string, 0, len(q.Keywords))
 	nodeLists := make([][]string, 0, len(q.Keywords))
+	sets := make(optimizer.TOSets)
+	read := make(map[string][]string, len(q.Keywords)) // keyword → its schema nodes
+	schemaNodes := func(k string) []string {
+		nodes, ok := read[k]
+		if !ok {
+			nodes = sets.Add(k, s.cfg.Index.ContainingList(k))
+			read[k] = nodes
+		}
+		return nodes
+	}
 	var rx *Relaxation
 	var rxParts []string
 	for _, k := range q.Keywords {
@@ -145,7 +157,7 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 			// the master index handles that, keyed by the raw phrase.
 			n = k
 		}
-		nodes := s.cfg.Index.SchemaNodes(n)
+		nodes := schemaNodes(n)
 		if len(nodes) == 0 && s.cfg.Relax {
 			// No-match relaxation: a multi-token phrase falls back to its
 			// first individually-matching token; a keyword with no match
@@ -157,7 +169,7 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 			sub := ""
 			if len(toks) > 1 {
 				for _, t := range toks {
-					if ns := s.cfg.Index.SchemaNodes(t); len(ns) > 0 {
+					if ns := schemaNodes(t); len(ns) > 0 {
 						sub, nodes = t, ns
 						break
 					}
@@ -195,6 +207,7 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 	q.Keywords = keywords
 	q.Norm = norm
 	q.NodeLists = nodeLists
+	q.sets = sets
 	q.Sig = ShapeSignature(s.cfg.Z, q.NodeLists) + equalitySignature(q.Norm)
 	return nil
 }
@@ -282,10 +295,10 @@ func (s reduceStage) Run(ctx context.Context, q *Query, rep *StageReport) error 
 }
 
 // optimizeStage turns each CTSSN into an execution plan (§5): the
-// fragment cover and step orders come compiled with the template; what
-// is left per query is reading each distinct (keyword, schema node) TO
-// set once, choosing every plan's seed from its filter sizes and
-// binding that seed's steps.
+// fragment cover and step orders come compiled with the template, and
+// the TO sets with discover's TOSets; what is left per query is
+// intersecting the sets of multi-keyword occurrences, choosing every
+// plan's seed from its filter sizes and binding that seed's steps.
 type optimizeStage struct{ cfg *Config }
 
 func (s optimizeStage) Name() string { return StageOptimize }
@@ -293,7 +306,6 @@ func (s optimizeStage) Name() string { return StageOptimize }
 func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Nets))
 	opt := s.cfg.NewOptimizer(s.cfg.Index)
-	sets := make(optimizer.TOSets)
 	var plans []exec.Planned
 	for i, tn := range q.Nets {
 		if q.Own != nil && !q.Own(i) {
@@ -304,7 +316,7 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 		err := nt.err
 		var p *optimizer.Plan
 		if err == nil {
-			p, err = opt.Bind(nt.shape, tn, sets)
+			p, err = opt.Bind(nt.shape, tn, q.sets)
 		}
 		if err != nil {
 			return fmt.Errorf("pipeline: planning %s: %w", tn, err)
@@ -339,7 +351,7 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 			rep.Note = "topk(full)"
 			return s.runAll(ctx, q, rep)
 		}
-		ex := s.cfg.NewExecutor(s.cfg.Index)
+		ex := s.cfg.NewExecutor()
 		out, err := exec.TopKPlansContext(ctx, ex, q.Plans, exec.TopKOptions{
 			K:        q.K,
 			Strategy: q.Strategy,
@@ -363,7 +375,7 @@ func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error
 // canonical (plan, sequence) Ord — the ModeAll body, shared by the
 // full-enumeration top-k path.
 func (s executeStage) runAll(ctx context.Context, q *Query, rep *StageReport) error {
-	ex := s.cfg.NewExecutor(s.cfg.Index)
+	ex := s.cfg.NewExecutor()
 	var out []exec.Result
 	for pi, p := range q.Plans {
 		n := 0
@@ -404,9 +416,10 @@ func (s rankStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 		sort.Slice(q.Results, func(i, j int) bool { return exec.OrdLess(q.Results[i], q.Results[j]) })
 	}
 	if s.cfg.StrictMinimal {
+		tos := q.KeywordTOs()
 		out := q.Results[:0]
 		for _, r := range q.Results {
-			if exec.IsMinimal(s.cfg.Index, r) {
+			if exec.IsMinimal(tos, r) {
 				out = append(out, r)
 			}
 		}

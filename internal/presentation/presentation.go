@@ -8,6 +8,7 @@ package presentation
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cn"
 	"repro/internal/decomp"
@@ -37,7 +38,7 @@ type Session struct {
 }
 
 func (s *Session) executor() *exec.Executor {
-	return &exec.Executor{Store: s.Store, TSS: s.TSS, Index: s.Index, Cache: s.Cache}
+	return &exec.Executor{Store: s.Store, TSS: s.TSS, Cache: s.Cache}
 }
 
 func (s *Session) optimizer(frags []decomp.Fragment, hint []bool) *optimizer.Optimizer {
@@ -77,12 +78,12 @@ func (s *Session) planVariants(t *cn.TSSNetwork, seed int, hint []bool) ([]*opti
 }
 
 // Graph is the presentation graph of one candidate network. Active[i]
-// is the set of displayed target objects for occurrence i; every
-// displayed node belongs to at least one MTTON whose nodes are all
-// displayed (§3.1 property (c)).
+// is the ascending set of displayed target objects for occurrence i;
+// every displayed node belongs to at least one MTTON whose nodes are
+// all displayed (§3.1 property (c)).
 type Graph struct {
 	Net      *cn.TSSNetwork
-	Active   []map[int64]bool
+	Active   [][]int64
 	Expanded []bool
 	sess     *Session
 }
@@ -108,12 +109,12 @@ func (s *Session) Build(t *cn.TSSNetwork) (*Graph, error) {
 	}
 	g := &Graph{
 		Net:      t,
-		Active:   make([]map[int64]bool, len(t.Occs)),
+		Active:   make([][]int64, len(t.Occs)),
 		Expanded: make([]bool, len(t.Occs)),
 		sess:     s,
 	}
 	for i := range g.Active {
-		g.Active[i] = map[int64]bool{r.Bind[i]: true}
+		g.Active[i] = []int64{r.Bind[i]}
 	}
 	return g, nil
 }
@@ -129,7 +130,7 @@ func (g *Graph) NumDisplayed() int {
 
 // Displayed returns the displayed TOs of occurrence occ, sorted.
 func (g *Graph) Displayed(occ int) []int64 {
-	return exec.SortedSet(g.Active[occ])
+	return slices.Clone(g.Active[occ])
 }
 
 // ExpandOptions tune Expand.
@@ -213,11 +214,12 @@ func (g *Graph) Expand(occ int, opts ExpandOptions) (int, error) {
 	// narrowed by its keyword constraint if any.
 	candidates := g.sess.Obj.BySegment(g.Net.Occs[occ].Segment)
 	if kws := g.Net.Occs[occ].Keywords; len(kws) > 0 {
+		sets := make(optimizer.TOSets)
 		var filtered []int64
 		for _, to := range candidates {
 			ok := true
 			for _, ka := range kws {
-				if !s.Index.TOSet(ka.Keyword, ka.SchemaNode)[to] {
+				if !kwindex.HasTO(sets.Get(s.Index, ka), to) {
 					ok = false
 					break
 				}
@@ -288,7 +290,7 @@ func (g *Graph) Expand(occ int, opts ExpandOptions) (int, error) {
 	added := 0
 	newBind := make(map[int][]int64)
 	for _, u := range candidates {
-		if g.Active[occ][u] {
+		if kwindex.HasTO(g.Active[occ], u) {
 			continue // already displayed
 		}
 		if opts.MaxNodes > 0 && added >= opts.MaxNodes {
@@ -297,7 +299,7 @@ func (g *Graph) Expand(occ int, opts ExpandOptions) (int, error) {
 		found := false
 		for d := 0; d <= maxDist && !found; d++ {
 			rp := &plans[d]
-			restrict := make([]map[int64]bool, len(rp.sn.net.Occs))
+			restrict := make([][]int64, len(rp.sn.net.Occs))
 			for si, orig := range rp.sn.occs {
 				if !rp.sn.fresh[orig] {
 					restrict[si] = g.Active[orig]
@@ -325,9 +327,7 @@ func (g *Graph) Expand(occ int, opts ExpandOptions) (int, error) {
 		}
 	}
 	for i, tos := range newBind {
-		for _, to := range tos {
-			g.Active[i][to] = true
-		}
+		g.Active[i] = sortedSet(append(g.Active[i], tos...))
 	}
 	g.Expanded[occ] = true
 	return added, nil
@@ -340,7 +340,7 @@ func (g *Graph) Contract(occ int, keep int64) error {
 	if occ < 0 || occ >= len(g.Net.Occs) {
 		return fmt.Errorf("presentation: occurrence %d out of range", occ)
 	}
-	if !g.Active[occ][keep] {
+	if !kwindex.HasTO(g.Active[occ], keep) {
 		return fmt.Errorf("presentation: TO %d not displayed at occurrence %d", keep, occ)
 	}
 	s := g.sess
@@ -353,34 +353,40 @@ func (g *Graph) Contract(occ int, keep int64) error {
 		return err
 	}
 	ex := s.executor()
-	restrict := make([]map[int64]bool, len(g.Net.Occs))
+	restrict := make([][]int64, len(g.Net.Occs))
 	for i := range restrict {
 		if i != occ {
 			restrict[i] = g.Active[i]
 		}
 	}
-	next := make([]map[int64]bool, len(g.Net.Occs))
-	for i := range next {
-		next[i] = make(map[int64]bool)
-	}
+	next := make([][]int64, len(g.Net.Occs))
 	err = ex.EvaluateConstrained(plan, exec.Constraint{
 		PreBind:  map[int]int64{occ: keep},
 		Restrict: restrict,
 	}, func(r exec.Result) bool {
 		for i, to := range r.Bind {
-			next[i][to] = true
+			next[i] = append(next[i], to)
 		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if !next[occ][keep] {
+	for i := range next {
+		next[i] = sortedSet(next[i])
+	}
+	if !kwindex.HasTO(next[occ], keep) {
 		return fmt.Errorf("presentation: kept node %d lies on no displayed MTTON", keep)
 	}
 	g.Active = next
 	g.Expanded[occ] = false
 	return nil
+}
+
+// sortedSet sorts tos in place and drops its duplicates.
+func sortedSet(tos []int64) []int64 {
+	slices.Sort(tos)
+	return slices.Compact(tos)
 }
 
 // treeDistances returns, per occurrence, the tree distance from occ.

@@ -1,6 +1,7 @@
 package presentation_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,6 +168,13 @@ func TestPropertyCInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Active sets stay ascending and duplicate-free: Expand and Contract
+	// test membership by binary search.
+	for i, set := range g.Active {
+		if !slices.IsSorted(set) || len(slices.Compact(slices.Clone(set))) != len(set) {
+			t.Fatalf("Active[%d] = %v, want ascending without duplicates", i, set)
+		}
+	}
 	// Validate: every displayed (occ, TO) appears in some full result
 	// whose bindings are all displayed.
 	all, err := s.QueryAll([]string{"us", "vcr"})
@@ -184,7 +192,7 @@ func TestPropertyCInvariant(t *testing.T) {
 		}
 		inPG := true
 		for i, to := range r.Bind {
-			if !g.Active[i][to] {
+			if !slices.Contains(g.Active[i], to) {
 				inPG = false
 				break
 			}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/cn"
 	"repro/internal/exec"
 	"repro/internal/kwindex"
+	"repro/internal/optimizer"
 	"repro/internal/tss"
 )
 
@@ -144,21 +145,15 @@ func (Weighted) Name() string { return "weighted" }
 func (Weighted) Rank(rc Context, rs []exec.Result, k int) []exec.Result {
 	canonicalize(rs)
 	w := cn.Weights{Containment: weightedContainment, Reference: weightedReference}
-	// Document-frequency lookups are memoized per (keyword, schema
-	// node): every result of one network shares them.
-	type dfKey struct{ kw, sn string }
-	dfMemo := make(map[dfKey]int)
-	df := func(kw, sn string) int {
-		key := dfKey{kw, sn}
-		if v, ok := dfMemo[key]; ok {
-			return v
+	// Document frequencies are the sizes of the (keyword, schema node)
+	// TO sets, memoized so each keyword's containing list is read once:
+	// every result of one network shares them.
+	sets := make(optimizer.TOSets)
+	df := func(ka cn.KeywordAt) int {
+		if rc.Index == nil {
+			return 0
 		}
-		v := 0
-		if rc.Index != nil {
-			v = len(rc.Index.TOSet(kw, sn))
-		}
-		dfMemo[key] = v
-		return v
+		return len(sets.Get(rc.Index, ka))
 	}
 	total := 0.0
 	if rc.Index != nil {
@@ -173,7 +168,7 @@ func (Weighted) Rank(rc Context, rs []exec.Result, k int) []exec.Result {
 				// of this schema node is cheap to reach (more specific),
 				// a ubiquitous one is expensive. 1/(1+log2(1+N/(1+df)))
 				// is in (0, 1], monotonically increasing in df.
-				rarity := math.Log2(1 + total/float64(1+df(ka.Keyword, ka.SchemaNode)))
+				rarity := math.Log2(1 + total/float64(1+df(ka)))
 				c += weightedAlpha / (1 + rarity)
 			}
 		}

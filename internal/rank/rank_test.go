@@ -2,6 +2,7 @@ package rank_test
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cn"
@@ -70,23 +71,34 @@ func TestEdgeCountRestoresCanonicalOrder(t *testing.T) {
 }
 
 // fakeIndex is a kwindex.Source with fixed per-(keyword, schema node)
-// TO sets, for exercising the Weighted scorer's rarity weighting.
+// TO counts, for exercising the Weighted scorer's rarity weighting: the
+// containing list of kw holds df postings on each schema node, TOs
+// 0..df-1. The scorer derives TO sets from ContainingList alone, so
+// SchemaNodes and TOSet panic.
 type fakeIndex struct {
 	tos      map[[2]string]int // (kw, schemaNode) -> df
 	postings int
 }
 
-func (f fakeIndex) ContainingList(string) []kwindex.Posting { return nil }
-func (f fakeIndex) SchemaNodes(string) []string             { return nil }
-func (f fakeIndex) NumPostings() int                        { return f.postings }
-func (f fakeIndex) NumKeywords() int                        { return len(f.tos) }
-func (f fakeIndex) TOSet(kw, sn string) map[int64]bool {
-	out := make(map[int64]bool)
-	for i := 0; i < f.tos[[2]string{kw, sn}]; i++ {
-		out[int64(i)] = true
+func (f fakeIndex) ContainingList(kw string) []kwindex.Posting {
+	var ps []kwindex.Posting
+	for key, df := range f.tos {
+		for i := 0; key[0] == kw && i < df; i++ {
+			ps = append(ps, kwindex.Posting{TO: int64(i), SchemaNode: key[1]})
+		}
 	}
-	return out
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].TO != ps[j].TO {
+			return ps[i].TO < ps[j].TO
+		}
+		return ps[i].SchemaNode < ps[j].SchemaNode
+	})
+	return ps
 }
+func (f fakeIndex) SchemaNodes(string) []string         { panic("SchemaNodes called") }
+func (f fakeIndex) TOSet(string, string) map[int64]bool { panic("TOSet called") }
+func (f fakeIndex) NumPostings() int                    { return f.postings }
+func (f fakeIndex) NumKeywords() int                    { return len(f.tos) }
 
 // Two equal-sized results: the one whose keyword is rare must outrank
 // the one reached through a ubiquitous keyword, flipping the canonical

@@ -436,9 +436,10 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 	startMerge := time.Now()
 	out := MergeTopK(streams, fetchK)
 	if c.sys.Opts.StrictMinimal {
+		tos := q.KeywordTOs()
 		kept := out[:0]
 		for _, r := range out {
-			if exec.IsMinimal(src, r) {
+			if exec.IsMinimal(tos, r) {
 				kept = append(kept, r)
 			}
 		}

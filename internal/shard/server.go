@@ -193,7 +193,7 @@ func ExecuteOwned(ctx context.Context, sys *core.System, src *QuerySource, req *
 	if err := sys.PipelineWith(src).Run(ctx, q); err != nil {
 		return nil, 0, 0, err
 	}
-	ex := sys.ExecutorWith(src)
+	ex := sys.Executor()
 	var out []exec.Result
 	for pi, pl := range q.Plans {
 		if pl.Plan == nil {
