@@ -126,9 +126,10 @@ type System struct {
 	metricsOnce sync.Once
 
 	// summaries memoises the object graph's summary of each target
-	// object (see objectSummary), one slot per TO, allocated on first
-	// use for the same struct-literal reason as netMemo.
-	summaries     []atomic.Pointer[string]
+	// object and its JSON escaping (see objectSummary), one slot per TO,
+	// allocated on first use for the same struct-literal reason as
+	// netMemo.
+	summaries     []atomic.Pointer[summary]
 	summariesOnce sync.Once
 }
 

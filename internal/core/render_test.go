@@ -1,14 +1,18 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/jsonstr"
 	"repro/internal/kwindex"
 )
 
@@ -190,4 +194,125 @@ func TestConcurrentRenderColdMemo(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// TestTemplateSegmentsSplitCleanly pins what makes AppendResultJSON's
+// piecewise escaping equal escaping the whole rendering: every template
+// segment is valid UTF-8 and, but for the root's empty first one, starts
+// with a byte that is not a UTF-8 continuation byte, and the escaped
+// text the layout walk writes equals escaping each segment. It also
+// checks the JSON rendering of every result against escaping
+// AppendResult's.
+func TestTemplateSegmentsSplitCleanly(t *testing.T) {
+	nets := 0
+	for sys, queries := range renderQueries(t) {
+		for _, q := range queries {
+			rs, err := sys.QueryAll(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := sys.NewRenderer()
+			for _, r := range rs {
+				segs, escapedOK := rd.TemplateSegments(r.Net)
+				if !escapedOK {
+					t.Fatalf("%v: the layout's escaped text differs from escaping its segments", q)
+				}
+				for i, seg := range segs {
+					if !utf8.ValidString(seg) {
+						t.Fatalf("%v: segment %d %q is not valid UTF-8", q, i, seg)
+					}
+					if seg == "" && i == 0 {
+						continue
+					}
+					if seg == "" || !utf8.RuneStart(seg[0]) {
+						t.Fatalf("%v: segment %d %q does not start a rune", q, i, seg)
+					}
+				}
+				nets++
+				want := jsonstr.Append([]byte("x:"), rd.AppendResult(nil, r))
+				if got := rd.AppendResultJSON([]byte("x:"), r); !bytes.Equal(got, want) {
+					t.Fatalf("%v: AppendResultJSON %s, want %s", q, got, want)
+				}
+			}
+		}
+	}
+	if nets < 100 {
+		t.Fatalf("only %d results checked", nets)
+	}
+}
+
+// evenSummaries stands in for a live index that supplies summaries:
+// every even TO presents as sum, every odd one falls through to the
+// object graph's memo.
+type evenSummaries struct {
+	kwindex.Source
+	sum string
+}
+
+func (e *evenSummaries) Summary(to int64) (string, bool) { return e.sum, to%2 == 0 }
+
+// FuzzAppendResultJSON: whatever bytes a summary holds — invalid UTF-8,
+// U+2028/U+2029, <>&, control bytes, trailing newlines that AppendResult
+// trims — AppendResultJSON and AppendSummaryJSON equal escaping
+// AppendResult's and SummaryOf's output, on a fresh Renderer and on one
+// that has laid the networks out already.
+func FuzzAppendResultJSON(f *testing.F) {
+	for _, s := range []string{
+		"", "plain", "\n", "ends\n", "\n\n\n", "<b>&amp;</b>",
+		"\x00\x1f\x7f\t\r", "\xff\xfe", "\xe2\x80", "\xa8\xe2\x80",
+		"\xe2\x80\xa8\xe2\x80\xa9", "«kw»\n  └─ ", "\xef\xbf\xbd\n",
+	} {
+		f.Add(s)
+	}
+	ds, err := datagen.TPCHFigure1()
+	if err != nil {
+		f.Fatal(err)
+	}
+	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+		core.Options{Z: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var results []exec.Result
+	for _, q := range [][]string{{"john", "vcr"}, {"tv", "us"}, {"mike"}, {"dvd", "tuner"}} {
+		rs, err := sys.QueryAll(q)
+		if err != nil {
+			f.Fatal(err)
+		}
+		results = append(results, rs...)
+	}
+	// The last occurrence a layout walks is a leaf, which in an MTTON
+	// holds a keyword, so its «keyword» annotation keeps AppendResult's
+	// newline trim out of the last summary. Copies of the networks
+	// without annotations reach the fallback that escapes AppendResult's
+	// output whole.
+	for _, r := range results[:len(results):len(results)] {
+		net := *r.Net
+		net.Occs = slices.Clone(net.Occs)
+		for i := range net.Occs {
+			net.Occs[i].Keywords = nil
+		}
+		r.Net = &net
+		results = append(results, r)
+	}
+	src := &evenSummaries{Source: sys.Index}
+	sys.Index = src
+	shared := sys.NewRenderer()
+	f.Fuzz(func(t *testing.T, sum string) {
+		src.sum = sum
+		for _, r := range results {
+			want := jsonstr.Append(nil, sys.RenderResult(r))
+			if got := sys.NewRenderer().AppendResultJSON(nil, r); !bytes.Equal(got, want) {
+				t.Fatalf("summary %q: fresh Renderer %s, want %s", sum, got, want)
+			}
+			if got := shared.AppendResultJSON(nil, r); !bytes.Equal(got, want) {
+				t.Fatalf("summary %q: shared Renderer %s, want %s", sum, got, want)
+			}
+			for _, to := range r.Bind {
+				if got, want := sys.AppendSummaryJSON(nil, to), jsonstr.Append(nil, sys.SummaryOf(to)); !bytes.Equal(got, want) {
+					t.Fatalf("TO %d: AppendSummaryJSON %s, want %s", to, got, want)
+				}
+			}
+		}
+	})
 }

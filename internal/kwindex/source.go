@@ -2,7 +2,8 @@ package kwindex
 
 import (
 	"slices"
-	"sort"
+
+	"repro/internal/xmlgraph"
 )
 
 // Source is the read interface of the master index: everything the CN
@@ -34,10 +35,12 @@ type Source interface {
 var _ Source = (*Index)(nil)
 
 // Intersect returns the postings present in every list, keyed by
-// (TO, node) — the multi-token keyword semantics of ContainingList.
-// Each list is deduplicated by (TO, node) before counting, so duplicate
-// postings within one list do not defeat the intersection. The result is
-// sorted by (TO, node).
+// (TO, node) — the multi-token keyword semantics of ContainingList. Every
+// list must be sorted by (TO, node), as each backend's posting lists
+// are; a key repeated within one list counts once. The lists are merged
+// in one pass: the candidate key rises to each list's head in turn
+// until every list's head holds it. The result is sorted by (TO, node)
+// and takes each posting from the last list.
 func Intersect(lists [][]Posting) []Posting {
 	switch len(lists) {
 	case 0:
@@ -45,37 +48,46 @@ func Intersect(lists [][]Posting) []Posting {
 	case 1:
 		return lists[0]
 	}
-	type key struct {
-		to   int64
-		node int64
-	}
-	counts := make(map[key]int)
-	byKey := make(map[key]Posting)
-	for _, ps := range lists {
-		seen := make(map[key]bool)
-		for _, p := range ps {
-			k := key{p.TO, int64(p.Node)}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			counts[k]++
-			byKey[k] = p
-		}
-	}
+	pos := make([]int, len(lists)) // each list's head
 	var out []Posting
-	for k, c := range counts {
-		if c == len(lists) {
-			out = append(out, byKey[k])
+	for {
+		if pos[0] == len(lists[0]) {
+			return out
+		}
+		k := keyOf(lists[0][pos[0]])
+		for i, agree := 1, 1; agree < len(lists); i = (i + 1) % len(lists) {
+			ps, j := lists[i], pos[i]
+			for j < len(ps) && keyOf(ps[j]).less(k) {
+				j++
+			}
+			if pos[i] = j; j == len(ps) {
+				return out
+			}
+			if h := keyOf(ps[j]); h == k {
+				agree++
+			} else {
+				k, agree = h, 1
+			}
+		}
+		out = append(out, lists[len(lists)-1][pos[len(lists)-1]])
+		for i, ps := range lists {
+			for pos[i] < len(ps) && keyOf(ps[pos[i]]) == k {
+				pos[i]++
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TO != out[j].TO {
-			return out[i].TO < out[j].TO
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
+}
+
+// postingKey is the (TO, node) order posting lists are sorted in.
+type postingKey struct {
+	to   int64
+	node xmlgraph.NodeID
+}
+
+func keyOf(p Posting) postingKey { return postingKey{p.TO, p.Node} }
+
+func (a postingKey) less(b postingKey) bool {
+	return a.to < b.to || a.to == b.to && a.node < b.node
 }
 
 // DistinctSchemaNodes returns the sorted distinct schema nodes of a

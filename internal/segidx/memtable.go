@@ -10,8 +10,9 @@ import (
 // memDoc is one live document in the memtable together with its derived
 // postings, kept so a replacement or delete can unindex it exactly.
 type memDoc struct {
-	doc    Document
-	tokens []string // distinct tokens this doc contributed, for unindexing
+	doc     Document
+	summary string   // doc.Summary(), rendered once at apply
+	tokens  []string // distinct tokens this doc contributed, for unindexing
 }
 
 // memtable is the mutable in-memory segment: the newest layer of the
@@ -55,7 +56,7 @@ func (m *memtable) addLocked(d Document) {
 	// A re-added TO is alive again: the doc entry itself masks older
 	// layers, so the tombstone would only misreport the TO as deleted.
 	delete(m.tombs, d.TO)
-	md := &memDoc{doc: d}
+	md := &memDoc{doc: d, summary: d.Summary()}
 	seenTok := make(map[string]bool)
 	d.postings(func(tok string, p kwindex.Posting) {
 		byTO := m.inv[tok]
@@ -145,7 +146,7 @@ func (m *memtable) snapshot() (postings map[string][]kwindex.Posting, docs map[i
 	}
 	docs = make(map[int64]string, len(m.docs))
 	for to, md := range m.docs {
-		docs[to] = md.doc.Summary()
+		docs[to] = md.summary
 	}
 	tombs = make(map[int64]bool, len(m.tombs))
 	for to := range m.tombs {
@@ -161,7 +162,7 @@ func (m *memtable) summaryOf(to int64) (summary string, ok, claimed bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if md := m.docs[to]; md != nil {
-		return md.doc.Summary(), true, true
+		return md.summary, true, true
 	}
 	if m.tombs[to] {
 		return "", false, true

@@ -156,24 +156,24 @@ func (s *Store) NumKeywords() int {
 // meta without summaries) — and the caller should fall back to the
 // object graph. core.System.SummaryOf is that caller.
 func (s *Store) Summary(to int64) (string, bool) {
+	// The layers are walked under the read lock, so a lookup allocates
+	// nothing: /api/query reads every result TO's summary here twice,
+	// for its rendering and for its objects.
 	s.mu.RLock()
-	mems := make([]*memtable, 0, len(s.sealed)+1)
-	mems = append(mems, s.mem)
-	for i := len(s.sealed) - 1; i >= 0; i-- {
-		mems = append(mems, s.sealed[i])
+	defer s.mu.RUnlock()
+	if sum, ok, claimed := s.mem.summaryOf(to); claimed {
+		return sum, ok
 	}
-	segs := append([]*segment(nil), s.segs...)
-	s.mu.RUnlock()
-	for _, m := range mems {
-		if sum, ok, claimed := m.summaryOf(to); claimed {
+	for i := len(s.sealed) - 1; i >= 0; i-- {
+		if sum, ok, claimed := s.sealed[i].summaryOf(to); claimed {
 			return sum, ok
 		}
 	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		if sum, ok := segs[i].docs[to]; ok {
+	for i := len(s.segs) - 1; i >= 0; i-- {
+		if sum, ok := s.segs[i].docs[to]; ok {
 			return sum, sum != ""
 		}
-		if segs[i].tombs[to] {
+		if s.segs[i].tombs[to] {
 			return "", false
 		}
 	}

@@ -86,6 +86,34 @@ func TestSummaryLifecycle(t *testing.T) {
 	}
 }
 
+// TestSummaryAllocs: resolving a summary allocates nothing, whether the
+// active memtable, a committed segment or no layer answers. A served
+// query resolves every result TO's summary this way, twice.
+func TestSummaryAllocs(t *testing.T) {
+	s := openStore(t, t.TempDir(), segidx.Options{NoSync: true})
+	mustAdd(t, s, personDoc(100, 10, "Anna"))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(t, s, personDoc(200, 20, "Wei"))
+	for _, c := range []struct {
+		name string
+		to   int64
+		want string
+	}{
+		{"memtable hit", 200, "person[name=Wei nation=US]"},
+		{"segment hit", 100, "person[name=Anna nation=US]"},
+		{"miss", 300, ""},
+	} {
+		if sum, ok := s.Summary(c.to); sum != c.want || ok != (c.want != "") {
+			t.Fatalf("%s: Summary(%d) = %q, %v; want %q", c.name, c.to, sum, ok, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.Summary(c.to) }); n != 0 {
+			t.Errorf("%s: %v allocs per Summary, want 0", c.name, n)
+		}
+	}
+}
+
 // TestSummaryShapes pins the presentation forms: valueless documents
 // fall back to label#TO and empty ones to TO#id, mirroring how the
 // object graph presents batch-loaded target objects.

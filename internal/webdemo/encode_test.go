@@ -143,28 +143,64 @@ func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// FuzzAppendJSONString: appendJSONString, over a string or a byte slice
-// and after existing bytes, writes exactly what encoding/json does.
+// fuzzSummaries stands in for a live index that supplies summaries:
+// every even TO presents as the fuzzed text, every odd one falls through
+// to the object graph's memo.
+type fuzzSummaries struct {
+	kwindex.Source
+	sum string
+}
+
+func (f *fuzzSummaries) Summary(to int64) (string, bool) { return f.sum, to%2 == 0 }
+
+// FuzzAppendJSONString: the /api/query body holds each JSON string —
+// renderings spliced from pre-escaped pieces, pre-escaped object
+// summaries, summaries escaped per response, the scorer name — exactly
+// as encoding/json writes it, whatever bytes a summary or the scorer
+// holds: invalid UTF-8, U+2028/U+2029, <>&, control bytes, trailing
+// newlines.
 func FuzzAppendJSONString(f *testing.F) {
 	for _, s := range []string{
 		"", "plain", "«john,vcr»\n  └─ part[key=1005 name=TV]",
 		`<a href="x">&amp;</a>`, "back\\slash \"quote\"",
 		"\x00\x01\x08\x0c\x1f\x7f", "tab\tnl\nret\r",
 		"\xff\xfe", "\xe2\x80", "truncated \xe2\x80\xa8x",
-		"\u2028\u2029", "line\u2028sep", "\ufffd", "\U0001F600",
+		"\xe2\x80\xa8\xe2\x80\xa9", "line\xe2\x80\xa8sep", "\xef\xbf\xbd", "\U0001F600\n\n",
 	} {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, s string) {
-		want, err := json.Marshal(s)
+	ds, err := datagen.TPCHFigure1()
+	if err != nil {
+		f.Fatal(err)
+	}
+	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+		core.Options{Z: 8})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var results []exec.Result
+	for _, q := range [][]string{{"john", "vcr"}, {"tv", "us"}, {"mike"}} {
+		rs, _, err := sys.QueryScoredContext(context.Background(), q, 10, "")
 		if err != nil {
+			f.Fatal(err)
+		}
+		results = append(results, rs...)
+	}
+	if len(results) < 10 {
+		f.Fatalf("only %d results", len(results))
+	}
+	src := &fuzzSummaries{Source: sys.Index}
+	sys.Index = src
+	s := NewServer(sys)
+	f.Fuzz(func(t *testing.T, sum string) {
+		src.sum = sum
+		buf := s.getQueryBuf()
+		defer s.putQueryBuf(buf)
+		if err := s.appendQueryBody(buf, results, sum, nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("string %q: %s, want %s", s, got, want)
-		}
-		if got := appendJSONString([]byte("x:"), []byte(s)); !bytes.Equal(got, append([]byte("x:"), want...)) {
-			t.Fatalf("bytes %q: %s, want x:%s", s, got, want)
+		if want := referenceBody(t, sys, results, sum, nil); !bytes.Equal(buf.body, want) {
+			t.Fatalf("summary %q: body\n%s\nwant\n%s", sum, buf.body, want)
 		}
 	})
 }

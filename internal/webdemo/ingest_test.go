@@ -194,3 +194,75 @@ func TestSegidxStatsEndpoint(t *testing.T) {
 		t.Fatalf("memtable docs = %d, want 0 after flush", st.MemDocs)
 	}
 }
+
+// TestIngestedSummaryShowsOnCacheHit pins that a cached answer never
+// freezes a summary. An ingest rewrites one target object of a cached
+// answer so that it shares no token with the query, which leaves the
+// entry valid; the next request is a cache hit and must present the
+// rewritten object's new summary.
+func TestIngestedSummaryShowsOnCacheHit(t *testing.T) {
+	srv, sys := ingestServer(t)
+	const path = "/api/query?q=john+vcr&k=10"
+	type body struct {
+		Results []struct {
+			Rendered string   `json:"rendered"`
+			Objects  []string `json:"objects"`
+		} `json:"results"`
+	}
+	var before body
+	if code := getJSON(t, srv.URL+path, &before); code != http.StatusOK || len(before.Results) == 0 {
+		t.Fatalf("status %d, %d results", code, len(before.Results))
+	}
+
+	// An object in the middle of the first result's tree holds neither
+	// query keyword.
+	rs, err := sys.Query([]string{"john", "vcr"}, 1)
+	if err != nil || len(rs) == 0 || len(rs[0].Bind) < 3 {
+		t.Fatalf("query: %v, %d results", err, len(rs))
+	}
+	to := rs[0].Bind[1]
+	var rewrite segidx.Document
+	for _, d := range segidx.DocumentsFromObjectGraph(sys.Obj) {
+		if d.TO == to {
+			rewrite = d
+		}
+	}
+	if rewrite.TO != to || len(rewrite.Fields) == 0 {
+		t.Fatalf("no document for TO %d", to)
+	}
+	for i := range rewrite.Fields {
+		rewrite.Fields[i].Value = "Rewritten"
+	}
+	newSummary := rewrite.Summary()
+	if strings.Contains(strings.Join(before.Results[0].Objects, "\n"), newSummary) {
+		t.Fatalf("test premise broken: %q already presented", newSummary)
+	}
+	var stats struct {
+		Hits int64 `json:"hits"`
+	}
+	getJSON(t, srv.URL+"/debug/qserve", &stats)
+	hits := stats.Hits
+	if code := postJSON(t, srv.URL+"/api/ingest", map[string]interface{}{
+		"add": []segidx.Document{rewrite},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
+	}
+
+	var after body
+	if code := getJSON(t, srv.URL+path, &after); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	getJSON(t, srv.URL+"/debug/qserve", &stats)
+	if stats.Hits != hits+1 {
+		t.Fatalf("hits %d -> %d: the ingest invalidated the entry, so the test shows nothing", hits, stats.Hits)
+	}
+	if len(after.Results) != len(before.Results) {
+		t.Fatalf("%d results after the ingest, %d before", len(after.Results), len(before.Results))
+	}
+	if got := after.Results[0].Objects[1]; got != newSummary {
+		t.Fatalf("cache hit presents TO %d as %q, want the ingested %q", to, got, newSummary)
+	}
+	if !strings.Contains(after.Results[0].Rendered, newSummary) {
+		t.Fatalf("cache hit renders\n%s\nwithout the ingested %q", after.Results[0].Rendered, newSummary)
+	}
+}

@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/qserve"
 	"repro/internal/webdemo"
 )
 
@@ -69,6 +71,51 @@ func TestQueryPermutationsAnswerIdentically(t *testing.T) {
 					t.Fatalf("scorer=%q: warm %v answered\n%s\nbut cold %v answered\n%s", scorer, perms[i], body, q, want)
 				}
 			}
+		}
+	}
+}
+
+// TestConcurrentQueriesMatchSequential: goroutines sharing one server —
+// its pooled Renderers, its result cache and the system's summary memo,
+// cold at the start — get the bodies a fresh server gives one request at
+// a time. Run under -race in CI.
+func TestConcurrentQueriesMatchSequential(t *testing.T) {
+	sys := fig1(t)
+	words := []string{"john", "mike", "vcr", "tv", "dvd", "us", "tuner"}
+	var paths []string
+	for i, a := range words {
+		for _, b := range words[i+1:] {
+			paths = append(paths, "/api/query?q="+a+"+"+b+"&k=10")
+		}
+	}
+	get := func(h http.Handler, path string) ([]byte, int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Body.Bytes(), rec.Code
+	}
+	const workers = 8
+	// One admission slot per goroutine, so none is shed.
+	shared := webdemo.NewServerWith(sys, qserve.New(sys, qserve.Options{MaxConcurrent: workers})).Handler()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3*len(paths); i++ {
+				path := paths[(i+5*w)%len(paths)]
+				if _, code := get(shared, path); code != http.StatusOK {
+					t.Errorf("%s: status %d", path, code)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	fresh := webdemo.NewServer(fig1(t)).Handler()
+	for _, path := range paths {
+		got, _ := get(shared, path)
+		if want, _ := get(fresh, path); !bytes.Equal(got, want) {
+			t.Fatalf("%s: shared server\n%s\nfresh server\n%s", path, got, want)
 		}
 	}
 }

@@ -32,6 +32,9 @@ type Server struct {
 	sys *core.System
 	qs  *qserve.Server
 
+	// bufs pools /api/query scratch (see queryBuf).
+	bufs sync.Pool
+
 	// ingest is the optional live-ingestion store behind /api/ingest;
 	// nil until EnableIngest (the endpoints then answer 404).
 	ingest *segidx.Store
@@ -227,15 +230,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("index unavailable: %s", detail))
 		return
 	}
-	buf := getQueryBuf()
-	defer putQueryBuf(buf)
+	buf := s.getQueryBuf()
+	defer s.putQueryBuf(buf)
 	// Loud, never silent: the body names the substitutions a relaxed
 	// query made.
 	if err := s.appendQueryBody(buf, results, scorer, rx); err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	// The whole body is known, so it goes out with a Content-Length
+	// rather than chunked.
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf.body)))
 	_, _ = w.Write(buf.body)
 }
 
