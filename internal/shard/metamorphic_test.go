@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/pipeline"
 	"repro/internal/qserve"
 	"repro/internal/rank"
 )
@@ -55,6 +56,29 @@ func TestNonPositiveKReturnsNothing(t *testing.T) {
 				if len(rs) != 0 {
 					t.Fatalf("%s scorer=%s k=%d: %d results, want none", name, scorer, k, len(rs))
 				}
+			}
+		}
+	}
+}
+
+// TestRunNonPositiveKReturnsNothing: the pipeline itself answers a
+// ModeTopK query with K ≤ 0 with no results, for the scorers that
+// enumerate every plan before ranking — not only the serving entry
+// points in front of it.
+func TestRunNonPositiveKReturnsNothing(t *testing.T) {
+	sys := builtinTPCH(t)
+	for _, name := range []string{"weighted", "diversified"} {
+		sc, err := rank.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{0, -1} {
+			q := &pipeline.Query{Keywords: []string{"us", "vcr"}, Mode: pipeline.ModeTopK, K: k, Scorer: sc}
+			if err := sys.Run(context.Background(), q); err != nil {
+				t.Fatalf("scorer=%s k=%d: %v", name, k, err)
+			}
+			if len(q.Results) != 0 {
+				t.Fatalf("scorer=%s k=%d: %d results, want none", name, k, len(q.Results))
 			}
 		}
 	}
