@@ -35,9 +35,12 @@ bench-build:
 # the serving layer cold and warm (BenchmarkQServe, -cpu 1) and the
 # /api/query handler path (BenchmarkRender) against BENCH_qserve.json,
 # and of the coordinator round trip
-# (BenchmarkShardCoordinator, -cpu 1) against BENCH_shard.json, and of
+# (BenchmarkShardCoordinator, -cpu 1) against BENCH_shard.json, of
 # the cold Figure 12 search and the shape enumeration under it (-cpu 1)
-# against BENCH_decomp.json. ns/op is printed as a delta only — wall
+# against BENCH_decomp.json, and of the master-index lookup from memory
+# and from the paged disk index, cold and warm (-cpu 1), against
+# BENCH_diskindex.json: all three of its rows repeat their allocs
+# exactly from run to run. ns/op is printed as a delta only — wall
 # time on a shared machine is not gateable.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
@@ -46,6 +49,7 @@ bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkShardCoordinator' -cpu 1 -benchtime 200x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_shard.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_decomp.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkDiskIndexLookup' -cpu 1 -benchtime 2000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_diskindex.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — atomiccommit, crcgate, ctxflow,
@@ -93,9 +97,10 @@ bench-qserve:
 	{ $(GO) test -run xxx -bench BenchmarkQServe -cpu 1 -benchtime 50x -benchmem . && \
 	  $(GO) test -run xxx -bench BenchmarkRender -cpu 1 -benchtime 1000x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_qserve.json
 
-# In-memory vs paged-disk master-index lookups (cold and warm pool).
+# In-memory vs paged-disk master-index lookups (cold and warm pool), at
+# -cpu 1: what bench-gate compares against.
 bench-diskindex:
-	$(GO) test -run xxx -bench BenchmarkDiskIndexLookup -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_diskindex.json
+	$(GO) test -run xxx -bench BenchmarkDiskIndexLookup -cpu 1 -benchtime 2000x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_diskindex.json
 
 # The query path (tracing off vs EXPLAIN ANALYZE) and one relation probe
 # per access path, at -cpu 1 and 2, then a snapshot load and the

@@ -53,9 +53,9 @@ func (s *System) scorer() rank.Scorer {
 	return sc
 }
 
-// resolveScorer resolves a per-query scorer name: "" falls back to the
+// ResolveScorer resolves a per-query scorer name: "" falls back to the
 // System default, anything else must name a shipped scorer.
-func (s *System) resolveScorer(name string) (rank.Scorer, error) {
+func (s *System) ResolveScorer(name string) (rank.Scorer, error) {
 	if name == "" {
 		name = s.Opts.Scorer
 	}
@@ -154,19 +154,16 @@ func (s *System) Query(keywords []string, k int) ([]exec.Result, error) {
 // scorer ("" falls back to Opts.Scorer, then to edgecount, the paper's
 // ranking). It is the serving entry point: qserve, the scatter-gather
 // coordinator and the web demo all answer through it. k ≤ 0 asks for
-// nothing and gets no results, whatever the scorer, exactly as the
-// coordinator answers. A cancelled context stops the in-flight join
-// loops and the call returns ctx's error (partial results are
-// discarded). The returned Relaxation is non-nil exactly when
+// nothing and gets no results, whatever the scorer (pipeline.Run's
+// rule, which the coordinator's pipeline shares). A cancelled context
+// stops the in-flight join loops and the call returns ctx's error
+// (partial results are discarded). The returned Relaxation is non-nil exactly when
 // Opts.Relax is on and the query was rewritten to be answerable;
 // callers must surface it.
 func (s *System) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
-	sc, err := s.resolveScorer(scorer)
+	sc, err := s.ResolveScorer(scorer)
 	if err != nil {
 		return nil, nil, err
-	}
-	if k <= 0 {
-		return nil, nil, ctx.Err()
 	}
 	q := &pipeline.Query{
 		Keywords: keywords,

@@ -78,7 +78,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestTopKPlansContextCancelled(t *testing.T) {
+func TestRunPlansCancelled(t *testing.T) {
 	s := fig1System(t, core.Options{Z: 8})
 	plans, err := s.Plans([]string{"us", "vcr"})
 	if err != nil {
@@ -87,11 +87,57 @@ func TestTopKPlansContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
-	rs, err := exec.TopKPlansContext(ctx, ex, plans, exec.TopKOptions{K: 10})
+	rs, err := exec.RunPlans(ctx, ex, plans, 10, exec.NestedLoop)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(rs) != 0 {
 		t.Fatalf("pre-cancelled top-k returned %d results", len(rs))
+	}
+}
+
+// TestRunPlansCapsAndSkips pins the plan loop's contract: every k > 0
+// answer is the first k of the full run, Ords name the plan's index in
+// the given list, and a nil plan is skipped without renumbering the
+// plans after it.
+func TestRunPlansCapsAndSkips(t *testing.T) {
+	s := fig1System(t, core.Options{Z: 8})
+	plans, err := s.Plans([]string{"us", "vcr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
+	ctx := context.Background()
+	all, err := exec.RunPlans(ctx, ex, plans, 0, exec.NestedLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= len(all)+1; k++ {
+		got, err := exec.RunPlans(ctx, ex, plans, k, exec.NestedLoop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := all[:min(k, len(all))]
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Ord != want[i].Ord || got[i].Score != want[i].Score {
+				t.Fatalf("k=%d: result %d is (%d, %x), want (%d, %x)", k, i, got[i].Score, got[i].Ord, want[i].Score, want[i].Ord)
+			}
+		}
+	}
+	holed := append([]exec.Planned{{}}, plans...)
+	shifted, err := exec.RunPlans(ctx, ex, holed, 0, exec.NestedLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shifted) != len(all) {
+		t.Fatalf("with a nil plan in front: %d results, want %d", len(shifted), len(all))
+	}
+	for i, r := range shifted {
+		if r.Ord != all[i].Ord+1<<32 {
+			t.Fatalf("result %d has Ord %x, want %x (plan index kept)", i, r.Ord, all[i].Ord+1<<32)
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -43,15 +44,15 @@ type Result struct {
 // enumeration).
 func MakeOrd(plan, seq int) int64 { return int64(plan)<<32 | int64(seq) }
 
-// OrdLess orders results by (Score, Ord) — the canonical total order all
-// ranked surfaces (single-node rank stage, top-k collection, coordinator
-// merge) agree on.
-func OrdLess(a, b Result) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Ord < b.Ord
+// OrdCompare orders results by (Score, Ord) — the canonical total order
+// all ranked surfaces (the rank stage, top-k collection, the
+// coordinator's merge) agree on.
+func OrdCompare(a, b Result) int {
+	return cmp.Or(cmp.Compare(a.Score, b.Score), cmp.Compare(a.Ord, b.Ord))
 }
+
+// OrdLess reports whether a orders before b in the canonical order.
+func OrdLess(a, b Result) bool { return OrdCompare(a, b) < 0 }
 
 // Key returns a canonical identity for deduplication.
 func (r Result) Key() string {

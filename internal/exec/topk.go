@@ -2,73 +2,58 @@ package exec
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/optimizer"
 )
-
-// TopKOptions configure the top-k evaluation of §6.
-type TopKOptions struct {
-	K        int
-	Strategy Strategy
-}
 
 // Planned pairs a plan with the CN it came from, for bookkeeping.
 type Planned struct {
 	Plan *optimizer.Plan
 }
 
-// TopKPlans evaluates the plans (which must be sorted by ascending
-// score, as the CN generator emits them) smallest-first, on the
-// caller's goroutine, and stops once K results have been produced in
-// total. Results are returned sorted by score.
+// RunPlans is the execution module's plan loop (§6): it evaluates the
+// plans one after another on the caller's goroutine, in the given
+// order, stamping each result's Ord with MakeOrd(plan index, emission
+// sequence). A nil plan (another shard's, see pipeline.Query.Own) is
+// skipped but keeps its index. k ≤ 0 evaluates every plan fully. k > 0
+// caps each plan at k results, stops once k results exist, and returns
+// the first k.
 //
-// Because smaller networks need less execution time and produce
-// higher-ranked results, evaluating smallest-first yields the paper's
-// fast first-response behaviour (§6).
-func TopKPlans(ex *Executor, plans []Planned, opts TopKOptions) []Result {
-	out, _ := TopKPlansContext(context.Background(), ex, plans, opts)
-	return out
-}
-
-// TopKPlansContext is TopKPlans with cooperative cancellation: the join
-// loops poll ctx, so a cancelled context stops the in-flight evaluation
-// and the call returns ctx's error along with whatever results were
-// produced before the cancellation.
+// Top-k correctness: the plans must be in ascending score order, as the
+// reduce stage emits them, and every result of a plan carries that
+// plan's network score, so results come out in the canonical (Score,
+// Ord) order. Hence (a) a plan never needs to emit more than k results,
+// and (b) once k results exist, the plans not yet run can only tie —
+// never beat — the collected ones (same-score results from a later plan
+// order after them). The first k results are therefore exactly the k
+// canonically-smallest, and the same work is done on every run. A
+// subset of the plans, as a shard evaluates, keeps the argument: a
+// global top-k member from plan p is preceded by fewer than k results
+// overall, so by fewer than k among the subset.
 //
-// Top-K correctness: every result of a plan carries that plan's network
-// score, and plans run in ascending score order, so (a) a plan never
-// needs to emit more than K results, and (b) once K results exist, the
-// plans not yet run can only tie — never beat — the collected ones
-// (same-score results from a later plan order after them in the
-// canonical (Score, Ord) order). Running plans one after another in
-// that order therefore returns exactly the K canonically-smallest
-// results, and the same work, on every run.
-func TopKPlansContext(ctx context.Context, ex *Executor, plans []Planned, opts TopKOptions) ([]Result, error) {
-	if opts.K <= 0 {
-		return nil, ctx.Err()
-	}
-	var results []Result
-	for idx, p := range plans {
-		if len(results) >= opts.K || ctx.Err() != nil {
+// The join loops poll ctx: a cancelled context stops the evaluation and
+// RunPlans returns ctx's error with the results produced before it.
+func RunPlans(ctx context.Context, ex *Executor, plans []Planned, k int, strategy Strategy) ([]Result, error) {
+	var out []Result
+	for pi, p := range plans {
+		if p.Plan == nil {
+			continue
+		}
+		if k > 0 && len(out) >= k {
 			break
 		}
 		n := 0
-		// The only error RunContext can return is ctx's, which the
-		// check after the loop reports.
-		_ = ex.RunContext(ctx, p.Plan, opts.Strategy, func(r Result) bool {
-			r.Ord = MakeOrd(idx, n)
-			results = append(results, r)
+		if err := ex.RunContext(ctx, p.Plan, strategy, func(r Result) bool {
+			r.Ord = MakeOrd(pi, n)
 			n++
-			return n < opts.K
-		})
+			out = append(out, r)
+			return k <= 0 || n < k
+		}); err != nil {
+			return out, err
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return results, err
+	if k > 0 && len(out) > k {
+		out = out[:k]
 	}
-	sort.Slice(results, func(i, j int) bool { return OrdLess(results[i], results[j]) })
-	if len(results) > opts.K {
-		results = results[:opts.K]
-	}
-	return results, nil
+	return out, ctx.Err()
 }

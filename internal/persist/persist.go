@@ -20,20 +20,11 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/diskindex"
 	"repro/internal/kwindex"
-	"repro/internal/obs"
 	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/tss"
 	"repro/internal/xmlgraph"
 )
-
-// Degradations counts master-index fallbacks: loads or lookups that
-// abandoned the disk-backed sidecar and rebuilt the index in memory.
-var Degradations obs.Counter
-
-// Quarantines counts files moved aside by the startup recovery sweep
-// (torn temp files) and by corruption quarantines.
-var Quarantines obs.Counter
 
 // formatVersion guards against loading incompatible snapshots.
 //
@@ -317,11 +308,9 @@ type LoadOptions struct {
 // never shadow a future write.
 func LoadFileOpts(path string, opts LoadOptions) (*core.System, error) {
 	for _, target := range []string{path, SidecarPath(path)} {
-		torn, err := atomicio.Sweep(target)
-		if err != nil {
+		if _, err := atomicio.Sweep(target); err != nil {
 			return nil, fmt.Errorf("persist: recovery sweep: %w", err)
 		}
-		Quarantines.Add(int64(len(torn)))
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -335,12 +324,6 @@ func LoadFileOpts(path string, opts LoadOptions) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	degrade := func(cause error) {
-		Degradations.Add(1)
-		if opts.OnDegrade != nil {
-			opts.OnDegrade(cause)
-		}
-	}
 	rd, err := diskindex.Open(SidecarPath(path), diskindex.Options{
 		CacheBytes:   opts.IndexCacheBytes,
 		WrapReaderAt: opts.WrapReaderAt,
@@ -348,9 +331,7 @@ func LoadFileOpts(path string, opts LoadOptions) (*core.System, error) {
 	if err == nil && snap.SidecarCRC != 0 && rd.MetaCRC() != snap.SidecarCRC {
 		err = fmt.Errorf("persist: sidecar %s checksum %#x does not match the snapshot's recorded %#x — stale or foreign index file",
 			SidecarPath(path), rd.MetaCRC(), snap.SidecarCRC)
-		if _, qerr := rd.Quarantine(); qerr == nil {
-			Quarantines.Add(1)
-		}
+		_, _ = rd.Quarantine() //xk:ignore errdrop the checksum error is what gets reported
 	}
 	if err != nil {
 		if !opts.SelfHeal {
@@ -359,11 +340,11 @@ func LoadFileOpts(path string, opts LoadOptions) (*core.System, error) {
 		// Quarantine whatever is at the sidecar path (unless Open already
 		// did, or it never existed) and serve degraded from a rebuild.
 		if _, statErr := os.Stat(SidecarPath(path)); statErr == nil {
-			if _, qerr := atomicio.Quarantine(SidecarPath(path)); qerr == nil {
-				Quarantines.Add(1)
-			}
+			_, _ = atomicio.Quarantine(SidecarPath(path)) //xk:ignore errdrop the open error is what gets reported
 		}
-		degrade(err)
+		if opts.OnDegrade != nil {
+			opts.OnDegrade(err)
+		}
 		sys.Index = kwindex.Build(sys.Obj)
 		return sys, nil
 	}
@@ -374,11 +355,9 @@ func LoadFileOpts(path string, opts LoadOptions) (*core.System, error) {
 	obj := sys.Obj
 	sys.Index = kwindex.NewFailover(rd,
 		func() (kwindex.Source, error) {
-			if _, qerr := rd.Quarantine(); qerr == nil {
-				Quarantines.Add(1)
-			}
+			_, _ = rd.Quarantine() //xk:ignore errdrop the failover reports its own cause
 			return kwindex.Build(obj), nil
 		},
-		degrade)
+		opts.OnDegrade)
 	return sys, nil
 }

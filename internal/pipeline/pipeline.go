@@ -88,14 +88,15 @@ type Query struct {
 	// Trace, when non-nil, collects one obs.Span per stage.
 	Trace *obs.Trace
 	// Scorer, when non-nil, overrides the pipeline's configured result
-	// scorer for this query (see Config.Scorer).
+	// scorer for this query (see Config.Scorer). Run sets it to the
+	// configured one when nil.
 	Scorer rank.Scorer
 	// Own, when non-nil, restricts the optimize stage to the plans whose
 	// index it accepts: Plans stays index-aligned with Nets and holds a
-	// nil Plan at every other index. For ModePlans callers that execute
-	// a share of the plan list themselves (a scatter-gather shard plans
-	// only the residue classes it was assigned); the executing modes
-	// need every plan.
+	// nil Plan at every other index, which the execute stage skips. A
+	// scatter-gather shard plans only the residue classes it was
+	// assigned; the coordinator, whose execute stage sends the plan
+	// classes to the shards, rejects every plan.
 	Own func(plan int) bool
 
 	// Norm holds the normalized keywords (set by discover). When the
@@ -134,6 +135,18 @@ type Query struct {
 	// halt is set by a stage that has fully answered the query (e.g.
 	// discover relaxing away every keyword); Run stops after it.
 	halt bool
+}
+
+// Limit is how many results the execute stage must produce: K for a
+// top-k query ranked in the canonical (Score, Ord) order, where
+// smallest-first evaluation may stop early, and 0 — every result —
+// otherwise. A non-default scorer may promote a result an early stop
+// would prune, so it ranks the full set and truncates to K itself.
+func (q *Query) Limit() int {
+	if q.Mode == ModeTopK && rank.IsDefault(q.Scorer) {
+		return q.K
+	}
+	return 0
 }
 
 // KeywordTOs returns, per distinct keyword of the query, the ascending
@@ -190,6 +203,9 @@ type Pipeline struct {
 	// Metrics, when non-nil, accumulates per-stage counters and latency
 	// histograms across queries.
 	Metrics *Metrics
+
+	// scorer ranks the queries that name none (Config.Scorer).
+	scorer rank.Scorer
 }
 
 // stagesFor returns the stage prefix a mode runs.
@@ -207,8 +223,16 @@ func (p *Pipeline) stagesFor(mode Mode) []Stage {
 
 // Run drives the query through the stage prefix its mode selects,
 // recording one span per stage into q.Trace (if enabled) and into
-// p.Metrics (if set).
+// p.Metrics (if set). A ModeTopK query with K ≤ 0 asks for nothing: it
+// gets no results, whatever the scorer, and no stage runs.
 func (p *Pipeline) Run(ctx context.Context, q *Query) error {
+	if q.Mode == ModeTopK && q.K <= 0 {
+		q.Results = nil
+		return ctx.Err()
+	}
+	if q.Scorer == nil {
+		q.Scorer = p.scorer
+	}
 	for i, st := range p.stagesFor(q.Mode) {
 		var rep StageReport
 		start := time.Now()

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,16 +66,8 @@ func New(cfg Config) *Pipeline {
 		Execute:  executeStage{c},
 		Rank:     rankStage{c},
 		Metrics:  cfg.Metrics,
+		scorer:   cfg.Scorer,
 	}
-}
-
-// scorerFor resolves a query's effective scorer: the per-query
-// override, else the pipeline's configured one (nil = default).
-func (c *Config) scorerFor(q *Query) rank.Scorer {
-	if q.Scorer != nil {
-		return q.Scorer
-	}
-	return c.Scorer
 }
 
 // ShapeSignature encodes a keyword query's shape — which schema nodes
@@ -306,10 +298,9 @@ func (s optimizeStage) Name() string { return StageOptimize }
 func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Nets))
 	opt := s.cfg.NewOptimizer(s.cfg.Index)
-	var plans []exec.Planned
+	plans := make([]exec.Planned, len(q.Nets))
 	for i, tn := range q.Nets {
 		if q.Own != nil && !q.Own(i) {
-			plans = append(plans, exec.Planned{})
 			continue
 		}
 		nt := &q.tmpl.nets[i]
@@ -321,100 +312,55 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 		if err != nil {
 			return fmt.Errorf("pipeline: planning %s: %w", tn, err)
 		}
-		plans = append(plans, exec.Planned{Plan: p})
+		plans[i].Plan = p
 		rep.Out++
 	}
 	q.Plans = plans
 	return nil
 }
 
-// executeStage evaluates the plans (§6) in the query's mode: top-K
-// smallest-first with early termination, or all results plan by plan
-// through one executor.
+// executeStage evaluates the plans (§6) through one executor, in plan
+// order: the first Query.Limit results with early termination, or all
+// of them.
 type executeStage struct{ cfg *Config }
 
 func (s executeStage) Name() string { return StageExecute }
 
 func (s executeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Plans))
-	rep.Note = q.Mode.String()
-	switch q.Mode {
-	case ModeTopK:
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !rank.IsDefault(s.cfg.scorerFor(q)) {
-			// Early termination is only sound for the canonical (Score,
-			// Ord) order: a non-default scorer may promote a result the
-			// top-k evaluation would prune, so evaluate every plan fully and
-			// let the rank stage truncate after re-scoring.
-			rep.Note = "topk(full)"
-			return s.runAll(ctx, q, rep)
-		}
-		ex := s.cfg.NewExecutor()
-		out, err := exec.TopKPlansContext(ctx, ex, q.Plans, exec.TopKOptions{
-			K:        q.K,
-			Strategy: q.Strategy,
-		})
-		if err != nil {
-			return err
-		}
-		q.Results = out
-	case ModeAll:
-		if err := s.runAll(ctx, q, rep); err != nil {
-			return err
-		}
-	default:
+	if q.Mode != ModeTopK && q.Mode != ModeAll {
 		return fmt.Errorf("pipeline: mode %v does not execute", q.Mode)
 	}
-	rep.Out = int64(len(q.Results))
-	return nil
-}
-
-// runAll evaluates every plan to completion in plan order, stamping the
-// canonical (plan, sequence) Ord — the ModeAll body, shared by the
-// full-enumeration top-k path.
-func (s executeStage) runAll(ctx context.Context, q *Query, rep *StageReport) error {
-	ex := s.cfg.NewExecutor()
-	var out []exec.Result
-	for pi, p := range q.Plans {
-		n := 0
-		if err := ex.RunContext(ctx, p.Plan, q.Strategy, func(r exec.Result) bool {
-			r.Ord = exec.MakeOrd(pi, n)
-			n++
-			out = append(out, r)
-			return true
-		}); err != nil {
-			return err
-		}
+	rep.Note = q.Mode.String()
+	k := q.Limit()
+	if q.Mode == ModeTopK && k == 0 {
+		rep.Note = "topk(full)"
+	}
+	out, err := exec.RunPlans(ctx, s.cfg.NewExecutor(), q.Plans, k, q.Strategy)
+	if err != nil {
+		return err
 	}
 	q.Results = out
 	rep.Out = int64(len(out))
 	return nil
 }
 
-// rankStage is the single place results are ordered and filtered: full
-// result sets are sorted ascending by score (top-K sets arrive sorted
-// and truncated from exec.TopKPlansContext), and StrictMinimal drops results
-// violating §3.1's strict MTNN minimality.
+// rankStage is the single place results are ordered and filtered:
+// they are sorted into the canonical (Score, Ord) order, StrictMinimal
+// drops results violating §3.1's strict MTNN minimality, and a
+// non-default scorer re-ranks what is left and truncates it to K.
 type rankStage struct{ cfg *Config }
 
 func (s rankStage) Name() string { return StageRank }
 
 func (s rankStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Results))
-	sc := s.cfg.scorerFor(q)
-	if q.Mode == ModeAll || (q.Mode == ModeTopK && !rank.IsDefault(sc)) {
-		// (Score, Ord) is the canonical total order; for ModeAll's
-		// sequential plan-by-plan enumeration it coincides with the
-		// previous stable sort by score, but naming it here keeps every
-		// ranked surface (this stage, top-k execution, the scatter-gather
-		// coordinator's merge) on one deterministic order. The
-		// full-enumeration top-k path lands here too: scorers receive
-		// their input canonically ordered (the tie-break they contract
-		// to preserve).
-		sort.Slice(q.Results, func(i, j int) bool { return exec.OrdLess(q.Results[i], q.Results[j]) })
-	}
+	// (Score, Ord) is the order every ranked surface agrees on. The
+	// execute stage (plans run in ascending score order) and the
+	// coordinator's merge both deliver it already, so this sort only
+	// names it; scorers receive their input in it, the tie-break they
+	// contract to preserve.
+	slices.SortFunc(q.Results, exec.OrdCompare)
 	if s.cfg.StrictMinimal {
 		tos := q.KeywordTOs()
 		out := q.Results[:0]
@@ -425,7 +371,7 @@ func (s rankStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 		}
 		q.Results = out
 	}
-	if !rank.IsDefault(sc) {
+	if sc := q.Scorer; !rank.IsDefault(sc) {
 		// Minimality filtering runs first so scorers rank exactly the
 		// result set the caller will see.
 		k := 0

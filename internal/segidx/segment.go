@@ -27,12 +27,11 @@ import (
 //
 //	magic "XKS1" | uint32 version
 //	uvarint nDocs  | per doc: varint delta-encoded sorted TO id,
-//	                 then (v2 only) uvarint len + summary bytes
+//	                 then uvarint len + summary bytes
 //	uvarint nTombs | varint delta-encoded sorted TO ids
 //	uint32 CRC32 over everything before it
 //
-// Version 1 files (no summaries) still load; their docs read back with
-// empty summaries and presentation falls back to the object graph.
+// Version 1 files (no summaries) are refused.
 type segment struct {
 	id    uint64
 	rd    *diskindex.Reader
@@ -99,8 +98,8 @@ func decodeSegMeta(b []byte) (docs map[int64]string, tombs map[int64]bool, err e
 		return nil, nil, fmt.Errorf("segidx: bad segment meta magic %q", b[0:4])
 	}
 	version := binary.LittleEndian.Uint32(b[4:])
-	if version != 1 && version != segMetaVersion {
-		return nil, nil, fmt.Errorf("segidx: segment meta version %d, want 1 or %d", version, segMetaVersion)
+	if version != segMetaVersion {
+		return nil, nil, fmt.Errorf("segidx: segment meta version %d, want %d", version, segMetaVersion)
 	}
 	body, tail := b[:len(b)-4], b[len(b)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
@@ -124,20 +123,16 @@ func decodeSegMeta(b []byte) (docs map[int64]string, tombs map[int64]bool, err e
 		}
 		i += adv
 		prev += d
-		sum := ""
-		if version >= 2 {
-			l, adv := binary.Uvarint(body[i:])
-			if adv <= 0 {
-				return nil, nil, fmt.Errorf("segidx: malformed summary length at byte %d", i)
-			}
-			i += adv
-			if l > uint64(len(body)-i) {
-				return nil, nil, fmt.Errorf("segidx: summary of %d bytes overruns meta at byte %d", l, i)
-			}
-			sum = string(body[i : i+int(l)])
-			i += int(l)
+		l, adv := binary.Uvarint(body[i:])
+		if adv <= 0 {
+			return nil, nil, fmt.Errorf("segidx: malformed summary length at byte %d", i)
 		}
-		docs[prev] = sum
+		i += adv
+		if l > uint64(len(body)-i) {
+			return nil, nil, fmt.Errorf("segidx: summary of %d bytes overruns meta at byte %d", l, i)
+		}
+		docs[prev] = string(body[i : i+int(l)])
+		i += int(l)
 	}
 	nTombs, adv := binary.Uvarint(body[i:])
 	if adv <= 0 {

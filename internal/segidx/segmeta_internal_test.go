@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // encodeSegMetaV1 reproduces the version-1 meta layout (claims and
-// tombstones, no summaries) so the read-compat path can be tested
-// against bytes a pre-summary build would have written.
+// tombstones, no summaries): the bytes a pre-summary build wrote.
 func encodeSegMetaV1(ids []int64, tombs []int64) []byte {
 	b := append([]byte(nil), segMetaMagic[:]...)
 	b = binary.LittleEndian.AppendUint32(b, 1)
@@ -47,21 +47,13 @@ func TestSegMetaRoundTripV2(t *testing.T) {
 	}
 }
 
-// TestSegMetaReadsV1 feeds the decoder bytes in the pre-summary
-// version-1 layout: claims and tombstones must decode exactly, with
-// every summary empty (the caller then falls back to placeholder
-// rendering instead of failing the segment).
-func TestSegMetaReadsV1(t *testing.T) {
-	raw := encodeSegMetaV1([]int64{3, 17, 400}, []int64{9})
-	docs, tombs, err := decodeSegMeta(raw)
-	if err != nil {
-		t.Fatalf("v1 meta rejected: %v", err)
-	}
-	if want := map[int64]string{3: "", 17: "", 400: ""}; !reflect.DeepEqual(docs, want) {
-		t.Fatalf("v1 docs = %v, want %v", docs, want)
-	}
-	if want := map[int64]bool{9: true}; !reflect.DeepEqual(tombs, want) {
-		t.Fatalf("v1 tombs = %v, want %v", tombs, want)
+// TestSegMetaRefusesV1 feeds the decoder bytes in the pre-summary
+// version-1 layout, whose read path is gone: the segment must be
+// refused with an error that names the version, not decoded.
+func TestSegMetaRefusesV1(t *testing.T) {
+	_, _, err := decodeSegMeta(encodeSegMetaV1([]int64{3, 17, 400}, []int64{9}))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 meta: err = %v, want a refusal naming version 1", err)
 	}
 }
 

@@ -282,3 +282,26 @@ func TestCancellationPropagates(t *testing.T) {
 		t.Fatal("cancelled query still running after 3s")
 	}
 }
+
+// TestHealthyIndexHealthAllocsFlat: the serving layer asks the
+// coordinator's health after every query, so with a warm health cache a
+// healthy coordinator's IndexHealthState must not format a detail per
+// shard — its allocations do not grow with the shard count.
+func TestHealthyIndexHealthAllocsFlat(t *testing.T) {
+	sys := tpchSystem(t)
+	allocs := map[int]float64{}
+	for _, n := range []int{2, 7} {
+		cl := startCluster(t, sys, n, clusterConfig{opts: shard.CoordinatorOptions{HealthTTL: time.Hour}})
+		if h, err := cl.coord.IndexHealthState(); h != core.IndexOK {
+			t.Fatalf("n=%d: healthy cluster health = %v (%v), want ok", n, h, err)
+		}
+		allocs[n] = testing.AllocsPerRun(50, func() {
+			if h, _ := cl.coord.IndexHealthState(); h != core.IndexOK {
+				t.Fatalf("n=%d: health left ok", n)
+			}
+		})
+	}
+	if allocs[2] != allocs[7] {
+		t.Fatalf("IndexHealthState allocates %v at n=2 and %v at n=7, want the same", allocs[2], allocs[7])
+	}
+}

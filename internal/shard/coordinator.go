@@ -15,10 +15,8 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/kwindex"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/qserve"
-	"repro/internal/rank"
 )
 
 // ErrNoQuorum is returned when no shard group is left to execute a
@@ -124,9 +122,6 @@ type Coordinator struct {
 	groups []*replicaGroup
 	hedge  *hedgeControl
 	opts   CoordinatorOptions
-
-	executeLat obs.Histogram // execute scatter wall time per query
-	mergeLat   obs.Histogram // merge wall time per query
 
 	queries       atomic.Int64
 	reassignments atomic.Int64
@@ -247,40 +242,31 @@ func (c *Coordinator) Validate(ctx context.Context) error {
 
 // QueryScoredContext implements qserve.Engine: the scatter-gather top-k
 // query ranked by the named scorer, with the relaxation record; see the
-// package comment for the protocol and its equivalence argument. The
-// default scorer keeps the per-shard top-k caps and the early-
-// terminating canonical merge; any other scorer fetches full streams (a
-// shard-side cap could prune a result the scorer would promote) and
-// re-ranks the merged list exactly like a single node would. k ≤ 0 asks
-// for nothing and gets no results, as on a single node. The relaxation
-// record comes from the coordinator's local derivation; shards relax
-// identically against the same shipped lists (the CRC cross-check would
-// catch any divergence).
+// package comment for the protocol and its equivalence argument. It is
+// the single-node pipeline run over a query-scoped source that carries
+// the coordinator's containing lists, with one stage swapped: the
+// coordinator plans nothing itself, and its execute stage scatters the
+// plan classes to the shard groups and merges their streams. So every
+// rule a single node applies — k ≤ 0, the full fetch a non-default
+// scorer needs, StrictMinimal, re-ranking — is applied here by the same
+// code. Shards relax identically against the same shipped lists (the
+// CRC cross-check would catch any divergence).
 func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string, k int, scorer string) ([]exec.Result, *pipeline.Relaxation, error) {
-	name := scorer
-	if name == "" {
-		name = c.sys.Opts.Scorer
-	}
-	sc, err := rank.New(name)
+	sc, err := c.sys.ResolveScorer(scorer)
 	if err != nil {
 		return nil, nil, err
 	}
-	if k <= 0 {
-		return nil, nil, ctx.Err()
-	}
 	c.queries.Add(1)
-	n := len(c.groups)
 
 	// Read the containing lists from the coordinator's own index, keyed
 	// by the normalized form the wire uses: exactly the lists a single
-	// node's discover stage reads.
+	// node's discover stage reads. A keyword with no tokens is left to
+	// discover to refuse.
 	lists := make(map[string][]kwindex.Posting, len(keywords))
 	for _, kw := range keywords {
-		nk := NormKeyword(kw)
-		if nk == "" {
-			return nil, nil, fmt.Errorf("shard: keyword %q has no tokens", kw)
+		if nk := NormKeyword(kw); nk != "" {
+			lists[nk] = c.sys.Index.ContainingList(nk)
 		}
-		lists[nk] = c.sys.Index.ContainingList(nk)
 	}
 	if c.sys.Opts.Relax {
 		// Relaxation may substitute a no-match phrase by one of its
@@ -295,39 +281,62 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 			}
 		}
 	}
-	globalPostings, globalKeywords := c.sys.Index.NumPostings(), c.sys.Index.NumKeywords()
-	src := NewQuerySource(lists, globalPostings, globalKeywords)
-
-	// Derive the network list locally — the same derivation every shard
-	// performs — to attach results to networks and cross-check CRCs.
-	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeNetworks}
-	if err := c.sys.PipelineWith(src).Run(ctx, q); err != nil {
+	st := &scatterStage{c: c, keywords: keywords, lists: lists,
+		postings: c.sys.Index.NumPostings(), numKeywords: c.sys.Index.NumKeywords()}
+	p := c.sys.PipelineWith(NewQuerySource(lists, st.postings, st.numKeywords))
+	p.Execute = st
+	q := &pipeline.Query{
+		Keywords: keywords,
+		Mode:     pipeline.ModeTopK,
+		K:        k,
+		Strategy: exec.NestedLoop,
+		Scorer:   sc,
+		Own:      func(int) bool { return false },
+	}
+	if err := p.Run(ctx, q); err != nil {
 		return nil, nil, err
 	}
+	return q.Results, q.Relaxation, nil
+}
+
+// scatterStage is the coordinator's execute stage. The derived network
+// list attaches results to networks and cross-checks every shard's
+// derivation by CRC; the plans themselves run on the shards.
+type scatterStage struct {
+	c *Coordinator
+	// keywords are the request's, as every shard derives from them.
+	keywords []string
+	// lists, postings and numKeywords make up the query-scoped source
+	// every shard rebuilds from the request.
+	lists                 map[string][]kwindex.Posting
+	postings, numKeywords int
+}
+
+func (s *scatterStage) Name() string { return pipeline.StageExecute }
+
+// Run scatters execution, partitioned by plan: class p is the plans
+// whose index is ≡ p (mod n), and every class that holds a plan is
+// executed by exactly one shard — its own while that shard lives. Dead
+// shards' classes are covered by survivors: execution needs only the
+// request (it carries the query's full postings) and the replicated
+// structural data, so reassignment keeps the answer exact. A shard
+// whose cover stays empty — more shards than plans — is not called.
+// Each shard caps its cover at q.Limit() results, as a single node caps
+// its plans, and MergeTopK merges the streams on the canonical order.
+func (s *scatterStage) Run(ctx context.Context, q *pipeline.Query, rep *pipeline.StageReport) error {
+	c := s.c
+	rep.In = int64(len(q.Plans))
+	rep.Note = "scatter"
 	if len(q.Nets) == 0 {
-		// Nothing to execute — relaxation dropped every keyword, or the
-		// shape admits no candidate network. Every shard would derive
-		// the same empty list (CRC of nothing), so skip the scatter.
-		return nil, q.Relaxation, nil
+		// The shape admits no candidate network. Every shard would
+		// derive the same empty list (CRC of nothing), so skip the
+		// scatter.
+		q.Results = nil
+		return nil
 	}
 	wantCRC := q.NetsCRC()
-
-	// A non-default scorer needs the complete result set: per-shard
-	// top-k caps and the merge cutoff are only sound for the canonical
-	// order it may depart from.
-	fetchK := k
-	if !rank.IsDefault(sc) {
-		fetchK = 0
-	}
-
-	// Scatter execution, partitioned by plan: class p is the plans whose
-	// index is ≡ p (mod n), and every class that holds a plan is executed
-	// by exactly one shard — its own while that shard lives. Dead shards'
-	// classes are covered by survivors: execution needs only this request
-	// (it carries the query's full postings) and the replicated
-	// structural data, so reassignment keeps the answer exact. A shard
-	// whose cover stays empty — more shards than plans — is not called.
-	startExec := time.Now()
+	fetchK := q.Limit()
+	n := len(c.groups)
 	alive := make([]bool, n)
 	covers := make([][]int, n)
 	for i := range alive {
@@ -337,7 +346,7 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 		}
 	}
 	var pending []int // classes needing a reassignment
-	wireLists := EncodeLists(lists)
+	wireLists := EncodeLists(s.lists)
 	streams := make([][]exec.Result, 0, n)
 	// Bounded reassignment rounds: each round either succeeds or marks
 	// at least one more shard dead, so n rounds always suffice.
@@ -352,7 +361,7 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 				}
 			}
 			if len(hosts) == 0 {
-				return nil, nil, fmt.Errorf("%w: no shard left to execute plan classes %v", ErrNoQuorum, pending)
+				return fmt.Errorf("%w: no shard left to execute plan classes %v", ErrNoQuorum, pending)
 			}
 			for j, p := range pending {
 				covers[hosts[j%len(hosts)]] = append(covers[hosts[j%len(hosts)]], p)
@@ -378,16 +387,16 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 			ewg.Add(1)
 			go func(i int) {
 				defer ewg.Done()
-				parts := covers[i]
 				out := &execOut{}
 				out.err = c.groups[i].do(ctx, "/shard/execute", ExecRequest{
-					Keywords:       keywords,
+					Keywords:       s.keywords,
 					K:              fetchK,
+					Strategy:       uint8(q.Strategy),
 					N:              n,
-					Parts:          parts,
+					Parts:          covers[i],
 					Lists:          wireLists,
-					GlobalPostings: globalPostings,
-					GlobalKeywords: globalKeywords,
+					GlobalPostings: s.postings,
+					GlobalKeywords: s.numKeywords,
 				}, &out.resp, c.opts.Retry)
 				if out.err == nil && out.resp.NetsCRC != wantCRC {
 					c.crcMismatches.Add(1)
@@ -398,7 +407,7 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 		}
 		ewg.Wait()
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return err
 		}
 		for i, out := range outs {
 			if out == nil {
@@ -415,7 +424,7 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 			for _, wr := range out.resp.Results {
 				pi := int(wr.Ord >> 32)
 				if pi < 0 || pi >= len(q.Nets) {
-					return nil, nil, fmt.Errorf("shard: shard %d returned result for plan %d of %d", i, pi, len(q.Nets))
+					return fmt.Errorf("shard: shard %d returned result for plan %d of %d", i, pi, len(q.Nets))
 				}
 				stream = append(stream, exec.Result{Net: q.Nets[pi], Bind: wr.Bind, Score: wr.Score, Ord: wr.Ord})
 			}
@@ -427,32 +436,11 @@ func (c *Coordinator) QueryScoredContext(ctx context.Context, keywords []string,
 		}
 	}
 	if len(pending) > 0 {
-		return nil, nil, fmt.Errorf("%w: plan classes %v still unexecuted after reassignment", ErrNoQuorum, pending)
+		return fmt.Errorf("%w: plan classes %v still unexecuted after reassignment", ErrNoQuorum, pending)
 	}
-	c.executeLat.Observe(time.Since(startExec))
-
-	// Merge the per-shard streams on the canonical order with top-k
-	// cutoff, then apply the single-node rank stage's minimality filter.
-	startMerge := time.Now()
-	out := MergeTopK(streams, fetchK)
-	if c.sys.Opts.StrictMinimal {
-		tos := q.KeywordTOs()
-		kept := out[:0]
-		for _, r := range out {
-			if exec.IsMinimal(tos, r) {
-				kept = append(kept, r)
-			}
-		}
-		out = kept
-	}
-	if !rank.IsDefault(sc) {
-		// Re-rank exactly as the single-node rank stage would: the
-		// query-scoped source carries the global postings, so
-		// content-weighted costs match a single node's byte for byte.
-		out = sc.Rank(rank.Context{TSS: c.sys.TSS, Index: src, Keywords: q.Norm}, out, k)
-	}
-	c.mergeLat.Observe(time.Since(startMerge))
-	return out, q.Relaxation, nil
+	q.Results = MergeTopK(streams, fetchK)
+	rep.Out = int64(len(q.Results))
+	return nil
 }
 
 // MergeTopK merges per-shard result streams — each ascending in the
@@ -613,19 +601,28 @@ func (c *Coordinator) IndexHealthState() (core.IndexHealth, error) {
 		if st.State != string(core.IndexUnavailable) {
 			live++
 		}
-		sick := st.State != string(core.IndexOK)
-		detail := fmt.Sprintf("shard %d at %s: %s (%s)", st.ID, st.Addr, st.State, st.Detail)
-		for _, r := range st.Replicas {
-			if r.State != string(core.IndexOK) && !sick {
-				sick = true
-				detail = fmt.Sprintf("shard %d replica %d at %s: %s (%s)", st.ID, r.Replica, r.Addr, r.State, r.Detail)
+		// The serving layer asks after every query, so the detail is
+		// formatted only for the first sick group or replica.
+		sick := -1 // the first sick replica of a group that is ok
+		if st.State == string(core.IndexOK) {
+			for ri, r := range st.Replicas {
+				if r.State != string(core.IndexOK) {
+					sick = ri
+					break
+				}
+			}
+			if sick < 0 {
+				continue
 			}
 		}
-		if sick {
-			notOK++
-			if firstDetail == "" {
-				firstDetail = detail
-			}
+		notOK++
+		switch {
+		case firstDetail != "":
+		case sick < 0:
+			firstDetail = fmt.Sprintf("shard %d at %s: %s (%s)", st.ID, st.Addr, st.State, st.Detail)
+		default:
+			r := st.Replicas[sick]
+			firstDetail = fmt.Sprintf("shard %d replica %d at %s: %s (%s)", st.ID, r.Replica, r.Addr, r.State, r.Detail)
 		}
 	}
 	if live == 0 {
@@ -650,16 +647,14 @@ type CoordSnapshot struct {
 	// Failovers counts group requests a non-preferred replica saved
 	// after its sibling failed; Hedges/HedgeWins count hedged requests
 	// fired and those the hedge answered first.
-	Failovers  int64               `json:"failovers"`
-	Hedges     int64               `json:"hedges"`
-	HedgeWins  int64               `json:"hedge_wins"`
-	ExecuteP50 time.Duration       `json:"execute_p50_ns"`
-	MergeP50   time.Duration       `json:"merge_p50_ns"`
-	Shards     []qserve.ShardState `json:"shards"`
+	Failovers int64               `json:"failovers"`
+	Hedges    int64               `json:"hedges"`
+	HedgeWins int64               `json:"hedge_wins"`
+	Shards    []qserve.ShardState `json:"shards"`
 }
 
-// Stats snapshots the coordinator counters, phase latencies, failover
-// and hedging figures, and the per-shard (per-replica) states.
+// Stats snapshots the coordinator counters, failover and hedging
+// figures, and the per-shard (per-replica) states.
 func (c *Coordinator) Stats() CoordSnapshot {
 	var failovers int64
 	for _, g := range c.groups {
@@ -674,8 +669,6 @@ func (c *Coordinator) Stats() CoordSnapshot {
 		Failovers:     failovers,
 		Hedges:        c.hedge.fired.Load(),
 		HedgeWins:     c.hedge.wins.Load(),
-		ExecuteP50:    c.executeLat.Quantile(0.50),
-		MergeP50:      c.mergeLat.Quantile(0.50),
 		Shards:        c.ShardStates(),
 	}
 	sort.Slice(snap.Shards, func(i, j int) bool { return snap.Shards[i].ID < snap.Shards[j].ID })

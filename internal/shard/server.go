@@ -160,19 +160,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // ExecuteOwned derives the query's plan list from the request-carried
 // global postings and evaluates the plans of the request's cover — the
-// plans whose index is ≡ one of req.Parts (mod req.N) — returning their
-// results in canonical (ascending Ord) order, the network checksum, and
-// the derived plan count. Only the cover's plans are planned (seed
-// choice, filters) and executed; every other plan of the query belongs
-// to another shard's cover.
-//
-// Top-k equivalence: the cover's plans are evaluated ascending, each
-// capped at K results exactly like a single node's (a single node never
-// returns a result with per-plan sequence ≥ K — its own plan's first K
-// all order before it), and evaluation stops once K results exist
-// (later plans only order after them). A member of the global top-K
-// that comes from plan p is preceded by fewer than K results globally,
-// so by fewer than K among p's cover: it is among the K returned here.
+// plans whose index is ≡ one of req.Parts (mod req.N) — with
+// exec.RunPlans, capped at req.K as a single node caps its plans. It
+// returns their results in canonical (ascending Ord) order, the network
+// checksum, and the derived plan count. Only the cover's plans are
+// planned (seed choice, filters) and executed; every other plan of the
+// query belongs to another shard's cover.
 func ExecuteOwned(ctx context.Context, sys *core.System, src *QuerySource, req *ExecRequest) ([]exec.Result, uint32, int, error) {
 	if req.N <= 0 {
 		return nil, 0, 0, fmt.Errorf("shard: execute with n=%d", req.N)
@@ -193,29 +186,9 @@ func ExecuteOwned(ctx context.Context, sys *core.System, src *QuerySource, req *
 	if err := sys.PipelineWith(src).Run(ctx, q); err != nil {
 		return nil, 0, 0, err
 	}
-	ex := sys.Executor()
-	var out []exec.Result
-	for pi, pl := range q.Plans {
-		if pl.Plan == nil {
-			continue // another cover's plan
-		}
-		if req.K > 0 && len(out) >= req.K {
-			break // ascending feed: later plans only order after these K
-		}
-		n := 0
-		if err := ex.RunContext(ctx, pl.Plan, exec.Strategy(req.Strategy), func(r exec.Result) bool {
-			r.Ord = exec.MakeOrd(pi, n)
-			n++
-			out = append(out, r)
-			return req.K <= 0 || n < req.K
-		}); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	if req.K > 0 && len(out) > req.K {
-		// Sequential ascending evaluation keeps out in canonical order,
-		// so the first K are the cover's canonically smallest.
-		out = out[:req.K]
+	out, err := exec.RunPlans(ctx, sys.Executor(), q.Plans, req.K, q.Strategy)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	return out, q.NetsCRC(), len(q.Plans), nil
 }

@@ -75,8 +75,8 @@ type ExecRequest struct {
 	// K bounds the returned results and each plan's (top-k); 0 means all
 	// results.
 	K int `json:"k"`
-	// Strategy is the exec.Strategy value. The coordinator leaves it
-	// zero (exec.NestedLoop, what a single node's top-k runs); other
+	// Strategy is the exec.Strategy value. The coordinator sends its
+	// query's, exec.NestedLoop (what a single node's top-k runs); other
 	// callers of /shard/execute may choose another.
 	Strategy uint8 `json:"strategy"`
 	// N is the shard count; Parts is this shard's cover — the residue
