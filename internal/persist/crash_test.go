@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/persist"
@@ -119,5 +120,30 @@ func TestSelfHealQuarantinesCorruptSidecar(t *testing.T) {
 	}
 	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("degraded load answered %d results, want %d (nonzero)", len(got), len(want))
+	}
+}
+
+// TestSelfHealReportsDegraded: a SelfHeal load that abandons a
+// truncated sidecar serves from a rebuilt index, and the health verdict
+// must say so — degraded, naming the cause — rather than ok.
+func TestSelfHealReportsDegraded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.xkdb")
+	if err := persist.SaveFile(path, loadFig1(t), datagen.TPCHSpec()); err != nil {
+		t.Fatal(err)
+	}
+	side := persist.SidecarPath(path)
+	b, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(side, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := persist.LoadFileOpts(path, persist.LoadOptions{DiskIndex: true, SelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := restored.IndexHealthState(); h != core.IndexDegraded || err == nil {
+		t.Fatalf("SelfHeal load of a truncated sidecar: health %q (%v), want degraded with a cause", h, err)
 	}
 }
