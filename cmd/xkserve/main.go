@@ -9,9 +9,10 @@
 // at /healthz.
 //
 // Snapshot loads are self-healing: the startup recovery sweep
-// quarantines torn temp files, and a sidecar index that is missing,
-// corrupt or mismatched is quarantined and rebuilt in memory (degraded
-// mode) rather than failing the boot.
+// quarantines torn temp files, and with -disk-index a sidecar that is
+// missing, corrupt or mismatched at load, or fails a lookup later, is
+// quarantined and the index rebuilt in memory by one kwindex.Failover;
+// /healthz then reports degraded (through a -segdir store too).
 //
 // Usage:
 //
@@ -147,15 +148,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xkserve:", err)
 		os.Exit(1)
 	}
-	switch ix := sys.Index.(type) {
-	case *diskindex.Reader:
+	rd, _ := sys.Index.(*diskindex.Reader)
+	if fo, ok := sys.Index.(*kwindex.Failover); ok {
+		rd, _ = fo.Primary().(*diskindex.Reader)
+	}
+	if rd != nil {
 		fmt.Fprintf(os.Stderr, "xkserve: master index on disk (%d terms, %d postings), cache %d bytes\n",
-			ix.NumKeywords(), ix.NumPostings(), *idxCache)
-	case *kwindex.Failover:
-		if rd, ok := ix.Primary().(*diskindex.Reader); ok {
-			fmt.Fprintf(os.Stderr, "xkserve: master index on disk with in-memory failover (%d terms, %d postings), cache %d bytes\n",
-				rd.NumKeywords(), rd.NumPostings(), *idxCache)
-		}
+			rd.NumKeywords(), rd.NumPostings(), *idxCache)
 	}
 	// With -segdir the segmented store becomes the system's master
 	// index, layered over whatever buildSystem produced: batch-loaded
@@ -257,10 +256,8 @@ func main() {
 // runShard serves one partition of a split: the wire-protocol endpoints
 // with the structural data restored from the snapshot the split copied
 // beside it (or built from the data flags). The shard's own .xki slice
-// supplies only its identity and health — execute requests carry their
-// postings; the partition reader gets an in-memory failover rebuilt
-// from the replicated object graph, so a corrupt or failing slice
-// degrades loudly instead of reporting empty.
+// supplies only its identity and the header totals /shard/stats reports
+// — execute requests carry their postings, so no lookup reaches it.
 func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z int, idxCache int64, scorer string, relax bool, cacheEntries int) error {
 	if shardDir == "" {
 		return fmt.Errorf("-shard-of requires -sharddir")
@@ -291,10 +288,8 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 	if err != nil {
 		return err
 	}
-	rebuild := func() (kwindex.Source, error) {
-		return shard.PartitionIndex(kwindex.Build(sys.Obj), id, man.N), nil
-	}
-	srv := &shard.Server{Sys: sys, ID: id, N: man.N, CRC: si.CRC}
+	sys.Index = rd
+	srv := &shard.Server{Sys: sys, Local: rd, ID: id, N: man.N, CRC: si.CRC}
 	if cacheEntries >= 0 {
 		n := cacheEntries
 		if n == 0 {
@@ -302,11 +297,6 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 		}
 		srv.Cache = qserve.NewResultCache(0, n, 32<<20, 5*time.Minute)
 	}
-	local := kwindex.NewFailover(rd, rebuild, func(cause error) {
-		fmt.Fprintf(os.Stderr, "xkserve: shard %d DEGRADED: partition reader abandoned, serving from in-memory rebuild: %v\n", id, cause)
-	})
-	sys.Index = local
-	srv.Local = local
 	fmt.Fprintf(os.Stderr, "xkserve: shard %d of %d (%d postings, %d keywords) listening on %s\n",
 		id, man.N, rd.NumPostings(), rd.NumKeywords(), addr)
 	hs := &http.Server{

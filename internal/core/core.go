@@ -134,52 +134,19 @@ type System struct {
 }
 
 // IndexHealth classifies the master-index backend's state for the
-// serving layer's health endpoint.
-type IndexHealth string
+// serving layer's health endpoint; it is kwindex.Health.
+type IndexHealth = kwindex.Health
 
 const (
-	// IndexOK: the backend is serving normally.
-	IndexOK IndexHealth = "ok"
-	// IndexDegraded: the primary backend failed but a fallback (rebuilt
-	// in-memory index) is answering correctly. Results are right; latency
-	// and memory footprint may not be.
-	IndexDegraded IndexHealth = "degraded"
-	// IndexUnavailable: the backend has failed and no fallback exists —
-	// lookups return empty results that must not be trusted.
-	IndexUnavailable IndexHealth = "unavailable"
+	IndexOK          = kwindex.HealthOK
+	IndexDegraded    = kwindex.HealthDegraded
+	IndexUnavailable = kwindex.HealthUnavailable
 )
 
 // IndexHealthState reports the index backend's health and the first
-// error behind a non-ok state. A bare fallible backend (disk reader
-// without failover) that has recorded an error is unavailable: its
-// lookups return silently empty results, which the serving layer must
-// refuse to pass off as answers.
+// error behind a non-ok state (kwindex.HealthOf).
 func (s *System) IndexHealthState() (IndexHealth, error) {
-	return SourceHealth(s.Index)
-}
-
-// SourceHealth classifies any index source's health — the shared logic
-// behind IndexHealthState, also used by shard servers for their
-// partition source.
-func SourceHealth(src kwindex.Source) (IndexHealth, error) {
-	switch ix := src.(type) {
-	case *kwindex.Failover:
-		if !ix.Degraded() {
-			return IndexOK, nil
-		}
-		if rerr := ix.RebuildErr(); rerr != nil {
-			return IndexUnavailable, fmt.Errorf("primary failed (%v); rebuild failed: %w", ix.Err(), rerr)
-		}
-		if !ix.Healed() {
-			return IndexUnavailable, ix.Err()
-		}
-		return IndexDegraded, ix.Err()
-	case interface{ Err() error }:
-		if err := ix.Err(); err != nil {
-			return IndexUnavailable, err
-		}
-	}
-	return IndexOK, nil
+	return kwindex.HealthOf(s.Index)
 }
 
 // PipelineMetrics returns the System's cumulative per-stage pipeline

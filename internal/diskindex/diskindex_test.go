@@ -1,10 +1,13 @@
 package diskindex_test
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -317,4 +320,37 @@ func FuzzReaderOpen(f *testing.F) {
 		rd.TOSet("probe", "")
 		rd.Stats()
 	})
+}
+
+// failOnceAfterOpen fails the first ReadAt issued once armed is set.
+type failOnceAfterOpen struct {
+	io.ReaderAt
+	armed, fired atomic.Bool
+}
+
+func (f *failOnceAfterOpen) ReadAt(p []byte, off int64) (int, error) {
+	if f.armed.Load() && f.fired.CompareAndSwap(false, true) {
+		return 0, errors.New("injected transient read error")
+	}
+	return f.ReaderAt.ReadAt(p, off)
+}
+
+// TestZeroRetryMeansDefault: a zero Options.Retry is fault.DefaultRetry,
+// so one transient page-read error after Open is absorbed by a retry
+// instead of failing the reader for good.
+func TestZeroRetryMeansDefault(t *testing.T) {
+	ix := fig1Index(t)
+	var inj *failOnceAfterOpen
+	rd := openIndex(t, writeIndex(t, ix), diskindex.Options{WrapReaderAt: func(r io.ReaderAt) io.ReaderAt {
+		inj = &failOnceAfterOpen{ReaderAt: r}
+		return inj
+	}})
+	inj.armed.Store(true)
+	requireEquivalent(t, ix, rd)
+	if !inj.fired.Load() {
+		t.Fatal("the injected read error never fired")
+	}
+	if got := rd.Stats().RetriedReads; got != 1 {
+		t.Fatalf("RetriedReads = %d, want 1", got)
+	}
 }

@@ -9,10 +9,11 @@ import (
 // attempts with exponential backoff and jitter between them. Unbounded
 // or backoff-free retry loops turn one transient fault into a stall or
 // a thundering herd — the xkvet retryloop analyzer flags hand-rolled
-// loops that drop either half.
+// loops that drop either half. The zero RetryPolicy is DefaultRetry.
 type RetryPolicy struct {
 	// Attempts is the total number of tries, including the first
-	// (default 3; values below 1 mean one try, i.e. no retry).
+	// (3 in the zero policy; otherwise values below 1 mean one try,
+	// i.e. no retry).
 	Attempts int
 	// Base is the delay before the first retry (default 500µs); each
 	// subsequent retry doubles it.
@@ -32,6 +33,9 @@ type RetryPolicy struct {
 var DefaultRetry = RetryPolicy{Attempts: 3, Base: 500 * time.Microsecond, Max: 50 * time.Millisecond, Jitter: 0.5}
 
 func (p RetryPolicy) defaults() RetryPolicy {
+	if p == (RetryPolicy{}) {
+		return DefaultRetry
+	}
 	if p.Attempts < 1 {
 		p.Attempts = 1
 	}

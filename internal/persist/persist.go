@@ -288,11 +288,11 @@ type LoadOptions struct {
 	IndexCacheBytes int64
 	// SelfHeal makes a DiskIndex load survive sidecar loss and
 	// corruption instead of erroring: a sidecar that is missing, fails
-	// validation, or mismatches the snapshot's recorded checksum is
-	// quarantined and the index rebuilt in memory (degraded mode), and a
-	// sidecar that fails later, at lookup time, is failed over the same
-	// way via kwindex.Failover. Without it a bad sidecar is a hard load
-	// error.
+	// validation, or mismatches the snapshot's recorded checksum, and
+	// one that fails later at lookup time, take one path: the index is a
+	// kwindex.Failover, which quarantines the sidecar, rebuilds the index
+	// in memory and reports degraded. Without it a bad sidecar is a hard
+	// load error.
 	SelfHeal bool
 	// OnDegrade, if set, is called with the cause whenever SelfHeal
 	// abandons the sidecar — at load time or on first failed lookup.
@@ -324,40 +324,39 @@ func LoadFileOpts(path string, opts LoadOptions) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	rd, err := diskindex.Open(SidecarPath(path), diskindex.Options{
+	side := SidecarPath(path)
+	rd, err := diskindex.Open(side, diskindex.Options{
 		CacheBytes:   opts.IndexCacheBytes,
 		WrapReaderAt: opts.WrapReaderAt,
 	})
 	if err == nil && snap.SidecarCRC != 0 && rd.MetaCRC() != snap.SidecarCRC {
 		err = fmt.Errorf("persist: sidecar %s checksum %#x does not match the snapshot's recorded %#x — stale or foreign index file",
-			SidecarPath(path), rd.MetaCRC(), snap.SidecarCRC)
+			side, rd.MetaCRC(), snap.SidecarCRC)
 		_, _ = rd.Quarantine() //xk:ignore errdrop the checksum error is what gets reported
 	}
-	if err != nil {
-		if !opts.SelfHeal {
+	if !opts.SelfHeal {
+		if err != nil {
 			return nil, fmt.Errorf("persist: opening disk index (was the snapshot written by this version's SaveFile?): %w", err)
 		}
-		// Quarantine whatever is at the sidecar path (unless Open already
-		// did, or it never existed) and serve degraded from a rebuild.
-		if _, statErr := os.Stat(SidecarPath(path)); statErr == nil {
-			_, _ = atomicio.Quarantine(SidecarPath(path)) //xk:ignore errdrop the open error is what gets reported
-		}
-		if opts.OnDegrade != nil {
-			opts.OnDegrade(err)
-		}
-		sys.Index = kwindex.Build(sys.Obj)
-		return sys, nil
-	}
-	if !opts.SelfHeal {
 		sys.Index = rd
 		return sys, nil
 	}
+	// One heal path: a sidecar that will not open degrades at once, one
+	// that fails a lookup degrades then; either way the sidecar is closed
+	// and quarantined (if it is still at its path) and the index rebuilt
+	// in memory.
 	obj := sys.Obj
-	sys.Index = kwindex.NewFailover(rd,
-		func() (kwindex.Source, error) {
-			_, _ = rd.Quarantine() //xk:ignore errdrop the failover reports its own cause
-			return kwindex.Build(obj), nil
-		},
-		opts.OnDegrade)
+	rebuild := func() (kwindex.Source, error) {
+		if rd != nil {
+			_ = rd.Close() //xk:ignore errdrop read-only file being abandoned
+		}
+		_, _ = atomicio.Quarantine(side) //xk:ignore errdrop the failover reports its own cause
+		return kwindex.Build(obj), nil
+	}
+	if err != nil {
+		sys.Index = kwindex.NewDegradedFailover(err, rebuild, opts.OnDegrade)
+	} else {
+		sys.Index = kwindex.NewFailover(rd, rebuild, opts.OnDegrade)
+	}
 	return sys, nil
 }

@@ -6,22 +6,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/kwindex"
 )
 
-// Health is the serving layer's overall state, shaped for /healthz.
-type Health string
+// Health is the serving layer's overall state, shaped for /healthz:
+// the index backend's kwindex.Health, or degraded while the admission
+// breaker sheds load.
+type Health = kwindex.Health
 
 const (
-	// HealthOK: index healthy, admission open.
-	HealthOK Health = "ok"
-	// HealthDegraded: answers are still correct but something is wrong —
-	// the index failed over to its in-memory fallback, or the admission
-	// breaker is open and load is being shed.
-	HealthDegraded Health = "degraded"
-	// HealthUnavailable: the index backend has failed with no fallback;
-	// its empty results must not be served as answers.
-	HealthUnavailable Health = "unavailable"
+	HealthOK          = kwindex.HealthOK
+	HealthDegraded    = kwindex.HealthDegraded
+	HealthUnavailable = kwindex.HealthUnavailable
 )
 
 // healthSource is the optional engine interface behind Health and the
@@ -30,7 +26,7 @@ const (
 // states: unavailable when its index has failed or no shard group has a
 // live replica).
 type healthSource interface {
-	IndexHealthState() (core.IndexHealth, error)
+	IndexHealthState() (Health, error)
 }
 
 // ShardState is one shard's health as the coordinator sees it, shaped
@@ -92,11 +88,8 @@ func (s *Server) Health() (Health, string) {
 	if hs, ok := s.eng.(healthSource); ok {
 		state, err := hs.IndexHealthState()
 		s.noteIndexErr(err)
-		switch state {
-		case core.IndexUnavailable:
-			return HealthUnavailable, fmt.Sprintf("index backend failed with no fallback: %v", err)
-		case core.IndexDegraded:
-			return HealthDegraded, fmt.Sprintf("index serving from in-memory fallback: %v", err)
+		if state != HealthOK {
+			return state, fmt.Sprintf("index backend: %v", err)
 		}
 	}
 	if s.breakerOpen() {

@@ -57,7 +57,7 @@ type Snapshot struct {
 	RetryAfterMillis int64 `json:"retry_after_ms"`
 
 	// IndexState and IndexErr surface the index backend's health (see
-	// core.IndexHealth): a disk-backed reader fails softly — lookups
+	// kwindex.HealthOf): a disk-backed reader fails softly — lookups
 	// return empty results and the first failure parks in Err() — so
 	// without this a corrupt index would be invisible here.
 	IndexState string `json:"index_state,omitempty"`

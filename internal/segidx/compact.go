@@ -141,7 +141,7 @@ func (s *Store) Compact() error {
 	}
 
 	var xkiCRC, metaCRC uint32
-	err = s.retryPolicy().Do(func() error {
+	err = s.opts.Retry.Do(func() error {
 		var werr error
 		xkiCRC, metaCRC, werr = writeSegment(s.segPath(segID), s.segMetaPath(segID), postings, docs, tombs)
 		return werr

@@ -438,7 +438,7 @@ func (s *Store) flush() error {
 	}
 
 	var xkiCRC, metaCRC uint32
-	err = s.retryPolicy().Do(func() error {
+	err = s.opts.Retry.Do(func() error {
 		var werr error
 		xkiCRC, metaCRC, werr = writeSegment(s.segPath(segID), s.segMetaPath(segID), postings, docs, tombs)
 		return werr
@@ -477,7 +477,7 @@ func (s *Store) commit(seg *segment, what string, newMan *manifest, install func
 		seg.rd.Close() //xk:ignore errdrop abandoning the uncommitted segment; the simulated crash is what matters
 		return err
 	}
-	err := s.retryPolicy().Do(func() error {
+	err := s.opts.Retry.Do(func() error {
 		return commitManifest(s.manifestPath(), newMan)
 	})
 	if err != nil {
@@ -507,14 +507,6 @@ func (s *Store) removeWALsBelow(floor uint64) {
 			os.Remove(filepath.Join(s.dir, e.Name())) //xk:ignore errdrop best-effort GC; a survivor replays idempotently
 		}
 	}
-}
-
-// retryPolicy returns the configured policy for transient I/O retries.
-func (s *Store) retryPolicy() fault.RetryPolicy {
-	if s.opts.Retry == (fault.RetryPolicy{}) {
-		return fault.DefaultRetry
-	}
-	return s.opts.Retry
 }
 
 func (s *Store) crashPoint(point string) error {

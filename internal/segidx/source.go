@@ -180,10 +180,9 @@ func (s *Store) Summary(to int64) (string, bool) {
 	return "", false
 }
 
-// Err reports the store's health: the first background flush or
-// compaction failure, any segment reader's recorded fault, or the base
-// index's own error when it is fallible. The serving layer's health
-// endpoint consumes this through kwindex.FallibleSource.
+// Err reports the store's own first failure: a background flush or
+// compaction failure, or a segment reader's recorded fault. The base
+// index's state is not the store's failure; Health folds it in.
 func (s *Store) Err() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -195,12 +194,18 @@ func (s *Store) Err() error {
 			return err
 		}
 	}
-	if f, ok := s.opts.Base.(kwindex.FallibleSource); ok {
-		if err := f.Err(); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// Health reports the worst state of the store's layers: its own
+// failures (Err) make it unavailable, and otherwise it is as healthy as
+// its base index (kwindex.HealthOf) — a base healed onto a rebuilt
+// fallback leaves the store answering correctly, and degraded.
+func (s *Store) Health() (kwindex.Health, error) {
+	if err := s.Err(); err != nil {
+		return kwindex.HealthUnavailable, err
+	}
+	return kwindex.HealthOf(s.opts.Base)
 }
 
 // SegmentStats describes one committed segment.

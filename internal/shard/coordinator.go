@@ -372,7 +372,7 @@ func (s *scatterStage) Run(ctx context.Context, q *pipeline.Query, rep *pipeline
 		}
 		// Fan this round's requests to shards with uncollected covers.
 		type execOut struct {
-			resp ExecResponse
+			resp *ExecResponse
 			err  error
 		}
 		// Dense per-shard slots, not a map: the gather below walks shards
@@ -388,7 +388,7 @@ func (s *scatterStage) Run(ctx context.Context, q *pipeline.Query, rep *pipeline
 			go func(i int) {
 				defer ewg.Done()
 				out := &execOut{}
-				out.err = c.groups[i].do(ctx, "/shard/execute", ExecRequest{
+				out.resp, out.err = c.groups[i].do(ctx, &ExecRequest{
 					Keywords:       s.keywords,
 					K:              fetchK,
 					Strategy:       uint8(q.Strategy),
@@ -397,7 +397,7 @@ func (s *scatterStage) Run(ctx context.Context, q *pipeline.Query, rep *pipeline
 					Lists:          wireLists,
 					GlobalPostings: s.postings,
 					GlobalKeywords: s.numKeywords,
-				}, &out.resp, c.opts.Retry)
+				}, c.opts.Retry)
 				if out.err == nil && out.resp.NetsCRC != wantCRC {
 					c.crcMismatches.Add(1)
 					out.err = fmt.Errorf("shard %d derived networks CRC %08x, coordinator %08x — mismatched structural data?", i, out.resp.NetsCRC, wantCRC)
@@ -516,18 +516,6 @@ func (c *Coordinator) ShardStates() []qserve.ShardState {
 	return states
 }
 
-// healthRank orders index health states best-first for the group fold.
-func healthRank(state string) int {
-	switch state {
-	case string(core.IndexOK):
-		return 0
-	case string(core.IndexDegraded):
-		return 1
-	default:
-		return 2
-	}
-}
-
 // groupState probes one group's replicas concurrently and folds them
 // into the group's ShardState.
 func (c *Coordinator) groupState(i int, g *replicaGroup) qserve.ShardState {
@@ -567,7 +555,7 @@ func (c *Coordinator) groupState(i int, g *replicaGroup) qserve.ShardState {
 	wg.Wait()
 	best := 0
 	for ri := 1; ri < len(reps); ri++ {
-		if healthRank(reps[ri].State) < healthRank(reps[best].State) {
+		if kwindex.Health(reps[best].State).Worse(kwindex.Health(reps[ri].State)) {
 			best = ri
 		}
 	}
@@ -590,7 +578,7 @@ func (c *Coordinator) groupState(i int, g *replicaGroup) qserve.ShardState {
 // replica is down or degraded — every loss is an exact reassignment, but
 // an operator should look; ok otherwise.
 func (c *Coordinator) IndexHealthState() (core.IndexHealth, error) {
-	own, ownErr := core.SourceHealth(c.sys.Index)
+	own, ownErr := kwindex.HealthOf(c.sys.Index)
 	if own == core.IndexUnavailable {
 		return own, fmt.Errorf("coordinator index: %w", ownErr)
 	}

@@ -15,7 +15,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -113,7 +112,7 @@ func (g *replicaGroup) order() []*shardClient {
 // every replica has — the coordinator then reassigns the group's plan
 // classes to the other groups, exactly as for a dead single-replica
 // shard.
-func (g *replicaGroup) do(ctx context.Context, path string, req, resp any, retry fault.RetryPolicy) error {
+func (g *replicaGroup) do(ctx context.Context, req *ExecRequest, retry fault.RetryPolicy) (*ExecResponse, error) {
 	order := g.order()
 	var lastErr error
 	for i := 0; i < len(order); i++ { //xk:ignore retryloop failover walks DIFFERENT replicas, not the same resource; per-attempt backoff lives in retry
@@ -123,22 +122,22 @@ func (g *replicaGroup) do(ctx context.Context, path string, req, resp any, retry
 		if i+1 < len(order) {
 			backup = order[i+1]
 		}
-		winner, primaryFailed, backupFailed, err := g.attempt(ctx, path, req, resp, primary, backup, retry)
+		winner, resp, primaryFailed, backupFailed, err := g.attempt(ctx, req, primary, backup, retry)
 		if err == nil {
 			if i > 0 || (winner == backup && primaryFailed) {
 				g.failovers.Add(1)
 			}
-			return nil
+			return resp, nil
 		}
 		lastErr = err
 		if backupFailed {
 			i++ // the hedge already tried (and failed) the next replica
 		}
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // hedgeDelay derives the hedge trigger from the primary replica's own
@@ -169,7 +168,7 @@ func (g *replicaGroup) hedgeDelay(primary *shardClient) (time.Duration, bool) {
 // taking the first success. The loser is cancelled through the shared
 // attempt context, never leaked: its goroutine aborts its HTTP request,
 // sends into the buffered channel and exits.
-func (g *replicaGroup) attempt(ctx context.Context, path string, req, resp any, primary, backup *shardClient, retry fault.RetryPolicy) (winner *shardClient, primaryFailed, backupFailed bool, err error) {
+func (g *replicaGroup) attempt(ctx context.Context, req *ExecRequest, primary, backup *shardClient, retry fault.RetryPolicy) (winner *shardClient, resp *ExecResponse, primaryFailed, backupFailed bool, err error) {
 	hc := g.hedge
 	if hc != nil && !hc.disabled && backup != nil {
 		hc.reqs.Add(1)
@@ -177,22 +176,20 @@ func (g *replicaGroup) attempt(ctx context.Context, path string, req, resp any, 
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel() // hedge losers are cancelled, not leaked
 
-	respType := reflect.TypeOf(resp).Elem()
 	type result struct {
-		cl  *shardClient
-		val reflect.Value
-		err error
+		cl   *shardClient
+		resp *ExecResponse
+		err  error
 	}
 	// Buffered to the attempt count: a loser finishing after this call
 	// returned sends without blocking and its goroutine exits.
 	ch := make(chan result, 2)
 	launch := func(cl *shardClient) {
-		// Each in-flight attempt decodes into its own value; only the
-		// winner's is copied into resp, so concurrent attempts never
-		// race on the caller's response.
-		val := reflect.New(respType)
+		// Each in-flight attempt decodes into its own response, so
+		// concurrent attempts never race; the winner's is returned.
 		go func() {
-			ch <- result{cl: cl, val: val, err: cl.call(actx, path, req, val.Interface(), retry)}
+			resp := new(ExecResponse)
+			ch <- result{cl: cl, resp: resp, err: cl.call(actx, "/shard/execute", req, resp, retry)}
 		}()
 	}
 	launch(primary)
@@ -216,8 +213,7 @@ func (g *replicaGroup) attempt(ctx context.Context, path string, req, resp any, 
 					hc.wins.Add(1)
 				}
 				cancel() // abort the loser promptly
-				reflect.ValueOf(resp).Elem().Set(r.val.Elem())
-				return r.cl, primaryFailed, backupFailed, nil
+				return r.cl, r.resp, primaryFailed, backupFailed, nil
 			}
 			if r.cl == primary {
 				primaryFailed = true
@@ -228,7 +224,7 @@ func (g *replicaGroup) attempt(ctx context.Context, path string, req, resp any, 
 				firstErr = r.err
 			}
 			if outstanding == 0 {
-				return nil, primaryFailed, backupFailed, firstErr
+				return nil, nil, primaryFailed, backupFailed, firstErr
 			}
 			// The other attempt is still in flight (the primary failed
 			// under a hedge, or the hedge failed first): wait it out —

@@ -24,12 +24,11 @@ type Server struct {
 	// Sys holds the replicated structural data (schema, TSS, connection
 	// store, decomposition); its own Index field is not consulted.
 	Sys *core.System
-	// Local is the shard's partition source — typically a
-	// kwindex.Failover over the partition's diskindex reader with a
-	// rebuild-from-memory fallback. It is never read for answers (execute
-	// requests carry their postings); it supplies the posting totals and
-	// the health /shard/stats and /healthz report, which Validate
-	// cross-checks across replicas.
+	// Local is the shard's partition source — typically the partition's
+	// diskindex reader. It is never read for answers (execute requests
+	// carry their postings); it supplies the posting totals and the
+	// health (kwindex.HealthOf) /shard/stats and /healthz report, which
+	// Validate cross-checks across replicas.
 	Local kwindex.Source
 	// ID and N identify the partition; CRC is the manifest-recorded
 	// partition file checksum, echoed in stats so a coordinator can spot
@@ -59,7 +58,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) health() (state string, detail string) {
-	h, err := core.SourceHealth(s.Local)
+	h, err := kwindex.HealthOf(s.Local)
 	if err != nil {
 		return string(h), err.Error()
 	}
