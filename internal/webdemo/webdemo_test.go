@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -292,4 +293,58 @@ func TestDOTEndpoint(t *testing.T) {
 	if !strings.Contains(string(buf[:n]), "digraph") {
 		t.Fatalf("dot body = %q", buf[:n])
 	}
+}
+
+// TestPresentationGraphConcurrent drives one pg session from several
+// goroutines at once: expand, contract, show and DOT against the same
+// graphs. The graphs of a session share one presentation session and
+// its lookup cache, so the server must serialize requests per session;
+// under -race an unserialized Expand racing a render fails here. Every
+// request must answer 200 (a valid move) or 400 (a rejected one).
+func TestPresentationGraphConcurrent(t *testing.T) {
+	srv := demoServer(t)
+	var open struct {
+		Session string `json:"session"`
+		Graphs  int    `json:"graphs"`
+	}
+	if code := getJSON(t, srv.URL+"/api/pg/open?q=us+vcr", &open); code != http.StatusOK {
+		t.Fatalf("open status %d", code)
+	}
+	if open.Graphs == 0 {
+		t.Fatal("no presentation graphs")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// At each step the four goroutines send the four kinds of
+			// request to the same graph.
+			for i := 0; i < 32; i++ {
+				gi := i % open.Graphs
+				var path string
+				switch (w + i) % 4 {
+				case 0:
+					path = fmt.Sprintf("expand?session=%s&graph=%d&occ=%d", open.Session, gi, i%3)
+				case 1:
+					path = fmt.Sprintf("contract?session=%s&graph=%d&occ=%d&keep=0", open.Session, gi, i%3)
+				case 2:
+					path = fmt.Sprintf("dot?session=%s&graph=%d", open.Session, gi)
+				default:
+					path = fmt.Sprintf("show?session=%s&graph=%d", open.Session, gi)
+				}
+				resp, err := http.Get(srv.URL + "/api/pg/" + path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s: status %d", path, resp.StatusCode)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
