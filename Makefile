@@ -52,12 +52,11 @@ bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkDiskIndexLookup' -cpu 1 -benchtime 2000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_diskindex.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
-# every registered invariant analyzer — atomiccommit, crcgate, ctxflow,
-# errdrop, goleak, keyfields, keyjoin, lockguard, maporder, nilrecv,
-# retryloop (the list `xkvet -list` prints is authoritative) — and exits
-# nonzero on any finding not suppressed by an //xk:ignore <analyzer>
-# <reason> comment. Always leaves a machine-readable xkvet.sarif next to
-# the human-readable output for CI to archive.
+# every registered invariant analyzer — errdrop, keyjoin, lockguard,
+# maporder, retryloop (the list `xkvet -list` prints is authoritative) —
+# and exits nonzero on any finding not suppressed by an //xk:ignore
+# <analyzer> <reason> comment. Always leaves a machine-readable
+# xkvet.sarif next to the human-readable output for CI to archive.
 lint:
 	$(GO) run ./cmd/xkvet -dir . -sarif xkvet.sarif
 

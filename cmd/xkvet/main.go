@@ -24,7 +24,7 @@
 //
 // Usage:
 //
-//	xkvet [-dir .] [-analyzers keyjoin,ctxflow,...] [-format text|json|sarif] [-sarif out.sarif] [-list]
+//	xkvet [-dir .] [-analyzers errdrop,keyjoin,...] [-format text|json|sarif] [-sarif out.sarif] [-list]
 package main
 
 import (

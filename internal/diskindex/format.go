@@ -102,7 +102,7 @@ func (h *header) unmarshal(b []byte) error {
 	// foreign or stale file reports "not an index" / "wrong version"
 	// instead of a misleading corruption error; both reads are rejected
 	// on mismatch, never parsed onward.
-	if [4]byte(b[0:4]) != magic { //xk:ignore crcgate magic and version are identification gates, checked before the CRC on purpose
+	if [4]byte(b[0:4]) != magic {
 		return fmt.Errorf("diskindex: bad magic %q — not an .xki index file", b[0:4])
 	}
 	le := binary.LittleEndian

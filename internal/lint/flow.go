@@ -6,33 +6,28 @@ import (
 	"go/types"
 )
 
-// This file is the v2 fact layer: a lightweight intra-procedural
-// def-use pass built once per package before the analyzers run. It
-// gives every analyzer the same three primitives —
+// This file is the fact layer: a lightweight intra-procedural def-use
+// pass built once per package before the analyzers run. It gives every
+// analyzer the same two primitives —
 //
-//   - parent links (Flow.Parent, FuncFlow.EnclosingStmt), so a check
-//     can ask "is this use inside a return statement / call argument /
-//     loop body" without re-walking the file,
+//   - parent links (Flow.Parent, FuncFlow.InFuncLit), so a check can
+//     ask "is this use inside a return statement / call argument /
+//     function literal" without re-walking the file, and
 //   - def and use sites per *types.Var (FuncFlow.DefsOf / UsesOf), in
 //     source order, covering :=, =, var declarations, range bindings,
-//     parameters and named results, and
-//   - flow closures (ForwardVars, BackwardVars): the set of variables a
-//     value reaches through chains of assignments, and the backward
-//     slice of variables feeding an expression.
+//     parameters and named results.
 //
 // The pass is deliberately flow-insensitive within a function (facts
 // are ordered by position, and dominance is approximated by source
 // order, matching the repo's straight-line commit/verify idioms) and
-// purely intra-procedural; cross-function questions go through the
-// CallGraph built in callgraph.go.
+// purely intra-procedural.
 
 // Def is one definition site of a variable: an assignment, declaration,
 // range binding, parameter, or named result.
 type Def struct {
 	Pos  token.Pos
-	RHS  ast.Expr       // defining expression; nil for params/results/bare var decls
-	Stmt ast.Node       // enclosing assign/decl/range statement, nil for params
-	Rng  *ast.RangeStmt // non-nil when the def is a range key/value binding
+	RHS  ast.Expr // defining expression; nil for params/results/bare var decls
+	Stmt ast.Node // enclosing assign/decl/range statement, nil for params
 }
 
 // FuncFlow holds the def-use facts of one function body. A FuncFlow is
@@ -57,7 +52,6 @@ type Flow struct {
 	Funcs []*FuncFlow
 
 	parent map[ast.Node]ast.Node
-	funcOf map[ast.Node]*FuncFlow
 }
 
 // buildFlow walks the package once, recording parent links and per-
@@ -65,7 +59,6 @@ type Flow struct {
 func buildFlow(files []*ast.File, info *types.Info) *Flow {
 	fl := &Flow{
 		parent: make(map[ast.Node]ast.Node),
-		funcOf: make(map[ast.Node]*FuncFlow),
 	}
 	for _, file := range files {
 		// Parent links for the whole file, including package-level decls.
@@ -179,7 +172,7 @@ func (fl *Flow) addFunc(ff *FuncFlow, info *types.Info) {
 					continue
 				}
 				if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-					record(id, Def{RHS: n.X, Stmt: n, Rng: n})
+					record(id, Def{RHS: n.X, Stmt: n})
 				}
 			}
 		case *ast.IncDecStmt:
@@ -193,7 +186,6 @@ func (fl *Flow) addFunc(ff *FuncFlow, info *types.Info) {
 					ff.identVar[n] = v
 				}
 			}
-			ff.flow.funcOf[n] = ff
 		}
 		return true
 	})
@@ -223,39 +215,6 @@ func (ff *FuncFlow) DefsOf(v *types.Var) []Def { return ff.defs[v] }
 // order.
 func (ff *FuncFlow) UsesOf(v *types.Var) []*ast.Ident { return ff.uses[v] }
 
-// EnclosingStmt walks parent links from n to the nearest enclosing
-// statement, or nil.
-func (ff *FuncFlow) EnclosingStmt(n ast.Node) ast.Stmt {
-	for p := ast.Node(n); p != nil; p = ff.flow.parent[p] {
-		if s, ok := p.(ast.Stmt); ok {
-			return s
-		}
-	}
-	return nil
-}
-
-// EnclosingLoop returns the nearest for/range statement enclosing n
-// within this function, or nil. The search stops at the function
-// boundary but deliberately not at function literals: a statement in a
-// closure created inside a loop still executes per-iteration in the
-// cases this repo cares about (goroutine bodies).
-func (ff *FuncFlow) EnclosingLoop(n ast.Node) ast.Stmt {
-	for p := ff.flow.parent[n]; p != nil; p = ff.flow.parent[p] {
-		switch s := p.(type) {
-		case *ast.ForStmt:
-			return s
-		case *ast.RangeStmt:
-			return s
-		case *ast.FuncDecl:
-			return nil
-		}
-		if p == ff.Body {
-			return nil
-		}
-	}
-	return nil
-}
-
 // InFuncLit reports whether n sits inside a function literal nested
 // below this function's body (i.e. runs on a different activation).
 func (ff *FuncFlow) InFuncLit(n ast.Node) bool {
@@ -268,94 +227,6 @@ func (ff *FuncFlow) InFuncLit(n ast.Node) bool {
 		}
 	}
 	return false
-}
-
-// HasAncestor reports whether any strict ancestor of n within the
-// package satisfies pred.
-func (fl *Flow) HasAncestor(n ast.Node, pred func(ast.Node) bool) bool {
-	for p := fl.parent[n]; p != nil; p = fl.parent[p] {
-		if pred(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// ForwardVars computes the forward closure of seed: every variable
-// reachable from a seed variable through chains of assignments
-// (w := v, w = f(v), w = v.Field, ...). The result includes the seeds.
-func (ff *FuncFlow) ForwardVars(seed map[*types.Var]bool) map[*types.Var]bool {
-	out := make(map[*types.Var]bool, len(seed))
-	for v := range seed {
-		out[v] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for v, defs := range ff.defs {
-			if out[v] {
-				continue
-			}
-			for _, d := range defs {
-				if d.RHS != nil && exprUsesAny(ff, d.RHS, out) {
-					out[v] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
-// BackwardVars computes the backward slice of expr: the variables it
-// reads, plus (transitively) the variables feeding their definitions.
-func (ff *FuncFlow) BackwardVars(expr ast.Expr) map[*types.Var]bool {
-	out := make(map[*types.Var]bool)
-	collectVars(ff, expr, out)
-	for changed := true; changed; {
-		changed = false
-		for v := range out {
-			for _, d := range ff.defs[v] {
-				if d.RHS == nil {
-					continue
-				}
-				before := len(out)
-				collectVars(ff, d.RHS, out)
-				if len(out) != before {
-					changed = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-func collectVars(ff *FuncFlow, e ast.Expr, out map[*types.Var]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if v := ff.identVar[id]; v != nil {
-				out[v] = true
-			}
-		}
-		return true
-	})
-}
-
-func exprUsesAny(ff *FuncFlow, e ast.Expr, vars map[*types.Var]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if v := ff.identVar[id]; v != nil && vars[v] {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // VarOf resolves an expression to the variable it names, unwrapping

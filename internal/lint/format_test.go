@@ -16,8 +16,8 @@ func fixtureFindings() []Finding {
 	return []Finding{
 		{
 			Pos:  token.Position{Filename: "internal/segidx/segidx.go", Line: 88},
-			Name: "atomiccommit",
-			Msg:  "os.Rename publishes a file written by os.WriteFile (no fsync); a crash can commit a torn file — use atomicio.WriteFile",
+			Name: "errdrop",
+			Msg:  "os.Remove discards an error result; handle it or add //xk:ignore errdrop <reason>",
 		},
 		{
 			Pos:  token.Position{Filename: "internal/shard/coordinator.go", Line: 436},

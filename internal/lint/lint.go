@@ -3,9 +3,9 @@
 // deliberately built on go/parser + go/ast + go/types + go/importer
 // alone (no golang.org/x/tools), honoring the repo's stdlib-only rule.
 //
-// Each Analyzer encodes one invariant that a past PR violated (or
-// plausibly could have): see keyjoin.go, ctxflow.go, errdrop.go,
-// lockguard.go and nilrecv.go for the individual checks and the bugs
+// Each Analyzer encodes one invariant that a past change violated (or
+// plausibly could have): see errdrop.go, keyjoin.go, lockguard.go,
+// maporder.go and retryloop.go for the individual checks and the bugs
 // that motivated them. The cmd/xkvet driver loads every package in the
 // module, type-checks it, runs all analyzers, and exits nonzero on any
 // finding not suppressed by an explicit
@@ -39,17 +39,13 @@ func (f Finding) String() string {
 
 // Pass is the per-package unit of work handed to each analyzer: the
 // parsed files plus the full type information of one type-checked
-// package, the package's def-use flow facts (flow.go), and the
-// module-wide call graph accumulated so far (callgraph.go; packages
-// are checked in dependency order, so the graph always covers every
-// function this package can statically reach).
+// package, and the package's def-use flow facts (flow.go).
 type Pass struct {
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
 	Flow  *Flow
-	Graph *CallGraph
 
 	name   string
 	report func(Finding)
@@ -79,16 +75,10 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	as := []*Analyzer{
 		analyzerKeyjoin,
-		analyzerCtxflow,
 		analyzerErrdrop,
 		analyzerLockguard,
-		analyzerNilrecv,
 		analyzerRetryloop,
 		analyzerMaporder,
-		analyzerAtomiccommit,
-		analyzerCrcgate,
-		analyzerGoleak,
-		analyzerKeyfields,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
@@ -107,7 +97,7 @@ func KnownNames() map[string]bool {
 // runAnalyzers executes each analyzer over one package and returns the
 // raw (unfiltered) findings, sorted by position. The flow facts are
 // built once here and shared by every analyzer.
-func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, graph *CallGraph, analyzers []*Analyzer) []Finding {
+func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	pass := &Pass{
 		Fset:   fset,
@@ -115,7 +105,6 @@ func runAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		Pkg:    pkg,
 		Info:   info,
 		Flow:   buildFlow(files, info),
-		Graph:  graph,
 		report: func(f Finding) { out = append(out, f) },
 	}
 	for _, a := range analyzers {
@@ -147,18 +136,16 @@ func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
 // calleeFunc resolves the *types.Func a call statically dispatches to,
 // or nil for calls through function values, builtins, and conversions.
 func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
-	return staticCallee(p.Info, call)
+	var obj types.Object
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = p.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = p.Info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
 }

@@ -5,19 +5,25 @@ import (
 	"go/build"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the analyzer golden files")
 
-// testdataPackages are the seeded-violation packages; each is checked
-// under a synthetic internal/ import path so path-scoped analyzers
-// (errdrop) apply, and every analyzer runs over every package so the
-// goldens also prove non-interference.
-var testdataPackages = []string{
-	"atomiccommit", "crcgate", "ctxflow", "errdrop", "goleak", "ignore",
-	"keyfields", "keyjoin", "lockguard", "maporder", "nilrecv",
+// testdataPackages are the seeded-violation packages: one per
+// registered analyzer plus the directive-hygiene package, in name
+// order. Each is checked under a synthetic internal/ import path so
+// path-scoped analyzers (errdrop) apply, and every analyzer runs over
+// every package so the goldens also prove non-interference.
+func testdataPackages() []string {
+	names := []string{ignoreName}
+	for _, a := range Analyzers() {
+		names = append(names, a.Name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestAnalyzerGoldens runs the full analyzer suite over each testdata
@@ -27,7 +33,7 @@ var testdataPackages = []string{
 // suppressed line showing up here is a regression in the directive
 // filter.
 func TestAnalyzerGoldens(t *testing.T) {
-	for _, name := range testdataPackages {
+	for _, name := range testdataPackages() {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
 			findings, err := CheckDir(dir, "repro/internal/lintcheck/"+name, Analyzers())
@@ -63,25 +69,34 @@ func TestAnalyzerGoldens(t *testing.T) {
 
 // TestGoldenCoverage asserts each analyzer's golden records at least two
 // seeded violations, so a silently dead analyzer cannot hide behind an
-// empty-but-matching golden.
+// empty-but-matching golden. retryloop's golden must also show each of
+// its three message variants (unbounded, hot, and both).
 func TestGoldenCoverage(t *testing.T) {
-	for _, name := range []string{
-		"atomiccommit", "crcgate", "ctxflow", "errdrop", "goleak",
-		"keyfields", "keyjoin", "lockguard", "maporder", "nilrecv",
-	} {
-		data, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+	for _, a := range Analyzers() {
+		data, err := os.ReadFile(filepath.Join("testdata", "golden", a.Name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := strings.Count(string(data), "["+name+"]"); n < 2 {
-			t.Errorf("golden for %s has %d findings; want >= 2 seeded violations", name, n)
+		if n := strings.Count(string(data), "["+a.Name+"]"); n < 2 {
+			t.Errorf("golden for %s has %d findings; want >= 2 seeded violations", a.Name, n)
 		}
-		src, err := os.ReadFile(filepath.Join("testdata", "src", name, name+".go"))
+		src, err := os.ReadFile(filepath.Join("testdata", "src", a.Name, a.Name+".go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(src), "//xk:ignore "+name+" ") {
-			t.Errorf("testdata for %s seeds no //xk:ignore suppression", name)
+		if !strings.Contains(string(src), "//xk:ignore "+a.Name+" ") {
+			t.Errorf("testdata for %s seeds no //xk:ignore suppression", a.Name)
+		}
+		if a.Name != "retryloop" {
+			continue
+		}
+		if n := strings.Count(string(data), "[retryloop]"); n < 3 {
+			t.Errorf("golden for retryloop has %d findings; want >= 3 seeded violations", n)
+		}
+		for _, fragment := range []string{"no attempt bound", "without backoff", "neither an attempt bound nor backoff"} {
+			if !strings.Contains(string(data), fragment) {
+				t.Errorf("golden for retryloop misses the %q variant", fragment)
+			}
 		}
 	}
 }

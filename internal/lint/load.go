@@ -213,10 +213,6 @@ func CheckModule(root string, analyzers []*Analyzer) ([]Finding, error) {
 		checked: make(map[string]*types.Package),
 		std:     importer.ForCompiler(fset, "source", nil),
 	}
-	// The call graph accrues across the topo-sorted check: when a
-	// package's analyzers run, every module function it can statically
-	// reach is already registered.
-	graph := NewCallGraph()
 	var all []Finding
 	for _, ip := range order {
 		files, err := parseDir(fset, pkgs[ip])
@@ -230,8 +226,7 @@ func CheckModule(root string, analyzers []*Analyzer) ([]Finding, error) {
 			return nil, fmt.Errorf("lint: type-checking %s: %w", ip, err)
 		}
 		imp.checked[ip] = pkg
-		graph.AddPackage(fset, files, info)
-		all = append(all, filterIgnored(fset, files, runAnalyzers(fset, files, pkg, info, graph, analyzers))...)
+		all = append(all, filterIgnored(fset, files, runAnalyzers(fset, files, pkg, info, analyzers))...)
 	}
 	relativize(all, root)
 	sortFindings(all)
@@ -264,9 +259,7 @@ func CheckDir(dir, importPath string, analyzers []*Analyzer) ([]Finding, error) 
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", dir, err)
 	}
-	graph := NewCallGraph()
-	graph.AddPackage(fset, files, info)
-	out := filterIgnored(fset, files, runAnalyzers(fset, files, pkg, info, graph, analyzers))
+	out := filterIgnored(fset, files, runAnalyzers(fset, files, pkg, info, analyzers))
 	relativize(out, dir)
 	sortFindings(out)
 	return out, nil

@@ -233,6 +233,15 @@ func hasBackoffCall(body *ast.BlockStmt) bool {
 	return found
 }
 
+func isNilIdent(p *Pass, e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	_, isNil := p.Info.Uses[id].(*types.Nil)
+	return isNil
+}
+
 func isTrueLiteral(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "true"

@@ -25,8 +25,8 @@ func TestDisabledTraceIsFreeAndSafe(t *testing.T) {
 	}
 }
 
-// TestNilCounterAndHistogramAreSafe pins the documented contract the
-// nilrecv analyzer enforces: a nil sink is a valid no-op.
+// TestNilCounterAndHistogramAreSafe pins the documented contract: a
+// nil sink is a valid no-op.
 func TestNilCounterAndHistogramAreSafe(t *testing.T) {
 	var c *Counter
 	c.Add(3)

@@ -58,7 +58,7 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func(context.Contex
 			g.mu.Unlock()
 			return g.wait(ctx, f, true)
 		}
-		//xk:ignore ctxflow the shared flight must outlive any single caller's ctx; it is cancelled separately when the last waiter leaves
+		// The shared flight must outlive any single caller's ctx; it is cancelled separately when the last waiter leaves.
 		fctx, cancel := context.WithCancel(context.Background())
 		f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
 		g.m[key] = f

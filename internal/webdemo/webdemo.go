@@ -44,9 +44,12 @@ type Server struct {
 	nextID   int
 }
 
+// pgSession is one /api/pg/open result. Its graphs share one
+// presentation session and its lookup cache, so mu serializes every
+// request on the session, not only those on one graph.
 type pgSession struct {
-	graphs []*presentation.Graph
-	nets   []string // rendered network descriptions
+	mu     sync.Mutex
+	graphs []*presentation.Graph // guarded by mu
 }
 
 // NewServer creates a demo server over a loaded system, with a serving
@@ -168,12 +171,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // handlePGDOT renders a presentation graph in Graphviz DOT for external
 // visualization (the paper's demo drew these graphs; Figure 3/4c).
 func (s *Server) handlePGDOT(w http.ResponseWriter, r *http.Request) {
-	g, _, ok := s.session(w, r)
-	if !ok {
+	var dot string
+	if !s.withGraph(w, r, func(g *presentation.Graph) error {
+		dot = g.DOT(s.sys.SummaryOf)
+		return nil
+	}) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/vnd.graphviz")
-	_, _ = w.Write([]byte(g.DOT(s.sys.SummaryOf)))
+	_, _ = w.Write([]byte(dot))
 }
 
 // handleObject returns a target object's BLOB — its full XML fragment
@@ -281,22 +287,23 @@ func (s *Server) handlePGOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sess := &pgSession{}
+	var graphs []*presentation.Graph
+	var descs []string
 	psess := s.sys.PresentationSession(nil)
 	for _, tn := range nets {
 		g, err := psess.Build(tn)
 		if err != nil {
 			continue // networks without results are not shown
 		}
-		sess.graphs = append(sess.graphs, g)
-		sess.nets = append(sess.nets, tn.String())
+		graphs = append(graphs, g)
+		descs = append(descs, tn.String())
 	}
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("pg%d", s.nextID)
-	s.sessions[id] = sess
+	s.sessions[id] = &pgSession{graphs: graphs}
 	s.mu.Unlock()
-	writeJSON(w, map[string]interface{}{"session": id, "graphs": len(sess.graphs), "networks": sess.nets})
+	writeJSON(w, map[string]interface{}{"session": id, "graphs": len(graphs), "networks": descs})
 }
 
 // pgStateJSON renders one presentation graph's active subgraph.
@@ -319,54 +326,54 @@ type pgNode struct {
 }
 
 func (s *Server) handlePGShow(w http.ResponseWriter, r *http.Request) {
-	g, _, ok := s.session(w, r)
-	if !ok {
-		return
+	var out map[string]interface{}
+	if s.withGraph(w, r, func(g *presentation.Graph) error {
+		out = s.renderPG(g)
+		return nil
+	}) {
+		writeJSON(w, out)
 	}
-	writeJSON(w, s.renderPG(g))
 }
 
 func (s *Server) handlePGExpand(w http.ResponseWriter, r *http.Request) {
-	g, _, ok := s.session(w, r)
-	if !ok {
-		return
+	var out map[string]interface{}
+	if s.withGraph(w, r, func(g *presentation.Graph) error {
+		occ, err := strconv.Atoi(r.URL.Query().Get("occ"))
+		if err != nil {
+			return fmt.Errorf("bad occ: %w", err)
+		}
+		// The demo shows the first 10 expanded nodes (§3.1).
+		added, err := g.Expand(occ, presentation.ExpandOptions{MaxNodes: 10})
+		if err != nil {
+			return err
+		}
+		out = s.renderPG(g)
+		out["added"] = added
+		return nil
+	}) {
+		writeJSON(w, out)
 	}
-	occ, err := strconv.Atoi(r.URL.Query().Get("occ"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad occ: %w", err))
-		return
-	}
-	// The demo shows the first 10 expanded nodes (§3.1).
-	added, err := g.Expand(occ, presentation.ExpandOptions{MaxNodes: 10})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := s.renderPG(g)
-	out["added"] = added
-	writeJSON(w, out)
 }
 
 func (s *Server) handlePGContract(w http.ResponseWriter, r *http.Request) {
-	g, _, ok := s.session(w, r)
-	if !ok {
-		return
+	var out map[string]interface{}
+	if s.withGraph(w, r, func(g *presentation.Graph) error {
+		occ, err := strconv.Atoi(r.URL.Query().Get("occ"))
+		if err != nil {
+			return fmt.Errorf("bad occ: %w", err)
+		}
+		keep, err := strconv.ParseInt(r.URL.Query().Get("keep"), 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad keep: %w", err)
+		}
+		if err := g.Contract(occ, keep); err != nil {
+			return err
+		}
+		out = s.renderPG(g)
+		return nil
+	}) {
+		writeJSON(w, out)
 	}
-	occ, err := strconv.Atoi(r.URL.Query().Get("occ"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad occ: %w", err))
-		return
-	}
-	keep, err := strconv.ParseInt(r.URL.Query().Get("keep"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad keep: %w", err))
-		return
-	}
-	if err := g.Contract(occ, keep); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, s.renderPG(g))
 }
 
 func (s *Server) renderPG(g *presentation.Graph) map[string]interface{} {
@@ -393,29 +400,38 @@ func (s *Server) renderPG(g *presentation.Graph) map[string]interface{} {
 	}
 }
 
-// session resolves the pg session and graph index from the request.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) (*presentation.Graph, *pgSession, bool) {
+// withGraph resolves the request's pg session and graph and runs fn on
+// the graph with the session's lock held, so fn must also render what
+// the handler writes. It answers a bad session or graph index itself,
+// and an error from fn as a 400; it reports whether fn succeeded.
+func (s *Server) withGraph(w http.ResponseWriter, r *http.Request, fn func(g *presentation.Graph) error) bool {
 	id := r.URL.Query().Get("session")
 	s.mu.Lock()
 	sess := s.sessions[id]
 	s.mu.Unlock()
 	if sess == nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
-		return nil, nil, false
+		return false
 	}
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
 	gi := 0
 	if v := r.URL.Query().Get("graph"); v != "" {
 		var err error
 		if gi, err = strconv.Atoi(v); err != nil || gi < 0 || gi >= len(sess.graphs) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph index %q", v))
-			return nil, nil, false
+			return false
 		}
 	}
 	if len(sess.graphs) == 0 {
 		httpError(w, http.StatusNotFound, fmt.Errorf("session has no graphs"))
-		return nil, nil, false
+		return false
 	}
-	return sess.graphs[gi], sess, true
+	if err := fn(sess.graphs[gi]); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
 }
 
 func queryParams(w http.ResponseWriter, r *http.Request) ([]string, int, bool) {
