@@ -28,8 +28,9 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The regression gate on the numbers a rerun reproduces: allocs/op of
-# the query path and of one relation probe per access path at -cpu 1
-# and 2 (execution is serial, so the count repeats exactly at either),
+# the query path (an author pair and a title word plus an author) and
+# of one relation probe per access path at -cpu 1 and 2 (execution is
+# serial, so the count repeats exactly at either),
 # and of one snapshot load and of the relation build inside it (-cpu 1,
 # a few loads, not 200), against the committed BENCH_pipeline.json, of
 # the serving layer cold and warm (BenchmarkQServe, -cpu 1) and the
@@ -43,7 +44,7 @@ bench-build:
 # exactly from run to run. ns/op is printed as a delta only — wall
 # time on a shared machine is not gateable.
 bench-gate:
-	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkQueryTitleAuthor|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkQServe' -cpu 1 -benchtime 50x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkRender' -cpu 1 -benchtime 1000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_qserve.json -max-allocs-regress 5%
@@ -101,11 +102,12 @@ bench-qserve:
 bench-diskindex:
 	$(GO) test -run xxx -bench BenchmarkDiskIndexLookup -cpu 1 -benchtime 2000x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_diskindex.json
 
-# The query path (tracing off vs EXPLAIN ANALYZE) and one relation probe
-# per access path, at -cpu 1 and 2, then a snapshot load and the
-# relation build inside it at -cpu 1: what bench-gate compares against.
+# The query path (both query templates, tracing off vs EXPLAIN ANALYZE)
+# and one relation probe per access path, at -cpu 1 and 2, then a
+# snapshot load and the relation build inside it at -cpu 1: what
+# bench-gate compares against.
 bench-pipeline:
-	{ $(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkPipelineOverhead|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . && \
+	{ $(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkQueryTitleAuthor|BenchmarkPipelineOverhead|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . && \
 	  $(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
 
 # The live-index write and read path: synced vs unsynced ingest, cold

@@ -2,7 +2,8 @@ package repro
 
 // Benchmarks of the staged query pipeline: BenchmarkQuery is the
 // canonical end-to-end top-10 figure (warm CN memo, the steady state a
-// server runs in), and BenchmarkPipelineOverhead isolates what the
+// server runs in), BenchmarkQueryTitleAuthor the serving benchmark's
+// other query template, and BenchmarkPipelineOverhead isolates what the
 // observability layer costs — "disabled" runs with a nil Trace (every
 // span operation a no-op) and must stay within noise of BenchmarkQuery;
 // "traced" is the full EXPLAIN ANALYZE path with per-stage spans.
@@ -13,10 +14,12 @@ package repro
 import (
 	"bytes"
 	"context"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/decomp"
+	"repro/internal/kwindex"
 	"repro/internal/persist"
 	"repro/internal/relstore"
 )
@@ -34,6 +37,40 @@ func BenchmarkQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Query(pair[:], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQueryTitleAuthor measures a warm-memo top-20 query of one
+// title word and one author — the serving benchmark's second query
+// template, a different shape from the author pair's: the first word of
+// the sorted title vocabulary and the token unique to the first author,
+// as that benchmark's warm-up draws them.
+func BenchmarkQueryTitleAuthor(b *testing.B) {
+	sys := servedSystem(b)
+	w := workload(b)
+	var words []string
+	seen := map[string]bool{}
+	for _, id := range w.DS.Data.Nodes() {
+		if n := w.DS.Data.Node(id); n.Type == "title" {
+			for _, t := range kwindex.Tokenize(n.Value) {
+				if !seen[t] {
+					seen[t] = true
+					words = append(words, t)
+				}
+			}
+		}
+	}
+	sort.Strings(words)
+	author := kwindex.Tokenize(datagen.AuthorName(0))
+	kws := []string{words[0], author[len(author)-1]}
+	if _, err := sys.Query(kws, 20); err != nil { // warm the CN memo
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Query(kws, 20); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func BenchmarkFig15aTopK(b *testing.B) {
 					ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
 					for _, p := range plans {
 						n := 0
-						_ = ex.Evaluate(p.Plan, func(exec.Result) bool {
+						_ = ex.Evaluate(p, func(exec.Result) bool {
 							n++
 							return n < k
 						})
@@ -330,7 +330,7 @@ func BenchmarkPushdown(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, NoPushdown: mode == "off"}
 				for _, p := range plans {
-					_ = ex.Evaluate(p.Plan, func(exec.Result) bool { return true })
+					_ = ex.Evaluate(p, func(exec.Result) bool { return true })
 				}
 			}
 		})

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	xkbench [-fig 15a|15b|16a|16b|all] [-quick] [-queries N] [-seed N]
-//	        [-papers N] [-authors N] [-cites N]
+//	xkbench [-fig 15a|15b|16a|16b|z|space|stages|baseline|all] [-quick]
+//	        [-queries N] [-seed N] [-papers N] [-authors N] [-cites N]
 //	        [-disk-index] [-index-cache-bytes N]
 package main
 
@@ -16,15 +16,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/diskindex"
 	"repro/internal/experiments"
 )
 
+// figures are the values -fig accepts.
+var figures = []string{"15a", "15b", "16a", "16b", "z", "space", "stages", "baseline", "all"}
+
 func main() {
 	var (
-		figFlag = flag.String("fig", "all", "figure to regenerate: 15a, 15b, 16a, 16b, z, space, stages, baseline or all")
+		figFlag = flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", "))
 		quick   = flag.Bool("quick", false, "use the small test-scale configuration")
 		queries = flag.Int("queries", 0, "override the number of query pairs to average over")
 		seed    = flag.Int64("seed", 0, "override the workload seed")
@@ -36,6 +41,9 @@ func main() {
 		idxCache = flag.Int64("index-cache-bytes", diskindex.DefaultCacheBytes, "buffer-pool budget for -disk-index")
 	)
 	flag.Parse()
+	if !slices.Contains(figures, *figFlag) {
+		fatal(fmt.Errorf("unknown figure %q (want one of %s)", *figFlag, strings.Join(figures, ", ")))
+	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

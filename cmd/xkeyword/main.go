@@ -518,7 +518,7 @@ func runQuery(sys *core.System, keywords []string, k int, all, explain, analyze 
 		}
 		fmt.Printf("%d candidate networks\n", len(plans))
 		for _, p := range plans {
-			fmt.Println(p.Plan.Explain(sys.TSS, sys.Store))
+			fmt.Println(p.Explain(sys.TSS, sys.Store))
 		}
 		return nil
 	}

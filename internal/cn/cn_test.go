@@ -1,6 +1,7 @@
 package cn_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func fig1Input(t *testing.T, keywords []string, z int) (cn.Input, *datagen.Datas
 
 func generate(t *testing.T, in cn.Input) []*cn.Network {
 	t.Helper()
-	nets, err := cn.Generate(in)
+	nets, err := cn.Generate(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,19 +36,19 @@ func generate(t *testing.T, in cn.Input) []*cn.Network {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := cn.Generate(cn.Input{}); err == nil {
+	if _, err := cn.Generate(context.Background(), cn.Input{}); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	in, _ := fig1Input(t, []string{"john"}, 2)
 	in.MaxSize = -1
-	if _, err := cn.Generate(in); err != nil {
+	if _, err := cn.Generate(context.Background(), in); err != nil {
 		// negative MaxSize must error
 	} else {
 		t.Fatal("negative MaxSize accepted")
 	}
 	in2, _ := fig1Input(t, []string{"john"}, 2)
 	in2.SchemaNodesOf["john"] = []string{"nosuchnode"}
-	if _, err := cn.Generate(in2); err == nil {
+	if _, err := cn.Generate(context.Background(), in2); err == nil {
 		t.Fatal("unknown schema node accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package cn
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -35,8 +36,9 @@ type Input struct {
 //     within the size budget.
 //
 // A partial network is emitted when every keyword is assigned and every
-// leaf is a keyword occurrence.
-func Generate(in Input) ([]*Network, error) {
+// leaf is a keyword occurrence. The search polls ctx once per partial
+// network it expands and returns ctx's error when the caller gives up.
+func Generate(ctx context.Context, in Input) ([]*Network, error) {
 	if in.Schema == nil || len(in.Keywords) == 0 {
 		return nil, fmt.Errorf("cn: need a schema and at least one keyword")
 	}
@@ -110,6 +112,9 @@ func Generate(in Input) ([]*Network, error) {
 
 	var out []*Network
 	for len(queue) > 0 {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		p := queue[0]
 		queue = queue[1:]
 		if p.remaining == 0 && allLeavesBound(p.net) {

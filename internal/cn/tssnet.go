@@ -57,7 +57,10 @@ type TSSNetwork struct {
 	Occs  []TSSOcc
 	Edges []TSSEdgeRef
 	// CN is the originating candidate network; its size (in schema
-	// edges) is the score of every MTNN/MTTON the CTSSN produces.
+	// edges) is the score of every MTNN/MTTON the CTSSN produces. Only
+	// its structure is read, never its keywords: a network the query
+	// pipeline builds shares its shape's generic CN, which carries
+	// placeholder keywords.
 	CN *Network
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/optimizer"
 	"repro/internal/relstore"
 )
@@ -114,11 +113,11 @@ type planValue struct {
 	Access [][]string
 }
 
-func bySystemValue(plans []exec.Planned) []planValue {
+func bySystemValue(plans []*optimizer.Plan) []planValue {
 	out := make([]planValue, len(plans))
 	for i, pl := range plans {
-		v := planValue{Plan: *pl.Plan}
-		v.Plan.Steps = append([]optimizer.Step(nil), pl.Plan.Steps...)
+		v := planValue{Plan: *pl}
+		v.Plan.Steps = append([]optimizer.Step(nil), pl.Steps...)
 		for j := range v.Plan.Steps {
 			s := &v.Plan.Steps[j]
 			if s.Seed {

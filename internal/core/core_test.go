@@ -112,7 +112,7 @@ func TestCacheEquivalence(t *testing.T) {
 				ex := &exec.Executor{Store: s.Store, TSS: s.TSS, Cache: cache}
 				var keys []string
 				for _, p := range plans {
-					if err := ex.Evaluate(p.Plan, func(r exec.Result) bool {
+					if err := ex.Evaluate(p, func(r exec.Result) bool {
 						keys = append(keys, r.Key())
 						return true
 					}); err != nil {

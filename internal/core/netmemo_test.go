@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/kwindex"
 )
 
 // The CN memo used to be a package-global sync.Map keyed by
@@ -68,5 +73,50 @@ func TestNetMemoPerSystem(t *testing.T) {
 	}
 	if got := a.netMemo.len(); got != 1 {
 		t.Fatalf("same-shape queries made %d memo entries, want 1", got)
+	}
+}
+
+// TestColdShapeHonoursDeadline: the generate stage builds a cold shape
+// under the query's context. Five distinct DBLP title words at Z = 8
+// take seconds to generate; a 100 ms deadline must stop the build well
+// within a second, and the abandoned shape must not enter the memo.
+func TestColdShapeHonoursDeadline(t *testing.T) {
+	ds, err := datagen.DBLP(datagen.DefaultDBLPParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadPrepared(&Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, Options{Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var words []string
+	for _, id := range ds.Data.Nodes() {
+		if n := ds.Data.Node(id); n.Type == "title" {
+			for _, w := range kwindex.Tokenize(n.Value) {
+				if !seen[w] {
+					seen[w] = true
+					words = append(words, w)
+				}
+			}
+		}
+	}
+	sort.Strings(words)
+	if len(words) < 5 {
+		t.Fatalf("only %d title words", len(words))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err = s.QueryScoredContext(ctx, words[:5], 10, "")
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("%q: err = %v, want context.DeadlineExceeded", words[:5], err)
+	}
+	if took > time.Second {
+		t.Fatalf("%q with a 100ms deadline returned after %v", words[:5], took)
+	}
+	if n := s.memo().len(); n != 0 {
+		t.Fatalf("abandoned cold shape published: memo holds %d templates", n)
 	}
 }

@@ -133,7 +133,7 @@ func (s *System) Networks(keywords []string) ([]*cn.TSSNetwork, error) {
 
 // Plans generates and optimizes the plans of a keyword query, in
 // ascending score order.
-func (s *System) Plans(keywords []string) ([]exec.Planned, error) {
+func (s *System) Plans(keywords []string) ([]*optimizer.Plan, error) {
 	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModePlans}
 	if err := s.Run(context.Background(), q); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/optimizer"
 )
 
 // TestEvaluateContextCancelMidFlight proves a cancelled context
@@ -22,7 +23,7 @@ func TestEvaluateContextCancelMidFlight(t *testing.T) {
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	total := 0
 	for _, p := range plans {
-		if err := ex.Evaluate(p.Plan, func(exec.Result) bool { total++; return true }); err != nil {
+		if err := ex.Evaluate(p, func(exec.Result) bool { total++; return true }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +35,7 @@ func TestEvaluateContextCancelMidFlight(t *testing.T) {
 		emitted := 0
 		sawCancel := false
 		for _, p := range plans {
-			err := ex.RunContext(ctx, p.Plan, strat, func(exec.Result) bool {
+			err := ex.RunContext(ctx, p, strat, func(exec.Result) bool {
 				emitted++
 				cancel()
 				return true
@@ -69,7 +70,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	cancel()
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	n := 0
-	err = ex.RunContext(ctx, plans[0].Plan, exec.NestedLoop, func(exec.Result) bool { n++; return true })
+	err = ex.RunContext(ctx, plans[0], exec.NestedLoop, func(exec.Result) bool { n++; return true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -127,7 +128,7 @@ func TestRunPlansCapsAndSkips(t *testing.T) {
 			}
 		}
 	}
-	holed := append([]exec.Planned{{}}, plans...)
+	holed := append([]*optimizer.Plan{nil}, plans...)
 	shifted, err := exec.RunPlans(ctx, ex, holed, 0, exec.NestedLoop)
 	if err != nil {
 		t.Fatal(err)

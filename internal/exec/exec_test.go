@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/optimizer"
 )
 
 func fig1System(t *testing.T, opts core.Options) *core.System {
@@ -25,11 +26,11 @@ func fig1System(t *testing.T, opts core.Options) *core.System {
 
 // evalAll evaluates every plan of a query to completion through ex with
 // the nested loop, so a cached executor's memo is exercised.
-func evalAll(t *testing.T, ex *exec.Executor, plans []exec.Planned) []exec.Result {
+func evalAll(t *testing.T, ex *exec.Executor, plans []*optimizer.Plan) []exec.Result {
 	t.Helper()
 	var out []exec.Result
 	for _, p := range plans {
-		if err := ex.Evaluate(p.Plan, func(r exec.Result) bool {
+		if err := ex.Evaluate(p, func(r exec.Result) bool {
 			out = append(out, r)
 			return true
 		}); err != nil {
@@ -136,7 +137,7 @@ func TestEvaluateEarlyStop(t *testing.T) {
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	n := 0
 	for _, p := range plans {
-		if err := ex.Evaluate(p.Plan, func(exec.Result) bool { n++; return false }); err != nil {
+		if err := ex.Evaluate(p, func(exec.Result) bool { n++; return false }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,13 +146,13 @@ func TestEvaluateEarlyStop(t *testing.T) {
 	}
 }
 
-func plansWithResults(t *testing.T, s *core.System, plans []exec.Planned) []int {
+func plansWithResults(t *testing.T, s *core.System, plans []*optimizer.Plan) []int {
 	t.Helper()
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	var out []int
 	for i, p := range plans {
 		found := false
-		if err := ex.Evaluate(p.Plan, func(exec.Result) bool { found = true; return false }); err != nil {
+		if err := ex.Evaluate(p, func(exec.Result) bool { found = true; return false }); err != nil {
 			t.Fatal(err)
 		}
 		if found {
@@ -210,8 +211,7 @@ func TestConstrainedEvaluation(t *testing.T) {
 	}
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	checked := false
-	for _, pp := range plans {
-		p := pp.Plan
+	for _, p := range plans {
 		var base []exec.Result
 		if err := ex.Evaluate(p, func(r exec.Result) bool {
 			base = append(base, r)

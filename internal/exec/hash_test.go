@@ -27,15 +27,15 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 					return m
 				}
 				var nl, hj []exec.Result
-				if err := ex.Evaluate(pp.Plan, func(r exec.Result) bool { nl = append(nl, r); return true }); err != nil {
+				if err := ex.Evaluate(pp, func(r exec.Result) bool { nl = append(nl, r); return true }); err != nil {
 					t.Fatal(err)
 				}
-				if err := ex.EvaluateHash(pp.Plan, func(r exec.Result) bool { hj = append(hj, r); return true }); err != nil {
+				if err := ex.EvaluateHash(pp, func(r exec.Result) bool { hj = append(hj, r); return true }); err != nil {
 					t.Fatal(err)
 				}
 				a, b := keys(nl), keys(hj)
 				if len(a) != len(b) || len(a) != len(nl) || len(b) != len(hj) {
-					t.Fatalf("%s/%v: nested-loop %d results, hash %d (plan %s)", preset, q, len(nl), len(hj), pp.Plan.Net)
+					t.Fatalf("%s/%v: nested-loop %d results, hash %d (plan %s)", preset, q, len(nl), len(hj), pp.Net)
 				}
 				for k := range a {
 					if !b[k] {
@@ -56,7 +56,7 @@ func TestHashJoinEarlyStop(t *testing.T) {
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	for _, pp := range plans {
 		n := 0
-		if err := ex.EvaluateHash(pp.Plan, func(exec.Result) bool { n++; return false }); err != nil {
+		if err := ex.EvaluateHash(pp, func(exec.Result) bool { n++; return false }); err != nil {
 			t.Fatal(err)
 		}
 		if n > 1 {
@@ -74,11 +74,11 @@ func TestAllAndFirst(t *testing.T) {
 	ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 	sawResults := false
 	for _, pp := range plans {
-		all, err := ex.All(pp.Plan)
+		all, err := ex.All(pp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, found, err := ex.First(pp.Plan, exec.Constraint{})
+		r, found, err := ex.First(pp, exec.Constraint{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestStrategySelection(t *testing.T) {
 		ex := &exec.Executor{Store: s.Store, TSS: s.TSS}
 		for _, pp := range plans {
 			n := 0
-			if err := ex.Run(pp.Plan, exec.AutoStrategy, func(exec.Result) bool { n++; return true }); err != nil {
+			if err := ex.Run(pp, exec.AutoStrategy, func(exec.Result) bool { n++; return true }); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}

@@ -24,7 +24,7 @@ func TestPushdownEquivalenceAndBenefit(t *testing.T) {
 			s.Store.ResetStats()
 			keys = map[string]bool{}
 			for _, pp := range plans {
-				_ = ex.Evaluate(pp.Plan, func(r exec.Result) bool {
+				_ = ex.Evaluate(pp, func(r exec.Result) bool {
 					keys[r.Key()] = true
 					return true
 				})
@@ -61,7 +61,7 @@ func TestPushdownStrictBenefit(t *testing.T) {
 		ex := &exec.Executor{Store: sysBig.Store, TSS: sysBig.TSS, NoPushdown: noPushdown}
 		sysBig.Store.ResetStats()
 		for _, pp := range plans {
-			_ = ex.Evaluate(pp.Plan, func(exec.Result) bool { return true })
+			_ = ex.Evaluate(pp, func(exec.Result) bool { return true })
 		}
 		return sysBig.Store.Stats.Snapshot().RowsRead
 	}

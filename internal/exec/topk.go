@@ -6,18 +6,14 @@ import (
 	"repro/internal/optimizer"
 )
 
-// Planned pairs a plan with the CN it came from, for bookkeeping.
-type Planned struct {
-	Plan *optimizer.Plan
-}
-
 // RunPlans is the execution module's plan loop (§6): it evaluates the
 // plans one after another on the caller's goroutine, in the given
 // order, stamping each result's Ord with MakeOrd(plan index, emission
-// sequence). A nil plan (another shard's, see pipeline.Query.Own) is
-// skipped but keeps its index. k ≤ 0 evaluates every plan fully. k > 0
-// caps each plan at k results, stops once k results exist, and returns
-// the first k.
+// sequence). plans is index-aligned with the query's CTSSNs, as
+// pipeline.Query.Plans is; a nil plan (another shard's, see
+// pipeline.Query.Own) is skipped but keeps its index. k ≤ 0 evaluates
+// every plan fully. k > 0 caps each plan at k results, stops once k
+// results exist, and returns the first k.
 //
 // Top-k correctness: the plans must be in ascending score order, as the
 // reduce stage emits them, and every result of a plan carries that
@@ -33,17 +29,17 @@ type Planned struct {
 //
 // The join loops poll ctx: a cancelled context stops the evaluation and
 // RunPlans returns ctx's error with the results produced before it.
-func RunPlans(ctx context.Context, ex *Executor, plans []Planned, k int, strategy Strategy) ([]Result, error) {
+func RunPlans(ctx context.Context, ex *Executor, plans []*optimizer.Plan, k int, strategy Strategy) ([]Result, error) {
 	var out []Result
 	for pi, p := range plans {
-		if p.Plan == nil {
+		if p == nil {
 			continue
 		}
 		if k > 0 && len(out) >= k {
 			break
 		}
 		n := 0
-		if err := ex.RunContext(ctx, p.Plan, strategy, func(r Result) bool {
+		if err := ex.RunContext(ctx, p, strategy, func(r Result) bool {
 			r.Ord = MakeOrd(pi, n)
 			n++
 			out = append(out, r)

@@ -108,11 +108,11 @@ func TestEvaluateAllocatesOnlyResults(t *testing.T) {
 	for i, pp := range plans {
 		results := 0
 		emit := func(exec.Result) bool { results++; return true }
-		if err := ex.Evaluate(pp.Plan, emit); err != nil { // warm: pool, scratch
+		if err := ex.Evaluate(pp, emit); err != nil { // warm: pool, scratch
 			t.Fatal(err)
 		}
 		perRun := results
-		allocs := testing.AllocsPerRun(20, func() { _ = ex.Evaluate(pp.Plan, emit) })
+		allocs := testing.AllocsPerRun(20, func() { _ = ex.Evaluate(pp, emit) })
 		if allocs > float64(perRun) {
 			t.Errorf("plan %d: %v allocs per evaluation for %d results", i, allocs, perRun)
 		}

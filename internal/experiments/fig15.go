@@ -33,7 +33,7 @@ func Fig15a(w *Workload) (Figure, error) {
 		}
 		// Plan once per pair; planning (CN generation) is identical
 		// across decompositions and excluded from the measurement.
-		var pairPlans [][]exec.Planned
+		var pairPlans [][]*optimizer.Plan
 		for _, pair := range w.Pairs {
 			plans, err := sys.Plans(pair[:])
 			if err != nil {
@@ -48,8 +48,7 @@ func Fig15a(w *Workload) (Figure, error) {
 			runs := 0
 			for _, plans := range pairPlans {
 				ex := &exec.Executor{Store: sys.Store, TSS: sys.TSS, Cache: exec.NewLookupCache(0)}
-				for _, p := range plans {
-					plan := p.Plan
+				for _, plan := range plans {
 					n := 0
 					dur, io := measure(sys.Store, func() {
 						_ = ex.Evaluate(plan, func(exec.Result) bool {

@@ -59,7 +59,7 @@ func FigZ(w *Workload, zs []int) (Figure, error) {
 					if nres >= 10 {
 						break
 					}
-					_ = ex.Evaluate(p.Plan, func(exec.Result) bool {
+					_ = ex.Evaluate(p, func(exec.Result) bool {
 						nres++
 						return nres < 10
 					})

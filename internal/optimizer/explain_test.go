@@ -15,7 +15,7 @@ func TestExplain(t *testing.T) {
 	}
 	sawProbe := false
 	for _, pp := range plans {
-		out := pp.Plan.Explain(s.TSS, s.Store)
+		out := pp.Explain(s.TSS, s.Store)
 		if !strings.Contains(out, "seed") {
 			t.Fatalf("explain missing seed:\n%s", out)
 		}
@@ -30,7 +30,7 @@ func TestExplain(t *testing.T) {
 		t.Fatal("no plan had probe steps")
 	}
 	// Explain must also work without a store (no access paths).
-	if out := plans[len(plans)-1].Plan.Explain(s.TSS, nil); out == "" {
+	if out := plans[len(plans)-1].Explain(s.TSS, nil); out == "" {
 		t.Fatal("empty explain")
 	}
 }

@@ -34,8 +34,7 @@ func TestPlanStructure(t *testing.T) {
 	if len(plans) == 0 {
 		t.Fatal("no plans")
 	}
-	for _, pp := range plans {
-		p := pp.Plan
+	for _, p := range plans {
 		if !p.Steps[0].Seed {
 			t.Fatalf("first step is not a seed: %+v", p.Steps[0])
 		}
@@ -82,8 +81,7 @@ func TestSeedHasNearSmallestContainingList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pp := range plans {
-		p := pp.Plan
+	for _, p := range plans {
 		seed := p.Steps[0].Occ
 		minList := -1
 		for _, f := range p.Filters {
@@ -115,8 +113,7 @@ func TestFiltersIntersection(t *testing.T) {
 	// The size-0 network (both keywords on one node) must exist and its
 	// filter must be a single TO (the product).
 	found := false
-	for _, pp := range plans {
-		p := pp.Plan
+	for _, p := range plans {
 		if p.Net.Size() == 0 && len(p.Net.Occs[0].Keywords) == 2 {
 			found = true
 			if got := len(p.Filters[0]); got != 1 {
@@ -208,8 +205,7 @@ func TestFiltersMatchIndexTOSets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pp := range plans {
-			p := pp.Plan
+		for _, p := range plans {
 			for occ, o := range p.Net.Occs {
 				f := p.Filters[occ]
 				if o.Free() {

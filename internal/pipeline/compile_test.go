@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestSubstitutionFailsLoudly(t *testing.T) {
 	poisoned := []*cn.Network{{
 		Occs: []cn.Occ{{Schema: "nation", Keywords: []string{"not-a-placeholder"}}},
 	}}
-	_, err := (&Config{}).compile(poisoned, []string{"john"})
+	_, err := (&Config{}).compile(context.Background(), poisoned, []string{"john"})
 	if err == nil {
 		t.Fatal("corrupt generic network compiled silently")
 	}

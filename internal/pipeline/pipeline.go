@@ -75,7 +75,11 @@ const numStages = 6
 
 // Query is one keyword query moving through the pipeline: the request
 // fields configure a Run, the remaining fields are filled stage by
-// stage and read by the caller afterwards.
+// stage and read by the caller afterwards. What a query owns is what
+// its keywords fill in: the discover results, one CTSSN per distinct
+// network of its shape and one plan per CTSSN. Everything derived from
+// the shape alone, the candidate networks included, stays in the shape's
+// compiled template and is shared between queries.
 type Query struct {
 	// Keywords is the raw keyword list.
 	Keywords []string
@@ -109,15 +113,13 @@ type Query struct {
 	// Sig is the keyword-shape signature keying the CN memo (set by
 	// discover, length-prefixed so node names cannot collide shapes).
 	Sig string
-	// CNs are the candidate networks with this query's keywords
-	// substituted in (set by generate).
-	CNs []*cn.Network
 	// Nets are the distinct candidate TSS networks in ascending score
-	// order (set by reduce).
+	// order (set by reduce). Each one's CN is the template's generic
+	// candidate network, with placeholder keywords.
 	Nets []*cn.TSSNetwork
 	// Plans are the optimized execution plans, same order (set by
 	// optimize).
-	Plans []exec.Planned
+	Plans []*optimizer.Plan
 	// Results is the final result list (set by execute and rank).
 	Results []exec.Result
 	// Relaxation records how discover rewrote a no-match query. Set only

@@ -107,6 +107,17 @@ func equalitySignature(norm []string) string {
 	return sb.String()
 }
 
+// maxQueryKeywords is the most keywords a query may have. The CN
+// generator's work grows exponentially with the keyword count: on the
+// DBLP quick workload (Z = 8, two-core Xeon) the first query of 2, 3,
+// 4, 5 and 6 distinct title words took 0.18, 0.8, 2.4, 8.2 and 29 s,
+// and its 2^(n−1) seed keyword subsets alone took 15.8 MB at 16
+// keyword positions and 301 MB at 20 (a repeated word counts once per
+// position). Past 32 positions its keyword masks overflow. Sixteen
+// bounds the memory a request can ask for; the time a cold shape takes
+// is bounded by the query's context, which the generator polls.
+const maxQueryKeywords = 16
+
 // discoverStage tokenizes the keywords and reads each distinct
 // keyword's containing list (§4) once, splitting it into the schema
 // nodes whose extensions contain the keyword — the CN generator's
@@ -119,6 +130,9 @@ func (s discoverStage) Name() string { return StageDiscover }
 func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	if len(q.Keywords) == 0 {
 		return fmt.Errorf("pipeline: empty keyword query")
+	}
+	if len(q.Keywords) > maxQueryKeywords {
+		return fmt.Errorf("pipeline: %d keywords, at most %d allowed", len(q.Keywords), maxQueryKeywords)
 	}
 	rep.In = int64(len(q.Keywords))
 	// The effective keyword arrays stay parallel: with relaxation off
@@ -206,9 +220,8 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 
 // generateStage fetches the query shape's compiled Template — from the
 // shape memo when one is configured; a miss runs the CN generator (§4)
-// and compiles the template, then publishes it — and substitutes the
-// query's keywords for the generic networks' positional placeholders.
-// Out is the number of candidate networks.
+// and compiles the template, then publishes it. Out is the number of
+// the shape's candidate networks.
 type generateStage struct{ cfg *Config }
 
 func (s generateStage) Name() string { return StageGenerate }
@@ -216,7 +229,7 @@ func (s generateStage) Name() string { return StageGenerate }
 func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Keywords))
 	var err error
-	if q.tmpl, rep.Cached, err = s.template(q); err != nil {
+	if q.tmpl, rep.Cached, err = s.template(ctx, q); err != nil {
 		return err
 	}
 	if rep.Cached {
@@ -224,14 +237,14 @@ func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 	} else {
 		rep.CacheMisses = 1
 	}
-	q.CNs = q.tmpl.candidates(q.Norm)
-	rep.Out = int64(len(q.CNs))
+	rep.Out = int64(len(q.tmpl.cns))
 	return nil
 }
 
 // template returns the compiled template of the query's shape and
-// whether the memo already held it.
-func (s generateStage) template(q *Query) (*Template, bool, error) {
+// whether the memo already held it. A miss the query gives up on
+// returns ctx's error and publishes nothing.
+func (s generateStage) template(ctx context.Context, q *Query) (*Template, bool, error) {
 	memo := s.cfg.Templates
 	if memo != nil {
 		if t, ok := memo.Template(q.Sig); ok {
@@ -244,7 +257,7 @@ func (s generateStage) template(q *Query) (*Template, bool, error) {
 		phKeywords[i] = placeholder(i)
 		phNodes[phKeywords[i]] = q.NodeLists[i]
 	}
-	generic, err := cn.Generate(cn.Input{
+	generic, err := cn.Generate(ctx, cn.Input{
 		Schema:        s.cfg.Schema,
 		Keywords:      phKeywords,
 		SchemaNodesOf: phNodes,
@@ -253,7 +266,7 @@ func (s generateStage) template(q *Query) (*Template, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	t, err := s.cfg.compile(generic, q.Norm)
+	t, err := s.cfg.compile(ctx, generic, q.Norm)
 	if err != nil {
 		return nil, false, err
 	}
@@ -266,21 +279,22 @@ func (s generateStage) template(q *Query) (*Template, bool, error) {
 // reduceStage instantiates the template's CTSSNs — each candidate
 // network reduced, the lowest-score CN kept per distinct shape, sorted
 // ascending by score, the order the execute stage's smallest-first
-// scheduling relies on — with the query's keywords.
+// scheduling relies on — with the query's keywords. In is the number
+// of the shape's candidate networks.
 type reduceStage struct{ cfg *Config }
 
 func (s reduceStage) Name() string { return StageReduce }
 
 func (s reduceStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
-	rep.In = int64(len(q.CNs))
 	if q.tmpl == nil {
 		return fmt.Errorf("pipeline: reduce needs the template the generate stage sets")
 	}
+	rep.In = int64(len(q.tmpl.cns))
 	if n := len(q.tmpl.nets); n > 0 {
 		q.Nets = make([]*cn.TSSNetwork, n)
 	}
 	for i := range q.Nets {
-		q.Nets[i] = q.tmpl.network(i, q.Norm, q.CNs)
+		q.Nets[i] = q.tmpl.network(i, q.Norm)
 	}
 	rep.Out = int64(len(q.Nets))
 	return nil
@@ -298,7 +312,7 @@ func (s optimizeStage) Name() string { return StageOptimize }
 func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Nets))
 	opt := s.cfg.NewOptimizer(s.cfg.Index)
-	plans := make([]exec.Planned, len(q.Nets))
+	plans := make([]*optimizer.Plan, len(q.Nets))
 	for i, tn := range q.Nets {
 		if q.Own != nil && !q.Own(i) {
 			continue
@@ -312,7 +326,7 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 		if err != nil {
 			return fmt.Errorf("pipeline: planning %s: %w", tn, err)
 		}
-		plans[i].Plan = p
+		plans[i] = p
 		rep.Out++
 	}
 	q.Plans = plans

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -16,34 +17,29 @@ import (
 // keywords, their reductions to CTSSNs — isomorphism-deduped and sorted
 // ascending by score, the order the execute stage relies on — and, per
 // CTSSN, its canonical string and its compiled plan shape (fragment
-// cover plus lazily filled per-seed step orders). Per query the
-// generate, reduce and optimize stages only substitute the keywords,
+// cover plus lazily filled per-seed step orders). Per query the reduce
+// and optimize stages only substitute the keywords into the CTSSNs,
 // pick each plan's seed from the filter sizes and bind the cached
-// steps. A Template is immutable once built, so the shape memo shares
-// one between concurrent queries.
+// steps; the candidate networks are never copied. A Template is
+// immutable once built, so the shape memo shares one between
+// concurrent queries.
 type Template struct {
-	cns  []cnTemplate
+	cns  []*cn.Network
 	nets []netTemplate
 	// crc checksums the nets' canonical strings in order (see
 	// Query.NetsCRC).
 	crc uint32
 }
 
-// cnTemplate is one generic candidate network; kw[o][i] is the query
-// keyword index behind the i-th placeholder of occurrence o.
-type cnTemplate struct {
-	net *cn.Network
-	kw  [][]int
-}
-
-// netTemplate is one generic CTSSN. cn indexes the template's generic
-// CN it reduces (the lowest-score one of its isomorphism class); kw is
-// aligned with net.Occs[o].Keywords. A network the decomposition cannot
-// cover keeps its compile error for the optimize stage to report.
+// netTemplate is one generic CTSSN. cn is the generic CN it reduces
+// (the lowest-score one of its isomorphism class), shared by every
+// query of the shape as the instantiated network's CN; kw is aligned
+// with net.Occs[o].Keywords. A network the decomposition cannot cover
+// keeps its compile error for the optimize stage to report.
 type netTemplate struct {
 	net   *cn.TSSNetwork
 	canon string
-	cn    int
+	cn    *cn.Network
 	kw    [][]int
 	shape *optimizer.Shape
 	err   error
@@ -73,8 +69,9 @@ func equalityClasses(norm []string) []int {
 // candidate networks. norm supplies only the keyword-equality pattern
 // (part of the shape signature): a repeated keyword shares one
 // placeholder during reduction, so isomorphism dedup under placeholders
-// keeps exactly the networks dedup under substitution would.
-func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error) {
+// keeps exactly the networks dedup under substitution would. It polls
+// ctx once per network and returns ctx's error when the query gives up.
+func (c *Config) compile(ctx context.Context, generic []*cn.Network, norm []string) (*Template, error) {
 	class := equalityClasses(norm)
 	phIndex := make(map[string]int, len(norm))
 	for i := range norm {
@@ -92,10 +89,12 @@ func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error
 		return idx, nil
 	}
 
-	t := &Template{cns: make([]cnTemplate, len(generic))}
+	t := &Template{cns: generic}
 	seen := make(map[string]bool)
-	for gi, g := range generic {
-		ct := cnTemplate{net: g, kw: make([][]int, len(g.Occs))}
+	for _, g := range generic {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		folded := g // g with repeated keywords sharing a placeholder
 		for oi, o := range g.Occs {
 			repeated := false
@@ -104,7 +103,6 @@ func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error
 				if err != nil {
 					return nil, err
 				}
-				ct.kw[oi] = append(ct.kw[oi], idx)
 				repeated = repeated || class[idx] != idx
 			}
 			if !repeated {
@@ -113,18 +111,17 @@ func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error
 			if folded == g {
 				folded = g.Clone()
 			}
-			for ki, idx := range ct.kw[oi] {
-				folded.Occs[oi].Keywords[ki] = placeholder(class[idx])
+			for ki, kw := range o.Keywords {
+				folded.Occs[oi].Keywords[ki] = placeholder(class[phIndex[kw]])
 			}
 			sort.Strings(folded.Occs[oi].Keywords)
 		}
-		t.cns[gi] = ct
 		tn, err := cn.Reduce(c.TSS, folded)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: reducing %s: %w", g, err)
 		}
 		// Distinct CTSSNs only; keep the lowest-score CN per shape.
-		nt := netTemplate{net: tn, canon: tn.Canon(), cn: gi, kw: make([][]int, len(tn.Occs))}
+		nt := netTemplate{net: tn, canon: tn.Canon(), cn: g, kw: make([][]int, len(tn.Occs))}
 		if seen[nt.canon] {
 			continue
 		}
@@ -143,6 +140,9 @@ func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error
 	sort.SliceStable(t.nets, func(i, j int) bool { return t.nets[i].net.Score() < t.nets[j].net.Score() })
 	opt := c.NewOptimizer(c.Index)
 	for i := range t.nets {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		nt := &t.nets[i]
 		nt.shape, nt.err = opt.Compile(nt.net)
 		t.crc = crc32.Update(t.crc, crc32.IEEETable, []byte(nt.canon))
@@ -151,44 +151,17 @@ func (c *Config) compile(generic []*cn.Network, norm []string) (*Template, error
 	return t, nil
 }
 
-// candidates substitutes one query's keywords into the generic CNs.
-// Edges are shared with the template (capacity-capped, so an append
-// cannot reach it); occurrences and keyword lists are the query's own.
-func (t *Template) candidates(norm []string) []*cn.Network {
-	out := make([]*cn.Network, len(t.cns))
-	for i, ct := range t.cns {
-		g := ct.net
-		n := &cn.Network{
-			Occs:  make([]cn.Occ, len(g.Occs)),
-			Edges: g.Edges[:len(g.Edges):len(g.Edges)],
-		}
-		for oi, o := range g.Occs {
-			n.Occs[oi].Schema = o.Schema
-			if idx := ct.kw[oi]; len(idx) > 0 {
-				kws := make([]string, len(idx))
-				for ki, k := range idx {
-					kws[ki] = norm[k]
-				}
-				sort.Strings(kws)
-				n.Occs[oi].Keywords = kws
-			}
-		}
-		out[i] = n
-	}
-	return out
-}
-
 // network instantiates the i-th generic CTSSN for one query: keywords
 // substituted and re-sorted by (keyword, schema node) as cn.Reduce
-// leaves them, the originating CN taken from the query's substituted
-// candidates.
-func (t *Template) network(i int, norm []string, cns []*cn.Network) *cn.TSSNetwork {
+// leaves them. Its CN is the template's generic CN, whose placeholder
+// keywords nothing reads: a network's score is its CN's structure.
+func (t *Template) network(i int, norm []string) *cn.TSSNetwork {
 	nt := &t.nets[i]
 	g := nt.net
 	tn := &cn.TSSNetwork{
 		Occs:  make([]cn.TSSOcc, len(g.Occs)),
 		Edges: g.Edges[:len(g.Edges):len(g.Edges)],
-		CN:    cns[nt.cn],
+		CN:    nt.cn,
 	}
 	for oi, o := range g.Occs {
 		tn.Occs[oi].Segment = o.Segment

@@ -71,7 +71,7 @@ func fromScratch(t *testing.T, sys *core.System, norm []string, nodeLists [][]st
 		phNodes[ph[i]] = nodeLists[i]
 		phIndex[ph[i]] = i
 	}
-	generic, err := cn.Generate(cn.Input{Schema: sys.Schema, Keywords: ph, SchemaNodesOf: phNodes, MaxSize: sys.Opts.Z})
+	generic, err := cn.Generate(context.Background(), cn.Input{Schema: sys.Schema, Keywords: ph, SchemaNodesOf: phNodes, MaxSize: sys.Opts.Z})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,31 @@ func fromScratch(t *testing.T, sys *core.System, norm []string, nodeLists [][]st
 	return cns, nets, plans
 }
 
+// substitute returns a copy of a generic network of the pipeline's
+// template with the query's keywords in place of its placeholders.
+func substitute(g *cn.Network, norm []string) *cn.Network {
+	n := g.Clone()
+	for oi := range n.Occs {
+		for ki, kw := range n.Occs[oi].Keywords {
+			for i, k := range norm {
+				if kw == pipeline.Placeholder(i) {
+					n.Occs[oi].Keywords[ki] = k
+				}
+			}
+		}
+		sort.Strings(n.Occs[oi].Keywords)
+	}
+	return n
+}
+
 // TestTemplateMatchesFromScratch is the differential test of the shape
 // template: for a randomized batch of queries — among them a repeated
 // keyword, a multi-token phrase, keywords held by several schema nodes
-// and relaxation substitutions — the candidate networks, CTSSNs and
-// plans instantiated from the (shared, warm or cold) template are
-// deep-equal to the from-scratch derivation.
+// and relaxation substitutions — the template's (shared, warm or cold)
+// generic candidate networks with the query's keywords substituted, the
+// CTSSNs and the plans instantiated from it are deep-equal to the
+// from-scratch derivation. A CTSSN's CN is the template's generic CN,
+// so it is compared after the same substitution.
 func TestTemplateMatchesFromScratch(t *testing.T) {
 	sys := tpchSystem(t, core.Options{Relax: true})
 	ix := sys.Index.(*kwindex.Index)
@@ -188,18 +207,36 @@ func TestTemplateMatchesFromScratch(t *testing.T) {
 			}
 			shapes[q.Sig]++
 			wantCNs, wantNets, wantPlans := fromScratch(t, sys, q.Norm, q.NodeLists)
-			if !reflect.DeepEqual(q.CNs, wantCNs) {
-				t.Fatalf("%q pass %d: candidate networks differ from scratch:\ngot  %v\nwant %v", kws, pass, q.CNs, wantCNs)
+			cns := make([]*cn.Network, len(q.GenericCNs()))
+			for i, g := range q.GenericCNs() {
+				cns[i] = substitute(g, q.Norm)
 			}
-			if !reflect.DeepEqual(q.Nets, wantNets) {
-				t.Fatalf("%q pass %d: CTSSNs differ from scratch:\ngot  %v\nwant %v", kws, pass, q.Nets, wantNets)
+			if !reflect.DeepEqual(cns, wantCNs) {
+				t.Fatalf("%q pass %d: candidate networks differ from scratch:\ngot  %v\nwant %v", kws, pass, cns, wantCNs)
+			}
+			if len(q.Nets) != len(wantNets) {
+				t.Fatalf("%q pass %d: %d CTSSNs, from scratch %d", kws, pass, len(q.Nets), len(wantNets))
+			}
+			// A plan carries its CTSSN, so both compare with the CN
+			// substituted.
+			withCN := func(tn *cn.TSSNetwork) *cn.TSSNetwork {
+				got := *tn
+				got.CN = substitute(tn.CN, q.Norm)
+				return &got
+			}
+			for i, tn := range q.Nets {
+				if got := withCN(tn); !reflect.DeepEqual(got, wantNets[i]) {
+					t.Fatalf("%q pass %d: CTSSN %d differs from scratch:\ngot  %v (CN %v)\nwant %v (CN %v)", kws, pass, i, tn, got.CN, wantNets[i], wantNets[i].CN)
+				}
 			}
 			if len(q.Plans) != len(wantPlans) {
 				t.Fatalf("%q pass %d: %d plans, from scratch %d", kws, pass, len(q.Plans), len(wantPlans))
 			}
 			for i, pl := range q.Plans {
-				if !reflect.DeepEqual(pl.Plan, wantPlans[i]) {
-					t.Fatalf("%q pass %d: plan %d differs from scratch:\ngot  %+v\nwant %+v", kws, pass, i, pl.Plan, wantPlans[i])
+				got := *pl
+				got.Net = withCN(pl.Net)
+				if !reflect.DeepEqual(&got, wantPlans[i]) {
+					t.Fatalf("%q pass %d: plan %d differs from scratch:\ngot  %+v\nwant %+v", kws, pass, i, pl, wantPlans[i])
 				}
 			}
 		}

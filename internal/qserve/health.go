@@ -135,8 +135,12 @@ func (s *Server) breakerRemaining() time.Duration {
 	return rem
 }
 
+// breakerMax caps the exponential growth of consecutive fast-fail
+// windows.
+const breakerMax = 5 * time.Second
+
 // tripBreaker opens (or re-opens) the fast-fail window after a shed.
-// Consecutive trips grow the window exponentially up to BreakerMax, so
+// Consecutive trips grow the window exponentially up to breakerMax, so
 // a persistently saturated server converges to cheap rejections instead
 // of making every client pay the full queue wait before its 503.
 func (s *Server) tripBreaker() {
@@ -145,9 +149,7 @@ func (s *Server) tripBreaker() {
 		win = int64(s.opts.BreakerWindow)
 	} else {
 		win *= 2
-		if max := int64(s.opts.BreakerMax); win > max {
-			win = max
-		}
+		win = min(win, int64(breakerMax))
 	}
 	s.breakerWin.Store(win)
 	s.breakerUntil.Store(time.Now().UnixNano() + win)

@@ -70,9 +70,6 @@ type Options struct {
 	// immediately instead of burning the full queue wait first. Default
 	// QueueWait; negative disables the breaker.
 	BreakerWindow time.Duration
-	// BreakerMax caps the exponential growth of consecutive fast-fail
-	// windows (default 5s).
-	BreakerMax time.Duration
 	// Logf receives the serving layer's rare operational messages (first
 	// index failure). Default log.Printf.
 	Logf func(format string, args ...any)
@@ -96,9 +93,6 @@ func (o *Options) defaults() {
 	}
 	if o.BreakerWindow == 0 {
 		o.BreakerWindow = o.QueueWait
-	}
-	if o.BreakerMax == 0 {
-		o.BreakerMax = 5 * time.Second
 	}
 }
 

@@ -48,9 +48,6 @@ type CoordinatorOptions struct {
 	// split it records (CRC + scheme + count) and that the split was cut
 	// from the coordinator's own index (posting totals).
 	Manifest *Manifest
-	// HTTPClient overrides the transport (tests use the httptest
-	// server's client). Default: a dedicated pooled client.
-	HTTPClient *http.Client
 	// Logf receives operational messages (default log.Printf).
 	Logf func(format string, args ...any)
 
@@ -61,10 +58,9 @@ type CoordinatorOptions struct {
 	// wins (the loser is cancelled). Replicas serve identical partition
 	// data, so hedging never changes an answer, only its tail latency.
 	HedgeDisabled bool
-	// HedgeMinDelay/HedgeMaxDelay clamp the latency-derived hedge delay
-	// (defaults 1ms / 100ms) so a cold or noisy histogram cannot hedge
-	// instantly or wait out the whole request timeout.
-	HedgeMinDelay time.Duration
+	// HedgeMaxDelay caps the latency-derived hedge delay (default
+	// 100ms) so a cold or noisy histogram cannot wait out the whole
+	// request timeout; hedgeMinDelay floors it.
 	HedgeMaxDelay time.Duration
 	// HedgeBudgetPct caps fired hedges at this percentage of hedgeable
 	// requests, coordinator-wide (default 10) — a slow cluster must not
@@ -74,6 +70,10 @@ type CoordinatorOptions struct {
 	// before its p95 is trusted to derive a hedge delay (default 16).
 	HedgeMinSamples int
 }
+
+// hedgeMinDelay floors the latency-derived hedge delay so a cold or
+// noisy histogram cannot hedge instantly.
+const hedgeMinDelay = time.Millisecond
 
 func (o *CoordinatorOptions) defaults() {
 	if o.RequestTimeout <= 0 {
@@ -91,14 +91,8 @@ func (o *CoordinatorOptions) defaults() {
 	if o.HealthTTL == 0 {
 		o.HealthTTL = time.Second
 	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
-	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = time.Millisecond
 	}
 	if o.HedgeMaxDelay <= 0 {
 		o.HedgeMaxDelay = 100 * time.Millisecond
@@ -145,9 +139,10 @@ var _ qserve.Engine = (*Coordinator)(nil)
 func NewCoordinatorGroups(sys *core.System, groups [][]string, opts CoordinatorOptions) *Coordinator {
 	opts.defaults()
 	c := &Coordinator{sys: sys, opts: opts}
+	hc := &http.Client{}
 	c.hedge = &hedgeControl{
 		disabled:   opts.HedgeDisabled,
-		minDelay:   opts.HedgeMinDelay,
+		minDelay:   hedgeMinDelay,
 		maxDelay:   opts.HedgeMaxDelay,
 		budgetPct:  int64(opts.HedgeBudgetPct),
 		minSamples: int64(opts.HedgeMinSamples),
@@ -164,7 +159,7 @@ func NewCoordinatorGroups(sys *core.System, groups [][]string, opts CoordinatorO
 				replica:   ri,
 				label:     label,
 				base:      a,
-				hc:        opts.HTTPClient,
+				hc:        hc,
 				timeout:   opts.RequestTimeout,
 				threshold: opts.BreakerThreshold,
 				window:    opts.BreakerWindow,

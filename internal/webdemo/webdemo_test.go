@@ -232,6 +232,20 @@ func TestErrorHandling(t *testing.T) {
 	}
 }
 
+// TestTooManyKeywords: a query past the keyword limit is refused as a
+// bad request before any index read, even when its keyword matches
+// nothing (an empty 200 would hide the refusal).
+func TestTooManyKeywords(t *testing.T) {
+	srv := demoServer(t)
+	var out struct {
+		Error string `json:"error"`
+	}
+	q := strings.TrimSuffix(strings.Repeat("zzznomatch+", 17), "+")
+	if code := getJSON(t, srv.URL+"/api/query?q="+q, &out); code != http.StatusBadRequest || !strings.Contains(out.Error, "17 keywords") {
+		t.Fatalf("17 keywords: status %d error %q, want 400 naming the count", code, out.Error)
+	}
+}
+
 func TestObjectEndpoint(t *testing.T) {
 	sys := demoSystem(t)
 	srv := httptest.NewServer(webdemo.NewServer(sys).Handler())
