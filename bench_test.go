@@ -422,7 +422,7 @@ func BenchmarkCNGeneration(b *testing.B) {
 	w := workload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Networks(w.Pairs[0][:]); err != nil {
+		if _, err := sys.Networks(context.Background(), w.Pairs[0][:]); err != nil {
 			b.Fatal(err)
 		}
 	}

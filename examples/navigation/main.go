@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -30,7 +31,7 @@ func main() {
 
 	// Find the Figure 3 candidate network:
 	// person{us} — lineitem — part — part{vcr}.
-	nets, err := sys.Networks([]string{"us", "vcr"})
+	nets, err := sys.Networks(context.Background(), []string{"us", "vcr"})
 	if err != nil {
 		log.Fatal(err)
 	}

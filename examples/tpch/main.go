@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 	}
 
 	// §4's example: the candidate TSS networks of "TV, VCR".
-	nets, err := sys.Networks([]string{"TV", "VCR"})
+	nets, err := sys.Networks(context.Background(), []string{"TV", "VCR"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func ExampleSystem_Networks() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nets, err := sys.Networks([]string{"TV", "VCR"})
+	nets, err := sys.Networks(context.Background(), []string{"TV", "VCR"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestNetMemoPerSystem(t *testing.T) {
 		return s
 	}
 	a := load()
-	if _, err := a.Networks([]string{"john", "vcr"}); err != nil {
+	if _, err := a.Networks(context.Background(), []string{"john", "vcr"}); err != nil {
 		t.Fatal(err)
 	}
 	if a.netMemo.len() == 0 {
@@ -68,7 +68,7 @@ func TestNetMemoPerSystem(t *testing.T) {
 		t.Fatalf("fresh system memo has %d entries", got)
 	}
 	// Same-shape queries share one generation within a system.
-	if _, err := a.Networks([]string{"mike", "vcr"}); err != nil {
+	if _, err := a.Networks(context.Background(), []string{"mike", "vcr"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.netMemo.len(); got != 1 {
@@ -76,11 +76,11 @@ func TestNetMemoPerSystem(t *testing.T) {
 	}
 }
 
-// TestColdShapeHonoursDeadline: the generate stage builds a cold shape
-// under the query's context. Five distinct DBLP title words at Z = 8
-// take seconds to generate; a 100 ms deadline must stop the build well
-// within a second, and the abandoned shape must not enter the memo.
-func TestColdShapeHonoursDeadline(t *testing.T) {
+// dblpTitleWords loads the DBLP quick dataset at Z = 8, where a few
+// distinct title words make a shape whose cold build takes seconds,
+// and returns its title words in sorted order.
+func dblpTitleWords(t *testing.T) (*System, []string) {
+	t.Helper()
 	ds, err := datagen.DBLP(datagen.DefaultDBLPParams())
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +105,18 @@ func TestColdShapeHonoursDeadline(t *testing.T) {
 	if len(words) < 5 {
 		t.Fatalf("only %d title words", len(words))
 	}
+	return s, words
+}
+
+// TestColdShapeHonoursDeadline: five distinct DBLP title words at Z = 8
+// take seconds to generate; a query with a 100 ms deadline must give up
+// on the cold build well within a second.
+func TestColdShapeHonoursDeadline(t *testing.T) {
+	s, words := dblpTitleWords(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = s.QueryScoredContext(ctx, words[:5], 10, "")
+	_, _, err := s.QueryScoredContext(ctx, words[:5], 10, "")
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("%q: err = %v, want context.DeadlineExceeded", words[:5], err)
@@ -116,7 +124,34 @@ func TestColdShapeHonoursDeadline(t *testing.T) {
 	if took > time.Second {
 		t.Fatalf("%q with a 100ms deadline returned after %v", words[:5], took)
 	}
-	if n := s.memo().len(); n != 0 {
-		t.Fatalf("abandoned cold shape published: memo holds %d templates", n)
+}
+
+// TestAbandonedColdShapeWarms: a request that gives up on a cold shape
+// stops waiting, not the build. Three DBLP title words take about half
+// a second to build; a client that retries them with a 50 ms deadline
+// must be answered once the build it abandoned has published.
+func TestAbandonedColdShapeWarms(t *testing.T) {
+	s, words := dblpTitleWords(t)
+	kws := words[:3]
+	deadline := time.Now().Add(2 * time.Minute)
+	for tries := 1; ; tries++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		_, _, err := s.QueryScoredContext(ctx, kws, 10, "")
+		cancel()
+		if err == nil {
+			if tries == 1 {
+				t.Fatalf("%q answered within 50ms cold; the test needs a slower shape", kws)
+			}
+			break
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("try %d: err = %v, want context.DeadlineExceeded", tries, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%q still cold after %d tries: abandoned builds never publish", kws, tries)
+		}
+	}
+	if n := s.memo().len(); n != 1 {
+		t.Fatalf("memo holds %d templates, want the one shape", n)
 	}
 }

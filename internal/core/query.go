@@ -122,10 +122,10 @@ func (s *System) Executor() *exec.Executor {
 // Networks runs the keyword discoverer, the CN generator and the CTSSN
 // reduction for a keyword query and returns the candidate TSS networks
 // in ascending score order (paper §4). Keywords are tokenized
-// case-insensitively.
-func (s *System) Networks(keywords []string) ([]*cn.TSSNetwork, error) {
+// case-insensitively. A cancelled ctx stops the call with ctx's error.
+func (s *System) Networks(ctx context.Context, keywords []string) ([]*cn.TSSNetwork, error) {
 	q := &pipeline.Query{Keywords: keywords, Mode: pipeline.ModeNetworks}
-	if err := s.Run(context.Background(), q); err != nil {
+	if err := s.Run(ctx, q); err != nil {
 		return nil, err
 	}
 	return q.Nets, nil

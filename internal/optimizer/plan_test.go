@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"maps"
 	"slices"
 	"testing"
@@ -136,7 +137,7 @@ func TestPlanErrorPaths(t *testing.T) {
 		Fragments: nil, // nothing to cover with
 		MaxJoins:  2,
 	}
-	nets, err := s.Networks([]string{"john", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"john", "vcr"})
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("networks: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestPlanJoinsFallback(t *testing.T) {
 		Fragments: s.Decomp.Fragments,
 		MaxJoins:  0,
 	}
-	nets, err := s.Networks([]string{"john", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"john", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}

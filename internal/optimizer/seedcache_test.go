@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 // VCRs) are comparable, so cacheability decides.
 func TestSeedPrefersCacheProfitableSide(t *testing.T) {
 	s := fig1System(t, core.Options{Z: 8})
-	nets, err := s.Networks([]string{"tv", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"tv", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +11,7 @@ import (
 
 func TestPlanSeeded(t *testing.T) {
 	s := fig1System(t, core.Options{Z: 8})
-	nets, err := s.Networks([]string{"us", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"us", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestPlanSeeded(t *testing.T) {
 // seed binding matches — regardless of which occurrence seeds.
 func TestPlanSeededEquivalence(t *testing.T) {
 	s := fig1System(t, core.Options{Z: 8})
-	nets, err := s.Networks([]string{"us", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"us", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func firstAll(ex *exec.Executor, p *optimizer.Plan, occ int, to int64) ([]exec.R
 // single-edge plan; both are executable and equivalent.
 func TestPlanSeededVariants(t *testing.T) {
 	s := fig1System(t, core.Options{Z: 8})
-	nets, err := s.Networks([]string{"us", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"us", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,14 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"time"
 
 	"repro/internal/cn"
 	"repro/internal/exec"
@@ -114,9 +118,20 @@ func equalitySignature(norm []string) string {
 // and its 2^(n−1) seed keyword subsets alone took 15.8 MB at 16
 // keyword positions and 301 MB at 20 (a repeated word counts once per
 // position). Past 32 positions its keyword masks overflow. Sixteen
-// bounds the memory a request can ask for; the time a cold shape takes
-// is bounded by the query's context, which the generator polls.
+// bounds the memory a request can ask for; coldBuildLimit bounds the
+// time a cold shape takes.
 const maxQueryKeywords = 16
+
+// coldBuildLimit bounds one cold shape build: the CN generator and the
+// template compile poll its context. A build with a shape memo to fill
+// does not run under the request that started it. A request that gives
+// up on a cold miss stops waiting, but the build goes on and publishes
+// its template, so a shape whose build outlasts a client's timeout
+// still warms: a shard coordinator gives each shard request 5 s by
+// default, under the 8.2 s of five title words above. Its retries join
+// the build in flight rather than start it over. A minute lets those
+// shapes warm while keeping any one build from holding a core longer.
+const coldBuildLimit = time.Minute
 
 // discoverStage tokenizes the keywords and reads each distinct
 // keyword's containing list (§4) once, splitting it into the schema
@@ -242,20 +257,35 @@ func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 }
 
 // template returns the compiled template of the query's shape and
-// whether the memo already held it. A miss the query gives up on
-// returns ctx's error and publishes nothing.
+// whether the memo already held it. Without a memo the query builds
+// its own template under ctx. A miss on a memo joins or starts the
+// shape's cold build (see coldBuildLimit) and waits for it while ctx
+// lasts.
 func (s generateStage) template(ctx context.Context, q *Query) (*Template, bool, error) {
 	memo := s.cfg.Templates
-	if memo != nil {
-		if t, ok := memo.Template(q.Sig); ok {
-			return t, true, nil
-		}
+	if memo == nil {
+		t, err := s.build(ctx, q.NodeLists, q.Norm)
+		return t, false, err
 	}
-	phKeywords := make([]string, len(q.Keywords))
-	phNodes := make(map[string][]string, len(q.Keywords))
-	for i := range q.Keywords {
+	if t, ok := memo.Template(q.Sig); ok {
+		return t, true, nil
+	}
+	nodeLists, norm := q.NodeLists, q.Norm
+	t, err := coldBuilds.do(ctx, coldKey{memo, q.Sig}, func(ctx context.Context) (*Template, error) {
+		return s.build(ctx, nodeLists, norm)
+	})
+	return t, false, err
+}
+
+// build runs the CN generator (§4) over the shape's placeholder
+// keywords and compiles the template, returning ctx's error when ctx
+// ends first.
+func (s generateStage) build(ctx context.Context, nodeLists [][]string, norm []string) (*Template, error) {
+	phKeywords := make([]string, len(norm))
+	phNodes := make(map[string][]string, len(norm))
+	for i := range norm {
 		phKeywords[i] = placeholder(i)
-		phNodes[phKeywords[i]] = q.NodeLists[i]
+		phNodes[phKeywords[i]] = nodeLists[i]
 	}
 	generic, err := cn.Generate(ctx, cn.Input{
 		Schema:        s.cfg.Schema,
@@ -264,16 +294,100 @@ func (s generateStage) template(ctx context.Context, q *Query) (*Template, bool,
 		MaxSize:       s.cfg.Z,
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	t, err := s.cfg.compile(ctx, generic, q.Norm)
-	if err != nil {
-		return nil, false, err
+	return s.cfg.compile(ctx, generic, norm)
+}
+
+// coldKey names one shape of one memo: signatures are only unique
+// within a memo, which serves one schema.
+type coldKey struct {
+	memo TemplateCache
+	sig  string
+}
+
+// coldBuild is one cold shape build in flight.
+type coldBuild struct {
+	done chan struct{} // closed once t and err are set
+	t    *Template
+	err  error
+}
+
+// buildGroup runs cold shape builds detached from the requests that
+// wait on them: at most one per coldKey, and at most one per CPU at a
+// time, so requests that abandon their builds cannot stack up work
+// past the cores. An entry lives only while its build runs. Unlike
+// qserve's flight group, which cancels a query once its last waiter
+// leaves, a build is never cancelled: finishing it is what warms the
+// shape.
+type buildGroup struct {
+	mu    sync.Mutex
+	m     map[coldKey]*coldBuild // guarded by mu
+	slots chan struct{}          // one token per build running
+}
+
+var coldBuilds = &buildGroup{
+	m:     make(map[coldKey]*coldBuild),
+	slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
+}
+
+// do waits for key's template: it joins the build in flight, or takes
+// a build slot and starts one. The build runs on its own context,
+// bounded by coldBuildLimit, and publishes into key.memo when it
+// succeeds. A caller whose ctx ends first, waiting for a slot or for
+// the build, gets ctx's error; the build it started goes on.
+func (g *buildGroup) do(ctx context.Context, key coldKey, build func(context.Context) (*Template, error)) (*Template, error) {
+	g.mu.Lock()
+	b := g.m[key]
+	g.mu.Unlock()
+	if b == nil {
+		select {
+		case g.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		// Another request may have started the build, or finished it,
+		// while this one waited for the slot. run publishes before it
+		// deletes its entry, so under mu one of the two shows.
+		g.mu.Lock()
+		b = g.m[key]
+		t, built := key.memo.Template(key.sig)
+		if b == nil && !built {
+			b = &coldBuild{done: make(chan struct{})}
+			g.m[key] = b
+			go g.run(key, b, build)
+		} else {
+			<-g.slots
+		}
+		g.mu.Unlock()
+		if b == nil {
+			return t, nil
+		}
 	}
-	if memo != nil {
-		memo.PutTemplate(q.Sig, t)
+	select {
+	case <-b.done:
+		return b.t, b.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	return t, false, nil
+}
+
+// run builds b under coldBuildLimit, publishes it, and frees its entry
+// and its slot.
+func (g *buildGroup) run(key coldKey, b *coldBuild, build func(context.Context) (*Template, error)) {
+	ctx, cancel := context.WithTimeout(context.Background(), coldBuildLimit)
+	b.t, b.err = build(ctx)
+	cancel()
+	if b.err == nil {
+		key.memo.PutTemplate(key.sig, b.t)
+	} else if errors.Is(b.err, context.DeadlineExceeded) {
+		b.err = fmt.Errorf("pipeline: keyword shape not built within %v", coldBuildLimit)
+	}
+	g.mu.Lock()
+	delete(g.m, key)
+	g.mu.Unlock()
+	<-g.slots
+	close(b.done)
 }
 
 // reduceStage instantiates the template's CTSSNs — each candidate

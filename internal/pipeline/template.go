@@ -70,7 +70,7 @@ func equalityClasses(norm []string) []int {
 // (part of the shape signature): a repeated keyword shares one
 // placeholder during reduction, so isomorphism dedup under placeholders
 // keeps exactly the networks dedup under substitution would. It polls
-// ctx once per network and returns ctx's error when the query gives up.
+// ctx once per network and returns ctx's error once ctx ends.
 func (c *Config) compile(ctx context.Context, generic []*cn.Network, norm []string) (*Template, error) {
 	class := equalityClasses(norm)
 	phIndex := make(map[string]int, len(norm))

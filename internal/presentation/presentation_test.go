@@ -1,6 +1,7 @@
 package presentation_test
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func fig1System(t *testing.T) *core.System {
 // usVCRNetwork finds the Figure 2/3 network person{us}—lineitem—part—part{vcr}.
 func usVCRNetwork(t *testing.T, s *core.System) int {
 	t.Helper()
-	nets, err := s.Networks([]string{"us", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"us", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func usVCRNetwork(t *testing.T, s *core.System) int {
 
 func buildPG(t *testing.T, s *core.System, sess *presentation.Session) *presentation.Graph {
 	t.Helper()
-	nets, err := s.Networks([]string{"us", "vcr"})
+	nets, err := s.Networks(context.Background(), []string{"us", "vcr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestErrorPaths(t *testing.T) {
 		t.Fatal("undisplayed keep accepted")
 	}
 	// Building a PG for a resultless network fails.
-	nets, err := s.Networks([]string{"mike", "tv"})
+	nets, err := s.Networks(context.Background(), []string{"mike", "tv"})
 	if err != nil {
 		t.Fatal(err)
 	}

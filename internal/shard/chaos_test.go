@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/shard"
 )
@@ -102,6 +103,54 @@ func TestSlowShardDegrades(t *testing.T) {
 	mustEqualResults(t, "slow shard", rs, want)
 	if h, err := cl.coord.IndexHealthState(); h != core.IndexDegraded {
 		t.Fatalf("health with a hung shard = %v (%v), want degraded", h, err)
+	}
+}
+
+// TestColdShapeOutlastsRequestTimeout: a shard whose cold shape build
+// takes longer than the coordinator's request timeout fails those
+// requests, but the build goes on and publishes, so a repeated query is
+// answered once the shard is warm. Three DBLP title words at Z = 8
+// take about half a second to build; each shard request gets 100 ms.
+func TestColdShapeOutlastsRequestTimeout(t *testing.T) {
+	ds, err := datagen.DBLP(datagen.DefaultDBLPParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func() *core.System {
+		sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, core.Options{Z: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := load()
+	cl := startCluster(t, sys, 2, clusterConfig{
+		shardSys: load(),
+		opts: shard.CoordinatorOptions{
+			RequestTimeout: 100 * time.Millisecond,
+			BreakerWindow:  100 * time.Millisecond,
+		},
+	})
+	kws := []string{"candidate", "databases", "efficient"} // DBLP title words
+	ctx := context.Background()
+	want, _, err := sys.QueryScoredContext(ctx, kws, 10, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for tries := 1; ; tries++ {
+		got, _, err := cl.coord.QueryScoredContext(ctx, kws, 10, "")
+		if err == nil {
+			if tries == 1 {
+				t.Fatalf("%q answered cold within the 100ms shard timeout; the test needs a slower shape", kws)
+			}
+			mustEqualResults(t, "warm shards", got, want)
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%q still failing after %d tries: shard builds cut at the request timeout never warm: %v", kws, tries, err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -306,7 +306,7 @@ func TestLatencyObservedOnlyOnSuccess(t *testing.T) {
 // TestHedgeBudgetAllow exercises the budget arithmetic directly: the
 // grace admits early hedges, then fired hedges track the percentage.
 func TestHedgeBudgetAllow(t *testing.T) {
-	hc := &hedgeControl{budgetPct: 10, minDelay: time.Millisecond, maxDelay: time.Second, minSamples: 1}
+	hc := &hedgeControl{budgetPct: 10, maxDelay: time.Second, minSamples: 1}
 	if !hc.allow() {
 		t.Fatal("fresh budget must admit the grace hedge")
 	}

@@ -142,7 +142,6 @@ func NewCoordinatorGroups(sys *core.System, groups [][]string, opts CoordinatorO
 	hc := &http.Client{}
 	c.hedge = &hedgeControl{
 		disabled:   opts.HedgeDisabled,
-		minDelay:   hedgeMinDelay,
 		maxDelay:   opts.HedgeMaxDelay,
 		budgetPct:  int64(opts.HedgeBudgetPct),
 		minSamples: int64(opts.HedgeMinSamples),

@@ -55,6 +55,10 @@ type clusterConfig struct {
 	local func(i int, part *kwindex.Index) kwindex.Source
 	// wrap decorates shard i's handler (nil = identity) — fault injection.
 	wrap func(i int, h http.Handler) http.Handler
+	// shardSys serves the shards (nil = the coordinator's system). A
+	// separate load keeps the shards' shape memo apart from the
+	// coordinator's, as in a deployment.
+	shardSys *core.System
 }
 
 func startCluster(t testing.TB, sys *core.System, n int, cfg clusterConfig) *cluster {
@@ -69,6 +73,9 @@ func startCluster(t testing.TB, sys *core.System, n int, cfg clusterConfig) *clu
 			local = cfg.local(i, part)
 		}
 		srv := &shard.Server{Sys: sys, Local: local, ID: i, N: n}
+		if cfg.shardSys != nil {
+			srv.Sys = cfg.shardSys
+		}
 		h := srv.Handler()
 		if cfg.wrap != nil {
 			h = cfg.wrap(i, h)

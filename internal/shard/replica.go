@@ -29,7 +29,6 @@ import (
 // request volume at once — that is how retry storms start.
 type hedgeControl struct {
 	disabled   bool
-	minDelay   time.Duration
 	maxDelay   time.Duration
 	budgetPct  int64 // hedges allowed per 100 group requests
 	minSamples int64 // latency observations before p95 is trusted
@@ -153,8 +152,8 @@ func (g *replicaGroup) hedgeDelay(primary *shardClient) (time.Duration, bool) {
 		return 0, false
 	}
 	d := primary.lat.Quantile(0.95)
-	if d < hc.minDelay {
-		d = hc.minDelay
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	if d > hc.maxDelay {
 		d = hc.maxDelay

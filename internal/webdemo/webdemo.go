@@ -257,7 +257,7 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nets, err := s.sys.Networks(keywords)
+	nets, err := s.sys.Networks(r.Context(), keywords)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -282,7 +282,7 @@ func (s *Server) handlePGOpen(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	nets, err := s.sys.Networks(keywords)
+	nets, err := s.sys.Networks(r.Context(), keywords)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return

@@ -2,6 +2,7 @@ package webdemo_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -243,6 +245,38 @@ func TestTooManyKeywords(t *testing.T) {
 	q := strings.TrimSuffix(strings.Repeat("zzznomatch+", 17), "+")
 	if code := getJSON(t, srv.URL+"/api/query?q="+q, &out); code != http.StatusBadRequest || !strings.Contains(out.Error, "17 keywords") {
 		t.Fatalf("17 keywords: status %d error %q, want 400 naming the count", code, out.Error)
+	}
+}
+
+// TestNetworksHonourDeadline: /api/networks and /api/pg/open run the
+// query stage under the request's context. Five distinct DBLP title
+// words at Z = 8 take seconds to build cold; a request with a 100 ms
+// deadline must be answered well within a second.
+func TestNetworksHonourDeadline(t *testing.T) {
+	ds, err := datagen.DBLP(datagen.DefaultDBLPParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+		core.Options{Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := webdemo.NewServer(sys).Handler()
+	for _, path := range []string{"/api/networks", "/api/pg/open"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		req := httptest.NewRequest(http.MethodGet, path+"?q=candidate+databases+efficient+graphs+indexing", nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		h.ServeHTTP(rec, req)
+		took := time.Since(start)
+		cancel()
+		if took > time.Second {
+			t.Fatalf("%s with a 100ms deadline answered after %v", path, took)
+		}
+		if rec.Code == http.StatusOK {
+			t.Fatalf("%s answered 200 past its deadline: %s", path, rec.Body)
+		}
 	}
 }
 
