@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/decomp"
@@ -109,28 +108,19 @@ type System struct {
 	M    int
 	Opts Options
 
-	// netMemo caches the compiled derivation (the shape template) per
-	// keyword-shape signature. It lives on the System (not in a package
-	// global) so the memo is released with the System and cannot grow
-	// for the life of the process when many systems are loaded. Lazily
-	// initialized by memo(): Systems are also built by struct literal
-	// outside this package (e.g. internal/persist), which cannot set
-	// unexported fields.
-	netMemo  *netMemo
-	memoOnce sync.Once
+	// shapes memoizes the compiled derivation (the shape template) per
+	// keyword-shape signature. It lives on the System, not in a package
+	// global, so it is released with the System.
+	shapes *pipeline.Shapes
 
 	// metrics accumulates per-stage pipeline statistics across every
-	// query this System serves (/debug/pipeline). Lazily initialized by
-	// PipelineMetrics for the same struct-literal reason as netMemo.
-	metrics     *pipeline.Metrics
-	metricsOnce sync.Once
+	// query this System serves (/debug/pipeline).
+	metrics *pipeline.Metrics
 
 	// summaries memoises the object graph's summary of each target
 	// object and its JSON escaping (see objectSummary), one slot per TO,
-	// allocated on first use for the same struct-literal reason as
-	// netMemo.
-	summaries     []atomic.Pointer[summary]
-	summariesOnce sync.Once
+	// indexed by ObjectGraph.Ordinal.
+	summaries []atomic.Pointer[summary]
 }
 
 // IndexHealth classifies the master-index backend's state for the
@@ -149,32 +139,11 @@ func (s *System) IndexHealthState() (IndexHealth, error) {
 	return kwindex.HealthOf(s.Index)
 }
 
-// PipelineMetrics returns the System's cumulative per-stage pipeline
-// counters, creating the sink on first use.
-func (s *System) PipelineMetrics() *pipeline.Metrics {
-	s.metricsOnce.Do(func() {
-		if s.metrics == nil {
-			s.metrics = pipeline.NewMetrics()
-		}
-	})
-	return s.metrics
-}
-
 // PipelineSnapshot captures the current per-stage pipeline counters —
 // the qserve serving layer embeds it into its stats snapshot so cached
 // and executed queries are distinguishable.
 func (s *System) PipelineSnapshot() pipeline.Snapshot {
-	return s.PipelineMetrics().Snapshot()
-}
-
-// memo returns the System's shape memo, creating it on first use.
-func (s *System) memo() *netMemo {
-	s.memoOnce.Do(func() {
-		if s.netMemo == nil {
-			s.netMemo = newNetMemo(netMemoCap)
-		}
-	})
-	return s.netMemo
+	return s.metrics.Snapshot()
 }
 
 // Load runs the load stage of Figure 7 over a typed or untyped data
@@ -216,38 +185,55 @@ func LoadPrepared(p *Prepared, opts Options) (*System, error) {
 	if p == nil || p.Schema == nil || p.TSS == nil || p.Data == nil || p.Obj == nil {
 		return nil, fmt.Errorf("core: incomplete prepared dataset")
 	}
-	s := &System{
-		Schema: p.Schema,
-		TSS:    p.TSS,
-		Data:   p.Data,
-		Obj:    p.Obj,
-		Store:  relstore.NewStore(),
-		Opts:   opts,
-	}
-	s.Index = kwindex.Build(s.Obj)
-	s.Stats = s.Obj.CollectStats()
-	s.M = SizeBound(s.TSS, s.Data, opts.Z, opts.MaxKeywords)
-
+	m := SizeBound(p.TSS, p.Data, opts.Z, opts.MaxKeywords)
 	var d *decomp.Decomposition
 	var err error
 	switch opts.Decomposition {
 	case PresetXKeyword:
-		d, err = decomp.XKeyword(s.TSS, s.M, opts.B)
+		d, err = decomp.XKeyword(p.TSS, m, opts.B)
 	case PresetComplete:
-		d = decomp.Complete(s.TSS, decomp.JoinBound(s.M, opts.B))
+		d = decomp.Complete(p.TSS, decomp.JoinBound(m, opts.B))
 	case PresetMinClust:
-		d = decomp.MinClust(s.TSS)
+		d = decomp.MinClust(p.TSS)
 	case PresetMinNClustIndx:
-		d = decomp.MinNClustIndx(s.TSS)
+		d = decomp.MinNClustIndx(p.TSS)
 	case PresetMinNClustNIndx:
-		d = decomp.MinNClustNIndx(s.TSS)
+		d = decomp.MinNClustNIndx(p.TSS)
 	default:
 		err = fmt.Errorf("core: unknown decomposition preset %q", opts.Decomposition)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.Decomp = d
+	s, err := NewSystem(p, d, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.Index = kwindex.Build(s.Obj)
+	return s, nil
+}
+
+// NewSystem builds a System over a decomposed dataset and the
+// decomposition chosen for it, with CTSSN size bound m: it materializes
+// the decomposition's connection relations, collects the statistics and
+// creates the query-side state (shape memo, metrics sink, summary
+// slots). The master index is left for the caller to attach. LoadPrepared
+// and the snapshot loader both build their Systems here.
+func NewSystem(p *Prepared, d *decomp.Decomposition, m int, opts Options) (*System, error) {
+	s := &System{
+		Schema:    p.Schema,
+		TSS:       p.TSS,
+		Data:      p.Data,
+		Obj:       p.Obj,
+		Store:     relstore.NewStore(),
+		Stats:     p.Obj.CollectStats(),
+		Decomp:    d,
+		M:         m,
+		Opts:      opts,
+		shapes:    pipeline.NewShapes(),
+		metrics:   pipeline.NewMetrics(),
+		summaries: make([]atomic.Pointer[summary], p.Obj.NumObjects()),
+	}
 	if err := decomp.Materialize(s.Store, s.Obj, d); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -98,7 +98,7 @@ func TestExplainAnalyzeAll(t *testing.T) {
 
 // TestConcurrentQueryAndRun hammers one System with interleaved top-k
 // Query calls and full-result Run calls — the serving pattern —
-// exercising the shared netMemo, metrics sink and per-query executors
+// exercising the shared shape memo, metrics sink and per-query executors
 // through the pipeline. Run under -race in CI.
 func TestConcurrentQueryAndRun(t *testing.T) {
 	s := loadFig1(t, core.Options{Z: 8})

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"testing"
 	"time"
@@ -15,30 +14,8 @@ import (
 // The CN memo used to be a package-global sync.Map keyed by
 // *schema.Graph with no eviction: every loaded system's generated
 // networks stayed reachable for the life of the process. These are the
-// regression tests for the fix — the memo is per-System and bounded.
-
-func TestNetMemoBounded(t *testing.T) {
-	mm := newNetMemo(4)
-	for i := 0; i < 32; i++ {
-		mm.PutTemplate(fmt.Sprintf("sig%d", i), nil)
-	}
-	if got := mm.len(); got > 4 {
-		t.Fatalf("memo grew to %d entries, cap 4", got)
-	}
-	// LRU: the most recent signatures survive.
-	if _, ok := mm.Template("sig31"); !ok {
-		t.Fatal("most recent entry evicted")
-	}
-	if _, ok := mm.Template("sig0"); ok {
-		t.Fatal("oldest entry survived past the cap")
-	}
-	// get refreshes recency: touch the LRU victim, insert, and it stays.
-	mm.Template("sig28")
-	mm.PutTemplate("fresh", nil)
-	if _, ok := mm.Template("sig28"); !ok {
-		t.Fatal("touched entry was evicted before untouched ones")
-	}
-}
+// regression tests for the fix — the memo is per-System (its bound is
+// pipeline's TestShapesBounded).
 
 func TestNetMemoPerSystem(t *testing.T) {
 	ds, err := datagen.TPCHFigure1()
@@ -57,21 +34,21 @@ func TestNetMemoPerSystem(t *testing.T) {
 	if _, err := a.Networks(context.Background(), []string{"john", "vcr"}); err != nil {
 		t.Fatal(err)
 	}
-	if a.netMemo.len() == 0 {
+	if a.shapes.Len() == 0 {
 		t.Fatal("query did not populate the memo")
 	}
 	// A second system over the same schema starts with an empty memo:
 	// nothing is shared through package state, so dropping a System
 	// drops its memo.
 	b := load()
-	if got := b.memo().len(); got != 0 {
+	if got := b.shapes.Len(); got != 0 {
 		t.Fatalf("fresh system memo has %d entries", got)
 	}
 	// Same-shape queries share one generation within a system.
 	if _, err := a.Networks(context.Background(), []string{"mike", "vcr"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.netMemo.len(); got != 1 {
+	if got := a.shapes.Len(); got != 1 {
 		t.Fatalf("same-shape queries made %d memo entries, want 1", got)
 	}
 }
@@ -151,7 +128,7 @@ func TestAbandonedColdShapeWarms(t *testing.T) {
 			t.Fatalf("%q still cold after %d tries: abandoned builds never publish", kws, tries)
 		}
 	}
-	if n := s.memo().len(); n != 1 {
+	if n := s.shapes.Len(); n != 1 {
 		t.Fatalf("memo holds %d templates, want the one shape", n)
 	}
 }

@@ -6,40 +6,10 @@ import (
 	"repro/internal/cn"
 	"repro/internal/exec"
 	"repro/internal/kwindex"
-	"repro/internal/lru"
 	"repro/internal/optimizer"
 	"repro/internal/pipeline"
 	"repro/internal/rank"
 )
-
-// netMemo is the per-System shape memo: what the query stage derives
-// from a keyword query depends, up to the point containing-list sizes
-// pick each plan's seed, only on the query's shape — which schema nodes
-// hold each keyword, under which Z, and which keywords are equal — not
-// on the keyword strings, so queries with the same shape (e.g. any two
-// author names) share one derivation: the pipeline.Template compiled
-// from the shape's generic candidate networks. The memo is a bounded
-// exact LRU owned by one System: it used to be a package-global
-// sync.Map keyed by *schema.Graph, which leaked every loaded system's
-// networks for the life of the process.
-type netMemo struct {
-	c *lru.Cache[string, *pipeline.Template]
-}
-
-// netMemoCap bounds the distinct keyword shapes memoized per System.
-const netMemoCap = 256
-
-func newNetMemo(capacity int) *netMemo {
-	return &netMemo{lru.New(lru.Config[string, *pipeline.Template]{MaxEntries: capacity})}
-}
-
-func (mm *netMemo) len() int { return mm.c.Len() }
-
-// Template and PutTemplate implement pipeline.TemplateCache.
-func (mm *netMemo) Template(sig string) (*pipeline.Template, bool) { return mm.c.Get(sig) }
-
-// PutTemplate publishes a shape's compiled template.
-func (mm *netMemo) PutTemplate(sig string, t *pipeline.Template) { mm.c.Put(sig, t) }
 
 // scorer resolves the System's configured default scorer. Opts.Scorer
 // is validated by LoadPrepared and by every flag surface; an invalid
@@ -91,10 +61,10 @@ func (s *System) PipelineWith(ix kwindex.Source) *pipeline.Pipeline {
 		StrictMinimal: s.Opts.StrictMinimal,
 		Scorer:        s.scorer(),
 		Relax:         s.Opts.Relax,
-		Templates:     s.memo(),
+		Shapes:        s.shapes,
 		NewOptimizer:  s.optimizerWith,
 		NewExecutor:   s.Executor,
-		Metrics:       s.PipelineMetrics(),
+		Metrics:       s.metrics,
 	})
 }
 

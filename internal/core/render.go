@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cn"
 	"repro/internal/exec"
@@ -81,7 +80,7 @@ func (s *System) objectSummary(to int64) *summary {
 	if !ok {
 		return nil
 	}
-	slot := &s.summaryMemo()[i]
+	slot := &s.summaries[i]
 	if m := slot.Load(); m != nil {
 		return m
 	}
@@ -93,15 +92,6 @@ func (s *System) objectSummary(to int64) *summary {
 	}
 	slot.Store(m)
 	return m
-}
-
-// summaryMemo returns the per-TO summary slots, indexed by
-// ObjectGraph.Ordinal, allocating them on first use rather than at load.
-func (s *System) summaryMemo() []atomic.Pointer[summary] {
-	s.summariesOnce.Do(func() {
-		s.summaries = make([]atomic.Pointer[summary], s.Obj.NumObjects())
-	})
-	return s.summaries
 }
 
 // RenderResult renders an MTTON as an indented tree of target-object

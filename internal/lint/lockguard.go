@@ -13,7 +13,7 @@ import (
 // the owning value's mutex has been locked earlier in the same
 // function, and every explicit Lock()/RLock() must be paired with an
 // Unlock on all return paths (a later Unlock with no return in between,
-// or a deferred one). The PR 1 per-System netMemo leak lived exactly in
+// or a deferred one). The first per-System shape memo leak lived exactly in
 // code where an unguarded map access raced its eviction path.
 //
 // The check is deliberately syntactic and local (source order within

@@ -162,6 +162,20 @@ func (c *Cache[K, V]) GetOrPut(k K, v V) (actual V, loaded bool) {
 	return v, false
 }
 
+// DeleteIf drops k's entry when match accepts its value, and reports
+// whether it did. match runs under the shard lock, as in DeleteFunc.
+func (c *Cache[K, V]) DeleteIf(k K, match func(V) bool) bool {
+	sh := c.shard(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n, ok := sh.m[k]
+	if ok && match(n.val) {
+		sh.removeLocked(n)
+		return true
+	}
+	return false
+}
+
 // DeleteFunc drops every entry whose key satisfies match and returns
 // how many were dropped. match runs under a shard lock: it must be
 // quick and must not call back into the cache.

@@ -119,6 +119,16 @@ func TestPolicy(t *testing.T) {
 			},
 			keys: "z", bytes: 5,
 		},
+		{
+			name: "deleteif drops only the matching value", maxBytes: 1000,
+			steps: []step{
+				{"put", "a", 10, 0}, {"put", "b", 20, 0},
+				{"delif", "a", 11, 0}, {"get", "a", 0, 10}, // another value stays
+				{"delif", "a", 10, 1}, {"get", "a", 0, -1},
+				{"delif", "nothing", 0, 0},
+			},
+			keys: "b", bytes: 20,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,6 +152,10 @@ func TestPolicy(t *testing.T) {
 					got, _ = c.GetOrPut(s.k, s.v)
 				case "delprefix":
 					got = c.DeleteFunc(func(k string) bool { return strings.HasPrefix(k, s.k) })
+				case "delif":
+					if c.DeleteIf(s.k, func(v int) bool { return v == s.v }) {
+						got = 1
+					}
 				case "clear":
 					got = c.Clear()
 				case "sleep":

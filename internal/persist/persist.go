@@ -20,7 +20,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/diskindex"
 	"repro/internal/kwindex"
-	"repro/internal/relstore"
 	"repro/internal/schema"
 	"repro/internal/tss"
 	"repro/internal/xmlgraph"
@@ -253,21 +252,9 @@ func load(r io.Reader) (*core.System, *snapshot, error) {
 		}
 		d.Fragments = append(d.Fragments, f)
 	}
-	store := relstore.NewStore()
-	if err := decomp.Materialize(store, og, d); err != nil {
+	sys, err := core.NewSystem(&core.Prepared{Schema: sg, TSS: tg, Data: data, Obj: og}, d, snap.M, snap.Opts)
+	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
-	}
-
-	sys := &core.System{
-		Schema: sg,
-		TSS:    tg,
-		Data:   data,
-		Obj:    og,
-		Store:  store,
-		Stats:  og.CollectStats(),
-		Decomp: d,
-		M:      snap.M,
-		Opts:   snap.Opts,
 	}
 	return sys, &snap, nil
 }

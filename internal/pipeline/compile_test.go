@@ -3,8 +3,8 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,33 +30,51 @@ func TestSubstitutionFailsLoudly(t *testing.T) {
 	}
 }
 
-// syncMemo is a TemplateCache over a plain map.
-type syncMemo struct {
-	mu sync.Mutex
-	m  map[string]*Template // guarded by mu
+// testShapes is a shape memo with its own n build slots.
+func testShapes(n int) *Shapes {
+	m := NewShapes()
+	m.slots = make(chan struct{}, n)
+	return m
 }
 
-func (sm *syncMemo) Template(sig string) (*Template, bool) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	t, ok := sm.m[sig]
-	return t, ok
-}
-
-func (sm *syncMemo) PutTemplate(sig string, t *Template) {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	sm.m[sig] = t
+// TestShapesBounded: the memo holds at most shapesCap shapes, evicting
+// the least recently used; a lookup refreshes a shape's recency.
+func TestShapesBounded(t *testing.T) {
+	m := NewShapes()
+	put := func(sig string) {
+		e := &shape{done: make(chan struct{}), t: &Template{}}
+		close(e.done)
+		m.c.Put(sig, e)
+	}
+	for i := 0; i < 2*shapesCap; i++ {
+		put(fmt.Sprintf("sig%d", i))
+	}
+	if got := m.Len(); got != shapesCap {
+		t.Fatalf("memo holds %d shapes, cap %d", got, shapesCap)
+	}
+	last := fmt.Sprintf("sig%d", 2*shapesCap-1)
+	if _, ok := m.built(last); !ok {
+		t.Fatal("most recent shape evicted")
+	}
+	if _, ok := m.built("sig0"); ok {
+		t.Fatal("oldest shape survived past the cap")
+	}
+	// Touch the LRU victim, insert, and it stays.
+	victim := fmt.Sprintf("sig%d", shapesCap)
+	m.built(victim)
+	put("fresh")
+	if _, ok := m.built(victim); !ok {
+		t.Fatal("touched shape was evicted before untouched ones")
+	}
 }
 
 // TestColdBuildOutlivesItsRequests: requests that give up on a cold
 // shape stop waiting, not the build. Every retry joins the one build
 // in flight, which publishes when it ends; with both build slots taken
 // a third shape gives up waiting for one without starting, and a miss
-// that reaches the group after the publish builds nothing.
+// after the publish builds nothing.
 func TestColdBuildOutlivesItsRequests(t *testing.T) {
-	g := &buildGroup{m: make(map[coldKey]*coldBuild), slots: make(chan struct{}, 2)}
-	memo := &syncMemo{m: make(map[string]*Template)}
+	m := testShapes(2)
 	release := make(chan struct{})
 	var builds atomic.Int32
 	build := func(ctx context.Context) (*Template, error) {
@@ -68,7 +86,7 @@ func TestColdBuildOutlivesItsRequests(t *testing.T) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 		defer cancel()
-		if _, err := g.do(ctx, coldKey{memo, sig}, build); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := m.wait(ctx, sig, build); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s on a blocked build: err = %v, want context.DeadlineExceeded", sig, err)
 		}
 		if n := builds.Load(); n != wantBuilds {
@@ -82,8 +100,8 @@ func TestColdBuildOutlivesItsRequests(t *testing.T) {
 	try("c", 2)
 	close(release)
 	for start := time.Now(); ; time.Sleep(time.Millisecond) {
-		_, a := memo.Template("a")
-		_, b := memo.Template("b")
+		_, a := m.built("a")
+		_, b := m.built("b")
 		if a && b {
 			break
 		}
@@ -91,10 +109,37 @@ func TestColdBuildOutlivesItsRequests(t *testing.T) {
 			t.Fatal("abandoned builds never published their templates")
 		}
 	}
-	if _, ok := memo.Template("c"); ok {
-		t.Fatal("a shape that never got a slot was built")
+	if m.Len() != 2 {
+		t.Fatalf("memo holds %d shapes, want a and b: a shape that never got a slot was inserted", m.Len())
 	}
-	if tm, err := g.do(context.Background(), coldKey{memo, "a"}, build); tm == nil || err != nil || builds.Load() != 2 {
+	if tm, err := m.wait(context.Background(), "a", build); tm == nil || err != nil || builds.Load() != 2 {
 		t.Fatalf("published shape: template %v err %v after %d builds, want it without another build", tm, err, builds.Load())
+	}
+}
+
+// TestFailedBuildIsNotPublished: the waiters of a failed build get its
+// error, the failed shape leaves the memo, and the next miss builds it
+// again.
+func TestFailedBuildIsNotPublished(t *testing.T) {
+	m := testShapes(1)
+	var builds atomic.Int32
+	fail := errors.New("generator failed")
+	build := func(ctx context.Context) (*Template, error) {
+		if builds.Add(1) == 1 {
+			return nil, fail
+		}
+		return &Template{}, nil
+	}
+	if _, err := m.wait(context.Background(), "a", build); !errors.Is(err, fail) {
+		t.Fatalf("first build: err = %v, want %v", err, fail)
+	}
+	if _, ok := m.built("a"); ok || m.Len() != 0 {
+		t.Fatalf("failed build left %d shapes in the memo", m.Len())
+	}
+	if tm, err := m.wait(context.Background(), "a", build); tm == nil || err != nil || builds.Load() != 2 {
+		t.Fatalf("retry: template %v err %v after %d builds, want a second build", tm, err, builds.Load())
+	}
+	if _, ok := m.built("a"); !ok {
+		t.Fatal("the retry's build was not published")
 	}
 }

@@ -64,14 +64,14 @@ func testSystem(t *testing.T) *core.System {
 }
 
 // newPipeline assembles a pipeline over a loaded system's exported
-// parts, the way core does internally, with an overridable shape memo.
-func newPipeline(sys *core.System, nc pipeline.TemplateCache) *pipeline.Pipeline {
+// parts, the way core does internally, with a shape memo of its own.
+func newPipeline(sys *core.System) *pipeline.Pipeline {
 	return pipeline.New(pipeline.Config{
-		Schema:    sys.Schema,
-		TSS:       sys.TSS,
-		Index:     sys.Index,
-		Z:         sys.Opts.Z,
-		Templates: nc,
+		Schema: sys.Schema,
+		TSS:    sys.TSS,
+		Index:  sys.Index,
+		Z:      sys.Opts.Z,
+		Shapes: pipeline.NewShapes(),
 		NewOptimizer: func(ix kwindex.Source) *optimizer.Optimizer {
 			return &optimizer.Optimizer{
 				TSS: sys.TSS, Store: sys.Store, Index: ix, Stats: sys.Stats,
@@ -96,7 +96,7 @@ func TestStagesReportIntoTrace(t *testing.T) {
 		Strategy: exec.NestedLoop,
 		Trace:    tr,
 	}
-	p := newPipeline(sys, nil)
+	p := newPipeline(sys)
 	if err := p.Run(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStagesReportIntoTrace(t *testing.T) {
 	if spans[5].Out != int64(len(q.Results)) {
 		t.Fatalf("rank out = %d, want %d results", spans[5].Out, len(q.Results))
 	}
-	// Without a net cache the generate stage reports a miss.
+	// The shape memo is empty, so the generate stage reports a miss.
 	if spans[1].Cached || spans[1].CacheMisses != 1 {
 		t.Fatalf("generate span cache fields wrong: %+v", spans[1])
 	}
@@ -136,7 +136,7 @@ func TestStagesReportIntoTrace(t *testing.T) {
 // their stage prefix.
 func TestPartialModesStopEarly(t *testing.T) {
 	sys := testSystem(t)
-	p := newPipeline(sys, nil)
+	p := newPipeline(sys)
 
 	tr := obs.NewTrace()
 	q := &pipeline.Query{Keywords: []string{"john", "vcr"}, Mode: pipeline.ModeNetworks, Trace: tr}
@@ -170,7 +170,7 @@ func TestMetricsAccumulate(t *testing.T) {
 	sys := testSystem(t)
 	m := pipeline.NewMetrics()
 	cfgp := pipeline.New(pipeline.Config{
-		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z,
+		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z, Shapes: pipeline.NewShapes(),
 		NewOptimizer: func(ix kwindex.Source) *optimizer.Optimizer {
 			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: ix,
 				Stats: sys.Stats, Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}

@@ -2,14 +2,10 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/cn"
 	"repro/internal/exec"
@@ -19,14 +15,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/tss"
 )
-
-// TemplateCache memoizes the compiled Template per keyword-shape
-// signature — core's per-System bounded LRU, the shape memo. It must be
-// safe for concurrent use.
-type TemplateCache interface {
-	Template(sig string) (*Template, bool)
-	PutTemplate(sig string, t *Template)
-}
 
 // Config assembles the default stages over a loaded system's parts.
 type Config struct {
@@ -47,9 +35,8 @@ type Config struct {
 	// (substitute or drop, recorded in Query.Relaxation) instead of
 	// letting the query return zero results.
 	Relax bool
-	// Templates, when non-nil, memoizes the derivation per keyword
-	// shape; without it every query compiles its own template.
-	Templates TemplateCache
+	// Shapes memoizes the derivation per keyword shape (required).
+	Shapes *Shapes
 	// NewOptimizer builds the plan optimizer over Index (per query).
 	NewOptimizer func(ix kwindex.Source) *optimizer.Optimizer
 	// NewExecutor builds the executor (per query, shared by the query's
@@ -121,17 +108,6 @@ func equalitySignature(norm []string) string {
 // bounds the memory a request can ask for; coldBuildLimit bounds the
 // time a cold shape takes.
 const maxQueryKeywords = 16
-
-// coldBuildLimit bounds one cold shape build: the CN generator and the
-// template compile poll its context. A build with a shape memo to fill
-// does not run under the request that started it. A request that gives
-// up on a cold miss stops waiting, but the build goes on and publishes
-// its template, so a shape whose build outlasts a client's timeout
-// still warms: a shard coordinator gives each shard request 5 s by
-// default, under the 8.2 s of five title words above. Its retries join
-// the build in flight rather than start it over. A minute lets those
-// shapes warm while keeping any one build from holding a core longer.
-const coldBuildLimit = time.Minute
 
 // discoverStage tokenizes the keywords and reads each distinct
 // keyword's containing list (§4) once, splitting it into the schema
@@ -233,10 +209,10 @@ func (s discoverStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 	return nil
 }
 
-// generateStage fetches the query shape's compiled Template — from the
-// shape memo when one is configured; a miss runs the CN generator (§4)
-// and compiles the template, then publishes it. Out is the number of
-// the shape's candidate networks.
+// generateStage fetches the query shape's compiled Template from the
+// shape memo; a miss runs the CN generator (§4) and compiles the
+// template, then publishes it. Out is the number of the shape's
+// candidate networks.
 type generateStage struct{ cfg *Config }
 
 func (s generateStage) Name() string { return StageGenerate }
@@ -257,21 +233,14 @@ func (s generateStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 }
 
 // template returns the compiled template of the query's shape and
-// whether the memo already held it. Without a memo the query builds
-// its own template under ctx. A miss on a memo joins or starts the
-// shape's cold build (see coldBuildLimit) and waits for it while ctx
-// lasts.
+// whether the memo had already built it. A miss joins or starts the
+// shape's cold build (see Shapes) and waits for it while ctx lasts.
 func (s generateStage) template(ctx context.Context, q *Query) (*Template, bool, error) {
-	memo := s.cfg.Templates
-	if memo == nil {
-		t, err := s.build(ctx, q.NodeLists, q.Norm)
-		return t, false, err
-	}
-	if t, ok := memo.Template(q.Sig); ok {
+	if t, ok := s.cfg.Shapes.built(q.Sig); ok {
 		return t, true, nil
 	}
 	nodeLists, norm := q.NodeLists, q.Norm
-	t, err := coldBuilds.do(ctx, coldKey{memo, q.Sig}, func(ctx context.Context) (*Template, error) {
+	t, err := s.cfg.Shapes.wait(ctx, q.Sig, func(ctx context.Context) (*Template, error) {
 		return s.build(ctx, nodeLists, norm)
 	})
 	return t, false, err
@@ -297,97 +266,6 @@ func (s generateStage) build(ctx context.Context, nodeLists [][]string, norm []s
 		return nil, err
 	}
 	return s.cfg.compile(ctx, generic, norm)
-}
-
-// coldKey names one shape of one memo: signatures are only unique
-// within a memo, which serves one schema.
-type coldKey struct {
-	memo TemplateCache
-	sig  string
-}
-
-// coldBuild is one cold shape build in flight.
-type coldBuild struct {
-	done chan struct{} // closed once t and err are set
-	t    *Template
-	err  error
-}
-
-// buildGroup runs cold shape builds detached from the requests that
-// wait on them: at most one per coldKey, and at most one per CPU at a
-// time, so requests that abandon their builds cannot stack up work
-// past the cores. An entry lives only while its build runs. Unlike
-// qserve's flight group, which cancels a query once its last waiter
-// leaves, a build is never cancelled: finishing it is what warms the
-// shape.
-type buildGroup struct {
-	mu    sync.Mutex
-	m     map[coldKey]*coldBuild // guarded by mu
-	slots chan struct{}          // one token per build running
-}
-
-var coldBuilds = &buildGroup{
-	m:     make(map[coldKey]*coldBuild),
-	slots: make(chan struct{}, runtime.GOMAXPROCS(0)),
-}
-
-// do waits for key's template: it joins the build in flight, or takes
-// a build slot and starts one. The build runs on its own context,
-// bounded by coldBuildLimit, and publishes into key.memo when it
-// succeeds. A caller whose ctx ends first, waiting for a slot or for
-// the build, gets ctx's error; the build it started goes on.
-func (g *buildGroup) do(ctx context.Context, key coldKey, build func(context.Context) (*Template, error)) (*Template, error) {
-	g.mu.Lock()
-	b := g.m[key]
-	g.mu.Unlock()
-	if b == nil {
-		select {
-		case g.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		// Another request may have started the build, or finished it,
-		// while this one waited for the slot. run publishes before it
-		// deletes its entry, so under mu one of the two shows.
-		g.mu.Lock()
-		b = g.m[key]
-		t, built := key.memo.Template(key.sig)
-		if b == nil && !built {
-			b = &coldBuild{done: make(chan struct{})}
-			g.m[key] = b
-			go g.run(key, b, build)
-		} else {
-			<-g.slots
-		}
-		g.mu.Unlock()
-		if b == nil {
-			return t, nil
-		}
-	}
-	select {
-	case <-b.done:
-		return b.t, b.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// run builds b under coldBuildLimit, publishes it, and frees its entry
-// and its slot.
-func (g *buildGroup) run(key coldKey, b *coldBuild, build func(context.Context) (*Template, error)) {
-	ctx, cancel := context.WithTimeout(context.Background(), coldBuildLimit)
-	b.t, b.err = build(ctx)
-	cancel()
-	if b.err == nil {
-		key.memo.PutTemplate(key.sig, b.t)
-	} else if errors.Is(b.err, context.DeadlineExceeded) {
-		b.err = fmt.Errorf("pipeline: keyword shape not built within %v", coldBuildLimit)
-	}
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	<-g.slots
-	close(b.done)
 }
 
 // reduceStage instantiates the template's CTSSNs — each candidate

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/cn"
@@ -17,28 +16,6 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/pipeline"
 )
-
-// mapMemo is a minimal pipeline.TemplateCache: the shape memo without
-// the LRU bound.
-type mapMemo struct {
-	mu    sync.Mutex
-	tmpls map[string]*pipeline.Template
-}
-
-func newMapMemo() *mapMemo { return &mapMemo{tmpls: map[string]*pipeline.Template{}} }
-
-func (m *mapMemo) Template(sig string) (*pipeline.Template, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.tmpls[sig]
-	return t, ok
-}
-
-func (m *mapMemo) PutTemplate(sig string, t *pipeline.Template) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tmpls[sig] = t
-}
 
 // tpchSystem is a synthetic TPC-H instance large enough that keyword
 // lists differ in size (so seeds differ between queries of one shape).
@@ -187,9 +164,8 @@ func TestTemplateMatchesFromScratch(t *testing.T) {
 		queries = append(queries, kws)
 	}
 
-	memo := newMapMemo()
 	p := pipeline.New(pipeline.Config{
-		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z, Relax: true, Templates: memo,
+		Schema: sys.Schema, TSS: sys.TSS, Index: sys.Index, Z: sys.Opts.Z, Relax: true, Shapes: pipeline.NewShapes(),
 		NewOptimizer: func(ix kwindex.Source) *optimizer.Optimizer {
 			return &optimizer.Optimizer{TSS: sys.TSS, Store: sys.Store, Index: ix, Stats: sys.Stats,
 				Fragments: sys.Decomp.Fragments, MaxJoins: sys.Opts.B}
@@ -256,7 +232,7 @@ func TestTemplateMatchesFromScratch(t *testing.T) {
 // derivations and differs when the keywords or the shape differ.
 func TestNetsCRCSeparates(t *testing.T) {
 	sys := testSystem(t)
-	p := newPipeline(sys, newMapMemo())
+	p := newPipeline(sys)
 	crc := func(kws ...string) uint32 {
 		q := &pipeline.Query{Keywords: kws, Mode: pipeline.ModeNetworks}
 		if err := p.Run(context.Background(), q); err != nil {

@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -118,5 +119,54 @@ func TestTopKMetamorphic(t *testing.T) {
 					answers["n=2"][k-1], answers["single"][k-1])
 			}
 		}
+	}
+}
+
+// TestRepeatedKeywordExtendsSingle: "w w" is its own keyword shape (the
+// shape memo keys it apart from "w"), and its answer extends the answer
+// to "w": on each front, top-k of "w" is a prefix of top-k of "w w",
+// compared by (Score, Bind) in order, and when "w" has fewer than k
+// results they are exactly the score-0 results of "w w", the
+// single-object trees both queries share.
+func TestRepeatedKeywordExtendsSingle(t *testing.T) {
+	sys := builtinTPCH(t)
+	ctx := context.Background()
+	same := func(a, b exec.Result) bool { return a.Score == b.Score && slices.Equal(a.Bind, b.Bind) }
+	exhausted := 0 // results of "w" compared against the score-0 ones of "w w"
+	for name, eng := range fronts(t, sys) {
+		for _, w := range []string{"us", "vcr", "john", "smith", "tv"} {
+			for _, k := range []int{5, 50, 1000} {
+				tag := fmt.Sprintf("%s %q k=%d", name, w, k)
+				single, _, err := eng.QueryScoredContext(ctx, []string{w}, k, "")
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				twice, _, err := eng.QueryScoredContext(ctx, []string{w, w}, k, "")
+				if err != nil {
+					t.Fatalf("%s twice: %v", tag, err)
+				}
+				if len(single) > len(twice) || !slices.EqualFunc(single, twice[:len(single)], same) {
+					t.Fatalf("%s: the %d results of %q are not a prefix of the %d of %q",
+						tag, len(single), w, len(twice), w+" "+w)
+				}
+				if len(single) == k {
+					continue
+				}
+				exhausted += len(single)
+				var zero []exec.Result
+				for _, r := range twice {
+					if r.Score == 0 {
+						zero = append(zero, r)
+					}
+				}
+				if !slices.EqualFunc(single, zero, same) {
+					t.Fatalf("%s: %q has %d results, %q has %d of score 0; want the same trees",
+						tag, w, len(single), w+" "+w, len(zero))
+				}
+			}
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no keyword ran out of results below k: the score-0 relation was never checked")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,6 +32,10 @@ import (
 type Server struct {
 	sys *core.System
 	qs  *qserve.Server
+
+	// deadline bounds each pipeline request: queryDeadline, or a test's
+	// shorter one.
+	deadline time.Duration
 
 	// bufs pools /api/query scratch (see queryBuf).
 	bufs sync.Pool
@@ -61,7 +66,49 @@ func NewServer(sys *core.System) *Server {
 // NewServerWith creates a demo server that serves queries through the
 // given serving layer (cmd/xkserve configures one from flags).
 func NewServerWith(sys *core.System, qs *qserve.Server) *Server {
-	return &Server{sys: sys, qs: qs, sessions: make(map[string]*pgSession)}
+	return &Server{sys: sys, qs: qs, deadline: queryDeadline, sessions: make(map[string]*pgSession)}
+}
+
+// queryDeadline bounds the work of one request to a pipeline endpoint
+// (/api/query, /api/explain, /api/networks, /api/pg/open) however long
+// its client waits: http.Server's timeouts do not cancel a handler, so
+// without it a client waiting on a cold many-keyword shape holds a
+// qserve execution slot until the shape's build ends, up to a minute.
+// Five DBLP title words take about 8 s to build cold and a shard
+// coordinator gives each shard request 5 s, while a warm query's p99 is
+// about 3 ms, so 10 s ends only such waits. The build goes on past the
+// deadline and publishes, so the 503 that answers the request carries
+// a Retry-After and the retry is warm.
+const queryDeadline = 10 * time.Second
+
+// errQueryDeadline is the cause of a request context that the server's
+// deadline, not the client, ended.
+var errQueryDeadline = errors.New("query not answered within the server's deadline; retry later")
+
+// pipelineContext is r's context bounded by the server's deadline.
+func (s *Server) pipelineContext(r *http.Request) (context.Context, context.CancelFunc) {
+	return context.WithTimeoutCause(r.Context(), s.deadline, errQueryDeadline)
+}
+
+// pipelineError answers the error of a pipeline endpoint whose request
+// ran under ctx (see pipelineContext). Overload, a lost shard quorum and
+// the server's deadline are 503 with Retry-After: the request was sound
+// and a retry may succeed. A client that gave up is 408. Anything else
+// is the request's fault: 400.
+func (s *Server) pipelineError(ctx context.Context, w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	switch {
+	case errors.Is(err, context.DeadlineExceeded) && context.Cause(ctx) == errQueryDeadline:
+		code, err = http.StatusServiceUnavailable, errQueryDeadline
+	case errors.Is(err, qserve.ErrOverloaded), errors.Is(err, shard.ErrNoQuorum):
+		code = http.StatusServiceUnavailable
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		code = http.StatusRequestTimeout
+	}
+	if code == http.StatusServiceUnavailable {
+		setRetryAfter(w, s.qs.RetryAfter())
+	}
+	httpError(w, code, err)
 }
 
 // Handler returns the demo's HTTP handler.
@@ -156,13 +203,15 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 // handleExplain runs EXPLAIN ANALYZE for a query — always through the
 // engine, never the result cache, since the point is per-stage timings.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	keywords, k, ok := queryParams(w, r)
+	keywords, k, ok := queryParams(w, r.URL.Query())
 	if !ok {
 		return
 	}
-	expl, err := s.sys.ExplainAnalyze(r.Context(), keywords, k)
+	ctx, cancel := s.pipelineContext(r)
+	defer cancel()
+	expl, err := s.sys.ExplainAnalyze(ctx, keywords, k)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.pipelineError(ctx, w, err)
 		return
 	}
 	writeJSON(w, expl)
@@ -201,31 +250,25 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	keywords, k, ok := queryParams(w, r)
+	params := r.URL.Query()
+	keywords, k, ok := queryParams(w, params)
 	if !ok {
 		return
 	}
-	scorer := strings.TrimSpace(r.URL.Query().Get("scorer"))
+	scorer := strings.TrimSpace(params.Get("scorer"))
 	if !rank.Valid(scorer) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("unknown scorer %q (want %s)", scorer, strings.Join(rank.Names(), ", ")))
 		return
 	}
 	// Through the serving layer: cached, collapsed, admission-controlled,
-	// and cancelled when the client disconnects (r.Context()). A relaxed
-	// query arrives with the exact substitutions made, surfaced below,
-	// never silent.
-	results, rx, err := s.qs.QueryScored(r.Context(), keywords, k, scorer)
+	// and cancelled when the client disconnects or the server's deadline
+	// ends. A relaxed query arrives with the exact substitutions made,
+	// surfaced below, never silent.
+	ctx, cancel := s.pipelineContext(r)
+	defer cancel()
+	results, rx, err := s.qs.QueryScored(ctx, keywords, k, scorer)
 	if err != nil {
-		switch {
-		case errors.Is(err, qserve.ErrOverloaded), errors.Is(err, shard.ErrNoQuorum):
-			setRetryAfter(w, s.qs.RetryAfter())
-			httpError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			// The client is gone; nothing useful to write.
-			httpError(w, http.StatusRequestTimeout, err)
-		default:
-			httpError(w, http.StatusBadRequest, err)
-		}
+		s.pipelineError(ctx, w, err)
 		return
 	}
 	// Fail loudly, never silently wrong: a failed index backend with no
@@ -253,13 +296,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
-	keywords, _, ok := queryParams(w, r)
+	keywords, _, ok := queryParams(w, r.URL.Query())
 	if !ok {
 		return
 	}
-	nets, err := s.sys.Networks(r.Context(), keywords)
+	ctx, cancel := s.pipelineContext(r)
+	defer cancel()
+	nets, err := s.sys.Networks(ctx, keywords)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.pipelineError(ctx, w, err)
 		return
 	}
 	type netJSON struct {
@@ -278,13 +323,15 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 // handlePGOpen starts a presentation-graph session: one graph per
 // candidate network that has results.
 func (s *Server) handlePGOpen(w http.ResponseWriter, r *http.Request) {
-	keywords, _, ok := queryParams(w, r)
+	keywords, _, ok := queryParams(w, r.URL.Query())
 	if !ok {
 		return
 	}
-	nets, err := s.sys.Networks(r.Context(), keywords)
+	ctx, cancel := s.pipelineContext(r)
+	defer cancel()
+	nets, err := s.sys.Networks(ctx, keywords)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		s.pipelineError(ctx, w, err)
 		return
 	}
 	var graphs []*presentation.Graph
@@ -434,14 +481,16 @@ func (s *Server) withGraph(w http.ResponseWriter, r *http.Request, fn func(g *pr
 	return true
 }
 
-func queryParams(w http.ResponseWriter, r *http.Request) ([]string, int, bool) {
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
+// queryParams reads a pipeline endpoint's keywords (q) and k, answering
+// a bad request itself.
+func queryParams(w http.ResponseWriter, params url.Values) ([]string, int, bool) {
+	q := strings.TrimSpace(params.Get("q"))
 	if q == "" {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("missing q parameter"))
 		return nil, 0, false
 	}
 	k := 10
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := params.Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("bad k %q", v))
