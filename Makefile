@@ -9,7 +9,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint bench-decomp
+.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint bench-decomp bench-scale
 
 check: vet lint tier1 bench-build bench-gate fuzzseed race chaos
 
@@ -41,7 +41,8 @@ bench-build:
 # against BENCH_decomp.json, and of the master-index lookup from memory
 # and from the paged disk index, cold and warm (-cpu 1), against
 # BENCH_diskindex.json: all three of its rows repeat their allocs
-# exactly from run to run. ns/op is printed as a delta only — wall
+# exactly from run to run, and of the load stage at three corpus scales
+# (-cpu 1) against BENCH_scale.json. ns/op is printed as a delta only — wall
 # time on a shared machine is not gateable.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkQueryTitleAuthor|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
@@ -51,6 +52,7 @@ bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkShardCoordinator' -cpu 1 -benchtime 200x -benchmem ./internal/shard/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_shard.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_decomp.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkDiskIndexLookup' -cpu 1 -benchtime 2000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_diskindex.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench 'BenchmarkLoadScale' -cpu 1 -benchtime 3x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_scale.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — errdrop, keyjoin, lockguard,
@@ -136,6 +138,12 @@ bench-graphsrc:
 # a 60s budget.
 bench-lint:
 	$(GO) test -run xxx -bench BenchmarkXkvet -benchtime 3x -benchmem ./internal/lint/ | $(GO) run ./cmd/xkbenchjson -out BENCH_lint.json
+
+# The load stage at DBLP scales 6, 12 and 24: load time, live heap after
+# GC and stored int64 cells per scale (-cpu 1), what bench-gate compares
+# against.
+bench-scale:
+	$(GO) test -run xxx -bench 'BenchmarkLoadScale' -cpu 1 -benchtime 3x -benchmem . | $(GO) run ./cmd/xkbenchjson -out BENCH_scale.json
 
 # The Figure 12 decomposition search on DBLP (M=6, B=2) with the
 # per-graph memo bypassed, and the shape enumeration it starts with, at

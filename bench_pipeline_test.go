@@ -14,9 +14,12 @@ package repro
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/decomp"
 	"repro/internal/kwindex"
@@ -135,3 +138,42 @@ func BenchmarkMaterialize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoadScale measures core.LoadPrepared of DBLP at xkgen scales
+// 6, 12 and 24 (seed 7, Z = 8; scale 6 is the serving benchmark's
+// corpus), and reports with the last system held the live heap after
+// runtime.GC (live-MB) and the int64 cells its relations store (cells).
+// Scale 48 is run by hand: go test -run xxx -bench 'BenchmarkLoadScale'
+// with loadScales edited.
+func BenchmarkLoadScale(b *testing.B) {
+	for _, scale := range loadScales {
+		b.Run(strconv.Itoa(scale), func(b *testing.B) {
+			p := datagen.DefaultDBLPParams()
+			p.Seed = 7
+			p.PapersPerYear *= scale
+			p.Authors *= scale
+			ds, err := datagen.DBLP(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep := &core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}
+			var sys *core.System
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys = nil // release the previous load before the next
+				if sys, err = core.LoadPrepared(prep, core.Options{Z: 8}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
+			b.ReportMetric(float64(sys.Store.Cells()), "cells")
+		})
+	}
+}
+
+// loadScales are BenchmarkLoadScale's cases.
+var loadScales = []int{6, 12, 24}

@@ -69,6 +69,15 @@ type Relation struct {
 // NumRows returns the relation's cardinality.
 func (r *Relation) NumRows() int { return len(r.primary.data) / len(r.Cols) }
 
+// cells returns the number of int64 values the relation stores.
+func (r *Relation) cells() int {
+	n := len(r.primary.data)
+	for _, o := range r.orderings {
+		n += len(o.data)
+	}
+	return n
+}
+
 // NumPages returns the page count of the primary copy.
 func (r *Relation) NumPages() int {
 	return (r.NumRows() + PageRows - 1) / PageRows

@@ -77,6 +77,18 @@ func (s *Store) TotalRows() int {
 	return n
 }
 
+// Cells returns the number of int64 values the relations store: every
+// sorted copy's tuples. TotalRows is the cardinality they represent.
+func (s *Store) Cells() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, r := range s.relations {
+		n += r.cells()
+	}
+	return n
+}
+
 // TotalPages returns the summed primary page counts of all relations.
 func (s *Store) TotalPages() int {
 	s.mu.RLock()
