@@ -479,7 +479,49 @@ func BenchmarkLookupPaths(b *testing.B) {
 		}
 		sys.Store.Stats.Add(io)
 	})
+	// The largest two-step MVD fragment, stored by its factors: probes on
+	// an end, on the hub and on an (end, hub) pair the relation holds.
+	if mvd := largestMVD(sys); mvd != nil {
+		var pairs [][2]int64
+		seen := make(map[[2]int64]bool)
+		mvd.Scan(func(row relstore.Row) bool {
+			if k := [2]int64{row[0], row[1]}; !seen[k] {
+				seen[k] = true
+				pairs = append(pairs, k)
+			}
+			return true
+		})
+		// mvdProbe probes the columns from..to-1 of (end, hub).
+		mvdProbe := func(from, to int) func(b *testing.B) {
+			return func(b *testing.B) {
+				a := mvd.Access([]int{0, 1}[from:to]...)
+				var io relstore.IOStats
+				for i := 0; i < b.N; i++ {
+					sink += a.Lookup(pairs[i%len(pairs)][from:to], &io).Len()
+				}
+				sys.Store.Stats.Add(io)
+			}
+		}
+		b.Run("mvd-end", mvdProbe(0, 1))
+		b.Run("mvd-hub", mvdProbe(1, 2))
+		b.Run("mvd-composite", mvdProbe(0, 2))
+	}
 	_ = sink
+}
+
+// largestMVD returns the largest relation of a two-step MVD fragment,
+// or nil.
+func largestMVD(sys *core.System) *relstore.Relation {
+	var best *relstore.Relation
+	for _, f := range sys.Decomp.Fragments {
+		if f.Size() != 2 || f.Classify(sys.TSS) != decomp.ClassMVD {
+			continue
+		}
+		if r := sys.Store.Relation(f.RelationName()); best == nil || r.NumRows() > best.NumRows() {
+			best = r
+		}
+	}
+	return best
 }
 
 // firstRelation names the largest relation of at least the given arity.

@@ -16,6 +16,13 @@ import (
 // distinct target objects following the fragment's steps. Column i binds
 // the i-th segment of the walk; columns are named "t0", "t1", ....
 //
+// A two-step MVD fragment x – h – y clustered both ways is stored by its
+// factors, the x – h and h – y edges (relstore.Relation.FillFactors):
+// its rows are every pairing of h's neighbours on the two sides, and
+// their number grows with the square of h's degree. It reads, and is
+// charged, as the materialized relation would be. Every other fragment,
+// a longer MVD walk included, is materialized by walking the graph.
+//
 // The relations are created in fragment order, so a repeated fragment
 // fails on its first repetition; then GOMAXPROCS goroutines fill, sort
 // and index them, one relation at a time each. Every relation is built
@@ -55,12 +62,29 @@ func Materialize(s *relstore.Store, og *tss.ObjectGraph, d *Decomposition) error
 	return nil
 }
 
-// buildRelation fills rel with the fragment's subgraphs — a count pass,
-// then a fill pass into storage of exactly that size — and applies the
+// buildRelation fills rel with the fragment's subgraphs and applies the
 // physical design.
 func buildRelation(rel *relstore.Relation, og *tss.ObjectGraph, f Fragment, phys Physical) error {
+	if f.Size() == 2 && phys.ClusterBothDirections && f.HasMVD(og.TSS) {
+		steps := f.Steps()
+		in := Step{EdgeID: steps[1].EdgeID, Dir: steps[1].Dir.flip()}
+		if err := rel.FillFactors(stepPairs(og, steps[0]), stepPairs(og, in)); err != nil {
+			return err
+		}
+	} else if err := walkRelation(rel, og, f.Steps(), phys); err != nil {
+		return err
+	}
+	if phys.HashIndexes {
+		rel.BuildAllHashIndexes()
+	}
+	return nil
+}
+
+// walkRelation fills rel with every walk of the steps — a count pass,
+// then a fill pass into storage of exactly that size — and sorts it.
+func walkRelation(rel *relstore.Relation, og *tss.ObjectGraph, steps []Step, phys Physical) error {
 	arity := rel.Arity()
-	w := &walker{og: og, steps: f.Steps(), row: make([]int64, arity)}
+	w := &walker{og: og, steps: steps, row: make([]int64, arity)}
 	starts := og.BySegment(stepFrom(og.TSS, w.steps[0]))
 	for _, to := range starts {
 		w.walk(0, to)
@@ -72,27 +96,45 @@ func buildRelation(rel *relstore.Relation, og *tss.ObjectGraph, f Fragment, phys
 	if err := rel.Fill(w.out); err != nil {
 		return err
 	}
+	if !phys.ClusterBothDirections {
+		return nil
+	}
+	fwd := make([]int, arity)
+	bwd := make([]int, arity)
+	for i := range fwd {
+		fwd[i] = i
+		bwd[i] = arity - 1 - i
+	}
+	if err := rel.Cluster(fwd...); err != nil {
+		return err
+	}
+	if arity > 1 {
+		return rel.AddOrdering(bwd...)
+	}
+	return nil
+}
 
-	if phys.ClusterBothDirections {
-		fwd := make([]int, arity)
-		bwd := make([]int, arity)
-		for i := range fwd {
-			fwd[i] = i
-			bwd[i] = arity - 1 - i
-		}
-		if err := rel.Cluster(fwd...); err != nil {
-			return err
-		}
-		if arity > 1 {
-			if err := rel.AddOrdering(bwd...); err != nil {
-				return err
+// stepPairs returns one flat (from, to) pair per object edge a walk
+// can take along the step: the one-step walks, repeated for parallel
+// edges.
+func stepPairs(og *tss.ObjectGraph, st Step) []int64 {
+	var out []int64
+	for _, from := range og.BySegment(stepFrom(og.TSS, st)) {
+		if st.Dir == Fwd {
+			for _, oe := range og.Out(from) {
+				if oe.EdgeID == st.EdgeID {
+					out = append(out, from, oe.To)
+				}
+			}
+		} else {
+			for _, oe := range og.In(from) {
+				if oe.EdgeID == st.EdgeID {
+					out = append(out, from, oe.From)
+				}
 			}
 		}
 	}
-	if phys.HashIndexes {
-		rel.BuildAllHashIndexes()
-	}
-	return nil
+	return out
 }
 
 // walker enumerates the subgraphs of one fragment's type in a fixed

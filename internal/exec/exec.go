@@ -282,12 +282,12 @@ func (ev *evaluation) lookup(a relstore.Access, k lookupKey) relstore.Rows {
 // that agrees with them, recursing into the next step per row.
 func (ev *evaluation) join(step int, s *optimizer.Step, rows relstore.Rows) bool {
 	p, bind, occs := ev.p, ev.bind, s.Piece.Occs
+	it := rows.Iter()
 rowLoop:
-	for i, n := 0, rows.Len(); i < n; i++ {
+	for row := it.Next(); row != nil; row = it.Next() {
 		if ev.cc.tick() {
 			return false
 		}
-		row := rows.At(i)
 		for _, pos := range s.CheckPos {
 			if row[pos] != bind[occs[pos]] {
 				continue rowLoop

@@ -56,8 +56,8 @@ func (ex *Executor) EvaluateHashContext(ctx context.Context, p *optimizer.Plan, 
 		if s.Rel == nil {
 			return fmt.Errorf("exec: relation %s not materialized", s.Piece.Frag.RelationName())
 		}
-		// Scan and pre-filter the piece's rows (views into the store).
-		var rows []relstore.Row
+		// Scan and pre-filter the piece's rows, copied out of the scan.
+		var flat []int64
 		s.Rel.Scan(func(row relstore.Row) bool {
 			if cc.tick() {
 				return false
@@ -67,11 +67,16 @@ func (ex *Executor) EvaluateHashContext(ctx context.Context, p *optimizer.Plan, 
 					return true
 				}
 			}
-			rows = append(rows, row)
+			flat = append(flat, row...)
 			return true
 		})
 		if cc.err != nil {
 			return cc.err
+		}
+		arity := s.Rel.Arity()
+		rows := make([]relstore.Row, len(flat)/arity)
+		for i := range rows {
+			rows[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
 		}
 		// Hash rows on the probe column.
 		ht := make(map[int64][]relstore.Row, len(rows))

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/decomp"
 	"repro/internal/exec"
+	"repro/internal/optimizer"
 	"repro/internal/relstore"
 )
 
@@ -116,5 +119,74 @@ func TestEvaluateAllocatesOnlyResults(t *testing.T) {
 		if allocs > float64(perRun) {
 			t.Errorf("plan %d: %v allocs per evaluation for %d results", i, allocs, perRun)
 		}
+	}
+}
+
+// A lookup cache holds views, and a view of a factorized relation (a
+// two-step MVD fragment) is a range of the relation's pairs, read
+// through an iterator of its own: it must read the same rows however
+// many probes and reads of other views come after it. Title-word pairs
+// on DBLP reach paper<confyear>paper and the other MVD fragments; their
+// plans run twice through one cached executor, the second run reading
+// views cached during the first, and must return the results, in the
+// order, that an executor without a cache returns.
+func TestCachedFactorizedViewsStayValid(t *testing.T) {
+	ds, err := datagen.DBLP(datagen.DefaultDBLPParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, core.Options{Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := []string{"keyword", "xml", "views", "web"}
+	var queries [][]*optimizer.Plan
+	mvdSteps := 0
+	for i, a := range words {
+		for _, b := range words[i+1:] {
+			plans, err := s.Plans([]string{a, b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range plans {
+				for _, st := range p.Steps {
+					if !st.Seed && st.Piece.Frag.Size() == 2 && st.Piece.Frag.Classify(s.TSS) == decomp.ClassMVD {
+						mvdSteps++
+					}
+				}
+			}
+			queries = append(queries, plans)
+		}
+	}
+	if mvdSteps == 0 {
+		t.Fatal("no plan probes an MVD fragment; test is vacuous")
+	}
+	plain := &exec.Executor{Store: s.Store, TSS: s.TSS, NoPushdown: true}
+	cached := &exec.Executor{Store: s.Store, TSS: s.TSS, NoPushdown: true, Cache: exec.NewLookupCache(0)}
+	// first returns the first 100 results of every plan.
+	first := func(ex *exec.Executor, plans []*optimizer.Plan) []string {
+		var out []string
+		for _, p := range plans {
+			n := 0
+			if err := ex.Evaluate(p, func(r exec.Result) bool {
+				out = append(out, r.Key())
+				n++
+				return n < 100
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	for run := 0; run < 2; run++ {
+		for qi, plans := range queries {
+			want, got := first(plain, plans), first(cached, plans)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("run %d query %d: cached executor returned %d results, plain %d", run, qi, len(got), len(want))
+			}
+		}
+	}
+	if hits, _ := cached.Cache.Stats(); hits == 0 {
+		t.Fatal("no lookup was served from the cache")
 	}
 }

@@ -124,10 +124,11 @@ func sameRows(a, b relstore.Rows) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for i := 0; i < a.Len(); i++ {
-		if !slices.Equal(a.At(i), b.At(i)) {
+	ia, ib := a.Iter(), b.Iter()
+	for ra := ia.Next(); ra != nil; ra = ia.Next() {
+		if !slices.Equal(ra, ib.Next()) {
 			return false
 		}
 	}
-	return true
+	return ib.Next() == nil
 }

@@ -26,22 +26,36 @@ func (p AccessPath) String() string {
 	}
 }
 
-// Scan calls fn for every row, charging a sequential read of every page.
-// The rows are views into the store (see Rows): fn must not modify them.
-// Return false to stop early (pages already touched remain charged).
+// Scan calls fn for every row in primary order, charging a sequential
+// read of every page. fn must not modify a row, nor keep it after it
+// returns: a row of a factorized relation is rebuilt in place for the
+// next call. Return false to stop early (pages already touched remain
+// charged).
 func (r *Relation) Scan(fn func(Row) bool) {
 	io := IOStats{Scans: 1}
-	arity, data := len(r.Cols), r.primary.data
-	for i, o := 0, 0; o < len(data); i, o = i+1, o+arity {
-		if i%PageRows == 0 {
-			r.touch("", int32(i/PageRows), true, &io)
-		}
+	r.scan(&io, func(_ int, row Row) bool {
 		io.RowsRead++
-		if !fn(data[o : o+arity : o+arity]) {
-			break
+		return fn(row)
+	})
+	r.flush(io)
+}
+
+// scan calls fn with every primary row and its row number, charging a
+// sequential read of each page as it is reached, until fn returns false.
+func (r *Relation) scan(io *IOStats, fn func(int, Row) bool) {
+	all := Rows{data: r.primary.data, arity: len(r.Cols), n: r.NumRows()}
+	if r.fz != nil {
+		all = r.fz.all()
+	}
+	it := all.Iter()
+	for i := 0; i < all.n; i++ {
+		if i%PageRows == 0 {
+			r.touch("", int32(i/PageRows), true, io)
+		}
+		if !fn(i, it.Next()) {
+			return
 		}
 	}
-	r.flush(io)
 }
 
 // flush adds one operation's counters to the store's.
@@ -96,7 +110,10 @@ func (r *Relation) access(cols []int) Access {
 	if c := r.sortedOn(cols); c != nil {
 		a.path, a.copy = PathClustered, c
 	} else if len(cols) == 1 && r.HasHashIndex(cols[0]) {
-		a.path, a.hash = PathHash, r.hashIdx[cols[0]]
+		a.path = PathHash
+		if r.fz == nil {
+			a.hash = r.hashIdx[cols[0]]
+		}
 	}
 	return a
 }
@@ -119,6 +136,9 @@ func (a Access) Lookup(vals []int64, io *IOStats) Rows {
 	case PathClustered:
 		return r.rangeScan(a.copy, a.cols, vals, io)
 	case PathHash:
+		if r.fz != nil {
+			return r.factorHub(vals[0], io)
+		}
 		// Random page access per match.
 		idx := a.hash[vals[0]]
 		if len(idx) == 0 {
@@ -134,23 +154,30 @@ func (a Access) Lookup(vals []int64, io *IOStats) Rows {
 		io.RowsRead += int64(len(idx))
 		return Rows{data: r.primary.data, idx: idx, arity: arity, n: len(idx)}
 	}
-	// Fallback: full scan with filter.
+	// Fallback: full scan with filter. A factorized relation's matches
+	// are copied out, since its rows exist only while they are read.
 	io.Scans++
-	data := r.primary.data
 	var idx []int32
-	for i, o := 0, 0; o < len(data); i, o = i+1, o+arity {
-		if i%PageRows == 0 {
-			r.touch("", int32(i/PageRows), true, io)
+	var data []int64
+	r.scan(io, func(i int, row Row) bool {
+		if matches(row, a.cols, vals) {
+			if r.fz != nil {
+				data = append(data, row...)
+			} else {
+				idx = append(idx, int32(i))
+			}
 		}
-		if matches(data[o:o+arity], a.cols, vals) {
-			idx = append(idx, int32(i))
-		}
-	}
-	if len(idx) == 0 {
+		return true
+	})
+	n := len(idx) + len(data)/arity
+	if n == 0 {
 		return Rows{}
 	}
-	io.RowsRead += int64(len(idx))
-	return Rows{data: data, idx: idx, arity: arity, n: len(idx)}
+	io.RowsRead += int64(n)
+	if r.fz != nil {
+		return Rows{data: data, arity: arity, n: n}
+	}
+	return Rows{data: r.primary.data, idx: idx, arity: arity, n: n}
 }
 
 func matches(row []int64, cols []int, vals []int64) bool {
@@ -166,6 +193,9 @@ func matches(row []int64, cols []int, vals []int64) bool {
 // cols (a prefix of its sort columns) and returns it in place, charging
 // one page seek plus the sequential pages of the range.
 func (r *Relation) rangeScan(c *physCopy, cols []int, vals []int64, io *IOStats) Rows {
+	if r.fz != nil {
+		return r.factorRange(c, vals, io)
+	}
 	arity, data := len(r.Cols), c.data
 	n := len(data) / arity
 	// cmp orders row i against vals on cols.

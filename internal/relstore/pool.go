@@ -5,6 +5,13 @@
 // with explicit paged storage and an LRU buffer pool so the same effects
 // — random vs sequential access, clustering in the probe direction, MVD
 // cardinality blow-up, buffer-cache reuse — are observable and counted.
+//
+// A relation is materialized (Fill: flat tuples, sorted copies, hash
+// indexes) or, for a two-step MVD fragment, factorized (FillFactors):
+// stored as its two single-edge sides, whose product it is. The two read
+// alike — same rows in the same order, same statistics, same pages
+// charged — so the blow-up is counted as the paper counts it without
+// being held in memory.
 package relstore
 
 import (

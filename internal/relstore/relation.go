@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -14,27 +15,68 @@ import (
 type Row []int64
 
 // Rows is a read-only view of tuples in the store's own storage: the
-// contiguous range a sorted copy holds for a key, or the row indexes a
-// hash index (or a filtered scan) matched. Nothing is copied; the rows
-// must not be written through and stay valid for the life of the store.
-// The zero Rows is empty.
+// contiguous range a sorted copy holds for a key, the row indexes a hash
+// index (or a filtered scan) matched, or, on a factorized relation, the
+// (end, hub) pairs whose rows the probe returns. Nothing is copied; the
+// view stays valid for the life of the store, so a cache may hold it,
+// and must not be written through. The zero Rows is empty.
 type Rows struct {
 	data  []int64 // the n tuples themselves (idx == nil) or the copy idx points into
 	idx   []int32 // matched row numbers in data; nil for a contiguous view
 	arity int
 	n     int
+	fv    factorView // fv.fz != nil: a view of a factorized relation
 }
 
 // Len returns the number of rows in the view.
 func (v Rows) Len() int { return v.n }
 
-// At returns the i-th row, aliasing the store's storage.
-func (v Rows) At(i int) Row {
-	if v.idx != nil {
-		i = int(v.idx[i])
+// Iter returns an iterator over the view's rows, in order.
+func (v Rows) Iter() RowIter { return RowIter{v: v, fi: factorIter{q: v.fv.lo - 1}} }
+
+// RowIter reads a Rows in order without allocating. Its zero value is
+// an empty iterator.
+type RowIter struct {
+	v  Rows
+	i  int // rows returned so far
+	fi factorIter
+}
+
+// Next returns the next row, or nil after the last. A row of a
+// factorized relation is held in the iterator and is overwritten by the
+// next call; a row of a materialized one aliases the store.
+func (it *RowIter) Next() Row {
+	v, i := &it.v, it.i
+	if i == v.n {
+		return nil
 	}
-	o := i * v.arity
-	return v.data[o : o+v.arity : o+v.arity]
+	it.i++
+	if v.fv.fz == nil {
+		if v.idx != nil {
+			i = int(v.idx[i])
+		}
+		o := i * v.arity
+		return v.data[o : o+v.arity : o+v.arity]
+	}
+	// A factorized row: the current one again, or the current pair's
+	// next end that is not the pair's own, or the next pair's first.
+	f := &it.fi
+	if f.rep > 0 {
+		f.rep--
+		return f.row[:]
+	}
+	for {
+		for int(f.c) < len(f.kids) {
+			c := f.kids[f.c]
+			f.c++
+			if c.end != f.row[f.end] {
+				f.row[2-f.end] = c.end
+				f.rep = f.mult*int64(c.mult) - 1
+				return f.row[:]
+			}
+		}
+		f.nextPair(&v.fv)
+	}
 }
 
 // physCopy is one physical copy of a relation's tuples, stored flat:
@@ -64,13 +106,24 @@ type Relation struct {
 	orderings []*physCopy         // sorted by column list, so the first prefix match is deterministic
 	hashIdx   []map[int64][]int32 // per column: value -> primary row numbers; nil entry = no index
 	filled    bool
+	// fz is the storage of a factorized relation (FillFactors), nil for
+	// a materialized one. Its primary and ordering then hold no data.
+	fz *factors
 }
 
 // NumRows returns the relation's cardinality.
-func (r *Relation) NumRows() int { return len(r.primary.data) / len(r.Cols) }
+func (r *Relation) NumRows() int {
+	if r.fz != nil {
+		return int(r.fz.rows())
+	}
+	return len(r.primary.data) / len(r.Cols)
+}
 
 // cells returns the number of int64 values the relation stores.
 func (r *Relation) cells() int {
+	if r.fz != nil {
+		return r.fz.cells()
+	}
 	n := len(r.primary.data)
 	for _, o := range r.orderings {
 		n += len(o.data)
@@ -100,8 +153,8 @@ func (r *Relation) ColIndex(name string) int {
 // is rows[i*arity : (i+1)*arity]. The relation keeps rows as its primary
 // copy, so the caller allocates it at exactly the relation's size and
 // does not write to it again. A relation is filled once, before its
-// physical design; a second Fill, or a length that is not a multiple of
-// the arity, is an error.
+// physical design; a second Fill, a length that is not a multiple of
+// the arity, or more rows than an int32 can number, is an error.
 func (r *Relation) Fill(rows []int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -111,7 +164,21 @@ func (r *Relation) Fill(rows []int64) error {
 	if len(rows)%len(r.Cols) != 0 {
 		return fmt.Errorf("relstore: %s: %d values do not make %d-ary rows", r.Name, len(rows), len(r.Cols))
 	}
+	if err := r.checkCount("rows", len(rows)/len(r.Cols)); err != nil {
+		return err
+	}
 	r.primary.data, r.filled = rows, true
+	return nil
+}
+
+// checkCount refuses n things of a relation that int32s must number:
+// a materialized relation's rows (its sort permutations, hash indexes
+// and views hold row numbers as int32), a factorized one's pairs and
+// hubs.
+func (r *Relation) checkCount(what string, n int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("relstore: %s: %d %s exceed the %d a relation can number", r.Name, n, what, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -126,14 +193,30 @@ func (r *Relation) buildHashIndexLocked(col int) error {
 	if col < 0 || col >= len(r.Cols) {
 		return fmt.Errorf("relstore: %s: no column %d", r.Name, col)
 	}
+	if r.fz != nil {
+		r.fz.hashed[col] = true
+		return nil
+	}
 	if r.hashIdx == nil {
 		r.hashIdx = make([]map[int64][]int32, len(r.Cols))
 	}
-	idx := make(map[int64][]int32)
-	arity := len(r.Cols)
-	for i, o := 0, col; o < len(r.primary.data); i, o = i+1, o+arity {
-		v := r.primary.data[o]
-		idx[v] = append(idx[v], int32(i))
+	// Count first, then carve every value's row list out of one
+	// backing array of exactly the relation's size.
+	arity, data := len(r.Cols), r.primary.data
+	counts := make(map[int64]int32)
+	for o := col; o < len(data); o += arity {
+		counts[data[o]]++
+	}
+	backing := make([]int32, len(data)/arity)
+	idx := make(map[int64][]int32, len(counts))
+	for i, o := 0, col; o < len(data); i, o = i+1, o+arity {
+		v := data[o]
+		rows, ok := idx[v]
+		if !ok {
+			c := counts[v]
+			rows, backing = backing[:0:c], backing[c:]
+		}
+		idx[v] = append(rows, int32(i))
 	}
 	r.hashIdx[col] = idx
 	return nil
@@ -167,6 +250,9 @@ func (r *Relation) Cluster(cols ...int) error {
 	if err := r.checkCols(cols); err != nil {
 		return err
 	}
+	if r.fz != nil {
+		return r.errFactorized()
+	}
 	permuteRows(r.primary.data, len(r.Cols), r.sortPerm(cols))
 	r.primary.cols = append([]int(nil), cols...)
 	for c, idx := range r.hashIdx {
@@ -190,6 +276,9 @@ func (r *Relation) AddOrdering(cols ...int) error {
 	defer r.mu.Unlock()
 	if err := r.checkCols(cols); err != nil {
 		return err
+	}
+	if r.fz != nil {
+		return r.errFactorized()
 	}
 	o := &physCopy{ordering: colKey(cols), cols: append([]int(nil), cols...), data: r.sortedBy(cols)}
 	at, dup := slices.BinarySearchFunc(r.orderings, cols, func(o *physCopy, cols []int) int { return slices.Compare(o.cols, cols) })
@@ -306,6 +395,9 @@ func colKey(cols []int) string {
 
 // HasHashIndex reports whether column col has a hash index.
 func (r *Relation) HasHashIndex(col int) bool {
+	if r.fz != nil {
+		return col >= 0 && col < len(r.fz.hashed) && r.fz.hashed[col]
+	}
 	return col >= 0 && col < len(r.hashIdx) && r.hashIdx[col] != nil
 }
 

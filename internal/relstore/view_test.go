@@ -213,9 +213,10 @@ func TestSharedPrefixOrderingsAreDeterministic(t *testing.T) {
 		if path != PathClustered || got.Len() == 0 {
 			t.Fatalf("lookup %d: path %v, %d rows", i, path, got.Len())
 		}
-		for j := 1; j < got.Len(); j++ {
-			if got.At(j - 1)[1] > got.At(j)[1] {
-				t.Fatalf("lookup %d: rows not in (0,1) order: %v then %v", i, got.At(j-1), got.At(j))
+		rows := collect(got)
+		for j := 1; j < len(rows); j++ {
+			if rows[j-1][1] > rows[j][1] {
+				t.Fatalf("lookup %d: rows not in (0,1) order: %v then %v", i, rows[j-1], rows[j])
 			}
 		}
 	}
@@ -230,7 +231,9 @@ func TestSharedPrefixOrderingsAreDeterministic(t *testing.T) {
 }
 
 // A warm probe returns a view: no allocation on the clustered primary,
-// a secondary ordering or a hash index, one-shot or compiled.
+// a secondary ordering or a hash index, one-shot or compiled, of a
+// materialized relation or a factorized one, nor in reading the view
+// through Iter.
 func TestLookupsDoNotAllocate(t *testing.T) {
 	var rows []Row
 	for i := 0; i < 4*PageRows; i++ {
@@ -245,34 +248,62 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 	if err := r.AddOrdering(2, 1, 0); err != nil {
 		t.Fatal(err)
 	}
+	var left, right []int64
+	for i := int64(0); i < 200; i++ {
+		left = append(left, i%50, 100+i%9)
+		right = append(right, i%31, 100+i%7)
+	}
+	fac, err := s.CreateRelation("fac", []string{"x", "h", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fac.FillFactors(left, right); err != nil {
+		t.Fatal(err)
+	}
+	fac.BuildAllHashIndexes()
 	cases := []struct {
 		name string
+		rel  *Relation
 		cols []int
 		vals []int64
 		path AccessPath
 	}{
-		{"clustered", []int{0}, []int64{7}, PathClustered},
-		{"clustered composite", []int{0, 1}, []int64{7, 7}, PathClustered},
-		{"ordering", []int{2}, []int64{7}, PathClustered},
-		{"hash", []int{1}, []int64{7}, PathHash},
+		{"clustered", r, []int{0}, []int64{7}, PathClustered},
+		{"clustered composite", r, []int{0, 1}, []int64{7, 7}, PathClustered},
+		{"ordering", r, []int{2}, []int64{7}, PathClustered},
+		{"hash", r, []int{1}, []int64{7}, PathHash},
+		{"factorized end", fac, []int{0}, []int64{7}, PathClustered},
+		{"factorized composite", fac, []int{0, 1}, []int64{7, 103}, PathClustered},
+		{"factorized ordering end", fac, []int{2}, []int64{7}, PathClustered},
+		{"factorized ordering composite", fac, []int{2, 1}, []int64{7, 105}, PathClustered},
+		{"factorized hub", fac, []int{1}, []int64{103}, PathHash},
 	}
 	for _, c := range cases {
-		if _, path := r.LookupPrefix(c.cols, c.vals); path != c.path { // also warms the pool
+		if _, path := c.rel.LookupPrefix(c.cols, c.vals); path != c.path { // also warms the pool
 			t.Fatalf("%s: path %v, want %v", c.name, path, c.path)
 		}
 		sink := 0
 		if n := testing.AllocsPerRun(100, func() {
-			rows, _ := r.LookupPrefix(c.cols, c.vals)
+			rows, _ := c.rel.LookupPrefix(c.cols, c.vals)
 			sink += rows.Len()
 		}); n != 0 {
 			t.Errorf("%s: LookupPrefix allocates %v times per call", c.name, n)
 		}
-		compiled := r.Access(c.cols...)
+		compiled := c.rel.Access(c.cols...)
 		var io IOStats
 		if n := testing.AllocsPerRun(100, func() {
 			sink += compiled.Lookup(c.vals, &io).Len()
 		}); n != 0 {
 			t.Errorf("%s: compiled Lookup allocates %v times per call", c.name, n)
+		}
+		view := compiled.Lookup(c.vals, &io)
+		if n := testing.AllocsPerRun(100, func() {
+			it := view.Iter()
+			for row := it.Next(); row != nil; row = it.Next() {
+				sink += int(row[0])
+			}
+		}); n != 0 {
+			t.Errorf("%s: reading the view allocates %v times per call", c.name, n)
 		}
 		if sink == 0 {
 			t.Fatalf("%s: lookups matched nothing", c.name)
