@@ -140,11 +140,12 @@ func BenchmarkMaterialize(b *testing.B) {
 }
 
 // BenchmarkLoadScale measures core.LoadPrepared of DBLP at xkgen scales
-// 6, 12 and 24 (seed 7, Z = 8; scale 6 is the serving benchmark's
+// 6, 12, 24 and 48 (seed 7, Z = 8; scale 6 is the serving benchmark's
 // corpus), and reports with the last system held the live heap after
 // runtime.GC (live-MB) and the int64 cells its relations store (cells).
-// Scale 48 is run by hand: go test -run xxx -bench 'BenchmarkLoadScale'
-// with loadScales edited.
+// make bench-scale runs 6 to 24; scale 48 is run by hand:
+//
+//	go test -run xxx -bench 'BenchmarkLoadScale/48' -cpu 1 -benchtime 3x -benchmem .
 func BenchmarkLoadScale(b *testing.B) {
 	for _, scale := range loadScales {
 		b.Run(strconv.Itoa(scale), func(b *testing.B) {
@@ -176,4 +177,4 @@ func BenchmarkLoadScale(b *testing.B) {
 }
 
 // loadScales are BenchmarkLoadScale's cases.
-var loadScales = []int{6, 12, 24}
+var loadScales = []int{6, 12, 24, 48}

@@ -17,9 +17,11 @@ type Row []int64
 // Rows is a read-only view of tuples in the store's own storage: the
 // contiguous range a sorted copy holds for a key, the row indexes a hash
 // index (or a filtered scan) matched, or, on a factorized relation, the
-// (end, hub) pairs whose rows the probe returns. Nothing is copied; the
-// view stays valid for the life of the store, so a cache may hold it,
-// and must not be written through. The zero Rows is empty.
+// (end, hub) pairs whose rows the probe returns. A probe copies no row
+// (but a filtered full scan, or a whole-row lookup, of a factorized
+// relation, which copies its matches); the view stays valid for the life
+// of the store, so a cache may hold it, and must not be written through.
+// The zero Rows is empty.
 type Rows struct {
 	data  []int64 // the n tuples themselves (idx == nil) or the copy idx points into
 	idx   []int32 // matched row numbers in data; nil for a contiguous view
