@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -23,21 +24,46 @@ import (
 	"repro/internal/webdemo"
 )
 
-// binary builds the command into a temporary directory and returns its
-// path.
+var (
+	buildOnce sync.Once
+	binPath   string
+	buildErr  error
+)
+
+// binary builds the command once per test process into a temporary
+// directory and returns its path.
 func binary(t *testing.T) string {
 	t.Helper()
-	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
-	if _, err := os.Stat(gobin); err != nil {
-		if gobin, err = exec.LookPath("go"); err != nil {
-			t.Fatalf("no go tool: %v", err)
+	buildOnce.Do(func() {
+		gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+		if _, err := os.Stat(gobin); err != nil {
+			if gobin, err = exec.LookPath("go"); err != nil {
+				buildErr = fmt.Errorf("no go tool: %w", err)
+				return
+			}
 		}
+		dir, err := os.MkdirTemp("", "xkserve-test-")
+		if err != nil {
+			buildErr = err
+			return
+		}
+		binPath = filepath.Join(dir, "xkserve")
+		if out, err := exec.Command(gobin, "build", "-o", binPath, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	bin := filepath.Join(t.TempDir(), "xkserve")
-	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	return binPath
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binPath != "" {
+		os.RemoveAll(filepath.Dir(binPath))
 	}
-	return bin
+	os.Exit(code)
 }
 
 // freeAddr returns a loopback address with a port nothing listens on.
