@@ -44,23 +44,15 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/diskindex"
-	"repro/internal/dtd"
-	"repro/internal/edgelist"
 	"repro/internal/exec"
 	"repro/internal/graphsource"
 	"repro/internal/kwindex"
 	"repro/internal/persist"
 	"repro/internal/pipeline"
 	"repro/internal/rank"
-	"repro/internal/schema"
 	"repro/internal/segidx"
 	"repro/internal/shard"
-	"repro/internal/specfile"
-	"repro/internal/tss"
-	"repro/internal/xmlgraph"
-	"repro/internal/xsd"
 )
 
 func main() {
@@ -95,11 +87,8 @@ func main() {
 	if _, err := rank.New(*scorer); err != nil {
 		fatal(err)
 	}
-	if (*nodesFile == "") != (*edgesFile == "") {
-		fatal(fmt.Errorf("-nodes and -edges must be given together"))
-	}
-	if *nodesFile != "" && (*in != "" || *dtdFile != "" || *xsdFile != "" || *loadFrom != "") {
-		fatal(fmt.Errorf("-nodes/-edges replace -in/-dtd/-xsd/-load"))
+	if *loadFrom != "" && *nodesFile+*edgesFile != "" {
+		fatal(fmt.Errorf("-nodes/-edges replace -load"))
 	}
 
 	switch *shardOp {
@@ -143,9 +132,12 @@ func main() {
 		fatal(fmt.Errorf("unknown -segop %q (want build, compact or stats)", *segOp))
 	}
 
+	var sys *core.System
+	var err error
+	snapshot := *loadFrom
 	if *loadFrom != "" {
 		start := time.Now()
-		sys, err := persist.LoadFileOpts(*loadFrom, persist.LoadOptions{
+		sys, err = persist.LoadFileOpts(*loadFrom, persist.LoadOptions{
 			DiskIndex:       *diskIndex,
 			IndexCacheBytes: *idxCache,
 		})
@@ -158,160 +150,77 @@ func main() {
 		sys.Opts.Relax = *relax
 		fmt.Fprintf(os.Stderr, "restored %d target objects, %d relations in %v\n",
 			sys.Obj.NumObjects(), len(sys.Decomp.Fragments), time.Since(start).Round(time.Millisecond))
-		if rd, ok := sys.Index.(*diskindex.Reader); ok {
-			fmt.Fprintf(os.Stderr, "master index on disk: %s (%d terms, %d postings), cache %d bytes\n",
-				rd.Path(), rd.NumKeywords(), rd.NumPostings(), *idxCache)
-		}
-		if *segOp == "build" {
-			if err := segBuild(sys, *segDir); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if *shardOp == "split" {
-			if err := shardSplit(sys, *shardDir, *shardN, *loadFrom, *shardAddrs); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		serve(sys, *k, *all, *explain, *analyze)
-		return
-	}
-
-	var src graphsource.Source
-	var spec tss.Spec
-	if *nodesFile != "" {
-		ds, err := edgelist.Open(*nodesFile, *edgesFile, edgelist.Options{})
+	} else {
+		src, err := graphsource.Resolve(graphsource.Inputs{
+			Schema: *schemaFlag, DTD: *dtdFile, XSD: *xsdFile, Spec: *specFile,
+			In: *in, Nodes: *nodesFile, Edges: *edgesFile,
+		})
 		if err != nil {
 			fatal(err)
 		}
-		spec, _ = ds.Spec()
-		fmt.Fprintf(os.Stderr, "%s: %d entities, %d links\n", ds.DatasetName(), ds.NumEntities, ds.NumLinks)
-		src = ds
-	} else {
-		src, spec = xmlSource(*schemaFlag, *dtdFile, *xsdFile, *specFile, *in)
+		if sys, err = build(src, core.Options{
+			Z:             *z,
+			Decomposition: core.DecompositionPreset(*preset),
+			Scorer:        *scorer,
+			Relax:         *relax,
+		}, *saveTo, *diskIndex, *idxCache); err != nil {
+			fatal(err)
+		}
+		snapshot = *saveTo
 	}
-
-	start := time.Now()
-	sys, err := graphsource.Load(src, core.Options{
-		Z:             *z,
-		Decomposition: core.DecompositionPreset(*preset),
-		Scorer:        *scorer,
-		Relax:         *relax,
-	})
+	if rd, ok := sys.Index.(*diskindex.Reader); ok {
+		fmt.Fprintf(os.Stderr, "master index on disk: %s (%d terms, %d postings), cache %d bytes\n",
+			rd.Path(), rd.NumKeywords(), rd.NumPostings(), *idxCache)
+	}
+	switch {
+	case *segOp == "build":
+		err = segBuild(sys, *segDir)
+	case *shardOp == "split":
+		err = shardSplit(sys, *shardDir, *shardN, snapshot, *shardAddrs)
+	default:
+		serve(sys, *k, *all, *explain, *analyze)
+	}
 	if err != nil {
 		fatal(err)
+	}
+}
+
+// build loads src, snapshots it to saveTo when that is set, and with
+// diskIndex serves its master index from disk: from the sidecar just
+// written beside the snapshot, or else from a temporary file.
+func build(src graphsource.Source, opts core.Options, saveTo string, diskIndex bool, cacheBytes int64) (*core.System, error) {
+	start := time.Now()
+	sys, err := graphsource.Load(src, opts)
+	if err != nil {
+		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "loaded %d nodes, %d target objects, %d relations in %v\n",
 		sys.Data.NumNodes(), sys.Obj.NumObjects(), len(sys.Decomp.Fragments),
 		time.Since(start).Round(time.Millisecond))
-	if *saveTo != "" {
-		if err := persist.SaveFile(*saveTo, sys, spec); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "snapshot written to %s (+ %s)\n", *saveTo, persist.SidecarPath(*saveTo))
-	}
-	if *diskIndex {
-		if err := swapToDiskIndex(sys, *saveTo, *idxCache); err != nil {
-			fatal(err)
-		}
-	}
-	if *segOp == "build" {
-		if err := segBuild(sys, *segDir); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *shardOp == "split" {
-		if err := shardSplit(sys, *shardDir, *shardN, *saveTo, *shardAddrs); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	serve(sys, *k, *all, *explain, *analyze)
-}
-
-// xmlSource resolves the XML-side flags — built-in schema, DTD/XSD +
-// spec file, -in document or built-in synthetic data — into a
-// graphsource.Source, the same ingestion boundary the edge-list path
-// uses.
-func xmlSource(schemaFlag, dtdFile, xsdFile, specFile, in string) (graphsource.Source, tss.Spec) {
-	var sg *schema.Graph
-	var spec tss.Spec
-	switch {
-	case dtdFile != "" || xsdFile != "":
-		if specFile == "" {
-			fatal(fmt.Errorf("-dtd/-xsd require -spec (segments and IDREF targets)"))
-		}
-		if in == "" {
-			fatal(fmt.Errorf("-dtd/-xsd require -in (no built-in data for custom schemas)"))
-		}
-		sf, err := os.Open(specFile)
+	if saveTo != "" {
+		spec, err := src.Spec()
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		cfg, err := specfile.Parse(sf)
-		sf.Close()
-		if err != nil {
-			fatal(err)
+		if err := persist.SaveFile(saveTo, sys, spec); err != nil {
+			return nil, err
 		}
-		if xsdFile != "" {
-			xf, err := os.Open(xsdFile)
-			if err != nil {
-				fatal(err)
-			}
-			sg, err = xsd.Parse(xf, xsd.Options{RefTargets: cfg.RefTargets, Roots: cfg.Roots})
-			xf.Close()
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			df, err := os.Open(dtdFile)
-			if err != nil {
-				fatal(err)
-			}
-			sg, err = dtd.Parse(df, dtd.Options{RefTargets: cfg.RefTargets, Roots: cfg.Roots})
-			df.Close()
-			if err != nil {
-				fatal(err)
-			}
-		}
-		spec = cfg.Spec
-	case schemaFlag == "tpch":
-		sg, spec = datagen.TPCHSchema(), datagen.TPCHSpec()
-	case schemaFlag == "dblp":
-		sg, spec = datagen.DBLPSchema(), datagen.DBLPSpec()
-	default:
-		fatal(fmt.Errorf("unknown schema %q", schemaFlag))
+		fmt.Fprintf(os.Stderr, "snapshot written to %s (+ %s)\n", saveTo, persist.SidecarPath(saveTo))
 	}
-
-	var data *xmlgraph.Graph
-	name := schemaFlag
-	if in != "" {
-		name = in
-		f, err := os.Open(in)
-		if err != nil {
-			fatal(err)
-		}
-		data, err = xmlgraph.Parse(f, xmlgraph.ParseOptions{OmitRoot: true})
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
+	if !diskIndex {
+		return sys, nil
+	}
+	var rd *diskindex.Reader
+	if saveTo != "" {
+		rd, err = diskindex.Open(persist.SidecarPath(saveTo), diskindex.Options{CacheBytes: cacheBytes})
 	} else {
-		var ds *datagen.Dataset
-		var err error
-		if schemaFlag == "tpch" {
-			ds, err = datagen.TPCH(datagen.DefaultTPCHParams())
-		} else {
-			ds, err = datagen.DBLP(datagen.DefaultDBLPParams())
-		}
-		if err != nil {
-			fatal(err)
-		}
-		data = ds.Data
+		rd, err = diskindex.CreateTemp(sys.Index.(*kwindex.Index), diskindex.Options{CacheBytes: cacheBytes})
 	}
-	return graphsource.FromXML(name, sg, spec, data), spec
+	if err != nil {
+		return nil, err
+	}
+	sys.Index = rd
+	return sys, nil
 }
 
 // shardSplit partitions the loaded master index into n self-contained
@@ -434,42 +343,6 @@ func segMaintain(dir, op string, cacheBytes int64) error {
 	}
 	fmt.Println(string(out))
 	return st.Close()
-}
-
-// swapToDiskIndex moves the freshly built master index onto disk and
-// points the system at a paged reader over it. With -save the sidecar
-// already written next to the snapshot is reused; otherwise the index
-// goes to an unlinked temp file that lives as long as the open handle.
-func swapToDiskIndex(sys *core.System, savedTo string, cacheBytes int64) error {
-	ix, ok := sys.Index.(*kwindex.Index)
-	if !ok {
-		return nil
-	}
-	path := persist.SidecarPath(savedTo)
-	temp := savedTo == ""
-	if temp {
-		f, err := os.CreateTemp("", "xkeyword-*.xki")
-		if err != nil {
-			return err
-		}
-		path = f.Name()
-		f.Close()
-		if err := diskindex.Create(path, ix); err != nil {
-			os.Remove(path)
-			return err
-		}
-	}
-	rd, err := diskindex.Open(path, diskindex.Options{CacheBytes: cacheBytes})
-	if temp {
-		os.Remove(path) // the open handle keeps the unlinked file alive
-	}
-	if err != nil {
-		return err
-	}
-	sys.Index = rd
-	fmt.Fprintf(os.Stderr, "master index on disk: %s (%d terms, %d postings), cache %d bytes\n",
-		path, rd.NumKeywords(), rd.NumPostings(), cacheBytes)
-	return nil
 }
 
 // serve answers queries from the command line or stdin. A failed

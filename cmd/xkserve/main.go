@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	xkserve [-addr :8080] [-schema tpch|dblp] [-in file.xml] [-load snapshot]
+//	xkserve [-addr :8080] [-schema tpch|dblp] [-in file.xml] [-nodes f -edges f] [-load snapshot]
 //	        [-cache-entries 4096] [-cache-bytes 67108864] [-cache-ttl 5m]
 //	        [-max-concurrent 0] [-queue-wait 100ms]
 //	        [-disk-index] [-index-cache-bytes 1048576]
@@ -56,7 +56,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -68,9 +67,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/diskindex"
-	"repro/internal/edgelist"
 	"repro/internal/graphsource"
 	"repro/internal/kwindex"
 	"repro/internal/persist"
@@ -79,7 +76,6 @@ import (
 	"repro/internal/segidx"
 	"repro/internal/shard"
 	"repro/internal/webdemo"
-	"repro/internal/xmlgraph"
 )
 
 func main() {
@@ -117,36 +113,31 @@ func main() {
 	)
 	flag.Parse()
 	if _, err := rank.New(*scorer); err != nil {
-		fmt.Fprintln(os.Stderr, "xkserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if (*nodesFile == "") != (*edgesFile == "") {
-		fmt.Fprintln(os.Stderr, "xkserve: -nodes and -edges must be given together")
-		os.Exit(1)
+	if *loadFrom != "" && *nodesFile+*edgesFile != "" {
+		fatal(fmt.Errorf("-nodes/-edges replace -load"))
 	}
-	if *nodesFile != "" && (*in != "" || *loadFrom != "") {
-		fmt.Fprintln(os.Stderr, "xkserve: -nodes/-edges replace -in/-load")
-		os.Exit(1)
-	}
+	data := graphsource.Inputs{Schema: *schemaFlag, In: *in, Nodes: *nodesFile, Edges: *edgesFile}
 
 	topology := *shards
 	if *shardOf >= 0 && topology != "" {
-		fmt.Fprintln(os.Stderr, "xkserve: -shard-of and -shards are mutually exclusive")
-		os.Exit(1)
+		fatal(fmt.Errorf("-shard-of and -shards are mutually exclusive"))
 	}
 	if *shardOf >= 0 {
-		if err := runShard(*addr, *shardDir, *shardOf, *loadFrom, *schemaFlag, *in, *z, *idxCache, *scorer, *relax, *shardCache); err != nil {
-			fmt.Fprintln(os.Stderr, "xkserve:", err)
-			os.Exit(1)
+		if err := runShard(*addr, *shardDir, *shardOf, *loadFrom, data, *z, *idxCache, *scorer, *relax, *shardCache); err != nil {
+			fatal(err)
 		}
 		return
 	}
+	if *segDir != "" && topology != "" {
+		fatal(fmt.Errorf("-segdir and -shards are mutually exclusive (ingest writes locally, queries go to shards)"))
+	}
 
 	start := time.Now()
-	sys, err := buildSystem(*loadFrom, *schemaFlag, *in, *nodesFile, *edgesFile, *z, *diskIdx, *idxCache, *scorer, *relax)
+	sys, err := buildSystem(*loadFrom, data, *z, *diskIdx, *idxCache, *scorer, *relax)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "xkserve:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	rd, _ := sys.Index.(*diskindex.Reader)
 	if fo, ok := sys.Index.(*kwindex.Failover); ok {
@@ -161,10 +152,6 @@ func main() {
 	// postings serve as the base, ingested segments and the memtable
 	// shadow it per target object. Queries run unchanged.
 	var store *segidx.Store
-	if *segDir != "" && topology != "" {
-		fmt.Fprintln(os.Stderr, "xkserve: -segdir and -shards are mutually exclusive (ingest writes locally, queries go to shards)")
-		os.Exit(1)
-	}
 	if *segDir != "" {
 		store, err = segidx.Open(*segDir, segidx.Options{
 			Base:            sys.Index,
@@ -174,8 +161,7 @@ func main() {
 			Logf:            func(format string, args ...any) { fmt.Fprintf(os.Stderr, "xkserve: "+format+"\n", args...) },
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "xkserve:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		sys.Index = store
 		st := store.Stats()
@@ -193,8 +179,7 @@ func main() {
 			HedgeBudgetPct: *hedgeBudget,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "xkserve:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		eng = coord
 	}
@@ -212,35 +197,9 @@ func main() {
 	if store != nil {
 		wd.EnableIngest(store)
 	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           wd.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
+	if err := listen(*addr, wd.Handler()); err != nil {
+		fatal(err)
 	}
-
-	// Graceful shutdown: stop accepting on SIGINT/SIGTERM, give in-flight
-	// requests a grace period, then exit.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "xkserve: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil {
-			_ = hs.Close()
-		}
-	}()
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "xkserve:", err)
-		os.Exit(1)
-	}
-	<-done
 	if store != nil {
 		// Memtable state needs no flush: it is in the WAL and the next
 		// open replays it. Close releases the handles cleanly.
@@ -253,12 +212,43 @@ func main() {
 		st.Served, st.Hits, st.Misses, st.Collapses, st.Sheds)
 }
 
+// listen serves h on addr until SIGINT or SIGTERM, then stops accepting
+// and gives in-flight requests up to 10 s to finish. The serving
+// goroutine has returned when listen does.
+func listen(addr string, h http.Handler) error {
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	fmt.Fprintln(os.Stderr, "xkserve: shutting down")
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(shutCtx); err != nil {
+		_ = hs.Close()
+	}
+	<-served // http.ErrServerClosed, returned as soon as Shutdown began
+	return nil
+}
+
 // runShard serves one partition of a split: the wire-protocol endpoints
 // with the structural data restored from the snapshot the split copied
 // beside it (or built from the data flags). The shard's own .xki slice
 // supplies only its identity and the header totals /shard/stats reports
 // — execute requests carry their postings, so no lookup reaches it.
-func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z int, idxCache int64, scorer string, relax bool, cacheEntries int) error {
+func runShard(addr, shardDir string, id int, loadFrom string, data graphsource.Inputs, z int, idxCache int64, scorer string, relax bool, cacheEntries int) error {
 	if shardDir == "" {
 		return fmt.Errorf("-shard-of requires -sharddir")
 	}
@@ -279,7 +269,7 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 	// Scorer/relax settings are replicated to the shard side so plan
 	// derivation (and relaxation) match the coordinator's; the
 	// coordinator's network CRC cross-check catches a mismatch.
-	sys, err := buildSystem(loadFrom, schemaFlag, in, "", "", z, false, idxCache, scorer, relax)
+	sys, err := buildSystem(loadFrom, data, z, false, idxCache, scorer, relax)
 	if err != nil {
 		return err
 	}
@@ -299,28 +289,7 @@ func runShard(addr, shardDir string, id int, loadFrom, schemaFlag, in string, z 
 	}
 	fmt.Fprintf(os.Stderr, "xkserve: shard %d of %d (%d postings, %d keywords) listening on %s\n",
 		id, man.N, rd.NumPostings(), rd.NumKeywords(), addr)
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(shutCtx); err != nil {
-			_ = hs.Close()
-		}
-	}()
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return listen(addr, srv.Handler())
 }
 
 // buildCoordinator wires the scatter-gather engine to the shard replica
@@ -371,7 +340,10 @@ func buildCoordinator(sys *core.System, topology, shardDir string, opts shard.Co
 	return coord, nil
 }
 
-func buildSystem(loadFrom, schemaFlag, in, nodesFile, edgesFile string, z int, diskIdx bool, idxCache int64, scorer string, relax bool) (*core.System, error) {
+// buildSystem restores the snapshot loadFrom, or else loads the data
+// graph the flags name and, with diskIdx, serves its master index from
+// a temporary .xki file.
+func buildSystem(loadFrom string, data graphsource.Inputs, z int, diskIdx bool, idxCache int64, scorer string, relax bool) (*core.System, error) {
 	if loadFrom != "" {
 		sys, err := persist.LoadFileOpts(loadFrom, persist.LoadOptions{
 			DiskIndex:       diskIdx,
@@ -389,95 +361,23 @@ func buildSystem(loadFrom, schemaFlag, in, nodesFile, edgesFile string, z int, d
 		sys.Opts.Relax = relax
 		return sys, nil
 	}
-	if nodesFile != "" {
-		ds, err := edgelist.Open(nodesFile, edgesFile, edgelist.Options{})
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "xkserve: %s: %d entities, %d links\n", ds.DatasetName(), ds.NumEntities, ds.NumLinks)
-		sys, err := graphsource.Load(ds, core.Options{Z: z, Scorer: scorer, Relax: relax})
-		if err != nil {
-			return nil, err
-		}
-		if diskIdx {
-			if err := swapToDiskIndex(sys, idxCache); err != nil {
-				return nil, err
-			}
-		}
-		return sys, nil
-	}
-	switch schemaFlag {
-	case "tpch", "dblp":
-	default:
-		return nil, fmt.Errorf("unknown schema %q", schemaFlag)
-	}
-	var sys *core.System
-	var err error
-	if in != "" {
-		var data *xmlgraph.Graph
-		if data, err = loadXML(in); err != nil {
-			return nil, err
-		}
-		if schemaFlag == "tpch" {
-			sys, err = core.Load(datagen.TPCHSchema(), datagen.TPCHSpec(), data, core.Options{Z: z, Scorer: scorer, Relax: relax})
-		} else {
-			sys, err = core.Load(datagen.DBLPSchema(), datagen.DBLPSpec(), data, core.Options{Z: z, Scorer: scorer, Relax: relax})
-		}
-	} else {
-		var ds *datagen.Dataset
-		if schemaFlag == "tpch" {
-			ds, err = datagen.TPCH(datagen.DefaultTPCHParams())
-		} else {
-			ds, err = datagen.DBLP(datagen.DefaultDBLPParams())
-		}
-		if err != nil {
-			return nil, err
-		}
-		sys, err = core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
-			core.Options{Z: z, Scorer: scorer, Relax: relax})
-	}
+	src, err := graphsource.Resolve(data)
 	if err != nil {
 		return nil, err
 	}
-	if diskIdx {
-		if err := swapToDiskIndex(sys, idxCache); err != nil {
-			return nil, err
-		}
+	sys, err := graphsource.Load(src, core.Options{Z: z, Scorer: scorer, Relax: relax})
+	if err != nil || !diskIdx {
+		return sys, err
 	}
+	rd, err := diskindex.CreateTemp(sys.Index.(*kwindex.Index), diskindex.Options{CacheBytes: idxCache})
+	if err != nil {
+		return nil, err
+	}
+	sys.Index = rd
 	return sys, nil
 }
 
-// swapToDiskIndex writes the freshly built master index to an unlinked
-// temp .xki file and points the system at a paged reader over it.
-func swapToDiskIndex(sys *core.System, cacheBytes int64) error {
-	ix, ok := sys.Index.(*kwindex.Index)
-	if !ok {
-		return nil
-	}
-	f, err := os.CreateTemp("", "xkserve-*.xki")
-	if err != nil {
-		return err
-	}
-	path := f.Name()
-	f.Close()
-	if err := diskindex.Create(path, ix); err != nil {
-		os.Remove(path)
-		return err
-	}
-	rd, err := diskindex.Open(path, diskindex.Options{CacheBytes: cacheBytes})
-	os.Remove(path) // the open handle keeps the unlinked file alive
-	if err != nil {
-		return err
-	}
-	sys.Index = rd
-	return nil
-}
-
-func loadXML(path string) (*xmlgraph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return xmlgraph.Parse(f, xmlgraph.ParseOptions{OmitRoot: true})
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "xkserve:", err)
+	os.Exit(1)
 }

@@ -35,19 +35,6 @@ func DefaultCitationParams() CitationParams {
 	}
 }
 
-// BenchCitationParams returns the larger configuration used by the
-// graph-source benchmark harness.
-func BenchCitationParams() CitationParams {
-	return CitationParams{
-		Papers:     2000,
-		Authors:    400,
-		Venues:     8,
-		AvgCites:   8,
-		MaxAuthors: 4,
-		Seed:       7,
-	}
-}
-
 // CitationCSV generates the citation network as an edge-list dump:
 // a nodes file (header id,type,title,year,name — papers fill
 // title/year, authors and venues fill name) and an edges file (header

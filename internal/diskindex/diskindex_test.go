@@ -90,6 +90,21 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCreateTemp: the temporary index answers like the in-memory one,
+// and its file is gone from the directory while the reader serves it.
+func TestCreateTemp(t *testing.T) {
+	ix := fig1Index(t)
+	rd, err := diskindex.CreateTemp(ix, diskindex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if _, err := os.Stat(rd.Path()); !os.IsNotExist(err) {
+		t.Fatalf("temporary index %s still linked: %v", rd.Path(), err)
+	}
+	requireEquivalent(t, ix, rd)
+}
+
 // TestRoundTripTinyPool replays every lookup through a buffer pool of a
 // single page — far smaller than the posting region — to exercise
 // eviction and page-spanning reads.

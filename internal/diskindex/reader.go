@@ -93,15 +93,21 @@ type Reader struct {
 // loaded and checksummed eagerly; posting blocks are paged in on demand
 // through the buffer pool.
 func Open(path string, opts Options) (*Reader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return openFile(f, path, opts)
+}
+
+// openFile serves a Reader from f, named path in errors, and closes f
+// if it cannot.
+func openFile(f *os.File, path string, opts Options) (*Reader, error) {
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = DefaultCacheBytes
 	}
 	if opts.ListCacheBytes == 0 {
 		opts.ListCacheBytes = opts.CacheBytes
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
 	}
 	r, err := open(f, path, opts)
 	if err != nil {

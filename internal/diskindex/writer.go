@@ -39,14 +39,22 @@ func CreateCRC(path string, ix *kwindex.Index) (crc uint32, err error) {
 	return crc, nil
 }
 
-// Write serializes the master index into f (an empty, seekable file):
-// posting blocks first, then the schema-node table and term dictionary,
-// then the header once every section offset is known. Callers that need
-// durability should prefer Create, which adds the temp-file + fsync +
-// rename protocol.
-func Write(f *os.File, ix *kwindex.Index) error {
-	_, err := write(f, ix)
-	return err
+// CreateTemp serializes the master index to a temporary .xki file and
+// opens a paged Reader over it. The file is unlinked as soon as it is
+// created, so the Reader's handle is all that keeps it and nothing is
+// left on disk when the process ends.
+func CreateTemp(ix *kwindex.Index, opts Options) (*Reader, error) {
+	f, err := os.CreateTemp("", "index-*.xki")
+	if err != nil {
+		return nil, err
+	}
+	//xk:ignore errdrop a failed unlink leaves a temp file behind; the open handle serves either way
+	os.Remove(f.Name())
+	if _, err := write(f, ix); err != nil {
+		f.Close() //xk:ignore errdrop best-effort close on the error path; the write error is what matters
+		return nil, err
+	}
+	return openFile(f, f.Name(), opts)
 }
 
 func write(f *os.File, ix *kwindex.Index) (header, error) {

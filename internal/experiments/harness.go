@@ -14,7 +14,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -283,24 +282,7 @@ func (w *Workload) load(preset core.DecompositionPreset) (*core.System, error) {
 // temp .xki file and opens the shared paged reader over it.
 func (w *Workload) diskReader() (*diskindex.Reader, error) {
 	w.diskOnce.Do(func() {
-		f, err := os.CreateTemp("", "xkbench-*.xki")
-		if err != nil {
-			w.diskErr = err
-			return
-		}
-		path := f.Name()
-		if err := f.Close(); err != nil {
-			w.diskErr = err
-			return
-		}
-		if err := diskindex.Create(path, kwindex.Build(w.DS.Obj)); err != nil {
-			os.Remove(path) //xk:ignore errdrop best-effort temp-file cleanup; the create error is what matters
-			w.diskErr = err
-			return
-		}
-		w.diskRd, w.diskErr = diskindex.Open(path, diskindex.Options{CacheBytes: w.Config.IndexCacheBytes})
-		//xk:ignore errdrop unlink may fail without affecting the open handle, which keeps the file alive
-		os.Remove(path)
+		w.diskRd, w.diskErr = diskindex.CreateTemp(kwindex.Build(w.DS.Obj), diskindex.Options{CacheBytes: w.Config.IndexCacheBytes})
 	})
 	return w.diskRd, w.diskErr
 }

@@ -7,7 +7,8 @@
 // interface is where that stops being theoretical: internal/xmlgraph
 // datasets come in through the XML adapter, generic relational/edge-list
 // dumps through internal/edgelist, and both feed tss.Decompose → kwindex
-// → pipeline identically.
+// → pipeline identically. Resolve turns the commands' data flags into a
+// Source, so every command loads a data graph the same way.
 package graphsource
 
 import (

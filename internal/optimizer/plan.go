@@ -10,7 +10,6 @@ package optimizer
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cn"
 	"repro/internal/decomp"
@@ -99,7 +98,6 @@ type Optimizer struct {
 // product along the piece) charged as one seek plus transfer, multiplied
 // by the expected number of probe invocations.
 func (o *Optimizer) estimateCost(p *Plan) float64 {
-	const pageRows = 128
 	bindings := 1.0
 	cost := 0.0
 	sel := func(occ int) float64 {
@@ -124,7 +122,7 @@ func (o *Optimizer) estimateCost(p *Plan) float64 {
 		for pos := st.ProbePos; pos-1 >= 0; pos-- {
 			rows *= o.stepFanout(steps[pos-1], false)
 		}
-		cost += bindings * (1 + rows/pageRows)
+		cost += bindings * (1 + rows/relstore.PageRows)
 		next := bindings * rows
 		for _, pos := range st.NewPos {
 			next *= sel(st.Piece.Occs[pos])
@@ -144,40 +142,44 @@ func (o *Optimizer) estimateCost(p *Plan) float64 {
 // never how large its filter is). The seed itself depends on the filter
 // sizes (§6), so it is chosen per query by Bind; a Shape compiled from
 // one network serves every network of the same structure, whatever its
-// keywords. Safe for concurrent use; the step slices it hands out are
-// shared between plans and must not be modified.
+// keywords. Immutable once compiled, so safe for concurrent use; the
+// step slices it hands out are shared between plans and must not be
+// modified.
 type Shape struct {
-	pieces []decomp.Piece
-	keyed  []bool // per occurrence: carries a keyword constraint
-	profit []bool // per occurrence: cacheProfitable
-
-	mu    sync.Mutex
-	steps [][]Step // guarded by mu — per seed occurrence, nil until first bound
+	joins  int
+	profit []bool   // per occurrence: cacheProfitable
+	steps  [][]Step // per seed occurrence: the nested-loop step order
+	errs   []error  // per seed occurrence: why it has no step order
 }
 
 // Compile derives the structural half of t's plan: the minimum-piece
 // fragment cover within the join budget (unbounded when the
-// decomposition cannot meet it).
+// decomposition cannot meet it), and the step order seeded at each of
+// t's occurrences.
 func (o *Optimizer) Compile(t *cn.TSSNetwork) (*Shape, error) {
+	keyed := make([]bool, len(t.Occs))
 	sh := &Shape{
-		keyed:  make([]bool, len(t.Occs)),
 		profit: make([]bool, len(t.Occs)),
 		steps:  make([][]Step, len(t.Occs)),
+		errs:   make([]error, len(t.Occs)),
 	}
 	for i, occ := range t.Occs {
-		sh.keyed[i] = !occ.Free()
+		keyed[i] = !occ.Free()
 		sh.profit[i] = o.cacheProfitable(t, i)
 	}
-	if t.Size() == 0 {
-		return sh, nil // single occurrence: one seed step, nothing to cover
-	}
-	pieces, ok := decomp.Cover(o.TSS, t, o.Fragments, o.MaxJoins)
-	if !ok {
-		if pieces, ok = decomp.Cover(o.TSS, t, o.Fragments, -1); !ok {
-			return nil, fmt.Errorf("optimizer: network %s not coverable by the decomposition", t)
+	var pieces []decomp.Piece // a single occurrence has nothing to cover
+	if t.Size() > 0 {
+		var ok bool
+		if pieces, ok = decomp.Cover(o.TSS, t, o.Fragments, o.MaxJoins); !ok {
+			if pieces, ok = decomp.Cover(o.TSS, t, o.Fragments, -1); !ok {
+				return nil, fmt.Errorf("optimizer: network %s not coverable by the decomposition", t)
+			}
 		}
+		sh.joins = len(pieces) - 1
 	}
-	sh.pieces = pieces
+	for seed := range t.Occs {
+		sh.steps[seed], sh.errs[seed] = o.buildSteps(t, keyed, seed, pieces)
+	}
 	return sh, nil
 }
 
@@ -217,16 +219,16 @@ func (s TOSets) Get(ix kwindex.Source, ka cn.KeywordAt) []int64 {
 	return set
 }
 
-// Bind instantiates a compiled shape for network t of one query: it
-// computes t's filters through sets, seeds the nested loop at the
-// keyword occurrence with the smallest containing list (§6) and attaches
-// the shape's step order for that seed. t must have the structure the
-// shape was compiled from.
-func (o *Optimizer) Bind(sh *Shape, t *cn.TSSNetwork, sets TOSets) (*Plan, error) {
-	return o.bind(sh, t, o.filters(t, sets), -1)
+// Bind instantiates the shape for network t of one query: it computes
+// t's filters through sets (reading from ix the keywords sets does not
+// hold yet), seeds the nested loop at the keyword occurrence with the
+// smallest containing list (§6) and attaches the shape's step order for
+// that seed. t must have the structure the shape was compiled from.
+func (sh *Shape) Bind(t *cn.TSSNetwork, ix kwindex.Source, sets TOSets) (*Plan, error) {
+	return sh.bind(t, filters(t, ix, sets), -1)
 }
 
-func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters [][]int64, seed int) (*Plan, error) {
+func (sh *Shape) bind(t *cn.TSSNetwork, filters [][]int64, seed int) (*Plan, error) {
 	if seed < 0 {
 		if t.Size() == 0 && t.Occs[0].Free() {
 			return nil, fmt.Errorf("optimizer: single free occurrence")
@@ -235,26 +237,10 @@ func (o *Optimizer) bind(sh *Shape, t *cn.TSSNetwork, filters [][]int64, seed in
 			return nil, fmt.Errorf("optimizer: network %s has no keyword occurrence", t)
 		}
 	}
-	steps, err := sh.stepsFor(o, t, seed)
-	if err != nil {
+	if err := sh.errs[seed]; err != nil {
 		return nil, err
 	}
-	return &Plan{Net: t, Steps: steps, Joins: max(len(sh.pieces)-1, 0), Filters: filters}, nil
-}
-
-// stepsFor returns the shape's step order seeded at occurrence seed,
-// building it on first use.
-func (sh *Shape) stepsFor(o *Optimizer, t *cn.TSSNetwork, seed int) ([]Step, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.steps[seed] == nil {
-		steps, err := o.buildSteps(t, sh.keyed, seed, sh.pieces)
-		if err != nil {
-			return nil, err
-		}
-		sh.steps[seed] = steps
-	}
-	return sh.steps[seed], nil
+	return &Plan{Net: t, Steps: sh.steps[seed], Joins: sh.joins, Filters: filters}, nil
 }
 
 // pickSeed is the seed choice of §6: primarily the keyword occurrence
@@ -361,7 +347,7 @@ func (o *Optimizer) plan(t *cn.TSSNetwork, seed int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := o.bind(sh, t, o.filters(t, TOSets{}), seed)
+	plan, err := sh.bind(t, filters(t, o.Index, TOSets{}), seed)
 	if err != nil || !o.CostBased || t.Size() == 0 {
 		return plan, err
 	}
@@ -535,15 +521,16 @@ func selectivity(occ int, bound map[int]bool, keyed []bool) float64 {
 
 // filters computes, per occurrence, the intersection of the TO sets of
 // its keyword constraints (nil for free occurrences), reading each
-// keyword's sets through sets. A single-keyword occurrence shares the
-// memoized set; an occurrence carrying several keywords gets a fresh
-// merge intersection, so memoized sets are never modified. An empty
-// intersection means the network has no results.
-func (o *Optimizer) filters(t *cn.TSSNetwork, sets TOSets) [][]int64 {
+// keyword's sets through sets, which reads a missing one from ix. A
+// single-keyword occurrence shares the memoized set; an occurrence
+// carrying several keywords gets a fresh merge intersection, so
+// memoized sets are never modified. An empty intersection means the
+// network has no results.
+func filters(t *cn.TSSNetwork, ix kwindex.Source, sets TOSets) [][]int64 {
 	out := make([][]int64, len(t.Occs))
 	for i, occ := range t.Occs {
 		for ki, ka := range occ.Keywords {
-			if s := sets.Get(o.Index, ka); ki == 0 {
+			if s := sets.Get(ix, ka); ki == 0 {
 				out[i] = s
 			} else {
 				out[i] = kwindex.IntersectTOs(out[i], s)

@@ -37,7 +37,8 @@ type Config struct {
 	Relax bool
 	// Shapes memoizes the derivation per keyword shape (required).
 	Shapes *Shapes
-	// NewOptimizer builds the plan optimizer over Index (per query).
+	// NewOptimizer builds the plan optimizer over Index, which compiles
+	// a shape's plans when its template is built.
 	NewOptimizer func(ix kwindex.Source) *optimizer.Optimizer
 	// NewExecutor builds the executor (per query, shared by the query's
 	// plans).
@@ -303,7 +304,6 @@ func (s optimizeStage) Name() string { return StageOptimize }
 
 func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) error {
 	rep.In = int64(len(q.Nets))
-	opt := s.cfg.NewOptimizer(s.cfg.Index)
 	plans := make([]*optimizer.Plan, len(q.Nets))
 	for i, tn := range q.Nets {
 		if q.Own != nil && !q.Own(i) {
@@ -313,7 +313,7 @@ func (s optimizeStage) Run(ctx context.Context, q *Query, rep *StageReport) erro
 		err := nt.err
 		var p *optimizer.Plan
 		if err == nil {
-			p, err = opt.Bind(nt.shape, tn, q.sets)
+			p, err = nt.shape.Bind(tn, s.cfg.Index, q.sets)
 		}
 		if err != nil {
 			return fmt.Errorf("pipeline: planning %s: %w", tn, err)

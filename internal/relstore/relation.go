@@ -141,16 +141,6 @@ func (r *Relation) NumPages() int {
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return len(r.Cols) }
 
-// ColIndex returns the index of the named attribute, or -1.
-func (r *Relation) ColIndex(name string) int {
-	for i, c := range r.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Fill gives the relation its tuples, flat and in primary order: row i
 // is rows[i*arity : (i+1)*arity]. The relation keeps rows as its primary
 // copy, so the caller allocates it at exactly the relation's size and

@@ -1,7 +1,5 @@
 package xmlgraph
 
-import "sort"
-
 // UndirectedNeighbor is one hop of an undirected traversal: the neighbor
 // node, the underlying directed edge, and whether the edge was followed
 // forward (From -> To) or backward.
@@ -153,9 +151,4 @@ func (s Subgraph) IsConnected() bool {
 		}
 	}
 	return len(seen) == len(s.Nodes)
-}
-
-// SortNodes sorts the subgraph's node list in place, for canonical output.
-func (s *Subgraph) SortNodes() {
-	sort.Slice(s.Nodes, func(i, j int) bool { return s.Nodes[i] < s.Nodes[j] })
 }
