@@ -3,6 +3,7 @@ package graphsource_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -73,3 +74,24 @@ func TestPrepareSurfacesSourceErrors(t *testing.T) {
 }
 
 var errBoom = context.DeadlineExceeded
+
+// Resolve rejects inputs that name no single data graph, in the terms
+// of the flags that set them, before reading any file.
+func TestResolveRejectsConflictingInputs(t *testing.T) {
+	for _, tc := range []struct {
+		in   graphsource.Inputs
+		want string
+	}{
+		{graphsource.Inputs{Nodes: "n.csv"}, "-nodes and -edges must be given together"},
+		{graphsource.Inputs{Nodes: "n.csv", Edges: "e.csv", In: "x.xml"}, "-nodes/-edges replace -in"},
+		{graphsource.Inputs{Nodes: "n.csv", Edges: "e.csv", XSD: "x.xsd"}, "-nodes/-edges replace -dtd/-xsd"},
+		{graphsource.Inputs{DTD: "x.dtd", In: "x.xml"}, "-dtd/-xsd require -spec"},
+		{graphsource.Inputs{DTD: "x.dtd", Spec: "x.spec"}, "-dtd/-xsd require -in"},
+		{graphsource.Inputs{Schema: "nosuch"}, `unknown schema "nosuch"`},
+	} {
+		_, err := graphsource.Resolve(tc.in)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: error %v, want one saying %q", tc.in, err, tc.want)
+		}
+	}
+}

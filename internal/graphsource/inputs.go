@@ -32,8 +32,11 @@ func Resolve(in Inputs) (Source, error) {
 		return nil, errors.New("-nodes and -edges must be given together")
 	}
 	if in.Nodes != "" {
-		if in.In != "" || in.DTD != "" || in.XSD != "" {
-			return nil, errors.New("-nodes/-edges replace -in/-dtd/-xsd")
+		switch {
+		case in.In != "":
+			return nil, errors.New("-nodes/-edges replace -in")
+		case in.DTD != "" || in.XSD != "":
+			return nil, errors.New("-nodes/-edges replace -dtd/-xsd")
 		}
 		ds, err := edgelist.Open(in.Nodes, in.Edges, edgelist.Options{})
 		if err != nil {
