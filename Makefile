@@ -9,9 +9,14 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: check tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint bench-decomp bench-scale
+.PHONY: check loc tier1 vet lint race chaos fuzzseed bench-build bench-gate bench-qserve bench-diskindex bench-pipeline bench-segidx bench-shard bench-graphsrc bench-lint bench-decomp bench-scale
 
 check: vet lint tier1 bench-build bench-gate fuzzseed race chaos
+
+# Main-module non-test Go lines, ROADMAP item 10's count: every change
+# reports its delta with this command. Not part of `make check`.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # Tier-1 gate (see ROADMAP.md).
 tier1:

@@ -157,12 +157,11 @@ func BenchmarkLoadScale(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			prep := &core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}
 			var sys *core.System
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sys = nil // release the previous load before the next
-				if sys, err = core.LoadPrepared(prep, core.Options{Z: 8}); err != nil {
+				if sys, err = core.LoadPrepared(ds, core.Options{Z: 8}); err != nil {
 					b.Fatal(err)
 				}
 			}

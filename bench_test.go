@@ -82,7 +82,7 @@ func servedSystem(b *testing.B) *core.System {
 func loadSystem(b *testing.B, preset core.DecompositionPreset) *core.System {
 	b.Helper()
 	w := workload(b)
-	sys, err := core.LoadPrepared(w.Prepared, core.Options{Z: w.Config.Z, B: w.Config.B, Decomposition: preset})
+	sys, err := core.LoadPrepared(w.DS, core.Options{Z: w.Config.Z, B: w.Config.B, Decomposition: preset})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,8 +13,9 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dtd"
 	"repro/internal/edgelist"
-	"repro/internal/graphsource"
+	"repro/internal/schema"
 	"repro/internal/specfile"
+	"repro/internal/tss"
 	"repro/internal/xmlgraph"
 )
 
@@ -60,9 +61,9 @@ func countsMatch(t *testing.T, ref *core.System, args []string, k int, queries .
 	return stderr
 }
 
-func loadSource(t *testing.T, src graphsource.Source) *core.System {
+func loadSource(t *testing.T, sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph) *core.System {
 	t.Helper()
-	sys, err := graphsource.Load(src, core.Options{Z: 8, Decomposition: core.PresetXKeyword})
+	sys, err := core.Load(sg, spec, data, core.Options{Z: 8, Decomposition: core.PresetXKeyword})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestEdgeListCountsMatchCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countsMatch(t, loadSource(t, ds), []string{"-nodes", nodes, "-edges", edges}, 5,
+	countsMatch(t, loadSource(t, ds.Schema, ds.Spec, ds.Data), []string{"-nodes", nodes, "-edges", edges}, 5,
 		[]string{"alice", "icde"}, []string{"alice"})
 }
 
@@ -163,7 +164,7 @@ func TestDTDSpecCountsMatchCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := loadSource(t, graphsource.FromXML(docPath, sg, cfg.Spec, data))
+	ref := loadSource(t, sg, cfg.Spec, data)
 	countsMatch(t, ref, []string{"-dtd", dtdPath, "-spec", specPath, "-in", docPath}, 10,
 		[]string{"john", "tv"}, []string{"mike", "us"})
 }
@@ -176,7 +177,10 @@ func TestDiskIndexCountsMatchCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := loadSource(t, graphsource.FromXML("tpch", ds.Schema, datagen.TPCHSpec(), ds.Data))
+	ref, err := core.LoadPrepared(ds, core.Options{Z: 8, Decomposition: core.PresetXKeyword})
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap := filepath.Join(t.TempDir(), "tpch.xkdb")
 	for _, args := range [][]string{
 		{"-schema", "tpch", "-disk-index"},

@@ -151,14 +151,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "restored %d target objects, %d relations in %v\n",
 			sys.Obj.NumObjects(), len(sys.Decomp.Fragments), time.Since(start).Round(time.Millisecond))
 	} else {
-		src, err := graphsource.Resolve(graphsource.Inputs{
+		if sys, err = build(graphsource.Inputs{
 			Schema: *schemaFlag, DTD: *dtdFile, XSD: *xsdFile, Spec: *specFile,
 			In: *in, Nodes: *nodesFile, Edges: *edgesFile,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if sys, err = build(src, core.Options{
+		}, core.Options{
 			Z:             *z,
 			Decomposition: core.DecompositionPreset(*preset),
 			Scorer:        *scorer,
@@ -185,12 +181,17 @@ func main() {
 	}
 }
 
-// build loads src, snapshots it to saveTo when that is set, and with
-// diskIndex serves its master index from disk: from the sidecar just
-// written beside the snapshot, or else from a temporary file.
-func build(src graphsource.Source, opts core.Options, saveTo string, diskIndex bool, cacheBytes int64) (*core.System, error) {
+// build loads the data graph in names, snapshots it to saveTo when that
+// is set, and with diskIndex serves its master index from disk: from
+// the sidecar just written beside the snapshot, or else from a
+// temporary file.
+func build(in graphsource.Inputs, opts core.Options, saveTo string, diskIndex bool, cacheBytes int64) (*core.System, error) {
 	start := time.Now()
-	sys, err := graphsource.Load(src, opts)
+	ds, err := graphsource.Resolve(in)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := core.LoadPrepared(ds, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -198,11 +199,7 @@ func build(src graphsource.Source, opts core.Options, saveTo string, diskIndex b
 		sys.Data.NumNodes(), sys.Obj.NumObjects(), len(sys.Decomp.Fragments),
 		time.Since(start).Round(time.Millisecond))
 	if saveTo != "" {
-		spec, err := src.Spec()
-		if err != nil {
-			return nil, err
-		}
-		if err := persist.SaveFile(saveTo, sys, spec); err != nil {
+		if err := persist.SaveFile(saveTo, sys, ds.Spec); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(os.Stderr, "snapshot written to %s (+ %s)\n", saveTo, persist.SidecarPath(saveTo))

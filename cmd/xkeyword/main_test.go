@@ -85,11 +85,11 @@ func run(t *testing.T, stdin string, args ...string) (string, string, int) {
 // source and options, ranked by scorer by default.
 func builtinTPCH(t *testing.T, scorer string) *core.System {
 	t.Helper()
-	src, err := graphsource.Resolve(graphsource.Inputs{Schema: "tpch"})
+	ds, err := graphsource.Resolve(graphsource.Inputs{Schema: "tpch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := graphsource.Load(src, core.Options{Z: 8, Decomposition: core.PresetXKeyword, Scorer: scorer})
+	sys, err := core.LoadPrepared(ds, core.Options{Z: 8, Decomposition: core.PresetXKeyword, Scorer: scorer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/datagen"
+	"repro/internal/tss"
 	"repro/internal/xmlexport"
 )
 
@@ -39,7 +40,7 @@ func main() {
 		return
 	}
 
-	var ds *datagen.Dataset
+	var ds *tss.Dataset
 	var err error
 	switch *schemaFlag {
 	case "tpch":

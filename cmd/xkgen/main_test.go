@@ -98,11 +98,7 @@ func TestCitationPairLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := ds.Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data.NumNodes() == 0 || data.NumEdges() == 0 {
+	if data := ds.Data; data.NumNodes() == 0 || data.NumEdges() == 0 {
 		t.Fatalf("loaded %d nodes, %d edges", data.NumNodes(), data.NumEdges())
 	}
 }

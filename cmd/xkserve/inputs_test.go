@@ -17,7 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/edgelist"
-	"repro/internal/graphsource"
+	"repro/internal/schema"
+	"repro/internal/tss"
 	"repro/internal/webdemo"
 	"repro/internal/xmlexport"
 	"repro/internal/xmlgraph"
@@ -112,9 +113,9 @@ func answersLikeDemo(t *testing.T, base string, ref *core.System, queries ...[]s
 	}
 }
 
-func loadSource(t *testing.T, src graphsource.Source) *core.System {
+func loadSource(t *testing.T, sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph) *core.System {
 	t.Helper()
-	sys, err := graphsource.Load(src, core.Options{Z: 8})
+	sys, err := core.Load(sg, spec, data, core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,11 @@ func builtinTPCH(t *testing.T) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loadSource(t, graphsource.FromXML("tpch", ds.Schema, datagen.TPCHSpec(), ds.Data))
+	sys, err := core.LoadPrepared(ds, core.Options{Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 // writeCitation writes the default synthetic citation network as an
@@ -153,7 +158,7 @@ func writeCitation(t *testing.T) (nodes, edges string, ref *core.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nodes, edges, loadSource(t, ds)
+	return nodes, edges, loadSource(t, ds.Schema, ds.Spec, ds.Data)
 }
 
 var tpchQueries = [][]string{{"john", "vcr"}, {"us", "tv"}}
@@ -185,7 +190,7 @@ func TestServeXMLFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := loadSource(t, graphsource.FromXML(path, datagen.TPCHSchema(), datagen.TPCHSpec(), data))
+	ref := loadSource(t, datagen.TPCHSchema(), datagen.TPCHSpec(), data)
 
 	s := start(t, "-schema", "tpch", "-in", path)
 	answersLikeDemo(t, s.base, ref, []string{"john", "vcr"}, []string{"us"})

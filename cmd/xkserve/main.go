@@ -361,11 +361,11 @@ func buildSystem(loadFrom string, data graphsource.Inputs, z int, diskIdx bool, 
 		sys.Opts.Relax = relax
 		return sys, nil
 	}
-	src, err := graphsource.Resolve(data)
+	ds, err := graphsource.Resolve(data)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := graphsource.Load(src, core.Options{Z: z, Scorer: scorer, Relax: relax})
+	sys, err := core.LoadPrepared(ds, core.Options{Z: z, Scorer: scorer, Relax: relax})
 	if err != nil || !diskIdx {
 		return sys, err
 	}

@@ -22,9 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{
-		Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj,
-	}, core.Options{Z: 8})
+	sys, err := core.LoadPrepared(ds, core.Options{Z: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

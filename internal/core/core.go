@@ -93,11 +93,10 @@ func (o *Options) Validate() error {
 
 // System is a loaded XKeyword instance.
 type System struct {
-	Schema *schema.Graph
-	TSS    *tss.Graph
-	Data   *xmlgraph.Graph
-	Obj    *tss.ObjectGraph
-	Store  *relstore.Store
+	// Dataset is the decomposed dataset the System serves; several
+	// Systems may share one.
+	*tss.Dataset
+	Store *relstore.Store
 	// Index is the master index backend (see PostingSource). Load builds
 	// the in-memory index; persist and the cmds swap in a disk-backed
 	// reader when -disk-index is set.
@@ -147,65 +146,49 @@ func (s *System) PipelineSnapshot() pipeline.Snapshot {
 }
 
 // Load runs the load stage of Figure 7 over a typed or untyped data
-// graph: conformance/type assignment, TSS derivation, target
-// decomposition, master index, statistics, and connection relation
-// materialization under the chosen decomposition preset. Target-object
-// BLOBs are not stored: ObjectGraph.BlobXML serializes one on demand.
+// graph: tss.Prepare (conformance/type assignment, TSS derivation,
+// target decomposition), then LoadPrepared (master index, statistics,
+// and connection relation materialization under the chosen
+// decomposition preset). Target-object BLOBs are not stored:
+// ObjectGraph.BlobXML serializes one on demand.
 func Load(sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph, opts Options) (*System, error) {
-	opts.defaults()
-	if err := sg.Assign(data); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	tg, err := tss.Derive(sg, spec)
+	ds, err := tss.Prepare(sg, spec, data)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	og, err := tg.Decompose(data)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return LoadPrepared(&Prepared{Schema: sg, TSS: tg, Data: data, Obj: og}, opts)
-}
-
-// Prepared bundles an already-decomposed dataset, so several systems
-// (e.g. one per decomposition preset) can share the load-stage graphs.
-type Prepared struct {
-	Schema *schema.Graph
-	TSS    *tss.Graph
-	Data   *xmlgraph.Graph
-	Obj    *tss.ObjectGraph
+	return LoadPrepared(ds, opts)
 }
 
 // LoadPrepared builds a System over an already-decomposed dataset.
-func LoadPrepared(p *Prepared, opts Options) (*System, error) {
+func LoadPrepared(ds *tss.Dataset, opts Options) (*System, error) {
 	opts.defaults()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if p == nil || p.Schema == nil || p.TSS == nil || p.Data == nil || p.Obj == nil {
+	if ds == nil || ds.Schema == nil || ds.TSS == nil || ds.Data == nil || ds.Obj == nil {
 		return nil, fmt.Errorf("core: incomplete prepared dataset")
 	}
-	m := SizeBound(p.TSS, p.Data, opts.Z, opts.MaxKeywords)
+	m := SizeBound(ds.TSS, ds.Data, opts.Z, opts.MaxKeywords)
 	var d *decomp.Decomposition
 	var err error
 	switch opts.Decomposition {
 	case PresetXKeyword:
-		d, err = decomp.XKeyword(p.TSS, m, opts.B)
+		d, err = decomp.XKeyword(ds.TSS, m, opts.B)
 	case PresetComplete:
-		d = decomp.Complete(p.TSS, decomp.JoinBound(m, opts.B))
+		d = decomp.Complete(ds.TSS, decomp.JoinBound(m, opts.B))
 	case PresetMinClust:
-		d = decomp.MinClust(p.TSS)
+		d = decomp.MinClust(ds.TSS)
 	case PresetMinNClustIndx:
-		d = decomp.MinNClustIndx(p.TSS)
+		d = decomp.MinNClustIndx(ds.TSS)
 	case PresetMinNClustNIndx:
-		d = decomp.MinNClustNIndx(p.TSS)
+		d = decomp.MinNClustNIndx(ds.TSS)
 	default:
 		err = fmt.Errorf("core: unknown decomposition preset %q", opts.Decomposition)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s, err := NewSystem(p, d, m, opts)
+	s, err := NewSystem(ds, d, m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -219,20 +202,17 @@ func LoadPrepared(p *Prepared, opts Options) (*System, error) {
 // creates the query-side state (shape memo, metrics sink, summary
 // slots). The master index is left for the caller to attach. LoadPrepared
 // and the snapshot loader both build their Systems here.
-func NewSystem(p *Prepared, d *decomp.Decomposition, m int, opts Options) (*System, error) {
+func NewSystem(ds *tss.Dataset, d *decomp.Decomposition, m int, opts Options) (*System, error) {
 	s := &System{
-		Schema:    p.Schema,
-		TSS:       p.TSS,
-		Data:      p.Data,
-		Obj:       p.Obj,
+		Dataset:   ds,
 		Store:     relstore.NewStore(),
-		Stats:     p.Obj.CollectStats(),
+		Stats:     ds.Obj.CollectStats(),
 		Decomp:    d,
 		M:         m,
 		Opts:      opts,
 		shapes:    pipeline.NewShapes(),
 		metrics:   pipeline.NewMetrics(),
-		summaries: make([]atomic.Pointer[summary], p.Obj.NumObjects()),
+		summaries: make([]atomic.Pointer[summary], ds.Obj.NumObjects()),
 	}
 	if err := decomp.Materialize(s.Store, s.Obj, d); err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -17,7 +17,7 @@ func loadFig1(t *testing.T, opts core.Options) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, opts)
+	s, err := core.LoadPrepared(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestDBLPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	s, err := core.LoadPrepared(ds,
 		core.Options{Z: 6})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/tss"
 	"repro/internal/xmlgraph"
 )
 
@@ -14,18 +15,17 @@ func TestLoadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep := &core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}
 
 	if _, err := core.LoadPrepared(nil, core.Options{}); err == nil {
 		t.Fatal("nil prepared accepted")
 	}
-	if _, err := core.LoadPrepared(&core.Prepared{}, core.Options{}); err == nil {
+	if _, err := core.LoadPrepared(&tss.Dataset{}, core.Options{}); err == nil {
 		t.Fatal("empty prepared accepted")
 	}
-	if _, err := core.LoadPrepared(prep, core.Options{Z: -1}); err == nil {
+	if _, err := core.LoadPrepared(ds, core.Options{Z: -1}); err == nil {
 		t.Fatal("negative Z accepted")
 	}
-	if _, err := core.LoadPrepared(prep, core.Options{Decomposition: "nope"}); err == nil {
+	if _, err := core.LoadPrepared(ds, core.Options{Decomposition: "nope"}); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
 }

@@ -23,8 +23,7 @@ func TestNetMemoPerSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func() *System {
-		s, err := LoadPrepared(&Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
-			Options{Z: 8})
+		s, err := LoadPrepared(ds, Options{Z: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +61,7 @@ func dblpTitleWords(t *testing.T) (*System, []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := LoadPrepared(&Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, Options{Z: 8})
+	s, err := LoadPrepared(ds, Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func renderQueries(t *testing.T) map[*core.System][][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dblp, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	dblp, err := core.LoadPrepared(ds,
 		core.Options{Z: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func FuzzAppendResultJSON(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	sys, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		f.Fatal(err)

@@ -60,7 +60,7 @@ func TestDefaultScorerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, core.Options{})
+	sys, err := core.LoadPrepared(ds, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestScorerSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	if _, err := core.LoadPrepared(ds,
 		core.Options{Scorer: "nope"}); err == nil {
 		t.Fatal("unknown Opts.Scorer did not fail the load")
 	}

@@ -118,7 +118,7 @@ func BenchDBLPParams() DBLPParams {
 // "FirstN LastM" pairs from pools, titles are drawn from a topic
 // vocabulary, and citations connect uniformly random papers (avg
 // AvgCitations per paper), mirroring the paper's augmentation of DBLP.
-func DBLP(p DBLPParams) (*Dataset, error) {
+func DBLP(p DBLPParams) (*tss.Dataset, error) {
 	if p.MinAuthors < 1 || p.MaxAuthors < p.MinAuthors {
 		return nil, fmt.Errorf("datagen: bad author bounds [%d,%d]", p.MinAuthors, p.MaxAuthors)
 	}
@@ -177,7 +177,7 @@ func DBLP(p DBLPParams) (*Dataset, error) {
 			ref(ci, target)
 		}
 	}
-	return assemble(DBLPSchema(), DBLPSpec(), d)
+	return tss.Prepare(DBLPSchema(), DBLPSpec(), d)
 }
 
 // AuthorName returns the deterministic name of the i-th generated author,

@@ -2,7 +2,8 @@
 // XML graph of Figures 1/5/6 (used for the worked examples) and a
 // DBLP-like graph matching Figure 14 (used for the experiments of §7,
 // with synthetic citations added exactly as the paper does). All
-// generators are deterministic given a seed.
+// generators are deterministic given a seed, and each returns its data
+// already decomposed (tss.Prepare), ready for core.LoadPrepared.
 package datagen
 
 import (
@@ -98,36 +99,16 @@ func TPCHSpec() tss.Spec {
 	}
 }
 
-// TPCHGraph bundles the schema, TSS graph, typed data graph and the
-// derived object graph of a TPC-H-like dataset.
-type Dataset struct {
-	Schema *schema.Graph
-	TSS    *tss.Graph
-	Data   *xmlgraph.Graph
-	Obj    *tss.ObjectGraph
-}
-
-func assemble(sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph) (*Dataset, error) {
-	if err := sg.Assign(data); err != nil {
-		return nil, fmt.Errorf("datagen: %w", err)
-	}
-	tg, err := tss.Derive(sg, spec)
-	if err != nil {
-		return nil, fmt.Errorf("datagen: %w", err)
-	}
-	og, err := tg.Decompose(data)
-	if err != nil {
-		return nil, fmt.Errorf("datagen: %w", err)
-	}
-	return &Dataset{Schema: sg, TSS: tg, Data: data, Obj: og}, nil
-}
+// Dataset is tss.Dataset under the name the generators' results once
+// had; the serving benchmark (bench/xkload) still names it.
+type Dataset = tss.Dataset
 
 // TPCHFigure1 builds the exact sample instance of Figure 1 (as far as the
 // worked examples need it): John supplies two lineitems that reference
 // the TV part (key 1005) with VCR sub-parts (keys 1008, 1009), and one
 // lineitem whose product is described as "set of VCR and DVD". It is the
 // fixture behind the §1 ("John, VCR") and Figure 2 ("US, VCR") examples.
-func TPCHFigure1() (*Dataset, error) {
+func TPCHFigure1() (*tss.Dataset, error) {
 	d := xmlgraph.New()
 	add := func(label, value string) xmlgraph.NodeID { return d.AddNode(label, value) }
 	cont := func(a, b xmlgraph.NodeID) { d.MustAddEdge(a, b, xmlgraph.Containment) }
@@ -193,7 +174,7 @@ func TPCHFigure1() (*Dataset, error) {
 	cont(sc, add("descr", "DVD error"))
 	ref(sc, p2)
 
-	return assemble(TPCHSchema(), TPCHSpec(), d)
+	return tss.Prepare(TPCHSchema(), TPCHSpec(), d)
 }
 
 // TPCHParams sizes a synthetic TPC-H-like dataset.
@@ -222,7 +203,7 @@ func DefaultTPCHParams() TPCHParams {
 // names are drawn from small pools so multi-occurrence keywords exist;
 // every lineitem references a random supplier person and either a random
 // part or an inline product (choice).
-func TPCH(p TPCHParams) (*Dataset, error) {
+func TPCH(p TPCHParams) (*tss.Dataset, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	d := xmlgraph.New()
 	cont := func(a, b xmlgraph.NodeID) { d.MustAddEdge(a, b, xmlgraph.Containment) }
@@ -279,7 +260,7 @@ func TPCH(p TPCHParams) (*Dataset, error) {
 			}
 		}
 	}
-	return assemble(TPCHSchema(), TPCHSpec(), d)
+	return tss.Prepare(TPCHSchema(), TPCHSpec(), d)
 }
 
 var personNames = []string{"John", "Mike", "Anna", "Maria", "Wei", "Yannis", "Vagelis", "Andrey", "Laura", "Pedro"}

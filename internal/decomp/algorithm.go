@@ -200,21 +200,3 @@ func MinNClustNIndx(tg *tss.Graph) *Decomposition {
 	d.Name = "MinNClustNIndx"
 	return d
 }
-
-// Combination unions two decompositions (used by the presentation-graph
-// experiments: minimal + inlined).
-func Combination(name string, ds ...*Decomposition) *Decomposition {
-	out := &Decomposition{Name: name}
-	for _, d := range ds {
-		for _, f := range d.Fragments {
-			out.add(f)
-		}
-		if d.Physical.ClusterBothDirections {
-			out.Physical.ClusterBothDirections = true
-		}
-		if d.Physical.HashIndexes {
-			out.Physical.HashIndexes = true
-		}
-	}
-	return out
-}

@@ -356,14 +356,6 @@ func TestPresetsShape(t *testing.T) {
 	if !hasMVD {
 		t.Fatal("Complete must include MVD fragments")
 	}
-	// Combination unions fragments and physical flags.
-	comb := decomp.Combination("combo", mc, mi)
-	if len(comb.Fragments) != len(min.Fragments) {
-		t.Fatalf("combination fragments = %d", len(comb.Fragments))
-	}
-	if !comb.Physical.ClusterBothDirections || !comb.Physical.HashIndexes {
-		t.Fatalf("combination physical = %+v", comb.Physical)
-	}
 }
 
 // wideGraph is a hub segment containing n leaf segments, one TSS edge

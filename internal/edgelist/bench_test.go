@@ -9,11 +9,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/edgelist"
-	"repro/internal/graphsource"
 	"repro/internal/rank"
 )
 
-// BenchmarkGraphsrc measures the generic-source path over the citation
+// BenchmarkGraphsrc measures the edge-list path over the citation
 // workload: dump parsing, the full load (decompose + proximity
 // relations + index) and per-scorer query latency.
 func BenchmarkGraphsrc(b *testing.B) {
@@ -37,13 +36,13 @@ func BenchmarkGraphsrc(b *testing.B) {
 	}
 	b.Run("Load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := graphsource.Load(ds, core.Options{Z: 6}); err != nil {
+			if _, err := core.Load(ds.Schema, ds.Spec, ds.Data, core.Options{Z: 6}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	sys, err := graphsource.Load(ds, core.Options{Z: 6})
+	sys, err := core.Load(ds.Schema, ds.Spec, ds.Data, core.Options{Z: 6})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // Package edgelist loads generic edge-list / relational dumps — a nodes
-// file and an edges file, CSV or TSV — as a graphsource.Source, so
+// file and an edges file, CSV or TSV — as a schema, a segment spec and
+// a data graph that tss.Prepare decomposes like any other, so
 // non-XML data graphs (citation networks, wiki links, an exported SQL
 // `edges` table) run through the unchanged XKeyword pipeline: schema
 // and segment spec are inferred from the dump, the data graph is built
@@ -51,30 +52,17 @@ type Options struct {
 	Name string
 }
 
-// Dataset is a parsed dump; it implements graphsource.Source (checked
-// in the tests to avoid the import).
+// Dataset is a parsed dump: the inferred schema and segment spec and
+// the data graph, which tss.Prepare (or core.Load) decomposes.
 type Dataset struct {
-	name   string
-	schema *schema.Graph
-	spec   tss.Spec
-	data   *xmlgraph.Graph
+	Schema *schema.Graph
+	Spec   tss.Spec
+	Data   *xmlgraph.Graph
 
 	// NumEntities and NumLinks report the dump's row counts for logs.
 	NumEntities int
 	NumLinks    int
 }
-
-// DatasetName implements graphsource.Source.
-func (d *Dataset) DatasetName() string { return d.name }
-
-// SchemaGraph implements graphsource.Source.
-func (d *Dataset) SchemaGraph() (*schema.Graph, error) { return d.schema, nil }
-
-// Spec implements graphsource.Source.
-func (d *Dataset) Spec() (tss.Spec, error) { return d.spec, nil }
-
-// Data implements graphsource.Source.
-func (d *Dataset) Data() (*xmlgraph.Graph, error) { return d.data, nil }
 
 // Open loads a nodes file and an edges file from disk.
 func Open(nodesPath, edgesPath string, opts Options) (*Dataset, error) {
@@ -272,10 +260,9 @@ func Parse(nodes, edges io.Reader, opts Options) (*Dataset, error) {
 		return nil, fmt.Errorf("edgelist: %s: %w", opts.Name, err)
 	}
 	return &Dataset{
-		name:        opts.Name,
-		schema:      sg,
-		spec:        spec,
-		data:        data,
+		Schema:      sg,
+		Spec:        spec,
+		Data:        data,
 		NumEntities: len(nrows),
 		NumLinks:    len(erows),
 	}, nil

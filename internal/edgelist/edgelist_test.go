@@ -12,13 +12,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/edgelist"
-	"repro/internal/graphsource"
 	"repro/internal/rank"
+	"repro/internal/tss"
 )
-
-// The dataset is a graph source without importing graphsource — checked
-// here so the adapter and the interface cannot drift apart.
-var _ graphsource.Source = (*edgelist.Dataset)(nil)
 
 func citationBytes(t testing.TB) (nodes, edges []byte) {
 	t.Helper()
@@ -38,8 +34,9 @@ func parse(t testing.TB, nodes, edges []byte) *edgelist.Dataset {
 	return ds
 }
 
-// End to end: the synthetic citation dump parses, loads through the
-// generic source path, and answers keyword queries under every scorer.
+// End to end: the synthetic citation dump parses, loads with core.Load
+// like any other data graph, and answers keyword queries under every
+// scorer.
 func TestCitationEndToEnd(t *testing.T) {
 	nodes, edges := citationBytes(t)
 	ds := parse(t, nodes, edges)
@@ -50,7 +47,7 @@ func TestCitationEndToEnd(t *testing.T) {
 	if ds.NumLinks == 0 {
 		t.Fatal("no links parsed")
 	}
-	sys, err := graphsource.Load(ds, core.Options{Z: 6})
+	sys, err := core.Load(ds.Schema, ds.Spec, ds.Data, core.Options{Z: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +71,15 @@ func TestCitationEndToEnd(t *testing.T) {
 func TestParseDeterministic(t *testing.T) {
 	nodes, edges := citationBytes(t)
 	a, b := parse(t, nodes, edges), parse(t, nodes, edges)
-	specA, _ := a.Spec()
-	specB, _ := b.Spec()
-	if fmt.Sprintf("%+v", specA) != fmt.Sprintf("%+v", specB) {
+	if fmt.Sprintf("%+v", a.Spec) != fmt.Sprintf("%+v", b.Spec) {
 		t.Fatal("two parses inferred different specs")
 	}
 	ctx := context.Background()
-	sysA, err := graphsource.Load(a, core.Options{Z: 6})
+	sysA, err := core.Load(a.Schema, a.Spec, a.Data, core.Options{Z: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysB, err := graphsource.Load(b, core.Options{Z: 6})
+	sysB, err := core.Load(b.Schema, b.Spec, b.Data, core.Options{Z: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +174,7 @@ func TestParseNoEdges(t *testing.T) {
 	if ds.NumEntities != 1 || ds.NumLinks != 0 {
 		t.Fatalf("counts = %d/%d", ds.NumEntities, ds.NumLinks)
 	}
-	sys, err := graphsource.Load(ds, core.Options{Z: 6})
+	sys, err := core.Load(ds.Schema, ds.Spec, ds.Data, core.Options{Z: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +210,7 @@ func TestChaosEdgelist(t *testing.T) {
 			continue // loud failure is a correct outcome
 		}
 		// Accepted: the dump must actually be loadable.
-		if _, err := graphsource.Prepare(ds); err != nil {
+		if _, err := tss.Prepare(ds.Schema, ds.Spec, ds.Data); err != nil {
 			t.Fatalf("seed %d: parse accepted a dump that does not load: %v", i, err)
 		}
 		load++
@@ -237,7 +232,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// Anything accepted must at least prepare without error: the
 		// inferred schema, spec and data have to agree with each other.
-		if _, err := graphsource.Prepare(ds); err != nil {
+		if _, err := tss.Prepare(ds.Schema, ds.Spec, ds.Data); err != nil {
 			t.Fatalf("accepted dump does not prepare: %v", err)
 		}
 	})

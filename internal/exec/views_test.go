@@ -135,7 +135,7 @@ func TestCachedFactorizedViewsStayValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, core.Options{Z: 8})
+	s, err := core.LoadPrepared(ds, core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/cn"
-	"repro/internal/datagen"
 	"repro/internal/tss"
 )
 
@@ -56,7 +55,7 @@ func AuthorChain(tg *tss.Graph, a1, a2 string, size int) (*cn.TSSNetwork, error)
 // PairForChain finds two author names connected by a citation chain of
 // the given CTSSN size (papers = size-1), so the chain network surely
 // has results. It follows a random citation walk from a random paper.
-func PairForChain(ds *datagen.Dataset, rng *rand.Rand, size int) (a1, a2 string, ok bool) {
+func PairForChain(ds *tss.Dataset, rng *rand.Rand, size int) (a1, a2 string, ok bool) {
 	papers := ds.Obj.BySegment("paper")
 	if len(papers) == 0 {
 		return "", "", false
@@ -100,7 +99,7 @@ func containsTO(xs []int64, x int64) bool {
 	return false
 }
 
-func authorOf(ds *datagen.Dataset, paper int64, rng *rand.Rand) string {
+func authorOf(ds *tss.Dataset, paper int64, rng *rand.Rand) string {
 	var names []string
 	for _, e := range ds.Obj.Out(paper) {
 		if ds.Obj.TO(e.To).Segment == "author" {

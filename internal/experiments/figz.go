@@ -30,7 +30,7 @@ func FigZ(w *Workload, zs []int) (Figure, error) {
 	evalSeries := Series{Label: "top-10 evaluation"}
 	netSeries := Series{Label: "candidate networks"}
 	for _, z := range zs {
-		sys, err := core.LoadPrepared(w.Prepared, core.Options{Z: z, B: w.Config.B})
+		sys, err := core.LoadPrepared(w.DS, core.Options{Z: z, B: w.Config.B})
 		if err != nil {
 			return fig, err
 		}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/diskindex"
 	"repro/internal/kwindex"
 	"repro/internal/relstore"
+	"repro/internal/tss"
 )
 
 // Config parameterizes an experiment run.
@@ -190,10 +191,9 @@ func measure(store *relstore.Store, fn func()) (time.Duration, relstore.IOStats)
 // Workload is a prepared dataset plus the author-name query pairs used
 // by every experiment, so figures share identical inputs.
 type Workload struct {
-	DS       *datagen.Dataset
-	Prepared *core.Prepared
-	Pairs    [][2]string
-	Config   Config
+	DS     *tss.Dataset
+	Pairs  [][2]string
+	Config Config
 
 	// Disk-backed master index, built once and shared by every system of
 	// the workload when Config.DiskIndex is set.
@@ -210,11 +210,7 @@ func NewWorkload(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{
-		DS:       ds,
-		Prepared: &core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
-		Config:   cfg,
-	}
+	w := &Workload{DS: ds, Config: cfg}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Co-author pairs.
 	var coPairs [][2]string
@@ -250,7 +246,7 @@ func NewWorkload(cfg Config) (*Workload, error) {
 	return w, nil
 }
 
-func authorNameOf(ds *datagen.Dataset, to int64) string {
+func authorNameOf(ds *tss.Dataset, to int64) string {
 	sum := ds.Obj.Summary(to) // author[name=...]
 	return strings.TrimSuffix(strings.SplitN(sum, "name=", 2)[1], "]")
 }
@@ -259,7 +255,7 @@ func authorNameOf(ds *datagen.Dataset, to int64) string {
 // installs the simulated buffer pool the figures' costs are charged
 // against.
 func (w *Workload) load(preset core.DecompositionPreset) (*core.System, error) {
-	sys, err := core.LoadPrepared(w.Prepared, core.Options{
+	sys, err := core.LoadPrepared(w.DS, core.Options{
 		Z:             w.Config.Z,
 		B:             w.Config.B,
 		Decomposition: preset,

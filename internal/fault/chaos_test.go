@@ -87,7 +87,7 @@ func buildFixture() (*fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	sys, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		return nil, err

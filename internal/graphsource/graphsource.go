@@ -1,121 +1,125 @@
-// Package graphsource is the source-agnostic ingestion boundary: a
-// Source describes any typed data graph — nodes, typed edges, text
-// content, and the schema/segmentation hints the TSS machinery needs —
-// and Load runs the unchanged XKeyword load stage (schema conformance,
-// TSS derivation, target decomposition, master index, connection
-// relations) over it. The paper's pipeline is not XML-specific; this
-// interface is where that stops being theoretical: internal/xmlgraph
-// datasets come in through the XML adapter, generic relational/edge-list
-// dumps through internal/edgelist, and both feed tss.Decompose → kwindex
-// → pipeline identically. Resolve turns the commands' data flags into a
-// Source, so every command loads a data graph the same way.
+// Package graphsource turns the commands' data flags into one
+// decomposed dataset: Resolve reads a built-in schema's generated data
+// or an XML document under it, a DTD or XSD schema with its spec file
+// over an XML document, or a generic edge-list dump (internal/edgelist),
+// and hands back the tss.Dataset that core.LoadPrepared builds a System
+// over. The paper's pipeline is not XML-specific: every form goes
+// through the one structural load, tss.Prepare, and the generated data
+// comes back from its generator already decomposed.
 package graphsource
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 
-	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/dtd"
+	"repro/internal/edgelist"
 	"repro/internal/schema"
+	"repro/internal/specfile"
 	"repro/internal/tss"
 	"repro/internal/xmlgraph"
+	"repro/internal/xsd"
 )
 
-// Source is a loadable data graph. The four parts are exactly what
-// core.Load consumes: the schema hints (node types and typed edges),
-// the target-segment spec (which types head segments, which are
-// members, how cross-segment paths are presented), and the data graph
-// itself (every text value lives on a node, every relationship is a
-// Containment or Reference edge).
-//
-// Implementations may build the graph lazily in Data (e.g. parse a
-// file), but each method must return the same value on every call: the
-// load stage reads them once, tests read them repeatedly.
-type Source interface {
-	// DatasetName names the source for logs and errors ("dblp",
-	// "edgelist:papers.csv").
-	DatasetName() string
-	// SchemaGraph returns the schema: node types and typed edges.
-	SchemaGraph() (*schema.Graph, error)
-	// Spec returns the target-segment spec over those types.
-	Spec() (tss.Spec, error)
-	// Data materializes the typed data graph.
-	Data() (*xmlgraph.Graph, error)
+// Inputs names a data graph the way the commands' data flags do, each
+// field the value of the flag of the same name. The forms are a
+// built-in Schema ("dblp" or "tpch") over an In document or, without
+// one, its generated data; a DTD or XSD with its Spec file over an In
+// document; or a Nodes/Edges edge-list pair, which replaces the rest.
+type Inputs struct {
+	Schema, DTD, XSD, Spec, In, Nodes, Edges string
 }
 
-// XML adapts an in-memory xmlgraph dataset (the repo's native shape —
-// datagen output, xmlgraph.Parse output) to the Source interface.
-type XML struct {
-	Name    string
-	Schema  *schema.Graph
-	SpecVal tss.Spec
-	DataVal *xmlgraph.Graph
+// Resolve reads the data graph in names and decomposes it. Its errors
+// name the flags, so a command prints them as they are.
+func Resolve(in Inputs) (*tss.Dataset, error) {
+	if (in.Nodes == "") != (in.Edges == "") {
+		return nil, errors.New("-nodes and -edges must be given together")
+	}
+	if in.Nodes != "" {
+		switch {
+		case in.In != "":
+			return nil, errors.New("-nodes/-edges replace -in")
+		case in.DTD != "" || in.XSD != "":
+			return nil, errors.New("-nodes/-edges replace -dtd/-xsd")
+		}
+		el, err := edgelist.Open(in.Nodes, in.Edges, edgelist.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return prepare(in.Nodes, el.Schema, el.Spec, el.Data)
+	}
+
+	var sg *schema.Graph
+	var spec tss.Spec
+	switch {
+	case in.DTD != "" || in.XSD != "":
+		if in.Spec == "" {
+			return nil, errors.New("-dtd/-xsd require -spec (segments and IDREF targets)")
+		}
+		if in.In == "" {
+			return nil, errors.New("-dtd/-xsd require -in (no built-in data for custom schemas)")
+		}
+		cfg, err := parseFile(in.Spec, specfile.Parse)
+		if err != nil {
+			return nil, err
+		}
+		if in.XSD != "" {
+			sg, err = parseFile(in.XSD, func(r io.Reader) (*schema.Graph, error) {
+				return xsd.Parse(r, xsd.Options{RefTargets: cfg.RefTargets, Roots: cfg.Roots})
+			})
+		} else {
+			sg, err = parseFile(in.DTD, func(r io.Reader) (*schema.Graph, error) {
+				return dtd.Parse(r, dtd.Options{RefTargets: cfg.RefTargets, Roots: cfg.Roots})
+			})
+		}
+		if err != nil {
+			return nil, err
+		}
+		spec = cfg.Spec
+	case in.Schema == "tpch":
+		sg, spec = datagen.TPCHSchema(), datagen.TPCHSpec()
+	case in.Schema == "dblp":
+		sg, spec = datagen.DBLPSchema(), datagen.DBLPSpec()
+	default:
+		return nil, fmt.Errorf("unknown schema %q", in.Schema)
+	}
+
+	if in.In != "" {
+		data, err := parseFile(in.In, func(r io.Reader) (*xmlgraph.Graph, error) {
+			return xmlgraph.Parse(r, xmlgraph.ParseOptions{OmitRoot: true})
+		})
+		if err != nil {
+			return nil, err
+		}
+		return prepare(in.In, sg, spec, data)
+	}
+	if in.Schema == "tpch" {
+		return datagen.TPCH(datagen.DefaultTPCHParams())
+	}
+	return datagen.DBLP(datagen.DefaultDBLPParams())
 }
 
-var _ Source = (*XML)(nil)
-
-// FromXML wraps an xmlgraph dataset as a Source.
-func FromXML(name string, sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph) *XML {
-	return &XML{Name: name, Schema: sg, SpecVal: spec, DataVal: data}
+// prepare decomposes a data graph read from path, naming the file in
+// its errors.
+func prepare(path string, sg *schema.Graph, spec tss.Spec, data *xmlgraph.Graph) (*tss.Dataset, error) {
+	ds, err := tss.Prepare(sg, spec, data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ds, nil
 }
 
-// DatasetName implements Source.
-func (x *XML) DatasetName() string { return x.Name }
-
-// SchemaGraph implements Source.
-func (x *XML) SchemaGraph() (*schema.Graph, error) {
-	if x.Schema == nil {
-		return nil, fmt.Errorf("graphsource: %s has no schema", x.Name)
-	}
-	return x.Schema, nil
-}
-
-// Spec implements Source.
-func (x *XML) Spec() (tss.Spec, error) { return x.SpecVal, nil }
-
-// Data implements Source.
-func (x *XML) Data() (*xmlgraph.Graph, error) {
-	if x.DataVal == nil {
-		return nil, fmt.Errorf("graphsource: %s has no data graph", x.Name)
-	}
-	return x.DataVal, nil
-}
-
-// Prepare runs the structural half of the load stage — conformance/type
-// assignment, TSS derivation, target decomposition — without building a
-// System, for callers that share the graphs across several systems.
-func Prepare(src Source) (*core.Prepared, error) {
-	sg, err := src.SchemaGraph()
+// parseFile opens path and parses it with parse.
+func parseFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("graphsource: %s: %w", src.DatasetName(), err)
+		var zero T
+		return zero, err
 	}
-	spec, err := src.Spec()
-	if err != nil {
-		return nil, fmt.Errorf("graphsource: %s: %w", src.DatasetName(), err)
-	}
-	data, err := src.Data()
-	if err != nil {
-		return nil, fmt.Errorf("graphsource: %s: %w", src.DatasetName(), err)
-	}
-	if err := sg.Assign(data); err != nil {
-		return nil, fmt.Errorf("graphsource: %s: %w", src.DatasetName(), err)
-	}
-	tg, err := tss.Derive(sg, spec)
-	if err != nil {
-		return nil, fmt.Errorf("graphsource: %s: %w", src.DatasetName(), err)
-	}
-	og, err := tg.Decompose(data)
-	if err != nil {
-		return nil, fmt.Errorf("graphsource: %s: %w", src.DatasetName(), err)
-	}
-	return &core.Prepared{Schema: sg, TSS: tg, Data: data, Obj: og}, nil
-}
-
-// Load runs the full load stage over a source and returns a ready
-// System — the source-agnostic face of core.Load.
-func Load(src Source, opts core.Options) (*core.System, error) {
-	p, err := Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	return core.LoadPrepared(p, opts)
+	defer f.Close() //xk:ignore errdrop read-only file; parse sees every read error
+	return parse(f)
 }

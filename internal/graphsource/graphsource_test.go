@@ -1,79 +1,26 @@
 package graphsource_test
 
 import (
-	"context"
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/graphsource"
-	"repro/internal/tss"
 )
 
-// The XML adapter is a pure repackaging: loading through it must answer
-// exactly like the direct core.Load path it generalizes.
-func TestXMLAdapterEquivalence(t *testing.T) {
-	sg, spec := datagen.TPCHSchema(), datagen.TPCHSpec()
-	dsA, err := datagen.TPCHFigure1()
-	if err != nil {
+// Resolve names the document it read when the document does not fit
+// the schema, instead of half-loading it.
+func TestResolveNamesNonConformingDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.xml")
+	if err := os.WriteFile(path, []byte("<db><mystery/></db>"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dsB, err := datagen.TPCHFigure1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.Options{Z: 8}
-	direct, err := core.LoadPrepared(&core.Prepared{Schema: dsA.Schema, TSS: dsA.TSS, Data: dsA.Data, Obj: dsA.Obj}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSource, err := graphsource.Load(graphsource.FromXML("fig1", sg, spec, dsB.Data), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx := context.Background()
-	for _, kws := range [][]string{{"john", "vcr"}, {"smith"}} {
-		want, _, err := direct.QueryScoredContext(ctx, kws, 10, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := viaSource.QueryScoredContext(ctx, kws, 10, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d results via source, %d direct", kws, len(got), len(want))
-		}
-		for i := range want {
-			g, w := got[i], want[i]
-			if g.Score != w.Score || g.Ord != w.Ord || !reflect.DeepEqual(g.Bind, w.Bind) || g.Net.Canon() != w.Net.Canon() {
-				t.Fatalf("%v: result %d differs between source and direct load", kws, i)
-			}
-		}
+	_, err := graphsource.Resolve(graphsource.Inputs{Schema: "tpch", In: path})
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "schema:") {
+		t.Fatalf("non-conforming document: error %v, want one naming %s and the schema", err, path)
 	}
 }
-
-// Prepare surfaces source errors instead of half-loading.
-type brokenSource struct{ graphsource.Source }
-
-func (brokenSource) DatasetName() string     { return "broken" }
-func (brokenSource) Spec() (tss.Spec, error) { return tss.Spec{}, errBoom }
-func TestPrepareSurfacesSourceErrors(t *testing.T) {
-	sg, spec := datagen.TPCHSchema(), datagen.TPCHSpec()
-	ds, err := datagen.TPCHFigure1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := brokenSource{graphsource.FromXML("fig1", sg, spec, ds.Data)}
-	if _, err := graphsource.Prepare(src); err == nil {
-		t.Fatal("broken source prepared")
-	}
-}
-
-var errBoom = context.DeadlineExceeded
 
 // Resolve rejects inputs that name no single data graph, in the terms
 // of the flags that set them, before reading any file.

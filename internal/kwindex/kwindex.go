@@ -82,37 +82,50 @@ func Tokenize(s string) []string {
 	return toks
 }
 
+// Keywords returns keywords(n) of §3.1 for a node with this tag and
+// value: the distinct tokens of both, in first-seen order. A node has
+// one posting per keyword, in Build and in segidx's documents alike.
+func Keywords(label, value string) []string {
+	toks := append(Tokenize(label), Tokenize(value)...)
+	seen := make(map[string]bool)
+	out := toks[:0]
+	for _, tok := range toks {
+		if !seen[tok] {
+			seen[tok] = true
+			out = append(out, tok)
+		}
+	}
+	return out
+}
+
+// SortPostings puts a posting list in the order every list keeps: by
+// TO, then by node.
+func SortPostings(ps []Posting) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].TO != ps[j].TO {
+			return ps[i].TO < ps[j].TO
+		}
+		return ps[i].Node < ps[j].Node
+	})
+}
+
 // Build indexes every target-object member node of the object graph: the
 // keywords of a node are the tokens of its tag and of its value (paper
 // §3.1, keywords(n)). Dummy nodes carry no information and are skipped —
 // they belong to no target object.
 func Build(og *tss.ObjectGraph) *Index {
-	ix := &Index{postings: make(map[string][]Posting)}
+	postings := make(map[string][]Posting)
 	for _, id := range og.Data.Nodes() {
 		toID, ok := og.TOOf(id)
 		if !ok {
 			continue
 		}
 		n := og.Data.Node(id)
-		seen := make(map[string]bool)
-		for _, tok := range append(Tokenize(n.Label), Tokenize(n.Value)...) {
-			if seen[tok] {
-				continue
-			}
-			seen[tok] = true
-			ix.postings[tok] = append(ix.postings[tok], Posting{TO: toID, Node: id, SchemaNode: n.Type})
-			ix.nTokens++
+		for _, tok := range Keywords(n.Label, n.Value) {
+			postings[tok] = append(postings[tok], Posting{TO: toID, Node: id, SchemaNode: n.Type})
 		}
 	}
-	for _, ps := range ix.postings {
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].TO != ps[j].TO {
-				return ps[i].TO < ps[j].TO
-			}
-			return ps[i].Node < ps[j].Node
-		})
-	}
-	return ix
+	return FromPostings(postings)
 }
 
 // FromPostings builds an index directly from token → posting lists,
@@ -128,12 +141,7 @@ func FromPostings(postings map[string][]Posting) *Index {
 			delete(postings, tok)
 			continue
 		}
-		sort.Slice(ps, func(i, j int) bool {
-			if ps[i].TO != ps[j].TO {
-				return ps[i].TO < ps[j].TO
-			}
-			return ps[i].Node < ps[j].Node
-		})
+		SortPostings(ps)
 		ix.nTokens += len(ps)
 	}
 	return ix

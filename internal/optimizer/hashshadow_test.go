@@ -29,7 +29,7 @@ func TestShadowedHashIndexesSkipped(t *testing.T) {
 			core.PresetXKeyword, core.PresetComplete, core.PresetMinClust,
 			core.PresetMinNClustIndx, core.PresetMinNClustNIndx,
 		} {
-			sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+			sys, err := core.LoadPrepared(ds,
 				core.Options{Decomposition: preset})
 			if err != nil {
 				t.Fatal(err)

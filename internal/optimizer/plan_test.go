@@ -19,7 +19,7 @@ func fig1System(t *testing.T, opts core.Options) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, opts)
+	s, err := core.LoadPrepared(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFiltersMatchIndexTOSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(w.Prepared, core.Options{Z: w.Config.Z, B: w.Config.B})
+	s, err := core.LoadPrepared(w.DS, core.Options{Z: w.Config.Z, B: w.Config.B})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func load(r io.Reader) (*core.System, *snapshot, error) {
 		}
 		d.Fragments = append(d.Fragments, f)
 	}
-	sys, err := core.NewSystem(&core.Prepared{Schema: sg, TSS: tg, Data: data, Obj: og}, d, snap.M, snap.Opts)
+	sys, err := core.NewSystem(&tss.Dataset{Schema: sg, Spec: spec, TSS: tg, Data: data, Obj: og}, d, snap.M, snap.Opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: %w", err)
 	}

@@ -47,7 +47,7 @@ func TestRoundTripRelations(t *testing.T) {
 			t.Run(d.name+"/"+string(preset), func(t *testing.T) {
 				opts := d.opts
 				opts.Decomposition = preset
-				orig, err := core.LoadPrepared(&core.Prepared{Schema: d.ds.Schema, TSS: d.ds.TSS, Data: d.ds.Data, Obj: d.ds.Obj}, opts)
+				orig, err := core.LoadPrepared(d.ds, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -55,7 +55,7 @@ func testSystem(t *testing.T) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	s, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)

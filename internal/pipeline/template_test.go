@@ -27,7 +27,7 @@ func tpchSystem(t *testing.T, opts core.Options) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, opts)
+	s, err := core.LoadPrepared(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestDBLPChainExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(w.Prepared, core.Options{Z: 8})
+	sys, err := core.LoadPrepared(w.DS, core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDBLPExpandCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(w.Prepared, core.Options{Z: 8})
+	sys, err := core.LoadPrepared(w.DS, core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,9 +116,3 @@ func (g *Graph) Assign(data *xmlgraph.Graph) error {
 	}
 	return nil
 }
-
-// Conforms reports whether the (already typed or untyped) data graph
-// conforms to the schema; it types the graph as a side effect.
-func (g *Graph) Conforms(data *xmlgraph.Graph) bool {
-	return g.Assign(data) == nil
-}

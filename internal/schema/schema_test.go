@@ -222,13 +222,6 @@ func TestAssignRejectsUnreachable(t *testing.T) {
 	}
 }
 
-func TestConforms(t *testing.T) {
-	g := miniSchema(t)
-	if !g.Conforms(buildConformingData(t)) {
-		t.Fatal("conforming graph rejected")
-	}
-}
-
 func TestEdgesAndCounts(t *testing.T) {
 	g := miniSchema(t)
 	if g.NumNodes() != 10 {

@@ -3,8 +3,6 @@ package segidx
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/kwindex"
 	"repro/internal/tss"
@@ -34,59 +32,36 @@ type Document struct {
 	Fields []Field `json:"fields"`
 }
 
-// postings derives the document's master-index postings, mirroring
-// kwindex.Build exactly: per field, the distinct tokens of the label
-// and value each yield one ⟨TO, node, schema node⟩ posting. emit is
-// called once per (token, posting) pair.
+// postings derives the document's master-index postings as
+// kwindex.Build does: per field, one ⟨TO, node, schema node⟩ posting
+// for each of kwindex.Keywords(label, value). emit is called once per
+// (token, posting) pair.
 func (d *Document) postings(emit func(tok string, p kwindex.Posting)) {
 	for _, f := range d.Fields {
-		seen := make(map[string]bool)
-		for _, tok := range append(kwindex.Tokenize(f.Label), kwindex.Tokenize(f.Value)...) {
-			if seen[tok] {
-				continue
-			}
-			seen[tok] = true
+		for _, tok := range kwindex.Keywords(f.Label, f.Value) {
 			emit(tok, kwindex.Posting{TO: d.TO, Node: f.Node, SchemaNode: f.SchemaNode})
 		}
 	}
 }
 
-// Summary renders the document the way tss.ObjectGraph.Summary renders
-// a batch-loaded target object — head label plus the valued member
-// fields, e.g. "part[key=1005 name=TV]" — so ingested TOs present like
-// native ones instead of as placeholders. The head is the field with
-// the smallest node id (DocumentsFromObjectGraph and the object graph
-// both assign the head the lowest id of its TO).
+// Summary renders the document with tss.FormatSummary, as the object
+// graph renders a batch-loaded target object — e.g.
+// "part[key=1005 name=TV]" — so ingested TOs present like native ones
+// instead of as placeholders. The head is the field with the smallest
+// node id (DocumentsFromObjectGraph and the object graph both assign the
+// head the lowest id of its TO).
 func (d *Document) Summary() string {
 	if len(d.Fields) == 0 {
 		return fmt.Sprintf("TO#%d", d.TO)
 	}
-	head := 0
+	nodes := make([]xmlgraph.Node, len(d.Fields))
 	for i, f := range d.Fields {
-		if f.Node < d.Fields[head].Node {
-			head = i
+		nodes[i] = xmlgraph.Node{ID: f.Node, Label: f.Label, Value: f.Value, Type: f.SchemaNode}
+		if f.Node < nodes[0].ID {
+			nodes[0], nodes[i] = nodes[i], nodes[0]
 		}
 	}
-	var fields []string
-	if v := d.Fields[head].Value; v != "" {
-		fields = append(fields, v)
-	}
-	rest := make([]Field, 0, len(d.Fields)-1)
-	for i, f := range d.Fields {
-		if i != head {
-			rest = append(rest, f)
-		}
-	}
-	sort.Slice(rest, func(i, j int) bool { return rest[i].Node < rest[j].Node })
-	for _, f := range rest {
-		if f.Value != "" {
-			fields = append(fields, fmt.Sprintf("%s=%s", f.Label, f.Value))
-		}
-	}
-	if len(fields) == 0 {
-		return fmt.Sprintf("%s#%d", d.Fields[head].Label, d.TO)
-	}
-	return fmt.Sprintf("%s[%s]", d.Fields[head].Label, strings.Join(fields, " "))
+	return tss.FormatSummary(d.TO, nodes)
 }
 
 // approxBytes estimates the document's memtable footprint for the

@@ -1,7 +1,6 @@
 package segidx
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/kwindex"
@@ -122,7 +121,7 @@ func (m *memtable) postingsOf(token string) []kwindex.Posting {
 	for _, ps := range byTO {
 		out = append(out, ps...)
 	}
-	sortPostings(out)
+	kwindex.SortPostings(out)
 	return out
 }
 
@@ -141,7 +140,7 @@ func (m *memtable) snapshot() (postings map[string][]kwindex.Posting, docs map[i
 		for _, l := range byTO {
 			ps = append(ps, l...)
 		}
-		sortPostings(ps)
+		kwindex.SortPostings(ps)
 		postings[tok] = ps
 	}
 	docs = make(map[int64]string, len(m.docs))
@@ -195,13 +194,4 @@ func (m *memtable) approxBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.bytes
-}
-
-func sortPostings(ps []kwindex.Posting) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].TO != ps[j].TO {
-			return ps[i].TO < ps[j].TO
-		}
-		return ps[i].Node < ps[j].Node
-	})
 }

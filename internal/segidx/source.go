@@ -69,7 +69,7 @@ func tokenPostings(ls []layer, token string) []kwindex.Posting {
 			out = append(out, p)
 		}
 	}
-	sortPostings(out)
+	kwindex.SortPostings(out)
 	return out
 }
 

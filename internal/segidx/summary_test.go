@@ -6,7 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/schema"
 	"repro/internal/segidx"
+	"repro/internal/tss"
+	"repro/internal/xmlgraph"
 )
 
 func personDoc(to int64, node int64, name string) segidx.Document {
@@ -133,6 +136,37 @@ func TestSummaryShapes(t *testing.T) {
 	}
 }
 
+// TestDocumentSummaryMatchesObjectGraph: a target object re-ingested
+// through DocumentsFromObjectGraph renders exactly like its batch-loaded
+// form, on the Figure 1 data and on a head node with an empty label,
+// which both name by the head's schema node.
+func TestDocumentSummaryMatchesObjectGraph(t *testing.T) {
+	fig1, err := datagen.TPCHFigure1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg := schema.New()
+	sg.MustBuild(sg.AddTaggedNode("item", "", schema.All), sg.SetRoot("item"))
+	data := xmlgraph.New()
+	data.AddNode("", "")
+	data.AddNode("", "x")
+	tagless, err := tss.Prepare(sg, tss.Spec{Segments: []tss.SegmentSpec{{Name: "item", Head: "item"}}}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, og := range []*tss.ObjectGraph{fig1.Obj, tagless.Obj} {
+		docs := segidx.DocumentsFromObjectGraph(og)
+		if len(docs) != og.NumObjects() {
+			t.Fatalf("%d documents for %d target objects", len(docs), og.NumObjects())
+		}
+		for _, d := range docs {
+			if got, want := d.Summary(), og.Summary(d.TO); got != want {
+				t.Errorf("TO %d: document summary %q, object graph %q", d.TO, got, want)
+			}
+		}
+	}
+}
+
 // TestIngestedSummaryOverridesMemo: core.System memoises the object
 // graph's summary of each target object, but an ingested document whose
 // TO also exists in the object graph must still present as ingested —
@@ -143,7 +177,7 @@ func TestIngestedSummaryOverridesMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	sys, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)

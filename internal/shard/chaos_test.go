@@ -117,7 +117,7 @@ func TestColdShapeOutlastsRequestTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func() *core.System {
-		sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, core.Options{Z: 8})
+		sys, err := core.LoadPrepared(ds, core.Options{Z: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

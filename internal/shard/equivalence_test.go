@@ -33,7 +33,7 @@ func tpchSystem(t testing.TB) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj}, core.Options{})
+	sys, err := core.LoadPrepared(ds, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,35 +48,48 @@ func (og *ObjectGraph) BlobXML(id int64) ([]byte, error) {
 	return []byte(sb.String()), nil
 }
 
-// Summary returns a short human-readable rendering of a target object:
-// its head label plus the leaf member fields, e.g.
-// "part[key=1005 name=TV]". Used by result presentation.
+// Summary returns a short human-readable rendering of a target object,
+// FormatSummary over its nodes, e.g. "part[key=1005 name=TV]". Used by
+// result presentation.
 func (og *ObjectGraph) Summary(id int64) string {
 	to := og.tos[id]
 	if to == nil {
 		return fmt.Sprintf("TO(%d)?", id)
 	}
-	head := og.Data.Node(xmlgraph.NodeID(to.ID))
-	// Non-XML sources can leave head labels empty; the segment name is
-	// the generic fallback — "#42" with no label is not a summary.
+	nodes := make([]xmlgraph.Node, len(to.Nodes))
+	for i, n := range to.Nodes {
+		nodes[i] = *og.Data.Node(n)
+	}
+	return FormatSummary(to.ID, nodes)
+}
+
+// FormatSummary renders target object id from its nodes, head first:
+// the head's label, then the head's value and label=value for every
+// other valued node in node-id order — "part[key=1005 name=TV]", or
+// "part#1005" when no node has a value. Non-XML sources can leave the
+// head's label empty; its schema node (the segment's head) names it
+// then, since "#42" with no label is not a summary. The object graph
+// and segidx's ingested documents both render through it, so an object
+// reads the same whichever way it was loaded.
+func FormatSummary(id int64, nodes []xmlgraph.Node) string {
+	head := nodes[0]
 	label := head.Label
 	if label == "" {
-		label = to.Segment
+		label = head.Type
 	}
 	var fields []string
 	if head.Value != "" {
 		fields = append(fields, head.Value)
 	}
-	rest := append([]xmlgraph.NodeID(nil), to.Nodes[1:]...)
-	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	rest := append([]xmlgraph.Node(nil), nodes[1:]...)
+	sort.Slice(rest, func(i, j int) bool { return rest[i].ID < rest[j].ID })
 	for _, n := range rest {
-		node := og.Data.Node(n)
-		if node.Value != "" {
-			fields = append(fields, fmt.Sprintf("%s=%s", node.Label, node.Value))
+		if n.Value != "" {
+			fields = append(fields, fmt.Sprintf("%s=%s", n.Label, n.Value))
 		}
 	}
 	if len(fields) == 0 {
-		return fmt.Sprintf("%s#%d", label, to.ID)
+		return fmt.Sprintf("%s#%d", label, id)
 	}
 	return fmt.Sprintf("%s[%s]", label, strings.Join(fields, " "))
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Generic graph sources (edge lists) can produce head nodes with empty
-// labels; Summary must fall back to the segment name instead of
-// rendering "#42".
+// labels; Summary must fall back to the head's schema node, which names
+// the segment, instead of rendering "#42".
 func TestSummaryFallsBackToSegment(t *testing.T) {
 	sg := schema.New()
 	sg.MustBuild(

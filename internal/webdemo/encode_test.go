@@ -60,7 +60,7 @@ func encoderSystems(t *testing.T) map[*core.System][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig1, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	fig1, err := core.LoadPrepared(ds,
 		core.Options{Z: 8, Relax: true})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func encoderSystems(t *testing.T) map[*core.System][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dblp, err := core.LoadPrepared(w.Prepared, core.Options{Z: w.Config.Z, B: w.Config.B, Relax: true})
+	dblp, err := core.LoadPrepared(w.DS, core.Options{Z: w.Config.Z, B: w.Config.B, Relax: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func FuzzAppendJSONString(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	sys, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		f.Fatal(err)

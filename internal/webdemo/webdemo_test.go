@@ -32,7 +32,7 @@ func demoSystem(t *testing.T) *core.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	sys, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestNetworksHonourDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.LoadPrepared(&core.Prepared{Schema: ds.Schema, TSS: ds.TSS, Data: ds.Data, Obj: ds.Obj},
+	sys, err := core.LoadPrepared(ds,
 		core.Options{Z: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -90,14 +90,6 @@ func (g *Graph) AddNode(label, value string) NodeID {
 	return id
 }
 
-// AddTypedNode creates a node with a fresh id and an already-assigned
-// schema type.
-func (g *Graph) AddTypedNode(label, value, typ string) NodeID {
-	id := g.AddNode(label, value)
-	g.nodes[id].Type = typ
-	return id
-}
-
 // AddNodeWithID inserts a node with a caller-chosen id (e.g. taken from an
 // XML ID attribute). It returns an error if the id is already in use or
 // not positive.

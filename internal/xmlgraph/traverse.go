@@ -22,66 +22,6 @@ func (g *Graph) UndirectedNeighbors(id NodeID) []UndirectedNeighbor {
 	return ns
 }
 
-// UndirectedDistance returns the length (in edges) of the shortest
-// undirected path between a and b, or -1 if they are disconnected.
-func (g *Graph) UndirectedDistance(a, b NodeID) int {
-	if a == b {
-		return 0
-	}
-	dist := map[NodeID]int{a: 0}
-	queue := []NodeID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.UndirectedNeighbors(cur) {
-			if _, seen := dist[nb.Node]; seen {
-				continue
-			}
-			dist[nb.Node] = dist[cur] + 1
-			if nb.Node == b {
-				return dist[nb.Node]
-			}
-			queue = append(queue, nb.Node)
-		}
-	}
-	return -1
-}
-
-// UndirectedPath returns one shortest undirected path from a to b as a
-// node sequence (inclusive of both endpoints), or nil if disconnected.
-func (g *Graph) UndirectedPath(a, b NodeID) []NodeID {
-	if a == b {
-		return []NodeID{a}
-	}
-	prev := map[NodeID]NodeID{a: a}
-	queue := []NodeID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.UndirectedNeighbors(cur) {
-			if _, seen := prev[nb.Node]; seen {
-				continue
-			}
-			prev[nb.Node] = cur
-			if nb.Node == b {
-				var path []NodeID
-				for n := b; ; n = prev[n] {
-					path = append(path, n)
-					if n == a {
-						break
-					}
-				}
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path
-			}
-			queue = append(queue, nb.Node)
-		}
-	}
-	return nil
-}
-
 // Subgraph is a subset of a graph's nodes and edges, used to represent
 // node networks (paper §3.1). Every edge endpoint must be in Nodes.
 type Subgraph struct {
