@@ -13,7 +13,8 @@ import (
 // The equivalence property: after any sequence of ingests, updates,
 // deletes, flushes, compactions and reopens, the layered store answers
 // ContainingList, SchemaNodes and TOSet exactly like a from-scratch
-// in-memory kwindex.Index built over the surviving documents. The
+// in-memory kwindex.Index built over the surviving documents, and
+// Summary with the summary of each TO's latest ingested document. The
 // reference derivation below re-implements the keyword rule of
 // kwindex.Build (distinct tokens of label and value, per field)
 // independently, so a bug in the store's shared derivation cannot hide
@@ -63,9 +64,22 @@ func randomDoc(rng *rand.Rand, to int64) segidx.Document {
 }
 
 // requireEquivalent compares every vocabulary keyword (plus a
-// multi-token one) across the three query methods.
-func requireEquivalent(t *testing.T, stage string, s *segidx.Store, ref *kwindex.Index) {
+// multi-token one) across the three query methods, and the summary of
+// every TO the workload draws: a TO whose latest store operation was an
+// add presents that document's summary, any other TO (deleted, never
+// ingested, or only in the base) has none in the store.
+func requireEquivalent(t *testing.T, stage string, s *segidx.Store, ref *kwindex.Index, ingested map[int64]segidx.Document) {
 	t.Helper()
+	for to := int64(1); to <= 50; to++ {
+		var want string
+		d, added := ingested[to]
+		if added {
+			want = d.Summary()
+		}
+		if sum, ok := s.Summary(to); sum != want || ok != added {
+			t.Fatalf("%s: Summary(%d) = %q, %v; want %q, %v", stage, to, sum, ok, want, added)
+		}
+	}
 	keys := append(append([]string(nil), eqVocab...), "john smith", "absentword")
 	for _, k := range keys {
 		want := ref.ContainingList(k)
@@ -97,6 +111,8 @@ func runEquivalenceWorkload(t *testing.T, seed int64, base kwindex.Source, baseD
 	for to, d := range baseDocs {
 		surviving[to] = d
 	}
+	// ingested holds the TOs whose latest store operation was an add.
+	ingested := make(map[int64]segidx.Document)
 
 	const ops = 400
 	for i := 0; i < ops; i++ {
@@ -106,10 +122,12 @@ func runEquivalenceWorkload(t *testing.T, seed int64, base kwindex.Source, baseD
 			d := randomDoc(rng, to)
 			mustAdd(t, s, d)
 			surviving[to] = d
+			ingested[to] = d
 		case r < 75: // delete (sometimes of absent TOs)
 			to := int64(1 + rng.Intn(50))
 			mustDelete(t, s, to)
 			delete(surviving, to)
+			delete(ingested, to)
 		case r < 83: // batch of several ops, acknowledged atomically
 			var b segidx.Batch
 			for n := 0; n < 1+rng.Intn(4); n++ {
@@ -117,11 +135,13 @@ func runEquivalenceWorkload(t *testing.T, seed int64, base kwindex.Source, baseD
 					to := int64(1 + rng.Intn(50))
 					b.DeleteTO(to)
 					delete(surviving, to)
+					delete(ingested, to)
 				} else {
 					to := int64(1 + rng.Intn(40))
 					d := randomDoc(rng, to)
 					b.AddDoc(d)
 					surviving[to] = d
+					ingested[to] = d
 				}
 			}
 			if err := s.Apply(b); err != nil {
@@ -142,23 +162,23 @@ func runEquivalenceWorkload(t *testing.T, seed int64, base kwindex.Source, baseD
 			s = openStore(t, dir, opts)
 		}
 		if i%50 == 49 {
-			requireEquivalent(t, fmt.Sprintf("seed %d op %d", seed, i), s, refIndex(surviving))
+			requireEquivalent(t, fmt.Sprintf("seed %d op %d", seed, i), s, refIndex(surviving), ingested)
 		}
 	}
 
-	requireEquivalent(t, fmt.Sprintf("seed %d final", seed), s, refIndex(surviving))
+	requireEquivalent(t, fmt.Sprintf("seed %d final", seed), s, refIndex(surviving), ingested)
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	requireEquivalent(t, fmt.Sprintf("seed %d compacted", seed), s, refIndex(surviving))
+	requireEquivalent(t, fmt.Sprintf("seed %d compacted", seed), s, refIndex(surviving), ingested)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s = openStore(t, dir, opts)
-	requireEquivalent(t, fmt.Sprintf("seed %d reopened", seed), s, refIndex(surviving))
+	requireEquivalent(t, fmt.Sprintf("seed %d reopened", seed), s, refIndex(surviving), ingested)
 }
 
 func TestEquivalenceRandomizedWorkloads(t *testing.T) {
