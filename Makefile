@@ -46,9 +46,11 @@ bench-build:
 # against BENCH_decomp.json, and of the master-index lookup from memory
 # and from the paged disk index, cold and warm (-cpu 1), against
 # BENCH_diskindex.json: all three of its rows repeat their allocs
-# exactly from run to run, and of the load stage at three corpus scales
-# (-cpu 1) against BENCH_scale.json. ns/op is printed as a delta only — wall
-# time on a shared machine is not gateable.
+# exactly from run to run, of the load stage at three corpus scales
+# (-cpu 1) against BENCH_scale.json, and of the live index's ingest,
+# lookup, flush and compaction (-cpu 1) against BENCH_segidx.json. ns/op
+# is printed as a delta only — wall time on a shared machine is not
+# gateable.
 bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkQuery$$|BenchmarkQueryTitleAuthor|BenchmarkLookupPaths' -cpu 1,2 -benchtime 200x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_pipeline.json -max-allocs-regress 5%
@@ -58,6 +60,7 @@ bench-gate:
 	$(GO) test -run xxx -bench 'BenchmarkXKeywordCold|BenchmarkEnumerateShapes' -cpu 1 -benchtime 5x -benchmem ./internal/decomp/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_decomp.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkDiskIndexLookup' -cpu 1 -benchtime 2000x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_diskindex.json -max-allocs-regress 5%
 	$(GO) test -run xxx -bench 'BenchmarkLoadScale/(6|12|24)$$' -cpu 1 -benchtime 3x -benchmem . | $(GO) run ./cmd/xkbenchjson -compare BENCH_scale.json -max-allocs-regress 5%
+	$(GO) test -run xxx -bench BenchmarkSegidx -cpu 1 -benchtime 50x -benchmem ./internal/segidx/ | $(GO) run ./cmd/xkbenchjson -compare BENCH_segidx.json -max-allocs-regress 5%
 
 # xkvet: the repo's own static-analysis suite (internal/lint). Enforces
 # every registered invariant analyzer — errdrop, keyjoin, lockguard,
@@ -118,9 +121,10 @@ bench-pipeline:
 	  $(GO) test -run xxx -bench 'BenchmarkSnapshotLoad|BenchmarkMaterialize$$' -cpu 1 -benchtime 5x -benchmem . ; } | $(GO) run ./cmd/xkbenchjson -out BENCH_pipeline.json
 
 # The live-index write and read path: synced vs unsynced ingest, cold
-# vs warm multi-segment lookups, flush and compaction cost.
+# vs warm multi-segment lookups, flush and compaction cost, at -cpu 1:
+# what bench-gate compares against.
 bench-segidx:
-	$(GO) test -run xxx -bench BenchmarkSegidx -benchtime 50x -benchmem ./internal/segidx/ | $(GO) run ./cmd/xkbenchjson -out BENCH_segidx.json
+	$(GO) test -run xxx -bench BenchmarkSegidx -cpu 1 -benchtime 50x -benchmem ./internal/segidx/ | $(GO) run ./cmd/xkbenchjson -out BENCH_segidx.json
 
 # Scatter-gather serving: coordinator round trip vs the single-node
 # baseline per shard count and per replica count, steady-state latency
