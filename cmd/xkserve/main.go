@@ -20,7 +20,7 @@
 //	        [-cache-entries 4096] [-cache-bytes 67108864] [-cache-ttl 5m]
 //	        [-max-concurrent 0] [-queue-wait 100ms]
 //	        [-disk-index] [-index-cache-bytes 1048576]
-//	        [-segdir dir] [-seg-nosync]
+//	        [-segdir dir]
 //
 // With -segdir the server layers a live segmented index (internal/segidx)
 // over the loaded master index and accepts durable write batches at
@@ -95,8 +95,7 @@ func main() {
 		diskIdx  = flag.Bool("disk-index", false, "serve the master index from a paged .xki file through a buffer pool instead of RAM")
 		idxCache = flag.Int64("index-cache-bytes", diskindex.DefaultCacheBytes, "buffer-pool budget for -disk-index")
 
-		segDir    = flag.String("segdir", "", "directory of a live segmented index: enables POST /api/ingest, layered over the loaded master index")
-		segNoSync = flag.Bool("seg-nosync", false, "skip the per-batch WAL fsync of -segdir ingests (durability only as strong as the page cache)")
+		segDir = flag.String("segdir", "", "directory of a live segmented index: enables POST /api/ingest, layered over the loaded master index")
 
 		shardDir    = flag.String("sharddir", "", "directory of a partitioned index (written by xkeyword -shardop split)")
 		shardOf     = flag.Int("shard-of", -1, "serve one shard of -sharddir's split: the shard id (protocol endpoints only)")
@@ -157,7 +156,6 @@ func main() {
 			Base:            sys.Index,
 			IndexCacheBytes: *idxCache,
 			AutoCompact:     true,
-			NoSync:          *segNoSync,
 			Logf:            func(format string, args ...any) { fmt.Fprintf(os.Stderr, "xkserve: "+format+"\n", args...) },
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package segidx
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/kwindex"
 	"repro/internal/tss"
@@ -164,109 +165,135 @@ func encodeBatch(b []byte, batch Batch) []byte {
 	return b
 }
 
-// walDecoder reads the varint stream of one record payload, erroring
-// instead of panicking on any malformed input.
-type walDecoder struct {
-	b []byte
-	i int
+// decoder reads the varint stream of a WAL record payload or of a
+// segment meta or manifest body. It never panics on malformed input: the
+// first malformed field records err, every later read returns a zero
+// value, and end reports the failure.
+type decoder struct {
+	b   []byte
+	i   int
+	err error
 }
 
-func (d *walDecoder) uvarint() (uint64, error) {
+// openEnvelope checks the frame a segment meta and a manifest share —
+// magic, uint32 version, trailing CRC32 over everything before it — and
+// returns a decoder over the body between them, failed if the frame is.
+func openEnvelope(b []byte, what string, magic [4]byte, version uint32) *decoder {
+	d := &decoder{}
+	switch {
+	case len(b) < 12:
+		d.fail("%s is %d bytes, too short", what, len(b))
+	case [4]byte(b[0:4]) != magic:
+		d.fail("bad %s magic %q", what, b[0:4])
+	case binary.LittleEndian.Uint32(b[4:]) != version:
+		d.fail("%s version %d, want %d", what, binary.LittleEndian.Uint32(b[4:]), version)
+	case crc32.ChecksumIEEE(b[:len(b)-4]) != binary.LittleEndian.Uint32(b[len(b)-4:]):
+		d.fail("%s checksum mismatch (file corrupt)", what)
+	default:
+		d.b, d.i = b[:len(b)-4], 8
+	}
+	return d
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("segidx: "+format, args...)
+	}
+}
+
+func (d *decoder) byte() byte {
+	if d.err == nil && d.i >= len(d.b) {
+		d.fail("truncated at byte %d", d.i)
+	}
+	if d.err != nil {
+		return 0
+	}
+	d.i++
+	return d.b[d.i-1]
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(d.b[d.i:])
 	if n <= 0 {
-		return 0, fmt.Errorf("segidx: malformed uvarint at payload byte %d", d.i)
+		d.fail("malformed uvarint at byte %d", d.i)
+		return 0
 	}
 	d.i += n
-	return v, nil
+	return v
 }
 
-func (d *walDecoder) varint() (int64, error) {
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Varint(d.b[d.i:])
 	if n <= 0 {
-		return 0, fmt.Errorf("segidx: malformed varint at payload byte %d", d.i)
+		d.fail("malformed varint at byte %d", d.i)
+		return 0
 	}
 	d.i += n
-	return v, nil
+	return v
 }
 
-func (d *walDecoder) string() (string, error) {
-	l, err := d.uvarint()
-	if err != nil {
-		return "", err
+// count reads an element count, refusing one larger than the bytes left:
+// every element takes at least one byte, so a larger claim is corruption,
+// not an allocation request.
+func (d *decoder) count() uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.i) {
+		d.fail("count %d overruns the %d bytes left at byte %d", n, len(d.b)-d.i, d.i)
+		return 0
 	}
+	return n
+}
+
+func (d *decoder) string() string {
+	l := d.uvarint()
 	if l > maxWALString || l > uint64(len(d.b)-d.i) {
-		return "", fmt.Errorf("segidx: string of %d bytes overruns payload at byte %d", l, d.i)
+		d.fail("string of %d bytes overruns its input at byte %d", l, d.i)
+		return ""
 	}
 	s := string(d.b[d.i : d.i+int(l)])
 	d.i += int(l)
-	return s, nil
+	return s
+}
+
+// end reports the first failure, or refuses bytes left over after the
+// last field.
+func (d *decoder) end() error {
+	if d.err == nil && d.i != len(d.b) {
+		d.fail("%d trailing bytes", len(d.b)-d.i)
+	}
+	return d.err
 }
 
 func decodeBatch(payload []byte) (Batch, error) {
-	d := &walDecoder{b: payload}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(payload)) { // each op takes ≥ 1 byte
-		return nil, fmt.Errorf("segidx: record claims %d ops in %d bytes", n, len(payload))
-	}
+	d := &decoder{b: payload}
+	n := d.count() // each op takes ≥ 1 byte
 	batch := make(Batch, 0, n)
-	for k := uint64(0); k < n; k++ {
-		if d.i >= len(d.b) {
-			return nil, fmt.Errorf("segidx: record truncated at op %d", k)
-		}
-		tag := d.b[d.i]
-		d.i++
-		switch tag {
+	for k := uint64(0); k < n && d.err == nil; k++ {
+		switch tag := d.byte(); tag {
 		case opAdd:
-			to, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			nf, err := d.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if nf > uint64(len(d.b)-d.i) { // each field takes ≥ 4 bytes
-				return nil, fmt.Errorf("segidx: document claims %d fields in %d bytes", nf, len(d.b)-d.i)
-			}
-			doc := &Document{TO: to}
-			if nf > 0 {
+			doc := &Document{TO: d.varint()}
+			if nf := d.count(); nf > 0 { // each field takes ≥ 4 bytes
 				doc.Fields = make([]Field, 0, nf)
-			}
-			for j := uint64(0); j < nf; j++ {
-				node, err := d.varint()
-				if err != nil {
-					return nil, err
+				for j := uint64(0); j < nf && d.err == nil; j++ {
+					// The reads run in the literal's order, the encoder's.
+					doc.Fields = append(doc.Fields, Field{Node: xmlgraph.NodeID(d.varint()), SchemaNode: d.string(), Label: d.string(), Value: d.string()})
 				}
-				schema, err := d.string()
-				if err != nil {
-					return nil, err
-				}
-				label, err := d.string()
-				if err != nil {
-					return nil, err
-				}
-				value, err := d.string()
-				if err != nil {
-					return nil, err
-				}
-				doc.Fields = append(doc.Fields, Field{Node: xmlgraph.NodeID(node), SchemaNode: schema, Label: label, Value: value})
 			}
 			batch = append(batch, Op{Doc: doc})
 		case opDelete:
-			to, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			batch = append(batch, Op{Delete: to})
+			batch = append(batch, Op{Delete: d.varint()})
 		default:
-			return nil, fmt.Errorf("segidx: unknown op tag %d at payload byte %d", tag, d.i-1)
+			d.fail("unknown op tag %d at byte %d", tag, d.i-1)
 		}
 	}
-	if d.i != len(d.b) {
-		return nil, fmt.Errorf("segidx: %d trailing bytes after record ops", len(d.b)-d.i)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return batch, nil
 }

@@ -64,67 +64,25 @@ func (m *manifest) encode() []byte {
 }
 
 func decodeManifest(b []byte) (*manifest, error) {
-	if len(b) < 12 {
-		return nil, fmt.Errorf("segidx: manifest is %d bytes, too short", len(b))
-	}
-	if [4]byte(b[0:4]) != manifestMagic {
-		return nil, fmt.Errorf("segidx: bad manifest magic %q", b[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != manifestVersion {
-		return nil, fmt.Errorf("segidx: manifest version %d, want %d", v, manifestVersion)
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("segidx: manifest checksum mismatch (file corrupt)")
-	}
-	i := 8
-	next := func() (uint64, error) {
-		v, adv := binary.Uvarint(body[i:])
-		if adv <= 0 {
-			return 0, fmt.Errorf("segidx: malformed manifest varint at byte %d", i)
-		}
-		i += adv
-		return v, nil
-	}
+	d := openEnvelope(b, "manifest", manifestMagic, manifestVersion)
 	m := &manifest{}
-	var err error
-	if m.WALFloor, err = next(); err != nil {
-		return nil, err
-	}
-	if m.NextID, err = next(); err != nil {
-		return nil, err
-	}
-	n, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(body)-i) { // each entry takes ≥ 3 bytes
-		return nil, fmt.Errorf("segidx: manifest claims %d segments in %d bytes", n, len(body)-i)
-	}
-	for k := uint64(0); k < n; k++ {
-		var s manifestSegment
-		if s.ID, err = next(); err != nil {
-			return nil, err
-		}
-		xki, err := next()
-		if err != nil {
-			return nil, err
-		}
-		meta, err := next()
-		if err != nil {
-			return nil, err
-		}
+	m.WALFloor = d.uvarint()
+	m.NextID = d.uvarint()
+	n := d.count() // each entry takes ≥ 3 bytes
+	for k := uint64(0); k < n && d.err == nil; k++ {
+		s := manifestSegment{ID: d.uvarint()}
+		xki, meta := d.uvarint(), d.uvarint()
 		if xki > 0xFFFFFFFF || meta > 0xFFFFFFFF {
-			return nil, fmt.Errorf("segidx: manifest segment %d CRC exceeds 32 bits", s.ID)
+			d.fail("manifest segment %d CRC exceeds 32 bits", s.ID)
+		}
+		if len(m.Segments) > 0 && m.Segments[len(m.Segments)-1].ID >= s.ID {
+			d.fail("manifest segment ids not strictly ascending at %d", s.ID)
 		}
 		s.XKICRC, s.MetaCRC = uint32(xki), uint32(meta)
-		if len(m.Segments) > 0 && m.Segments[len(m.Segments)-1].ID >= s.ID {
-			return nil, fmt.Errorf("segidx: manifest segment ids not strictly ascending at %d", s.ID)
-		}
 		m.Segments = append(m.Segments, s)
 	}
-	if i != len(body) {
-		return nil, fmt.Errorf("segidx: %d trailing bytes in manifest", len(body)-i)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

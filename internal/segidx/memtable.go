@@ -1,6 +1,7 @@
 package segidx
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/kwindex"
@@ -99,18 +100,35 @@ func (m *memtable) unindexLocked(to int64) {
 	m.bytes -= md.doc.approxBytes()
 }
 
-// claims reports whether this layer owns the target object — either a
-// live document or a tombstone — and so masks every older layer's
-// postings for it.
-func (m *memtable) claims(to int64) bool {
+// The layer methods. A memtable claims its live documents and its
+// tombstones.
+
+func (m *memtable) claim(to int64) (claim, string) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.docs[to] != nil || m.tombs[to]
+	if md := m.docs[to]; md != nil {
+		return docClaim, md.summary
+	}
+	if m.tombs[to] {
+		return tombClaim, ""
+	}
+	return noClaim, ""
 }
 
-// postingsOf returns the sorted postings of one exact token. The slice
-// is freshly allocated and owned by the caller.
-func (m *memtable) postingsOf(token string) []kwindex.Posting {
+func (m *memtable) eachClaim(f func(to int64, c claim, summary string)) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for to, md := range m.docs {
+		f(to, docClaim, md.summary)
+	}
+	for to := range m.tombs {
+		f(to, tombClaim, "")
+	}
+}
+
+// postings returns the sorted postings of one exact token. The slice is
+// freshly allocated and owned by the caller.
+func (m *memtable) postings(token string) []kwindex.Posting {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	byTO := m.inv[token]
@@ -125,49 +143,24 @@ func (m *memtable) postingsOf(token string) []kwindex.Posting {
 	return out
 }
 
-// snapshot freezes the memtable's content for flushing: the full
-// token → postings map (ownership transferred to the caller), the live
-// docs (TO → summary, carried into the segment meta so ingested objects
-// keep presenting properly after a flush) and the tombstone set. Only
-// called on sealed memtables, which no longer receive writes, but it
-// locks anyway so a late reader snapshotting concurrently stays safe.
-func (m *memtable) snapshot() (postings map[string][]kwindex.Posting, docs map[int64]string, tombs map[int64]bool) {
+func (m *memtable) terms() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	postings = make(map[string][]kwindex.Posting, len(m.inv))
-	for tok, byTO := range m.inv {
-		var ps []kwindex.Posting
-		for _, l := range byTO {
-			ps = append(ps, l...)
-		}
-		kwindex.SortPostings(ps)
-		postings[tok] = ps
+	out := make([]string, 0, len(m.inv))
+	for tok := range m.inv {
+		out = append(out, tok)
 	}
-	docs = make(map[int64]string, len(m.docs))
-	for to, md := range m.docs {
-		docs[to] = md.summary
-	}
-	tombs = make(map[int64]bool, len(m.tombs))
-	for to := range m.tombs {
-		tombs[to] = true
-	}
-	return postings, docs, tombs
+	sort.Strings(out)
+	return out
 }
 
-// summaryOf resolves one TO in this layer: claimed=false means the
-// layer has no opinion (look further down the stack); ok=false with
-// claimed=true means a tombstone.
-func (m *memtable) summaryOf(to int64) (summary string, ok, claimed bool) {
+func (m *memtable) counts() (postings, keywords int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if md := m.docs[to]; md != nil {
-		return md.summary, true, true
-	}
-	if m.tombs[to] {
-		return "", false, true
-	}
-	return "", false, false
+	return m.posts, len(m.inv)
 }
+
+func (*memtable) err() error { return nil }
 
 // stats returns the memtable's occupancy.
 func (m *memtable) stats() (docs, tombs, ops int, bytes int64) {
@@ -181,13 +174,6 @@ func (m *memtable) empty() bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.docs) == 0 && len(m.tombs) == 0
-}
-
-// counts returns the live posting and distinct-token counts.
-func (m *memtable) counts() (postings, tokens int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.posts, len(m.inv)
 }
 
 func (m *memtable) approxBytes() int64 {

@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/atomicio"
 	"repro/internal/diskindex"
-	"repro/internal/fault"
 	"repro/internal/kwindex"
 )
 
@@ -76,10 +75,6 @@ type Options struct {
 	// IndexCacheBytes is the paged reader budget per segment (default
 	// diskindex.DefaultCacheBytes).
 	IndexCacheBytes int64
-	// Retry bounds how flush and compaction retry transient I/O
-	// failures before surfacing them. Zero value means
-	// fault.DefaultRetry.
-	Retry fault.RetryPolicy
 	// Logf receives rare operational messages (background flush or
 	// compaction failures). nil discards them; Err still records the
 	// first failure either way.
@@ -111,9 +106,7 @@ type Store struct {
 
 	mu       sync.RWMutex
 	man      *manifest           // guarded by mu
-	mem      *memtable           // guarded by mu — the active mutable segment
-	sealed   []*memtable         // guarded by mu — sealed but uncommitted, oldest first
-	segs     []*segment          // guarded by mu — committed, oldest first
+	stack    []layer             // guarded by mu — replaced, never mutated: [base] segments, sealed memtables, active memtable
 	wal      *wal                // guarded by mu — the active log
 	retired  []*diskindex.Reader // guarded by mu — compacted-away readers, closed at Close
 	bgErr    error               // guarded by mu — first background flush/compaction failure
@@ -168,14 +161,17 @@ func Open(dir string, opts Options) (*Store, error) {
 		man.NextID = maxID + 1
 	}
 
-	var segs []*segment
+	var stack []layer
+	if opts.Base != nil {
+		stack = append(stack, baseLayer{opts.Base})
+	}
 	for _, ent := range man.Segments {
 		seg, err := openSegment(s.segPath(ent.ID), s.segMetaPath(ent.ID), ent, s.readerOptions())
 		if err != nil {
-			closeSegments(segs)
+			closeSegments(stack)
 			return nil, fmt.Errorf("segidx: opening segment %d: %w", ent.ID, err)
 		}
-		segs = append(segs, seg)
+		stack = append(stack, seg)
 	}
 
 	// Replay the surviving logs, oldest first, into the fresh memtable.
@@ -186,7 +182,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	for _, id := range walIDs {
 		n, err := replayWALFile(s.walPath(id), mem.apply)
 		if err != nil {
-			closeSegments(segs)
+			closeSegments(stack)
 			return nil, fmt.Errorf("segidx: replaying %s: %w", s.walPath(id), err)
 		}
 		activeID, activeLen = id, n
@@ -198,12 +194,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	wal, err := openWALForAppend(s.walPath(activeID), activeID, activeLen, !opts.NoSync)
 	if err != nil {
-		closeSegments(segs)
+		closeSegments(stack)
 		return nil, err
 	}
 
 	s.mu.Lock()
-	s.man, s.mem, s.segs, s.wal = man, mem, segs, wal
+	s.man, s.stack, s.wal = man, append(stack, mem), wal
 	s.mu.Unlock()
 
 	if opts.AutoCompact {
@@ -308,11 +304,32 @@ func (s *Store) readerOptions() diskindex.Options {
 	return diskindex.Options{CacheBytes: s.opts.IndexCacheBytes}
 }
 
+// segmentRun returns the bounds [lo, hi) of the committed segments in
+// the stack ls: above the base index, below the memtables.
+func (s *Store) segmentRun(ls []layer) (lo, hi int) {
+	if s.opts.Base != nil {
+		lo = 1
+	}
+	hi = len(ls) - 1 // the active memtable
+	for hi > lo {
+		if _, sealed := ls[hi-1].(*memtable); !sealed {
+			break
+		}
+		hi--
+	}
+	return lo, hi
+}
+
+// active returns the stack's active memtable, its newest layer.
+func active(ls []layer) *memtable { return ls[len(ls)-1].(*memtable) }
+
 // closeSegments abandons the partially opened segment readers of a
 // failed Open.
-func closeSegments(segs []*segment) {
-	for _, seg := range segs {
-		seg.rd.Close() //xk:ignore errdrop best-effort close while abandoning a failed open
+func closeSegments(stack []layer) {
+	for _, l := range stack {
+		if seg, ok := l.(*segment); ok {
+			seg.rd.Close() //xk:ignore errdrop best-effort close while abandoning a failed open
+		}
 	}
 }
 
@@ -349,8 +366,9 @@ func (s *Store) Apply(batch Batch) error {
 		s.mu.Unlock()
 		return err
 	}
-	s.mem.apply(batch)
-	bytes := s.mem.approxBytes()
+	mem := active(s.stack)
+	mem.apply(batch)
+	bytes := mem.approxBytes()
 	s.mu.Unlock()
 
 	if s.opts.FlushBytes > 0 && bytes >= s.opts.FlushBytes {
@@ -400,7 +418,10 @@ func (s *Store) flush() error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if s.mem.empty() && len(s.sealed) == 0 {
+	ls := s.stack
+	_, lo := s.segmentRun(ls) // the sealed memtables start here
+	mem := active(ls)
+	if mem.empty() && lo == len(ls)-1 {
 		s.mu.Unlock()
 		return nil
 	}
@@ -415,83 +436,23 @@ func (s *Store) flush() error {
 	}
 	oldWAL := s.wal
 	s.wal = nw
-	if !s.mem.empty() {
-		s.sealed = append(s.sealed, s.mem)
-		s.mem = newMemtable()
+	if !mem.empty() {
+		// Sealing pushes a fresh memtable above the active one.
+		ls = append(ls[:len(ls):len(ls)], newMemtable())
+		s.stack = ls
 	}
-	toFlush := append([]*memtable(nil), s.sealed...)
-	baseSegs := append([]manifestSegment(nil), s.man.Segments...)
-	nextID := s.man.NextID
-	hasOlder := len(s.segs) > 0 || s.opts.Base != nil
+	man := &manifest{WALFloor: walID, NextID: s.man.NextID, Segments: append([]manifestSegment(nil), s.man.Segments...)}
 	s.mu.Unlock()
 	oldWAL.close() //xk:ignore errdrop the sealed log takes no further appends; replay tolerates its state either way
 
 	if err := s.crashPoint("flush:after-wal-rotate"); err != nil {
 		return err
 	}
-
-	// Merge the sealed memtables (oldest first, newest wins) into one
-	// segment's content.
-	postings, docs, tombs := mergeMemtables(toFlush)
-	if !hasOlder {
-		tombs = nil // nothing older exists for a tombstone to mask
-	}
-
-	var xkiCRC, metaCRC uint32
-	err = s.opts.Retry.Do(func() error {
-		var werr error
-		xkiCRC, metaCRC, werr = writeSegment(s.segPath(segID), s.segMetaPath(segID), postings, docs, tombs)
-		return werr
-	})
-	if err != nil {
-		return fmt.Errorf("segidx: writing segment %d: %w", segID, err)
-	}
-	if err := s.crashPoint("flush:after-segment-write"); err != nil {
+	if err := s.fold("flush", ls, lo, len(ls)-1, segID, man, func() { s.flushes++ }); err != nil {
 		return err
 	}
-
-	ent := manifestSegment{ID: segID, XKICRC: xkiCRC, MetaCRC: metaCRC}
-	seg, err := openSegment(s.segPath(segID), s.segMetaPath(segID), ent, s.readerOptions())
-	if err != nil {
-		return fmt.Errorf("segidx: reopening segment %d: %w", segID, err)
-	}
-	newMan := &manifest{WALFloor: walID, NextID: nextID, Segments: append(baseSegs, ent)}
-	if err := s.commit(seg, "flush", newMan, func() {
-		s.segs = append(s.segs, seg)
-		s.sealed = nil
-		s.flushes++
-	}); err != nil {
-		return err
-	}
-
 	// The committed segment supersedes every log below the new floor.
 	s.removeWALsBelow(walID)
-	return nil
-}
-
-// commit writes the manifest (the commit point) and installs the new
-// in-memory view. On any error the new segment's reader is closed and
-// the old view stays in force.
-func (s *Store) commit(seg *segment, what string, newMan *manifest, install func()) error {
-	if err := s.crashPoint(what + ":before-manifest"); err != nil {
-		seg.rd.Close() //xk:ignore errdrop abandoning the uncommitted segment; the simulated crash is what matters
-		return err
-	}
-	err := s.opts.Retry.Do(func() error {
-		return commitManifest(s.manifestPath(), newMan)
-	})
-	if err != nil {
-		seg.rd.Close() //xk:ignore errdrop abandoning the uncommitted segment; the commit error is what matters
-		return fmt.Errorf("segidx: committing manifest: %w", err)
-	}
-	if err := s.crashPoint(what + ":after-manifest"); err != nil {
-		seg.rd.Close() //xk:ignore errdrop simulated kill directly after commit; reopen validates the committed state
-		return err
-	}
-	s.mu.Lock()
-	s.man = newMan
-	install()
-	s.mu.Unlock()
 	return nil
 }
 
@@ -521,10 +482,8 @@ func (s *Store) maybeCompact() {
 	if s.opts.CompactAt <= 0 {
 		return
 	}
-	s.mu.RLock()
-	n := len(s.segs)
-	s.mu.RUnlock()
-	if n < s.opts.CompactAt {
+	lo, hi := s.segmentRun(s.layers())
+	if hi-lo < s.opts.CompactAt {
 		return
 	}
 	if s.compactCh != nil {
@@ -575,8 +534,9 @@ func (s *Store) Close() error {
 	if err := s.wal.close(); err != nil && first == nil {
 		first = err
 	}
-	for _, seg := range s.segs {
-		if err := seg.rd.Close(); err != nil && first == nil {
+	lo, hi := s.segmentRun(s.stack)
+	for _, l := range s.stack[lo:hi] {
+		if err := l.(*segment).rd.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -39,12 +39,41 @@ type segment struct {
 	tombs map[int64]bool
 }
 
-// claims reports whether the segment owns the target object.
-func (s *segment) claims(to int64) bool {
-	if _, ok := s.docs[to]; ok {
-		return true
+// The layer methods. A segment claims the docs and tombs of its meta.
+
+func (s *segment) claim(to int64) (claim, string) {
+	if sum, ok := s.docs[to]; ok {
+		return docClaim, sum
 	}
-	return s.tombs[to]
+	if s.tombs[to] {
+		return tombClaim, ""
+	}
+	return noClaim, ""
+}
+
+func (s *segment) eachClaim(f func(to int64, c claim, summary string)) {
+	for to, sum := range s.docs {
+		f(to, docClaim, sum)
+	}
+	for to := range s.tombs {
+		f(to, tombClaim, "")
+	}
+}
+
+// postings reads one token through the paged reader. Terms are tokens,
+// and tokenization is idempotent on its own output, so ContainingList
+// resolves each term exactly.
+func (s *segment) postings(token string) []kwindex.Posting { return s.rd.ContainingList(token) }
+func (s *segment) terms() []string                         { return s.rd.Terms() }
+func (s *segment) counts() (int, int)                      { return s.rd.NumPostings(), s.rd.NumKeywords() }
+
+// err reports the reader's recorded fault: it soft-fails lookups, so a
+// compaction checks it before committing a merge that read the segment.
+func (s *segment) err() error {
+	if err := s.rd.Err(); err != nil {
+		return fmt.Errorf("segment %d: %w", s.id, err)
+	}
+	return nil
 }
 
 var segMetaMagic = [4]byte{'X', 'K', 'S', '1'}
@@ -91,70 +120,23 @@ func encodeSegMeta(docs map[int64]string, tombs map[int64]bool) []byte {
 }
 
 func decodeSegMeta(b []byte) (docs map[int64]string, tombs map[int64]bool, err error) {
-	if len(b) < 12 {
-		return nil, nil, fmt.Errorf("segidx: segment meta is %d bytes, too short", len(b))
-	}
-	if [4]byte(b[0:4]) != segMetaMagic {
-		return nil, nil, fmt.Errorf("segidx: bad segment meta magic %q", b[0:4])
-	}
-	version := binary.LittleEndian.Uint32(b[4:])
-	if version != segMetaVersion {
-		return nil, nil, fmt.Errorf("segidx: segment meta version %d, want %d", version, segMetaVersion)
-	}
-	body, tail := b[:len(b)-4], b[len(b)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, nil, fmt.Errorf("segidx: segment meta checksum mismatch (file corrupt)")
-	}
-	i := 8
-	nDocs, adv := binary.Uvarint(body[i:])
-	if adv <= 0 {
-		return nil, nil, fmt.Errorf("segidx: malformed segment meta count at byte %d", i)
-	}
-	i += adv
-	if nDocs > uint64(len(body)-i) { // each doc takes ≥ 1 byte
-		return nil, nil, fmt.Errorf("segidx: segment meta claims %d docs in %d bytes", nDocs, len(body)-i)
-	}
+	d := openEnvelope(b, "segment meta", segMetaMagic, segMetaVersion)
+	nDocs := d.count() // each doc takes ≥ 1 byte
 	docs = make(map[int64]string, nDocs)
 	var prev int64
-	for j := uint64(0); j < nDocs; j++ {
-		d, adv := binary.Varint(body[i:])
-		if adv <= 0 {
-			return nil, nil, fmt.Errorf("segidx: malformed segment meta id at byte %d", i)
-		}
-		i += adv
-		prev += d
-		l, adv := binary.Uvarint(body[i:])
-		if adv <= 0 {
-			return nil, nil, fmt.Errorf("segidx: malformed summary length at byte %d", i)
-		}
-		i += adv
-		if l > uint64(len(body)-i) {
-			return nil, nil, fmt.Errorf("segidx: summary of %d bytes overruns meta at byte %d", l, i)
-		}
-		docs[prev] = string(body[i : i+int(l)])
-		i += int(l)
+	for j := uint64(0); j < nDocs && d.err == nil; j++ {
+		prev += d.varint()
+		docs[prev] = d.string()
 	}
-	nTombs, adv := binary.Uvarint(body[i:])
-	if adv <= 0 {
-		return nil, nil, fmt.Errorf("segidx: malformed segment meta count at byte %d", i)
-	}
-	i += adv
-	if nTombs > uint64(len(body)-i) { // each id takes ≥ 1 byte
-		return nil, nil, fmt.Errorf("segidx: segment meta claims %d ids in %d bytes", nTombs, len(body)-i)
-	}
+	nTombs := d.count() // each id takes ≥ 1 byte
 	tombs = make(map[int64]bool, nTombs)
 	prev = 0
-	for j := uint64(0); j < nTombs; j++ {
-		d, adv := binary.Varint(body[i:])
-		if adv <= 0 {
-			return nil, nil, fmt.Errorf("segidx: malformed segment meta id at byte %d", i)
-		}
-		i += adv
-		prev += d
+	for j := uint64(0); j < nTombs && d.err == nil; j++ {
+		prev += d.varint()
 		tombs[prev] = true
 	}
-	if i != len(body) {
-		return nil, nil, fmt.Errorf("segidx: %d trailing bytes in segment meta", len(body)-i)
+	if err := d.end(); err != nil {
+		return nil, nil, err
 	}
 	return docs, tombs, nil
 }

@@ -9,48 +9,86 @@ import (
 // executor, serving and presentation layers run unchanged over a live,
 // writable index.
 //
-// Resolution walks the layer stack — optional base index, committed
-// segments oldest first, sealed memtables, active memtable — with
-// newest-wins masking per target object: a layer's posting is visible
-// only if no newer layer claims its TO, where a claim is either a
-// replacement document or a tombstone. Because every visible TO is
-// owned by exactly one layer, the cross-layer union is disjoint by TO
-// and needs no per-posting deduplication.
+// Every read, flush and compaction walks one layer stack: optional base
+// index, committed segments oldest first, sealed memtables, active
+// memtable. A layer claims a target object with a document or a
+// tombstone, and the newest layer that claims a TO owns it: a layer's
+// posting is visible only if no newer layer claims its TO. Because every
+// visible TO is owned by exactly one layer, the cross-layer union is
+// disjoint by TO and needs no per-posting deduplication.
 
 var (
 	_ kwindex.Source         = (*Store)(nil)
 	_ kwindex.FallibleSource = (*Store)(nil)
 )
 
-// layer is one level of the stack for a single resolution: its claim
-// predicate (nil for the base, which masks nothing below it — there is
-// nothing below it) and its posting lookup for one exact token.
-type layer struct {
-	claims func(int64) bool
-	list   func(token string) []kwindex.Posting
+// A claim is what one layer says about a target object.
+type claim uint8
+
+const (
+	noClaim   claim = iota
+	docClaim        // the layer holds the TO's document: its postings and summary
+	tombClaim       // the layer deleted the TO
+)
+
+// layer is one level of the stack: a memtable, a committed segment, or
+// the base index.
+type layer interface {
+	// claim reports the layer's claim on one TO, with the document's
+	// summary for a docClaim.
+	claim(to int64) (claim, string)
+	// eachClaim calls f for every TO the layer claims, under the layer's
+	// read lock: f must not call back into the same layer.
+	eachClaim(f func(to int64, c claim, summary string))
+	// postings returns one exact token's postings, sorted.
+	postings(token string) []kwindex.Posting
+	// terms lists the tokens the layer indexes.
+	terms() []string
+	// counts returns the layer's posting and distinct-token counts.
+	counts() (postings, keywords int)
+	// err reports the layer's own recorded read fault.
+	err() error
 }
 
-// layers snapshots the current stack, oldest first. The snapshot stays
-// valid after the store lock is released: segments are immutable,
-// sealed memtables take no further writes, and the active memtable is
-// internally synchronized.
+// baseLayer is the read-only bulk index at the bottom of the stack. It
+// claims nothing: there is nothing below it to mask. It is never merged,
+// so it lists no terms.
+type baseLayer struct{ kwindex.Source }
+
+func (baseLayer) claim(int64) (claim, string)             { return noClaim, "" }
+func (baseLayer) eachClaim(func(int64, claim, string))    {}
+func (b baseLayer) postings(tok string) []kwindex.Posting { return b.ContainingList(tok) }
+func (baseLayer) terms() []string                         { return nil }
+func (b baseLayer) counts() (int, int)                    { return b.NumPostings(), b.NumKeywords() }
+func (baseLayer) err() error                              { return nil }
+
+// newestClaim is the stack's one resolution rule: the newest layer of ls
+// (oldest first) that claims the TO owns it. It returns that claim and
+// the document's summary, or noClaim.
+func newestClaim(ls []layer, to int64) (claim, string) {
+	for i := len(ls) - 1; i >= 0; i-- {
+		if c, sum := ls[i].claim(to); c != noClaim {
+			return c, sum
+		}
+	}
+	return noClaim, ""
+}
+
+// owns reports whether layer i of ls still owns a TO: no newer layer
+// claims it, so the layer's claim and postings for it are visible.
+func owns(ls []layer, i int, to int64) bool {
+	c, _ := newestClaim(ls[i+1:], to)
+	return c == noClaim
+}
+
+// layers returns the current stack, oldest first. The slice stays valid
+// after the store lock is released: an install replaces it instead of
+// mutating it, segments are immutable, sealed memtables take no further
+// writes, and the active memtable is internally synchronized.
 func (s *Store) layers() []layer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ls := make([]layer, 0, len(s.segs)+len(s.sealed)+2)
-	if s.opts.Base != nil {
-		ls = append(ls, layer{claims: nil, list: s.opts.Base.ContainingList})
-	}
-	for _, sg := range s.segs {
-		sg := sg
-		ls = append(ls, layer{claims: sg.claims, list: sg.rd.ContainingList})
-	}
-	for _, m := range s.sealed {
-		m := m
-		ls = append(ls, layer{claims: m.claims, list: m.postingsOf})
-	}
-	ls = append(ls, layer{claims: s.mem.claims, list: s.mem.postingsOf})
-	return ls
+	return s.stack
 }
 
 // tokenPostings resolves one exact token across the stack: each layer's
@@ -58,15 +96,10 @@ func (s *Store) layers() []layer {
 func tokenPostings(ls []layer, token string) []kwindex.Posting {
 	var out []kwindex.Posting
 	for i, l := range ls {
-		postings := l.list(token)
-	scan:
-		for _, p := range postings {
-			for j := i + 1; j < len(ls); j++ {
-				if ls[j].claims(p.TO) {
-					continue scan
-				}
+		for _, p := range l.postings(token) {
+			if owns(ls, i, p.TO) {
+				out = append(out, p)
 			}
-			out = append(out, p)
 		}
 	}
 	kwindex.SortPostings(out)
@@ -110,74 +143,35 @@ func (s *Store) TOSet(k, schemaNode string) map[int64]bool {
 // optimizer uses these numbers as relative size signals, for which the
 // bound is the right trade against walking every layer's postings.
 func (s *Store) NumPostings() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n := 0
-	if s.opts.Base != nil {
-		n += s.opts.Base.NumPostings()
-	}
-	for _, sg := range s.segs {
-		n += sg.rd.NumPostings()
-	}
-	for _, m := range s.sealed {
-		p, _ := m.counts()
+	for _, l := range s.layers() {
+		p, _ := l.counts()
 		n += p
 	}
-	p, _ := s.mem.counts()
-	return n + p
+	return n
 }
 
 // NumKeywords reports the summed distinct-token count across all layers
 // — an upper bound, since a token indexed in several layers is counted
 // once per layer.
 func (s *Store) NumKeywords() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n := 0
-	if s.opts.Base != nil {
-		n += s.opts.Base.NumKeywords()
+	for _, l := range s.layers() {
+		_, k := l.counts()
+		n += k
 	}
-	for _, sg := range s.segs {
-		n += sg.rd.NumKeywords()
-	}
-	for _, m := range s.sealed {
-		_, t := m.counts()
-		n += t
-	}
-	_, t := s.mem.counts()
-	return n + t
+	return n
 }
 
 // Summary resolves a target object's presentation summary through the
-// layer stack, newest first: the active memtable, the sealed
-// memtables, then the committed segments (whose metas carry each doc's
-// summary since format v2). ok=false means the store has no opinion —
-// the TO was never ingested here (or was tombstoned, or came from a v1
-// meta without summaries) — and the caller should fall back to the
-// object graph. core.System.SummaryOf is that caller.
+// stack: the newest claim decides. ok=false means the store has no
+// opinion — the TO was never ingested here, or was tombstoned — and the
+// caller should fall back to the object graph. core.System.SummaryOf is
+// that caller. A lookup allocates nothing: /api/query reads every result
+// TO's summary here twice, for its rendering and for its objects.
 func (s *Store) Summary(to int64) (string, bool) {
-	// The layers are walked under the read lock, so a lookup allocates
-	// nothing: /api/query reads every result TO's summary here twice,
-	// for its rendering and for its objects.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if sum, ok, claimed := s.mem.summaryOf(to); claimed {
-		return sum, ok
-	}
-	for i := len(s.sealed) - 1; i >= 0; i-- {
-		if sum, ok, claimed := s.sealed[i].summaryOf(to); claimed {
-			return sum, ok
-		}
-	}
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		if sum, ok := s.segs[i].docs[to]; ok {
-			return sum, sum != ""
-		}
-		if s.segs[i].tombs[to] {
-			return "", false
-		}
-	}
-	return "", false
+	c, sum := newestClaim(s.layers(), to)
+	return sum, c == docClaim && sum != ""
 }
 
 // Err reports the store's own first failure: a background flush or
@@ -185,12 +179,13 @@ func (s *Store) Summary(to int64) (string, bool) {
 // index's state is not the store's failure; Health folds it in.
 func (s *Store) Err() error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.bgErr != nil {
-		return s.bgErr
+	bgErr := s.bgErr
+	s.mu.RUnlock()
+	if bgErr != nil {
+		return bgErr
 	}
-	for _, sg := range s.segs {
-		if err := sg.rd.Err(); err != nil {
+	for _, l := range s.layers() {
+		if err := l.err(); err != nil {
 			return err
 		}
 	}
@@ -239,9 +234,10 @@ func (s *Store) Stats() Stats {
 	err := s.Err()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	lo, hi := s.segmentRun(s.stack)
 	st := Stats{
 		Dir:      s.dir,
-		Sealed:   len(s.sealed),
+		Sealed:   len(s.stack) - 1 - hi,
 		WALSeq:   s.wal.id,
 		WALBytes: s.wal.size,
 		Flushes:  s.flushes,
@@ -250,7 +246,8 @@ func (s *Store) Stats() Stats {
 	if err != nil {
 		st.Err = err.Error()
 	}
-	for _, sg := range s.segs {
+	for _, l := range s.stack[lo:hi] {
+		sg := l.(*segment)
 		st.Segments = append(st.Segments, SegmentStats{
 			ID:       sg.id,
 			Keywords: sg.rd.NumKeywords(),
@@ -259,6 +256,6 @@ func (s *Store) Stats() Stats {
 			Tombs:    len(sg.tombs),
 		})
 	}
-	st.MemDocs, st.MemTombs, st.MemOps, st.MemBytes = s.mem.stats()
+	st.MemDocs, st.MemTombs, st.MemOps, st.MemBytes = active(s.stack).stats()
 	return st
 }
